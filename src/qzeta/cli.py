@@ -78,10 +78,18 @@ def _fractions(text: str) -> tuple[Fraction, ...]:
         raise ValueError("cannot read %r as a comma-separated rational vector" % text)
 
 
+def _fraction_arg(text: str) -> Fraction:
+    """argparse type for one rational; a bad value is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text) from None
+
+
 def _add_view_flags(p: argparse.ArgumentParser, with_emit: bool = False):
     p.add_argument("--euler", action="store_true", help="also print the topological zeta function of s")
     p.add_argument("--poles", action="store_true", help="also print the candidate poles")
-    p.add_argument("--series", type=Fraction, metavar="M", help="also print the T-expansion truncated at order M")
+    p.add_argument("--series", type=_fraction_arg, metavar="M", help="also print the T-expansion truncated at order M")
     p.add_argument("--eval-L", dest="eval_L", metavar="P", help="evaluate the printed series at L = P (rational)")
     p.add_argument("--latex", action="store_true", help="print LaTeX instead of plain text")
     p.add_argument("--json", action="store_true", help="print a single JSON object instead of text")

@@ -1,0 +1,476 @@
+"""Sparse exact polynomials in L, T and class symbols on an integer lattice.
+
+A :class:`MotPoly` is a finite sum of monomials ``c * L^ell * T^tau *
+[C0]^e ...`` with integer coefficients and rational exponents.  All the
+exponents of one polynomial lie in (1/r)Z for an integer scale r -- on a
+quotient by G they are ages, so r is the index -- and each monomial is
+stored under the integer key ``(tau*r, ell*r, symbols)``.  Outside this
+module, polynomials are built and read with Fraction exponents, except
+where a builder already holds the integer exponents (the group sums of
+``zetacore``, the factor binomials of ``symring``) and hands them over
+through :meth:`MotPoly.from_lattice`.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Mapping
+
+__all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable"]
+
+
+class MissingChi(Exception):
+    """A class symbol has no Euler characteristic assigned."""
+
+
+class FractionalPowerUnevaluable(Exception):
+    """A rational exponent has no exact rational value at the given base."""
+
+
+# A symbol monomial: sorted ((name, exponent), ...) with exponents > 0.
+SymMono = tuple[tuple[str, int], ...]
+# Monomial key at the boundary: (T-exponent, L-exponent, symbol monomial).
+MonoKey = tuple[Fraction, Fraction, SymMono]
+# Monomial key on the lattice (1/r)Z: (T-exponent * r, L-exponent * r, symbols).
+LatKey = tuple[int, int, SymMono]
+
+
+def _norm_syms(syms) -> SymMono:
+    if not syms:
+        return ()
+    if isinstance(syms, dict):
+        items = syms.items()
+    else:
+        items = syms
+    acc: dict[str, int] = {}
+    for name, e in items:
+        if e:
+            acc[name] = acc.get(name, 0) + int(e)
+    return tuple(sorted((n, e) for n, e in acc.items() if e))
+
+
+def _mul_syms(a: SymMono, b: SymMono) -> SymMono:
+    if not a:
+        return b
+    if not b:
+        return a
+    d = dict(a)
+    for name, e in b:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted((n, e) for n, e in d.items() if e))
+
+
+def _rat(x) -> Fraction | int:
+    """x as an exact rational; ints and Fractions pass through unconverted."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _rescale(terms: dict[LatKey, int], m: int) -> dict[LatKey, int]:
+    """The same terms on a lattice m times finer."""
+    return {(t * m, l * m, s): c for (t, l, s), c in terms.items()}
+
+
+class MotPoly:
+    """Sparse exact polynomial in L^(1/r), T^(1/r) and class symbols.
+
+    Every exponent lies on the lattice (1/r)Z for the polynomial's scale
+    ``r``, so a term is stored under the integer key ``(tau*r, ell*r,
+    symmono)`` with ``tau`` the T-exponent and ``ell`` the L-exponent;
+    values are nonzero ints and the zero polynomial has no terms.
+    Operands on different scales meet on the lcm of the two.  Fractions
+    appear only where exponents cross the boundary: the constructor, the
+    readers (:meth:`terms`, :meth:`min_tau`, :meth:`gcd_monomial`),
+    rendering and evaluation.
+    """
+
+    __slots__ = ("_terms", "_r", "_hashed")
+
+    def __init__(self, terms: Mapping[MonoKey, int] | None = None):
+        fracs = []
+        r = 1
+        if terms:
+            for (tau, ell, syms), c in terms.items():
+                if c == 0:
+                    continue
+                if not isinstance(c, int):
+                    raise TypeError("MotPoly coefficients must be int, got %r" % (c,))
+                tau, ell = Fraction(tau), Fraction(ell)
+                r = math.lcm(r, tau.denominator, ell.denominator)
+                fracs.append((tau, ell, _norm_syms(syms), c))
+        clean: dict[LatKey, int] = {}
+        for tau, ell, syms, c in fracs:
+            key = (
+                tau.numerator * (r // tau.denominator),
+                ell.numerator * (r // ell.denominator),
+                syms,
+            )
+            v = clean.get(key, 0) + c
+            if v:
+                clean[key] = v
+            else:
+                del clean[key]
+        self._terms = clean
+        self._r = r
+        self._hashed = None
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def from_lattice(cls, terms: dict[LatKey, int], r: int) -> "MotPoly":
+        """The polynomial with integer keys ``(tau*r, ell*r, symmono)``.
+
+        ``terms`` must hold nonzero int coefficients and normalised symbol
+        monomials; it is taken over, not copied.
+        """
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._r = r
+        out._hashed = None
+        return out
+
+    @classmethod
+    def zero(cls) -> "MotPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "MotPoly":
+        return cls.const(1)
+
+    @classmethod
+    def const(cls, c: int) -> "MotPoly":
+        return cls({(0, 0, ()): int(c)})
+
+    @classmethod
+    def L(cls, exp=1) -> "MotPoly":
+        return cls({(0, exp, ()): 1})
+
+    @classmethod
+    def T(cls, exp=1) -> "MotPoly":
+        return cls({(exp, 0, ()): 1})
+
+    @classmethod
+    def sym(cls, name: str, exp: int = 1) -> "MotPoly":
+        return cls({(0, 0, ((name, exp),)): 1})
+
+    @classmethod
+    def monomial(cls, coeff: int = 1, ell=0, tau=0, syms=()) -> "MotPoly":
+        return cls({(tau, ell, _norm_syms(syms)): int(coeff)})
+
+    # -- basics ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def terms(self) -> list[tuple[MonoKey, int]]:
+        """Terms in canonical order: lexicographic by (tau, ell, symbols)."""
+        r = self._r
+        return [
+            ((Fraction(t, r), Fraction(l, r), s), c)
+            for (t, l, s), c in sorted(self._terms.items())
+        ]
+
+    items = terms
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, MotPoly):
+            return x
+        if isinstance(x, int):
+            return MotPoly.const(x)
+        return None
+
+    @staticmethod
+    def _common(a: "MotPoly", b: "MotPoly"):
+        """Both term dicts on one scale: (terms of a, terms of b, scale)."""
+        ra, rb = a._r, b._r
+        if ra == rb:
+            return a._terms, b._terms, ra
+        r = math.lcm(ra, rb)
+        ta = a._terms if r == ra else _rescale(a._terms, r // ra)
+        tb = b._terms if r == rb else _rescale(b._terms, r // rb)
+        return ta, tb, r
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if len(self._terms) != len(other._terms):
+            return False
+        a, b, _r = self._common(self, other)
+        return a == b
+
+    def __hash__(self):
+        # Hash the form on the coarsest lattice, so equal polynomials hash
+        # equal whatever scale they are stored at.
+        if self._hashed is None:
+            terms, r = self._terms, self._r
+            g = math.gcd(r, *(k[0] for k in terms), *(k[1] for k in terms))
+            if g > 1:
+                terms = {(t // g, l // g, s): c for (t, l, s), c in terms.items()}
+            self._hashed = hash((r // g, frozenset(terms.items())))
+        return self._hashed
+
+    def __neg__(self) -> "MotPoly":
+        return MotPoly.from_lattice({k: -c for k, c in self._terms.items()}, self._r)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        a, b, r = self._common(self, other)
+        acc = dict(a)
+        for k, c in b.items():
+            v = acc.get(k, 0) + c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        return MotPoly.from_lattice(acc, r)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not self._terms or not other._terms:
+            return MotPoly.zero()
+        a, b, r = self._common(self, other)
+        acc: dict[LatKey, int] = {}
+        get = acc.get
+        for (t1, l1, s1), c1 in a.items():
+            for (t2, l2, s2), c2 in b.items():
+                k = (t1 + t2, l1 + l2, _mul_syms(s1, s2) if s1 and s2 else s1 or s2)
+                v = get(k, 0) + c1 * c2
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+        return MotPoly.from_lattice(acc, r)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "MotPoly":
+        if n < 0:
+            raise ValueError("MotPoly powers must be nonnegative")
+        out = MotPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- structure queries ----------------------------------------------
+
+    def min_tau(self) -> Fraction | None:
+        if not self._terms:
+            return None
+        return Fraction(min(k[0] for k in self._terms), self._r)
+
+    def gcd_monomial(self) -> MonoKey:
+        """Componentwise-minimal monomial across all terms (coefficient 1);
+        the polynomial must be nonzero."""
+        tau = Fraction(min(k[0] for k in self._terms), self._r)
+        ell = Fraction(min(k[1] for k in self._terms), self._r)
+        names: dict[str, int] = {}
+        first = True
+        for _tau, _ell, syms in self._terms:
+            d = dict(syms)
+            if first:
+                names = d
+                first = False
+            else:
+                names = {n: min(e, d.get(n, 0)) for n, e in names.items() if n in d}
+        sym = tuple(sorted((n, e) for n, e in names.items() if e))
+        return (tau, ell, sym)
+
+    def has_T(self) -> bool:
+        return any(k[0] for k in self._terms)
+
+    def truncate_tau(self, bound) -> "MotPoly":
+        """Drop monomials whose T-exponent exceeds ``bound``."""
+        bound = _rat(bound)
+        cut = bound.numerator * self._r // bound.denominator
+        return MotPoly.from_lattice(
+            {k: c for k, c in self._terms.items() if k[0] <= cut}, self._r
+        )
+
+    def coeff_of_T(self, j) -> "MotPoly":
+        """The coefficient of T^j, as a polynomial with no T part."""
+        j = _rat(j)
+        tj, rem = divmod(j.numerator * self._r, j.denominator)
+        if rem:
+            return MotPoly.zero()
+        return MotPoly.from_lattice(
+            {(0, l, s): c for (t, l, s), c in self._terms.items() if t == tj}, self._r
+        )
+
+    # -- specializations -------------------------------------------------
+
+    def chi(self, chi_env: Mapping[str, int] | None = None) -> int:
+        """Euler specialization of the coefficient ring: L -> 1, T -> 1,
+        each class symbol to its Euler characteristic."""
+        total = 0
+        for (_tau, _ell, syms), c in self._terms.items():
+            v = c
+            for name, e in syms:
+                if not chi_env or name not in chi_env:
+                    raise MissingChi(name)
+                v *= chi_env[name] ** e
+            total += v
+        return total
+
+    def eval_L(self, p, sym_env: Mapping[str, Fraction] | None = None) -> Fraction:
+        """Exact value with L = p (T powers are not evaluable here)."""
+        p = Fraction(p)
+        total = Fraction(0)
+        for (tau, ell, syms), c in self.items():
+            if tau != 0:
+                raise ValueError("monomial carries a T power; cannot evaluate at L only")
+            v = Fraction(c) * _rat_pow(p, ell)
+            for name, e in syms:
+                if not sym_env or name not in sym_env:
+                    raise MissingChi(name)
+                v *= Fraction(sym_env[name]) ** e
+            total += v
+        return total
+
+    # -- exact division ---------------------------------------------------
+
+    def divide_one_minus(self, ell_x, tau_x) -> "MotPoly | None":
+        """Exact quotient by ``1 - L^ell_x * T^tau_x``, or None.
+
+        Terms are grouped into translation classes along the direction
+        ``x = (tau_x, ell_x)``; within a class the division is the usual
+        one-variable cumulative-sum quotient, exact iff the class
+        coefficients sum to zero.  A direction off the polynomial's
+        lattice moves the quotient onto the finer common lattice.
+        """
+        tau_x, ell_x = _rat(tau_x), _rat(ell_x)
+        if tau_x == 0 and ell_x == 0:
+            raise ValueError("division by 1 - 1 is undefined")
+        if not self._terms:
+            return MotPoly.zero()
+        terms, r = self._terms, self._r
+        dx = math.lcm(tau_x.denominator, ell_x.denominator)
+        if r % dx:
+            m = dx // math.gcd(r, dx)
+            terms, r = _rescale(terms, m), r * m
+        tx = tau_x.numerator * (r // tau_x.denominator)
+        lx = ell_x.numerator * (r // ell_x.denominator)
+        classes: dict[LatKey, dict[int, int]] = {}
+        for (t, l, s), c in terms.items():
+            j = t // tx if tx else l // lx
+            rep = (t - j * tx, l - j * lx, s)
+            col = classes.get(rep)
+            if col is None:
+                classes[rep] = {j: c}
+            else:
+                col[j] = c
+        out: dict[LatKey, int] = {}
+        for (t0, l0, s), col in classes.items():
+            js = sorted(col)
+            last = js[-1]
+            run = 0
+            for j in range(js[0], last):
+                run += col.get(j, 0)
+                if run:
+                    out[(t0 + j * tx, l0 + j * lx, s)] = run
+            if run + col[last]:
+                return None
+        return MotPoly.from_lattice(out, r)
+
+    # -- rendering ---------------------------------------------------------
+
+    # The printers live in symring, which imports this module.
+
+    def __str__(self) -> str:
+        from .symring import render_poly
+
+        return render_poly(self)
+
+    def __repr__(self) -> str:
+        return "MotPoly(%s)" % self
+
+    def latex(self) -> str:
+        from .symring import latex_poly
+
+        return latex_poly(self)
+
+    def json_obj(self):
+        return [
+            {
+                "c": c,
+                "L": {"num": ell.numerator, "den": ell.denominator},
+                "T": {"num": tau.numerator, "den": tau.denominator},
+                "syms": {n: e for n, e in syms},
+            }
+            for (tau, ell, syms), c in self.terms()
+        ]
+
+
+# ---------------------------------------------------------------------------
+# exact rational powers
+
+
+def _int_nth_root(a: int, n: int) -> int | None:
+    if n == 1:
+        return a
+    if a < 0:
+        if n % 2 == 0:
+            return None
+        r = _int_nth_root(-a, n)
+        return None if r is None else -r
+    if a in (0, 1):
+        return a
+    x = max(1, int(round(a ** (1.0 / n))))
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    for cand in (x - 1, x, x + 1, x + 2):
+        if cand >= 0 and cand**n == a:
+            return cand
+    return None
+
+
+def _rat_pow(p: Fraction, e: Fraction) -> Fraction:
+    """p**e exactly, raising FractionalPowerUnevaluable when impossible."""
+    if e.denominator == 1:
+        if p == 0 and e < 0:
+            raise ZeroDivisionError("0 to a negative power")
+        return p ** e.numerator
+    rn = _int_nth_root(p.numerator, e.denominator)
+    rd = _int_nth_root(p.denominator, e.denominator)
+    if rn is None or rd is None:
+        raise FractionalPowerUnevaluable(
+            "%s has no exact rational %d-th root" % (p, e.denominator)
+        )
+    return Fraction(rn, rd) ** e.numerator

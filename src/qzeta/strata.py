@@ -194,8 +194,10 @@ class _Parser:
         num = self.int_value()
         if self.peek().kind == "/":
             self.next()
-            den = self.expect("INT", "a denominator").text
-            return Fraction(num, int(den))
+            den = self.expect("INT", "a denominator")
+            if int(den.text) == 0:
+                self.fail("zero denominator", den)
+            return Fraction(num, int(den.text))
         return Fraction(num)
 
     # -- stratum blocks ------------------------------------------------------

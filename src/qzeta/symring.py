@@ -6,14 +6,19 @@ and ``T = L^(-s)`` -- plus free commuting symbols standing for opaque
 variety classes such as ``[C0]``.  A monomial ``L^(a*s + b)`` is stored
 with T-exponent ``-a`` and L-exponent ``b``.
 
-On top of the plain polynomials (:class:`MotPoly`) sit the standard
-one-coordinate factors
+On top of the plain polynomials (:class:`MotPoly`, see
+:mod:`qzeta.motpoly`) sit the standard one-coordinate factors
 
     Fac(N; nu) = (L - 1) * L^-(N*s + nu) / (1 - L^-(N*s + nu))
 
 and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
-(:class:`ZetaExpr`).  All coefficients are integers and all exponents
-exact :class:`fractions.Fraction` values; nothing is approximated, and
+(:class:`ZetaExpr`), their reduced rational-function form, series and
+the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`).
+All coefficients are integers and all exponents exact rationals: a
+polynomial keeps its exponents as integers over one lattice scale r
+(for a quotient by G they are ages, so r is the index), while factor
+data, topological zetas and everything printed are
+:class:`fractions.Fraction` values.  Nothing is approximated, and
 equality of zeta expressions is decided by exact cross-multiplication.
 """
 
@@ -25,6 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .motpoly import FractionalPowerUnevaluable, MissingChi, MonoKey, MotPoly
+from .topzeta import TopZeta, frac_latex
 
 Rat = Fraction
 
@@ -38,10 +46,6 @@ __all__ = [
     "TopZeta",
     "MissingChi",
     "FractionalPowerUnevaluable",
-    "mp_add",
-    "mp_mul",
-    "ze_add",
-    "ze_mul",
     "ze_to_ratfunc",
     "ze_equal",
     "euler_specialize",
@@ -49,14 +53,6 @@ __all__ = [
     "eval_L",
     "candidate_poles",
 ]
-
-
-class MissingChi(Exception):
-    """A class symbol has no Euler characteristic assigned."""
-
-
-class FractionalPowerUnevaluable(Exception):
-    """A rational exponent has no exact rational value at the given base."""
 
 
 @dataclass(frozen=True)
@@ -68,370 +64,6 @@ class ClassSymbol:
 
     name: str
     chi: int | None = None
-
-
-# A symbol monomial: sorted ((name, exponent), ...) with exponents > 0.
-SymMono = tuple[tuple[str, int], ...]
-# Monomial key: (T-exponent, L-exponent, symbol monomial).
-MonoKey = tuple[Fraction, Fraction, SymMono]
-
-
-def _norm_syms(syms) -> SymMono:
-    if not syms:
-        return ()
-    if isinstance(syms, dict):
-        items = syms.items()
-    else:
-        items = syms
-    acc: dict[str, int] = {}
-    for name, e in items:
-        if e:
-            acc[name] = acc.get(name, 0) + int(e)
-    return tuple(sorted((n, e) for n, e in acc.items() if e))
-
-
-def _mul_syms(a: SymMono, b: SymMono) -> SymMono:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in d.items() if e))
-
-
-class MotPoly:
-    """Sparse exact polynomial in L^(1/r), T^(1/r) and class symbols.
-
-    Keys are ``(tau, ell, symmono)`` with ``tau`` the T-exponent and
-    ``ell`` the L-exponent, both Fractions of either sign; values are
-    nonzero ints.  The zero polynomial has no terms.
-    """
-
-    __slots__ = ("_terms", "_hashed")
-
-    def __init__(self, terms: Mapping[MonoKey, int] | None = None):
-        clean: dict[MonoKey, int] = {}
-        if terms:
-            for (tau, ell, syms), c in terms.items():
-                if c == 0:
-                    continue
-                if not isinstance(c, int):
-                    raise TypeError("MotPoly coefficients must be int, got %r" % (c,))
-                key = (Fraction(tau), Fraction(ell), _norm_syms(syms))
-                clean[key] = clean.get(key, 0) + c
-                if clean[key] == 0:
-                    del clean[key]
-        self._terms = clean
-        self._hashed = None
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MotPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MotPoly":
-        return cls.const(1)
-
-    @classmethod
-    def const(cls, c: int) -> "MotPoly":
-        return cls({(Fraction(0), Fraction(0), ()): int(c)})
-
-    @classmethod
-    def L(cls, exp=1) -> "MotPoly":
-        return cls({(Fraction(0), Fraction(exp), ()): 1})
-
-    @classmethod
-    def T(cls, exp=1) -> "MotPoly":
-        return cls({(Fraction(exp), Fraction(0), ()): 1})
-
-    @classmethod
-    def sym(cls, name: str, exp: int = 1) -> "MotPoly":
-        return cls({(Fraction(0), Fraction(0), ((name, exp),)): 1})
-
-    @classmethod
-    def monomial(cls, coeff: int = 1, ell=0, tau=0, syms=()) -> "MotPoly":
-        return cls({(Fraction(tau), Fraction(ell), _norm_syms(syms)): int(coeff)})
-
-    # -- basics ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def terms(self) -> list[tuple[MonoKey, int]]:
-        """Terms in canonical order: lexicographic by (tau, ell, symbols)."""
-        return sorted(self._terms.items())
-
-    def items(self):
-        return self._terms.items()
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, MotPoly):
-            return x
-        if isinstance(x, int):
-            return MotPoly.const(x)
-        return None
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hashed is None:
-            self._hashed = hash(frozenset(self._terms.items()))
-        return self._hashed
-
-    def __neg__(self) -> "MotPoly":
-        return MotPoly({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-        out = MotPoly.__new__(MotPoly)
-        out._terms = acc
-        out._hashed = None
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._terms or not other._terms:
-            return MotPoly.zero()
-        acc: dict[MonoKey, int] = {}
-        for (t1, l1, s1), c1 in self._terms.items():
-            for (t2, l2, s2), c2 in other._terms.items():
-                k = (t1 + t2, l1 + l2, _mul_syms(s1, s2))
-                v = acc.get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-        out = MotPoly.__new__(MotPoly)
-        out._terms = acc
-        out._hashed = None
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MotPoly":
-        if n < 0:
-            raise ValueError("MotPoly powers must be nonnegative")
-        out = MotPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- structure queries ----------------------------------------------
-
-    def min_tau(self) -> Fraction | None:
-        if not self._terms:
-            return None
-        return min(k[0] for k in self._terms)
-
-    def max_tau(self) -> Fraction | None:
-        if not self._terms:
-            return None
-        return max(k[0] for k in self._terms)
-
-    def has_T(self) -> bool:
-        return any(k[0] != 0 for k in self._terms)
-
-    def truncate_tau(self, bound) -> "MotPoly":
-        """Drop monomials whose T-exponent exceeds ``bound``."""
-        bound = Fraction(bound)
-        return MotPoly({k: c for k, c in self._terms.items() if k[0] <= bound})
-
-    def coeff_of_T(self, j) -> "MotPoly":
-        """The coefficient of T^j, as a polynomial with no T part."""
-        j = Fraction(j)
-        return MotPoly(
-            {(Fraction(0), k[1], k[2]): c for k, c in self._terms.items() if k[0] == j}
-        )
-
-    def exponent_denominators(self) -> set[int]:
-        out = set()
-        for tau, ell, _ in self._terms:
-            out.add(tau.denominator)
-            out.add(ell.denominator)
-        return out or {1}
-
-    # -- specializations -------------------------------------------------
-
-    def chi(self, chi_env: Mapping[str, int] | None = None) -> int:
-        """Euler specialization of the coefficient ring: L -> 1, T -> 1,
-        each class symbol to its Euler characteristic."""
-        total = 0
-        for (_tau, _ell, syms), c in self._terms.items():
-            v = c
-            for name, e in syms:
-                if not chi_env or name not in chi_env:
-                    raise MissingChi(name)
-                v *= chi_env[name] ** e
-            total += v
-        return total
-
-    def eval_L(self, p, sym_env: Mapping[str, Rat] | None = None) -> Fraction:
-        """Exact value with L = p (T powers are not evaluable here)."""
-        p = Fraction(p)
-        total = Fraction(0)
-        for (tau, ell, syms), c in self._terms.items():
-            if tau != 0:
-                raise ValueError("monomial carries a T power; cannot evaluate at L only")
-            v = Fraction(c) * _rat_pow(p, ell)
-            for name, e in syms:
-                if not sym_env or name not in sym_env:
-                    raise MissingChi(name)
-                v *= Fraction(sym_env[name]) ** e
-            total += v
-        return total
-
-    # -- exact division ---------------------------------------------------
-
-    def divide_one_minus(self, ell_x, tau_x) -> "MotPoly | None":
-        """Exact quotient by ``1 - L^ell_x * T^tau_x``, or None.
-
-        Terms are grouped into translation classes along the direction
-        ``x = (tau_x, ell_x)``; within a class the division is the usual
-        one-variable cumulative-sum quotient, exact iff the class
-        coefficients sum to zero.
-        """
-        tau_x = Fraction(tau_x)
-        ell_x = Fraction(ell_x)
-        if tau_x == 0 and ell_x == 0:
-            raise ValueError("division by 1 - 1 is undefined")
-        if not self._terms:
-            return MotPoly.zero()
-        use_tau = tau_x != 0
-        classes: dict[MonoKey, dict[int, int]] = {}
-        for (tau, ell, syms), c in self._terms.items():
-            j = math.floor(tau / tau_x) if use_tau else math.floor(ell / ell_x)
-            rep = (tau - j * tau_x, ell - j * ell_x, syms)
-            classes.setdefault(rep, {})[j] = c
-        out: dict[MonoKey, int] = {}
-        for rep, col in classes.items():
-            js = sorted(col)
-            run = 0
-            for j in range(js[0], js[-1] + 1):
-                run += col.get(j, 0)
-                if j == js[-1]:
-                    if run != 0:
-                        return None
-                elif run:
-                    out[(rep[0] + j * tau_x, rep[1] + j * ell_x, rep[2])] = run
-        return MotPoly(out)
-
-    # -- rendering ---------------------------------------------------------
-
-    def __str__(self) -> str:
-        return render_poly(self)
-
-    def __repr__(self) -> str:
-        return "MotPoly(%s)" % render_poly(self)
-
-    def latex(self) -> str:
-        return latex_poly(self)
-
-    def json_obj(self):
-        return [
-            {
-                "c": c,
-                "L": {"num": ell.numerator, "den": ell.denominator},
-                "T": {"num": tau.numerator, "den": tau.denominator},
-                "syms": {n: e for n, e in syms},
-            }
-            for (tau, ell, syms), c in self.terms()
-        ]
-
-
-def mp_add(a: MotPoly, b: MotPoly) -> MotPoly:
-    return a + b
-
-
-def mp_mul(a: MotPoly, b: MotPoly) -> MotPoly:
-    return a * b
-
-
-# ---------------------------------------------------------------------------
-# exact rational powers
-
-
-def _int_nth_root(a: int, n: int) -> int | None:
-    if n == 1:
-        return a
-    if a < 0:
-        if n % 2 == 0:
-            return None
-        r = _int_nth_root(-a, n)
-        return None if r is None else -r
-    if a in (0, 1):
-        return a
-    x = max(1, int(round(a ** (1.0 / n))))
-    while True:
-        y = ((n - 1) * x + a // x ** (n - 1)) // n
-        if y >= x:
-            break
-        x = y
-    for cand in (x - 1, x, x + 1, x + 2):
-        if cand >= 0 and cand**n == a:
-            return cand
-    return None
-
-
-def _rat_pow(p: Fraction, e: Fraction) -> Fraction:
-    """p**e exactly, raising FractionalPowerUnevaluable when impossible."""
-    if e.denominator == 1:
-        if p == 0 and e < 0:
-            raise ZeroDivisionError("0 to a negative power")
-        return p ** e.numerator
-    rn = _int_nth_root(p.numerator, e.denominator)
-    rd = _int_nth_root(p.denominator, e.denominator)
-    if rn is None or rd is None:
-        raise FractionalPowerUnevaluable(
-            "%s has no exact rational %d-th root" % (p, e.denominator)
-        )
-    return Fraction(rn, rd) ** e.numerator
 
 
 def eval_L(x: MotPoly, p, sym_env: Mapping[str, Rat] | None = None) -> Fraction:
@@ -456,19 +88,34 @@ class StdFactor:
             raise ValueError("factor needs N >= 0, got %s" % (self.N,))
         if self.nu <= 0:
             raise ValueError("factor needs nu > 0, got %s" % (self.nu,))
+        # The fold looks factors up in dicts several times per term, and
+        # hashing two Fractions on each lookup used to dominate it.
+        object.__setattr__(self, "_hash", hash((self.N, self.nu)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_trivial(self) -> bool:
         # Fac(0; 1) = (L-1) L^-1 / (1 - L^-1) = 1.
         return self.N == 0 and self.nu == 1
 
+    def _lattice(self) -> tuple[int, int, int]:
+        """(r, N*r, nu*r) with r the least common denominator of N and nu."""
+        r = math.lcm(self.N.denominator, self.nu.denominator)
+        n = self.N.numerator * (r // self.N.denominator)
+        v = self.nu.numerator * (r // self.nu.denominator)
+        return r, n, v
+
     def numer_poly(self) -> MotPoly:
         """(L - 1) * L^-nu * T^N, the numerator over 1 - L^-nu T^N."""
-        return (MotPoly.L() - 1) * MotPoly.monomial(1, ell=-self.nu, tau=self.N)
+        r, n, v = self._lattice()
+        return MotPoly.from_lattice({(n, r - v, ()): 1, (n, -v, ()): -1}, r)
 
     def binom_poly(self) -> MotPoly:
         """1 - L^-nu T^N."""
-        return MotPoly.one() - MotPoly.monomial(1, ell=-self.nu, tau=self.N)
+        r, n, v = self._lattice()
+        return MotPoly.from_lattice({(0, 0, ()): 1, (n, -v, ()): -1}, r)
 
     def __str__(self) -> str:
         return "Fac(%s; %s)" % (self.N, self.nu)
@@ -598,16 +245,6 @@ class ZetaExpr:
         z._terms = out
         return z
 
-    def all_factors(self) -> Counter:
-        """Multiset union (per-term max multiplicity) of all factors."""
-        acc: Counter = Counter()
-        for facs in self._terms:
-            cnt = Counter(facs)
-            for f, m in cnt.items():
-                if m > acc[f]:
-                    acc[f] = m
-        return acc
-
     def __str__(self) -> str:
         return render_zeta(self)
 
@@ -635,14 +272,6 @@ class ZetaExpr:
                 }
             )
         return {"kind": "zeta", "terms": out}
-
-
-def ze_add(a: ZetaExpr, b: ZetaExpr) -> ZetaExpr:
-    return a + b
-
-
-def ze_mul(a: ZetaExpr, b: ZetaExpr) -> ZetaExpr:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +418,9 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
             if jmax < 1:
                 cur = MotPoly.zero()
                 break
-            geo = MotPoly(
-                {(j * f.N, -j * f.nu, ()): 1 for j in range(1, jmax + 1)}
+            r, n, v = f._lattice()
+            geo = MotPoly.from_lattice(
+                {(j * n, -j * v, ()): 1 for j in range(1, jmax + 1)}, r
             )
             cur = (cur * ((MotPoly.L() - 1) * geo)).truncate_tau(M)
         total = total + cur
@@ -799,203 +429,6 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
 
 # ---------------------------------------------------------------------------
 # topological (Euler) specialization
-
-
-LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
-
-
-def _pnorm(p: list[Fraction]) -> tuple[Fraction, ...]:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pnorm(out)
-
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _pnorm(out)
-
-
-def _pscale(a, c: Fraction):
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _pdiv_linear(p, N: Fraction, nu: Fraction):
-    """Exact quotient of p by (N*s + nu) with N != 0, or None."""
-    if not p:
-        return ()
-    if N == 0:
-        raise ValueError("linear factor must have N != 0")
-    # p_k = N q_{k-1} + nu q_k, solved from the constant term up.
-    q = []
-    prev = Fraction(0)
-    for k in range(len(p) - 1):
-        prev = (p[k] - N * prev) / nu
-        q.append(prev)
-    if p[-1] - N * prev != 0:
-        return None
-    return _pnorm(q)
-
-
-def _poly_of(denom: Iterable[tuple[LinFactor, int]]):
-    out = (Fraction(1),)
-    for (N, nu), m in denom:
-        for _ in range(m):
-            out = _pmul(out, (nu, N))
-    return out
-
-
-class TopZeta:
-    """A univariate rational function of s assembled from Euler-specialized
-    zeta terms: a structured sum  sum c / prod (N s + nu)^m  plus the fully
-    reduced single quotient."""
-
-    __slots__ = ("terms", "numer", "denom", "numer_red", "denom_red")
-
-    def __init__(self, terms: Iterable[tuple[Fraction, Mapping[LinFactor, int]]]):
-        merged: dict[tuple, Fraction] = {}
-        for c, lins in terms:
-            key = tuple(sorted(Counter(lins).items()))
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(c)
-        self.terms = tuple(
-            (c, key) for key, c in sorted(merged.items()) if c != 0
-        )
-        denom: Counter = Counter()
-        for _c, key in self.terms:
-            for f, m in key:
-                if m > denom[f]:
-                    denom[f] = m
-        self.denom = tuple(sorted(denom.items()))
-        numer = ()
-        for c, key in self.terms:
-            own = Counter(dict(key))
-            part = (Fraction(c),)
-            for f, m in self.denom:
-                pw = m - own.get(f, 0)
-                for _ in range(pw):
-                    part = _pmul(part, (f[1], f[0]))
-            numer = _padd(numer, part)
-        self.numer = numer
-        # reduce
-        nred = numer
-        dred = Counter(denom)
-        if not nred:
-            dred = Counter()
-        else:
-            for f in sorted(dred):
-                while dred[f] > 0:
-                    q = _pdiv_linear(nred, f[0], f[1])
-                    if q is None:
-                        break
-                    nred = q
-                    dred[f] -= 1
-        self.numer_red = nred
-        self.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
-
-    @classmethod
-    def from_quotient(cls, numer_coeffs, denom: Mapping[LinFactor, int]) -> "TopZeta":
-        """Build directly from a quotient (linear factors need N > 0)."""
-        dd = tuple(sorted(Counter(denom).items()))
-        tz = cls.__new__(cls)
-        tz.terms = ()
-        tz.numer = _pnorm([Fraction(x) for x in numer_coeffs])
-        tz.denom = dd
-        nred = tz.numer
-        dred = Counter(denom)
-        if not nred:
-            dred = Counter()
-        else:
-            for f in sorted(dred):
-                while dred[f] > 0:
-                    q = _pdiv_linear(nred, f[0], f[1])
-                    if q is None:
-                        break
-                    nred = q
-                    dred[f] -= 1
-        tz.numer_red = nred
-        tz.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
-        return tz
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TopZeta):
-            return NotImplemented
-        lhs = _pmul(self.numer_red, _poly_of(other.denom_red))
-        rhs = _pmul(other.numer_red, _poly_of(self.denom_red))
-        return lhs == rhs
-
-    def __hash__(self):
-        return hash((self.numer_red, self.denom_red))  # coarse but consistent enough
-
-    def eval_at(self, s0) -> Fraction:
-        s0 = Fraction(s0)
-        num = sum((c * s0**k for k, c in enumerate(self.numer_red)), Fraction(0))
-        den = Fraction(1)
-        for (N, nu), m in self.denom_red:
-            den *= (N * s0 + nu) ** m
-        return num / den
-
-    def poles(self) -> set[Fraction]:
-        return {Fraction(-nu, 1) / N for (N, nu), _m in self.denom_red if N != 0}
-
-    def __str__(self) -> str:
-        if not self.numer_red:
-            return "0"
-        num = _spoly_str(self.numer_red)
-        if not self.denom_red:
-            return num
-        den = " * ".join(
-            "(%s)%s" % (_lin_str(f), "" if m == 1 else "^%d" % m)
-            for f, m in self.denom_red
-        )
-        return "(%s) / (%s)" % (num, den)
-
-    def __repr__(self):
-        return "TopZeta(%s)" % str(self)
-
-    def json_obj(self):
-        return {
-            "kind": "topzeta",
-            "numer": [
-                {"num": c.numerator, "den": c.denominator} for c in self.numer_red
-            ],
-            "denom": [
-                {
-                    "N": {"num": f[0].numerator, "den": f[0].denominator},
-                    "nu": {"num": f[1].numerator, "den": f[1].denominator},
-                    "mult": m,
-                }
-                for f, m in self.denom_red
-            ],
-        }
-
-    def latex(self) -> str:
-        if not self.numer_red:
-            return "0"
-        num = _spoly_latex(self.numer_red)
-        if not self.denom_red:
-            return num
-        den = "".join(
-            "\\left(%s\\right)%s"
-            % (_lin_latex(f), "" if m == 1 else "^{%d}" % m)
-            for f, m in self.denom_red
-        )
-        return "\\frac{%s}{%s}" % (num, den)
 
 
 def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> TopZeta:
@@ -1064,30 +497,13 @@ def render_poly(p: MotPoly) -> str:
     return " ".join(out)
 
 
-def _gcd_monomial(p: MotPoly) -> MonoKey:
-    """Componentwise-minimal monomial across all terms (coefficient 1)."""
-    tau = min(k[0] for k in p._terms)
-    ell = min(k[1] for k in p._terms)
-    names: dict[str, int] = {}
-    first = True
-    for _tau, _ell, syms in p._terms:
-        d = dict(syms)
-        if first:
-            names = d
-            first = False
-        else:
-            names = {n: min(e, d.get(n, 0)) for n, e in names.items() if n in d}
-    sym = tuple(sorted((n, e) for n, e in names.items() if e))
-    return (tau, ell, sym)
-
-
 def render_poly_factored(p: MotPoly) -> str:
     """Render with the common monomial pulled out front: ``L^-2 * (1 + L)``."""
     if p.is_zero:
         return "0"
     if len(p) == 1:
         return render_poly(p)
-    g = _gcd_monomial(p)
+    g = p.gcd_monomial()
     if g == (0, 0, ()):
         return "(%s)" % render_poly(p)
     ginv = MotPoly.monomial(1, ell=-g[1], tau=-g[0], syms=[(n, -e) for n, e in g[2]])
@@ -1111,13 +527,6 @@ def render_zeta(z: ZetaExpr) -> str:
             body = render_poly_factored(coeff)
             chunks.append(" * ".join([body] + fparts))
     return " + ".join(chunks)
-
-
-def _frac_latex(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return "%s\\tfrac{%d}{%d}" % (sign, abs(x.numerator), x.denominator)
 
 
 def _exp_latex(e: Fraction) -> str:
@@ -1153,9 +562,9 @@ def latex_poly(p: MotPoly) -> str:
 
 def _lin_exp_latex(f: StdFactor) -> str:
     if f.N == 0:
-        return _frac_latex(f.nu)
-    np = "s" if f.N == 1 else "%ss" % _frac_latex(f.N)
-    return "%s+%s" % (np, _frac_latex(f.nu))
+        return frac_latex(f.nu)
+    np = "s" if f.N == 1 else "%ss" % frac_latex(f.N)
+    return "%s+%s" % (np, frac_latex(f.nu))
 
 
 def latex_zeta(z: ZetaExpr) -> str:
@@ -1181,62 +590,6 @@ def latex_zeta(z: ZetaExpr) -> str:
         else:
             chunks.append("".join([cpart] + fparts))
     return " + ".join(chunks)
-
-
-def _spoly_str(p) -> str:
-    # descending powers of s
-    out = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            spow = "s" if k == 1 else "s^%d" % k
-            body = spow if mag == 1 else "%s*%s" % (mag, spow)
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out) if out else "0"
-
-
-def _spoly_latex(p) -> str:
-    out = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = _frac_latex(abs(c))
-        else:
-            mag = abs(c)
-            spow = "s" if k == 1 else "s^{%d}" % k
-            body = spow if mag == 1 else "%s%s" % (_frac_latex(mag), spow)
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("-" if c < 0 else "+") + body)
-    return "".join(out) if out else "0"
-
-
-def _lin_str(f: LinFactor) -> str:
-    N, nu = f
-    if N == 0:
-        return str(nu)
-    if N == 1:
-        sp = "s"
-    else:
-        sp = "%s*s" % N
-    return "%s + %s" % (sp, nu)
-
-
-def _lin_latex(f: LinFactor) -> str:
-    N, nu = f
-    sp = "s" if N == 1 else "%ss" % _frac_latex(N)
-    return "%s+%s" % (sp, _frac_latex(nu))
 
 
 def json_dump(obj) -> str:

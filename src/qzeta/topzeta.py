@@ -1,0 +1,289 @@
+"""The topological zeta function: univariate rational functions of s.
+
+Euler specialization (L -> 1) turns each standard factor Fac(N; nu) into
+1/(N s + nu), so a zeta expression becomes a sum of rational functions
+of s whose denominators are products of linear factors.  :class:`TopZeta`
+keeps that structured sum together with its fully reduced single
+quotient.  Polynomials in s are dense tuples of Fractions, constant term
+first.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+__all__ = ["LinFactor", "TopZeta", "frac_latex"]
+
+LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
+
+
+def _pnorm(p: list[Fraction]) -> tuple[Fraction, ...]:
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _pnorm(out)
+
+
+def _padd(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return _pnorm(out)
+
+
+def _pdiv_linear(p, N: Fraction, nu: Fraction):
+    """Exact quotient of p by (N*s + nu) with N != 0, or None."""
+    if not p:
+        return ()
+    if N == 0:
+        raise ValueError("linear factor must have N != 0")
+    # p_k = N q_{k-1} + nu q_k, solved from the constant term up.
+    q = []
+    prev = Fraction(0)
+    for k in range(len(p) - 1):
+        prev = (p[k] - N * prev) / nu
+        q.append(prev)
+    if p[-1] - N * prev != 0:
+        return None
+    return _pnorm(q)
+
+
+def _poly_of(denom: Iterable[tuple[LinFactor, int]]):
+    out = (Fraction(1),)
+    for (N, nu), m in denom:
+        for _ in range(m):
+            out = _pmul(out, (nu, N))
+    return out
+
+
+class TopZeta:
+    """A univariate rational function of s assembled from Euler-specialized
+    zeta terms: a structured sum  sum c / prod (N s + nu)^m  plus the fully
+    reduced single quotient."""
+
+    __slots__ = ("terms", "numer", "denom", "numer_red", "denom_red")
+
+    def __init__(self, terms: Iterable[tuple[Fraction, Mapping[LinFactor, int]]]):
+        merged: dict[tuple, Fraction] = {}
+        for c, lins in terms:
+            key = tuple(sorted(Counter(lins).items()))
+            merged[key] = merged.get(key, Fraction(0)) + Fraction(c)
+        self.terms = tuple(
+            (c, key) for key, c in sorted(merged.items()) if c != 0
+        )
+        denom: Counter = Counter()
+        for _c, key in self.terms:
+            for f, m in key:
+                if m > denom[f]:
+                    denom[f] = m
+        self.denom = tuple(sorted(denom.items()))
+        numer = ()
+        for c, key in self.terms:
+            own = Counter(dict(key))
+            part = (Fraction(c),)
+            for f, m in self.denom:
+                pw = m - own.get(f, 0)
+                for _ in range(pw):
+                    part = _pmul(part, (f[1], f[0]))
+            numer = _padd(numer, part)
+        self.numer = numer
+        # reduce
+        nred = numer
+        dred = Counter(denom)
+        if not nred:
+            dred = Counter()
+        else:
+            for f in sorted(dred):
+                while dred[f] > 0:
+                    q = _pdiv_linear(nred, f[0], f[1])
+                    if q is None:
+                        break
+                    nred = q
+                    dred[f] -= 1
+        self.numer_red = nred
+        self.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
+
+    @classmethod
+    def from_quotient(cls, numer_coeffs, denom: Mapping[LinFactor, int]) -> "TopZeta":
+        """Build directly from a quotient (linear factors need N > 0)."""
+        dd = tuple(sorted(Counter(denom).items()))
+        tz = cls.__new__(cls)
+        tz.terms = ()
+        tz.numer = _pnorm([Fraction(x) for x in numer_coeffs])
+        tz.denom = dd
+        nred = tz.numer
+        dred = Counter(denom)
+        if not nred:
+            dred = Counter()
+        else:
+            for f in sorted(dred):
+                while dred[f] > 0:
+                    q = _pdiv_linear(nred, f[0], f[1])
+                    if q is None:
+                        break
+                    nred = q
+                    dred[f] -= 1
+        tz.numer_red = nred
+        tz.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
+        return tz
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TopZeta):
+            return NotImplemented
+        lhs = _pmul(self.numer_red, _poly_of(other.denom_red))
+        rhs = _pmul(other.numer_red, _poly_of(self.denom_red))
+        return lhs == rhs
+
+    def __hash__(self):
+        # Hash a canonical form of the reduced quotient, which __eq__
+        # compares by value: each linear factor scaled to primitive integer
+        # (N, nu), proportional factors merged, the numerator rescaled to
+        # match.  The reduced quotient is in lowest terms, so equal
+        # functions share this form.
+        scale = Fraction(1)
+        denom: Counter = Counter()
+        for (N, nu), m in self.denom_red:
+            k = math.lcm(N.denominator, nu.denominator)
+            a, b = int(N * k), int(nu * k)
+            g = math.gcd(a, b)
+            denom[(a // g, b // g)] += m
+            scale *= Fraction(k, g) ** m
+        numer = tuple(c * scale for c in self.numer_red)
+        return hash((numer, tuple(sorted(denom.items()))))
+
+    def eval_at(self, s0) -> Fraction:
+        s0 = Fraction(s0)
+        num = sum((c * s0**k for k, c in enumerate(self.numer_red)), Fraction(0))
+        den = Fraction(1)
+        for (N, nu), m in self.denom_red:
+            den *= (N * s0 + nu) ** m
+        return num / den
+
+    def poles(self) -> set[Fraction]:
+        return {Fraction(-nu, 1) / N for (N, nu), _m in self.denom_red if N != 0}
+
+    def __str__(self) -> str:
+        if not self.numer_red:
+            return "0"
+        num = _spoly_str(self.numer_red)
+        if not self.denom_red:
+            return num
+        den = " * ".join(
+            "(%s)%s" % (_lin_str(f), "" if m == 1 else "^%d" % m)
+            for f, m in self.denom_red
+        )
+        return "(%s) / (%s)" % (num, den)
+
+    def __repr__(self):
+        return "TopZeta(%s)" % str(self)
+
+    def json_obj(self):
+        return {
+            "kind": "topzeta",
+            "numer": [
+                {"num": c.numerator, "den": c.denominator} for c in self.numer_red
+            ],
+            "denom": [
+                {
+                    "N": {"num": f[0].numerator, "den": f[0].denominator},
+                    "nu": {"num": f[1].numerator, "den": f[1].denominator},
+                    "mult": m,
+                }
+                for f, m in self.denom_red
+            ],
+        }
+
+    def latex(self) -> str:
+        if not self.numer_red:
+            return "0"
+        num = _spoly_latex(self.numer_red)
+        if not self.denom_red:
+            return num
+        den = "".join(
+            "\\left(%s\\right)%s"
+            % (_lin_latex(f), "" if m == 1 else "^{%d}" % m)
+            for f, m in self.denom_red
+        )
+        return "\\frac{%s}{%s}" % (num, den)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def frac_latex(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    sign = "-" if x < 0 else ""
+    return "%s\\tfrac{%d}{%d}" % (sign, abs(x.numerator), x.denominator)
+
+
+def _spoly_str(p) -> str:
+    # descending powers of s
+    out = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            mag = abs(c)
+            spow = "s" if k == 1 else "s^%d" % k
+            body = spow if mag == 1 else "%s*%s" % (mag, spow)
+        if not out:
+            out.append(("-" if c < 0 else "") + body)
+        else:
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out) if out else "0"
+
+
+def _spoly_latex(p) -> str:
+    out = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = frac_latex(abs(c))
+        else:
+            mag = abs(c)
+            spow = "s" if k == 1 else "s^{%d}" % k
+            body = spow if mag == 1 else "%s%s" % (frac_latex(mag), spow)
+        if not out:
+            out.append(("-" if c < 0 else "") + body)
+        else:
+            out.append(("-" if c < 0 else "+") + body)
+    return "".join(out) if out else "0"
+
+
+def _lin_str(f: LinFactor) -> str:
+    N, nu = f
+    if N == 0:
+        return str(nu)
+    if N == 1:
+        sp = "s"
+    else:
+        sp = "%s*s" % N
+    return "%s + %s" % (sp, nu)
+
+
+def _lin_latex(f: LinFactor) -> str:
+    N, nu = f
+    sp = "s" if N == 1 else "%ss" % frac_latex(N)
+    return "%s+%s" % (sp, frac_latex(nu))

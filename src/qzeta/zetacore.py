@@ -74,11 +74,21 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
             "group acts on %d coordinates, data has %d/%d"
             % (g.n, len(Nvec), len(nuvec))
         )
+    # On the lattice (1/r)Z with r = d_exp * D, D the common denominator of
+    # the data, an age is the integer sum of (k_i * D) * eps_i.
+    D = reduce(math.lcm, (x.denominator for x in Nvec + nuvec), 1)
+    kN = tuple(x.numerator * (D // x.denominator) for x in Nvec)
+    knu = tuple(x.numerator * (D // x.denominator) for x in nuvec)
     acc: dict = {}
     for gamma in g.elements():
-        key = (-gamma.age(Nvec), gamma.age(nuvec), ())
+        eps = gamma.eps
+        key = (
+            -sum(k * e for k, e in zip(kN, eps)),
+            sum(k * e for k, e in zip(knu, eps)),
+            (),
+        )
         acc[key] = acc.get(key, 0) + 1
-    return MotPoly(acc)
+    return MotPoly.from_lattice(acc, g.d_exp * D)
 
 
 def _factors(Nvec, nuvec) -> tuple[StdFactor, ...]:
@@ -227,23 +237,23 @@ def gor_measure_origin(g: GroupAction) -> MotPoly:
     """Gorenstein measure of the origin: sum L^(age(gamma) - n) over the
     smallified action."""
     reduced, _m = small_reduce(g)
-    ones = (Fraction(1),) * g.n
+    r = reduced.d_exp
     acc: dict = {}
     for gamma in reduced.elements():
-        key = (Fraction(0), gamma.age(ones) - g.n, ())
+        key = (0, sum(gamma.eps) - g.n * r, ())
         acc[key] = acc.get(key, 0) + 1
-    return MotPoly(acc)
+    return MotPoly.from_lattice(acc, r)
 
 
 def orb_measure_origin(g: GroupAction) -> MotPoly:
     """Orbifold measure of the origin: sum L^(-w(gamma)) over the given
     action, where w counts zero exponents at full weight."""
-    ones = (Fraction(1),) * g.n
+    r = g.d_exp
     acc: dict = {}
     for gamma in g.elements():
-        key = (Fraction(0), -gamma.weight(ones), ())
+        key = (0, -sum(e or r for e in gamma.eps), ())
         acc[key] = acc.get(key, 0) + 1
-    return MotPoly(acc)
+    return MotPoly.from_lattice(acc, r)
 
 
 # ---------------------------------------------------------------------------

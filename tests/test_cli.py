@@ -218,3 +218,12 @@ def test_strata_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, ["strata", str(tmp_path / "nope.strata")])
     assert rc == 1
     assert err.startswith("error: ")
+
+
+def test_series_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "1/0"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qzeta monomial")
+    assert "argument --series: invalid Fraction value: '1/0'" in err

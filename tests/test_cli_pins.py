@@ -1,0 +1,66 @@
+"""Byte-identical stdout of larger CLI runs, pinned by sha256.
+
+The hashes were recorded from the Fraction-keyed implementation of
+``MotPoly`` before its exponents moved onto an integer lattice; any change
+to rendering, term order, reduction or JSON layout shows up here.  Each
+run takes well under two seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from qzeta.cli import main
+
+PINS = [
+    (
+        ["hj", "--d", "331", "--a", "2", "--b", "97", "--N", "3,5", "--nu", "2,7", "--check",
+         "--euler", "--poles", "--series", "7/2", "--eval-L", "1", "--latex"],
+        20816,
+        "f48882e4da9b18d1093f6bf109437b766e4fc1890b481a17d103013e7d6e74eb",
+    ),
+    (
+        ["hj", "--d", "331", "--a", "2", "--b", "97", "--N", "3,5", "--nu", "2,7", "--check",
+         "--euler", "--poles", "--series", "7/2", "--eval-L", "1", "--json"],
+        50356,
+        "16c1fab16dc94cdd2b9e5250bd04b8ce3a2f169f3a42f705c64d43806f673685",
+    ),
+    (
+        ["yomdin", "--m", "9", "--k", "4", "--p", "5", "--q", "7", "--a", "2", "--check",
+         "--euler", "--poles", "--charpoly"],
+        12881,
+        "d3e471bf6feab80d02a4d9e944e2e044dc2210b1f3a62e9309a395ba6ffad5dc",
+    ),
+    (
+        ["group", "(210,6;1,11,29;1,5,0)"],
+        7797,
+        "acb888abac4124e0bc6950a4108dc8a15861e43f8d9780fae1891d423bbaf861",
+    ),
+    (
+        ["group", "(210,6;1,11,29;1,5,0)", "--json"],
+        36891,
+        "5c964e54d8e32b9bac4f5f9dd0249cde065121fb05095a6753f5cc619b7b8bad",
+    ),
+    (
+        ["tetra", "--d", "13", "--q", "4", "--N", "2", "--nu", "3", "--check", "--euler",
+         "--poles", "--series", "5/2"],
+        4053,
+        "eae890379383cc2f22a6ad86161568b7f447bf28b6889fc571ab1c0dc37a97b5",
+    ),
+    (
+        ["monomial", "--group", "(12;1,5)", "--N", "1/2,3", "--nu", "1,3/4", "--euler",
+         "--poles", "--series", "3", "--eval-L", "281474976710656"],
+        7087,
+        "cc6247bb09cecb30b9f93279df5c0448d0a9baf867caa7dfecb47d3c6eabe665",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", PINS, ids=[p[0][0] + "-" + str(i) for i, p in enumerate(PINS)])
+def test_cli_stdout_pinned(capsys, argv, size, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -175,3 +175,10 @@ def test_render_rejects_nonclass_polynomials():
     strat = Stratification(1, 1, (st_bad,))
     with pytest.raises(ValueError):
         render_strata(strat)
+
+
+def test_zero_denominator_position():
+    text = "dimension = 2\ngindex = 1\nstratum { class = 1 ; N = [1/0, 0] ; nu = [1, 1] ; group = (1; 0,0) }\n"
+    with pytest.raises(ParseError, match="zero denominator") as ei:
+        parse_strata(text)
+    assert (ei.value.line, ei.value.col) == (3, 30)

@@ -228,3 +228,20 @@ def test_json_deterministic():
     tz = euler_specialize(z)
     s = json_dump(tz.json_obj())
     assert '"kind": "topzeta"' in s
+
+
+def test_topzeta_hash_agrees_with_eq():
+    # 1/(s+1) and 2/(2s+2): equal, so one hash and one set element
+    a = TopZeta.from_quotient([F(1)], {(F(1), F(1)): 1})
+    b = TopZeta.from_quotient([F(2)], {(F(2), F(2)): 1})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # proportional factors merge: 3/((s/3 + 1/2)(2s + 3)) = 18/(2s + 3)^2
+    c = TopZeta.from_quotient([F(3)], {(F(1, 3), F(1, 2)): 1, (F(2), F(3)): 1})
+    d = TopZeta.from_quotient([F(18)], {(F(2), F(3)): 2})
+    assert c == d and hash(c) == hash(d)
+    # the stored and printed forms are untouched
+    assert str(b) == "(2) / ((2*s + 2))"
+    assert b.denom_red == (((F(2), F(2)), 1),)
+    assert len({a, TopZeta.from_quotient([F(1)], {(F(1), F(2)): 1})}) == 2
