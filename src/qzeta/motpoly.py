@@ -424,14 +424,17 @@ class MotPoly:
         return latex_poly(self)
 
     def json_obj(self):
+        # On one positive scale the integer keys sort as their Fractions do,
+        # so this is the order of terms(); each exponent x/r is reduced here.
+        r = self._r
+
+        def frac(x: int) -> dict:
+            g = math.gcd(x, r)
+            return {"num": x // g, "den": r // g}
+
         return [
-            {
-                "c": c,
-                "L": {"num": ell.numerator, "den": ell.denominator},
-                "T": {"num": tau.numerator, "den": tau.denominator},
-                "syms": {n: e for n, e in syms},
-            }
-            for (tau, ell, syms), c in self.terms()
+            {"c": c, "L": frac(l), "T": frac(t), "syms": dict(syms)}
+            for (t, l, syms), c in sorted(self._terms.items())
         ]
 
 

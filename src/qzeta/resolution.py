@@ -362,7 +362,7 @@ def tetra_stratification(
     member G(d', q mod d') with a warning.
     """
     if not t.is_small_formula:
-        reduced = TetraParams(t.d_prime, t.q % t.d_prime if t.d_prime > 1 else 0)
+        reduced = t.small_member()
         warnings.warn(
             "G(%d, %d) has quasi-reflexions; using G(%d, %d)"
             % (t.d, t.q, reduced.d, reduced.q),
@@ -404,8 +404,7 @@ def tetra_stratification(
 def tetra_zeta_closed(t: TetraParams, N, nu) -> ZetaExpr:
     """Displayed closed form for the trihedral quotient, with the fixed-
     point sum written as the explicit double enumeration."""
-    if not t.is_small_formula:
-        t = TetraParams(t.d_prime, t.q % t.d_prime if t.d_prime > 1 else 0)
+    t = t.small_member()
     d, q = t.d, t.q
     b = t.beta
     N = Fraction(N)
@@ -452,8 +451,7 @@ def tetra_zeta_closed(t: TetraParams, N, nu) -> ZetaExpr:
 
 def tetra_top_closed(t: TetraParams, N, nu) -> TopZeta:
     """(d^2 + 8 beta (N s + nu)^2) / (3 (N s + nu)^3), as a TopZeta."""
-    if not t.is_small_formula:
-        t = TetraParams(t.d_prime, t.q % t.d_prime if t.d_prime > 1 else 0)
+    t = t.small_member()
     N = Fraction(N)
     nu = Fraction(nu)
     d2 = Fraction(t.d**2)

@@ -75,6 +75,12 @@ class TetraParams:
     def is_small_formula(self) -> bool:
         return (self.q**3 + 1) % self.d == 0
 
+    def small_member(self) -> "TetraParams":
+        """G(d', q mod d'): the member without quasi-reflexions that a
+        non-small G(d, q) reduces to; a small member maps to itself."""
+        dp = self.d_prime
+        return TetraParams(dp, self.q % dp if dp > 1 else 0)
+
 
 Element = tuple[int, tuple[int, int, int]]
 
@@ -161,16 +167,40 @@ def is_small_tetra(t: TetraGroup) -> bool:
 
 
 def conjugacy_count(t: TetraGroup) -> int:
-    """Number of conjugacy classes, by explicit orbit partition."""
+    """Number of conjugacy classes, by orbit search under the generators.
+
+    Conjugation by the shift B and by the three diagonal generators (the
+    unit vectors i, j, k of the parametrisation) closes each class.  Each
+    element not yet reached opens a class, which a stack search closes
+    under h -> s h s^-1 for every generator s: 4 |G| conjugations in all.
+    Each s permutes the finite group, so a set closed under s is closed
+    under s^-1 too.
+    """
+    d, q = t.params.d, t.params.q
+    gens = [(1, (0, 0, 0))] + [
+        (0, tuple(x % d for x in diag)) for diag in ((0, 1, q), (q, 0, 1), (1, q, 0))
+    ]
     elements = t.elements
+    members = set(elements)
+    for s in gens:
+        assert s in members, "generator %r not in G%r" % (s, (d, q))
+    conjugators = [(s, t.inv(s)) for s in gens]
     assigned = set()
     count = 0
     for g in elements:
         if g in assigned:
             continue
         count += 1
-        for c in elements:
-            assigned.add(t.mul(t.mul(c, g), t.inv(c)))
+        assigned.add(g)
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            for s, s_inv in conjugators:
+                c = t.mul(t.mul(s, h), s_inv)
+                if c not in assigned:
+                    assigned.add(c)
+                    stack.append(c)
+    assert assigned == members, "conjugacy orbits leave G%r" % ((d, q),)
     return count
 
 

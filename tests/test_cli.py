@@ -227,3 +227,33 @@ def test_series_zero_denominator_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: qzeta monomial")
     assert "argument --series: invalid Fraction value: '1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "1", "--eval-L", "1/0"], "--eval-L"),
+        (["tetra", "--d", "3", "--q", "2", "--N", "1/0"], "--N"),
+        (["tetra", "--d", "3", "--q", "2", "--nu", "1/0"], "--nu"),
+    ],
+    ids=["eval-L", "tetra-N", "tetra-nu"],
+)
+def test_rational_option_zero_denominator_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qzeta %s" % argv[0])
+    assert "argument %s: invalid Fraction value: '1/0'" % option in err
+
+
+def test_rational_options_print_as_before(capsys):
+    rc, out, _ = run(
+        capsys,
+        ["monomial", "--group", "(1;0)", "--N", "1", "--nu", "1", "--series", "1", "--eval-L", "6/4"],
+    )
+    assert rc == 0
+    assert out.splitlines()[2:] == ["series at L = 3/2:", "  T^1: 2/9"]
+    rc, out, _ = run(capsys, ["tetra", "--d", "3", "--q", "2", "--N", "4/2", "--nu", "3", "--poles"])
+    assert rc == 0
+    assert out.splitlines()[-1] == "candidate poles: s = -3/2"

@@ -1,9 +1,10 @@
 """Byte-identical stdout of larger CLI runs, pinned by sha256.
 
 The hashes were recorded from the Fraction-keyed implementation of
-``MotPoly`` before its exponents moved onto an integer lattice; any change
-to rendering, term order, reduction or JSON layout shows up here.  Each
-run takes well under two seconds.
+``MotPoly`` before its exponents moved onto an integer lattice, and the
+order-10^4 ``group --json`` one while ``json_obj`` still read its terms as
+Fractions; any change to rendering, term order, reduction or JSON layout
+shows up here.  Each run takes well under two seconds.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ PINS = [
          "--poles", "--series", "3", "--eval-L", "281474976710656"],
         7087,
         "cc6247bb09cecb30b9f93279df5c0448d0a9baf867caa7dfecb47d3c6eabe665",
+    ),
+    (
+        ["group", "(10000;1,3,7)", "--json"],
+        1669482,
+        "f064ccedfbfa4553eea953b6a728aca4250e599605f4b41f51d8c1f6739c15ed",
     ),
 ]
 

@@ -4,11 +4,13 @@ Each polynomial stores its exponents as integers over its own scale r.
 Operands on different scales must combine, compare and hash as the
 rational-exponent polynomials they stand for.  The seeded checks at the
 end compare against a small Fraction-keyed dict implementation written
-here, an independent second route for product, sum and exact division.
+here, an independent second route for product, sum, exact division and
+the JSON form.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -180,3 +182,36 @@ def test_divide_matches_fraction_reference():
             assert got is not None and _ref(got) == want
             hits += 1
     assert hits > 40 and misses > 20
+
+
+def _ref_json(p: MotPoly) -> list:
+    """json_obj built from the Fraction keys, sorted as Fractions."""
+    return [
+        {
+            "c": c,
+            "L": {"num": ell.numerator, "den": ell.denominator},
+            "T": {"num": tau.numerator, "den": tau.denominator},
+            "syms": dict(syms),
+        }
+        for (tau, ell, syms), c in sorted(p.terms(), key=lambda kv: kv[0])
+    ]
+
+
+def test_json_obj_matches_fraction_reference():
+    rng = random.Random(47)
+    for _ in range(80):
+        a, b = _rand_poly(rng, neg=True), _rand_poly(rng, neg=True)
+        # a on a scale finer than its exponents need: reduction is json_obj's
+        r = math.lcm(*(x.denominator for k, _c in a.terms() for x in k[:2])) * rng.choice((1, 4, 15))
+        fine = MotPoly.from_lattice(
+            {(int(tau * r), int(ell * r), s): c for (tau, ell, s), c in a.terms()}, r
+        )
+        assert fine == a
+        for p in (a, a + b, a * b, fine, fine * b - a):
+            assert p.json_obj() == _ref_json(p)
+    assert MotPoly.zero().json_obj() == []
+    p = MotPoly.from_lattice({(-3, 10, (("C", 1),)): 4, (0, 0, ()): -1}, 6)
+    assert p.json_obj() == [
+        {"c": 4, "L": {"num": 5, "den": 3}, "T": {"num": -1, "den": 2}, "syms": {"C": 1}},
+        {"c": -1, "L": {"num": 0, "den": 1}, "T": {"num": 0, "den": 1}, "syms": {}},
+    ]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qzeta.cli import main
 from qzeta.groups import NotSmall
 from qzeta.tetra import (
     BadParams,
@@ -86,3 +87,46 @@ def test_invariant_arithmetic():
     assert t.gamma_c == t.alpha * t.beta // 7 == 1
     u = TetraParams(3, 2)
     assert u.alpha == 3 and u.beta == 3 and u.gamma_c == 3
+
+
+def test_small_member():
+    assert TetraParams(5, 2).small_member() == TetraParams(1, 0)
+    assert TetraParams(13, 4).small_member() == TetraParams(13, 4)
+    for d in range(1, 14):
+        for q in range(d) if d > 1 else (0,):
+            if math.gcd(d, q) == 1:
+                assert TetraParams(d, q).small_member().is_small_formula
+
+
+def _conjugacy_count_all_conjugators(t) -> int:
+    """Reference: partition G by conjugating each new representative by
+    every element of G, O(|G| * #classes)."""
+    elements = t.elements
+    assigned = set()
+    count = 0
+    for g in elements:
+        if g in assigned:
+            continue
+        count += 1
+        for c in elements:
+            assigned.add(t.mul(t.mul(c, g), t.inv(c)))
+    return count
+
+
+def test_conjugacy_count_matches_all_conjugators():
+    pairs = [
+        (d, q)
+        for d in range(1, 14)
+        for q in (range(d) if d > 1 else (0,))
+        if math.gcd(d, q) == 1 and TetraParams(d, q).order <= 600
+    ]
+    assert len(pairs) == 26
+    assert sum(not TetraParams(d, q).is_small_formula for d, q in pairs) == 7
+    for d, q in pairs:
+        t = build_tetra(d, q)
+        assert conjugacy_count(t) == _conjugacy_count_all_conjugators(t), (d, q)
+
+
+def test_stringy_d31_pinned(capsys):
+    assert main(["tetra", "--d", "31", "--q", "30", "--stringy"]) == 0
+    assert capsys.readouterr().out == "323\nconjugacy classes: 323 (match)\n"
