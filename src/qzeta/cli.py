@@ -23,7 +23,6 @@ import argparse
 import sys
 import warnings
 from fractions import Fraction
-from itertools import groupby
 
 from . import groups, monodromy, strata, symring, tetra, zetacore
 from .resolution import (
@@ -103,11 +102,14 @@ def _frac_json(x: Fraction):
 
 def _series_values(ser: MotPoly, P: Fraction):
     """[(T-exponent, value at L=P)] in ascending T order."""
-    out = []
-    for tau, grp in groupby(ser.terms(), key=lambda kv: kv[0][0]):
-        coeff = MotPoly({(Fraction(0), ell, syms): c for (_t, ell, syms), c in grp})
-        out.append((tau, coeff.eval_L(P)))
-    return out
+    return [(t, c.eval_L(P)) for t, c in ser.split_T()]
+
+
+def _check(z: ZetaExpr, other: ZetaExpr, label: str) -> tuple[str, int]:
+    """The --check line comparing z with its second route, and the exit status."""
+    if ze_equal(z, other):
+        return "cross-check vs %s: EQUAL" % label, 0
+    return "cross-check vs %s: DIFFERENT" % label, 1
 
 
 def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str]:
@@ -154,7 +156,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             else:
                 lines.append("series at L = %s:" % P)
                 for t, v in vals:
-                    lines.append("  T^%s: %s" % (symring._exp_str(t), v))
+                    lines.append("  T^%s: %s" % (symring._exp_str(t.numerator, t.denominator), v))
     if stratification is not None and getattr(args, "emit_strata", None):
         text = strata.render_strata(stratification, chi_env)
         with open(args.emit_strata, "w", encoding="utf-8") as fh:
@@ -205,11 +207,8 @@ def cmd_hj(args) -> int:
         direct = zetacore.local_monomial_zeta(
             groups.GroupAction.cyclic(args.d, (args.a, args.b)), (N1, N2), (nu1, nu2)
         )
-        if ze_equal(z, direct):
-            lines.append("cross-check vs direct quotient formula: EQUAL")
-        else:
-            lines.append("cross-check vs direct quotient formula: DIFFERENT")
-            status = 1
+        line, status = _check(z, direct, "direct quotient formula")
+        lines.append(line)
     for line in lines:
         print(line)
     return status
@@ -227,11 +226,8 @@ def cmd_yomdin(args) -> int:
     lines = _emit_zeta(args, z, chi_env, strat)
     status = 0
     if args.check:
-        if ze_equal(z, yomdin_zeta_closed(y)):
-            lines.append("cross-check vs closed-form assembly: EQUAL")
-        else:
-            lines.append("cross-check vs closed-form assembly: DIFFERENT")
-            status = 1
+        line, status = _check(z, yomdin_zeta_closed(y), "closed-form assembly")
+        lines.append(line)
     if args.charpoly:
         cp = monodromy.yomdin_charpoly(y)
         lines.append("monodromy charpoly: %s" % cp)
@@ -267,11 +263,8 @@ def cmd_tetra(args) -> int:
     lines = _emit_zeta(args, z, chi_env, strat)
     status = 0
     if args.check:
-        if ze_equal(z, tetra_zeta_closed(t, N, nu)):
-            lines.append("cross-check vs closed-form assembly: EQUAL")
-        else:
-            lines.append("cross-check vs closed-form assembly: DIFFERENT")
-            status = 1
+        line, status = _check(z, tetra_zeta_closed(t, N, nu), "closed-form assembly")
+        lines.append(line)
     for line in lines:
         print(line)
     return status
@@ -279,9 +272,10 @@ def cmd_tetra(args) -> int:
 
 def cmd_group(args) -> int:
     g = groups.parse_group_literal(args.literal)
-    small = groups.is_small(g)
     reduced, m = groups.small_reduce(g)
-    gor = zetacore.gor_measure_origin(g)
+    # small_reduce leaves every m_i at 1 exactly when g is already small
+    small = all(x == 1 for x in m)
+    gor = zetacore.gor_measure_origin(g, reduced)
     orb = zetacore.orb_measure_origin(g)
     if args.json:
         print(

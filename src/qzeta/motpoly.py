@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable"]
+__all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "reduce_exp"]
 
 
 class MissingChi(Exception):
@@ -79,9 +79,10 @@ class MotPoly:
     symmono)`` with ``tau`` the T-exponent and ``ell`` the L-exponent;
     values are nonzero ints and the zero polynomial has no terms.
     Operands on different scales meet on the lcm of the two.  Fractions
-    appear only where exponents cross the boundary: the constructor, the
-    readers (:meth:`terms`, :meth:`min_tau`, :meth:`gcd_monomial`),
-    rendering and evaluation.
+    appear only where exponents cross the boundary: the constructor and
+    the readers :meth:`terms`, :meth:`min_tau` and :meth:`split_T`.
+    Printing, JSON and evaluation read the integer keys (:meth:`lattice`)
+    and reduce each exponent x/r with :func:`reduce_exp`.
     """
 
     __slots__ = ("_terms", "_r", "_hashed")
@@ -171,11 +172,16 @@ class MotPoly:
 
     def terms(self) -> list[tuple[MonoKey, int]]:
         """Terms in canonical order: lexicographic by (tau, ell, symbols)."""
-        r = self._r
-        return [
-            ((Fraction(t, r), Fraction(l, r), s), c)
-            for (t, l, s), c in sorted(self._terms.items())
-        ]
+        terms, r = self.lattice()
+        return [((Fraction(t, r), Fraction(l, r), s), c) for (t, l, s), c in terms]
+
+    def lattice(self) -> tuple[list[tuple[LatKey, int]], int]:
+        """The integer-keyed terms in canonical order, and the scale r.
+
+        On one positive scale the integer keys sort as their Fractions do,
+        so this is the order of :meth:`terms`.
+        """
+        return sorted(self._terms.items()), self._r
 
     items = terms
 
@@ -288,16 +294,21 @@ class MotPoly:
 
     # -- structure queries ----------------------------------------------
 
+    @property
+    def scale(self) -> int:
+        """The lattice scale r: every exponent is an integer over r."""
+        return self._r
+
     def min_tau(self) -> Fraction | None:
         if not self._terms:
             return None
         return Fraction(min(k[0] for k in self._terms), self._r)
 
-    def gcd_monomial(self) -> MonoKey:
-        """Componentwise-minimal monomial across all terms (coefficient 1);
-        the polynomial must be nonzero."""
-        tau = Fraction(min(k[0] for k in self._terms), self._r)
-        ell = Fraction(min(k[1] for k in self._terms), self._r)
+    def gcd_monomial(self) -> LatKey:
+        """Componentwise-minimal monomial across all terms (coefficient 1),
+        keyed on this polynomial's scale; the polynomial must be nonzero."""
+        tau = min(k[0] for k in self._terms)
+        ell = min(k[1] for k in self._terms)
         names: dict[str, int] = {}
         first = True
         for _tau, _ell, syms in self._terms:
@@ -320,6 +331,19 @@ class MotPoly:
         return MotPoly.from_lattice(
             {k: c for k, c in self._terms.items() if k[0] <= cut}, self._r
         )
+
+    def split_T(self) -> list[tuple[Fraction, "MotPoly"]]:
+        """[(tau, coefficient of T^tau)] in ascending T order, in one pass;
+        each coefficient has no T part and keeps this polynomial's scale."""
+        cols: dict[int, dict[LatKey, int]] = {}
+        for (t, l, s), c in self._terms.items():
+            col = cols.get(t)
+            if col is None:
+                cols[t] = {(0, l, s): c}
+            else:
+                col[(0, l, s)] = c
+        r = self._r
+        return [(Fraction(t, r), MotPoly.from_lattice(cols[t], r)) for t in sorted(cols)]
 
     def coeff_of_T(self, j) -> "MotPoly":
         """The coefficient of T^j, as a polynomial with no T part."""
@@ -347,18 +371,43 @@ class MotPoly:
         return total
 
     def eval_L(self, p, sym_env: Mapping[str, Fraction] | None = None) -> Fraction:
-        """Exact value with L = p (T powers are not evaluable here)."""
+        """Exact value with L = p (T powers are not evaluable here).
+
+        A term L^(k/d), k/d in lowest terms, needs the exact d-th root of p,
+        which is taken once per d.  The symbol-free terms of one d are
+        summed as an integer Laurent polynomial in that root, and give one
+        Fraction; each symbol term is valued on its own.  Terms are checked
+        in canonical order, so the first one that cannot be evaluated is
+        the one reported.
+        """
         p = Fraction(p)
+        r = self._r
+        roots: dict[int, tuple[int, int]] = {}
+        plain: dict[int, dict[int, int]] = {}
         total = Fraction(0)
-        for (tau, ell, syms), c in self.items():
-            if tau != 0:
+        for (t, l, syms), c in sorted(self._terms.items()):
+            if t:
                 raise ValueError("monomial carries a T power; cannot evaluate at L only")
-            v = Fraction(c) * _rat_pow(p, ell)
-            for name, e in syms:
-                if not sym_env or name not in sym_env:
-                    raise MissingChi(name)
-                v *= Fraction(sym_env[name]) ** e
-            total += v
+            g = math.gcd(l, r)
+            k, d = l // g, r // g
+            root = roots.get(d)
+            if root is None:
+                root = roots[d] = _exact_root(p, d)
+            if k < 0 and not root[0]:
+                # past d = 1 this is what Fraction(0) ** k itself reports
+                raise ZeroDivisionError("0 to a negative power" if d == 1 else "Fraction(1, 0)")
+            if syms:
+                v = c * Fraction(*root) ** k
+                for name, e in syms:
+                    if not sym_env or name not in sym_env:
+                        raise MissingChi(name)
+                    v *= Fraction(sym_env[name]) ** e
+                total += v
+            else:
+                col = plain.setdefault(d, {})
+                col[k] = col.get(k, 0) + c
+        for d, col in plain.items():
+            total += _laurent_value(col, *roots[d])
         return total
 
     # -- exact division ---------------------------------------------------
@@ -424,18 +473,22 @@ class MotPoly:
         return latex_poly(self)
 
     def json_obj(self):
-        # On one positive scale the integer keys sort as their Fractions do,
-        # so this is the order of terms(); each exponent x/r is reduced here.
-        r = self._r
+        terms, r = self.lattice()
 
         def frac(x: int) -> dict:
-            g = math.gcd(x, r)
-            return {"num": x // g, "den": r // g}
+            num, den = reduce_exp(x, r)
+            return {"num": num, "den": den}
 
         return [
             {"c": c, "L": frac(l), "T": frac(t), "syms": dict(syms)}
-            for (t, l, syms), c in sorted(self._terms.items())
+            for (t, l, syms), c in terms
         ]
+
+
+def reduce_exp(x: int, r: int) -> tuple[int, int]:
+    """The lattice exponent x/r in lowest terms, as (numerator, denominator)."""
+    g = math.gcd(x, r)
+    return x // g, r // g
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +517,23 @@ def _int_nth_root(a: int, n: int) -> int | None:
     return None
 
 
-def _rat_pow(p: Fraction, e: Fraction) -> Fraction:
-    """p**e exactly, raising FractionalPowerUnevaluable when impossible."""
-    if e.denominator == 1:
-        if p == 0 and e < 0:
-            raise ZeroDivisionError("0 to a negative power")
-        return p ** e.numerator
-    rn = _int_nth_root(p.numerator, e.denominator)
-    rd = _int_nth_root(p.denominator, e.denominator)
+def _exact_root(p: Fraction, d: int) -> tuple[int, int]:
+    """The d-th root of p as (numerator, denominator) in lowest terms,
+    raising FractionalPowerUnevaluable when it is not rational."""
+    if d == 1:
+        return p.numerator, p.denominator
+    rn = _int_nth_root(p.numerator, d)
+    rd = _int_nth_root(p.denominator, d)
     if rn is None or rd is None:
-        raise FractionalPowerUnevaluable(
-            "%s has no exact rational %d-th root" % (p, e.denominator)
-        )
-    return Fraction(rn, rd) ** e.numerator
+        raise FractionalPowerUnevaluable("%s has no exact rational %d-th root" % (p, d))
+    return rn, rd
+
+
+def _laurent_value(col: dict[int, int], a: int, b: int) -> Fraction:
+    """sum c * (a/b)^k over col = {k: c}, with one division: with lo and hi
+    the least and greatest k, it is S * a^lo / b^hi for the integer
+    S = sum c * a^(k-lo) * b^(hi-k)."""
+    lo, hi = min(col), max(col)
+    s = sum(c * a ** (k - lo) * b ** (hi - k) for k, c in col.items())
+    num = s * a ** max(lo, 0) * b ** max(-hi, 0)
+    return Fraction(num, a ** max(-lo, 0) * b ** max(hi, 0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import GroupAction
+from .groups import GroupAction, group_literal
 from .symring import MotPoly
 from .zetacore import DimensionMismatch, Stratification, Stratum
 
@@ -379,15 +379,7 @@ def render_strata(strat: Stratification, chi_env: dict[str, int] | None = None) 
                 _expr_str(st.klass),
                 ", ".join(str(x) for x in st.Nvec),
                 ", ".join(str(x) for x in st.nuvec),
-                _group_str(st.group),
+                group_literal(st.group),
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def _group_str(g: GroupAction) -> str:
-    orders = ",".join(str(d) for d in g.orders)
-    rows = "; ".join(
-        ",".join(str(a % d) for a in row) for d, row in zip(g.orders, g.rows)
-    )
-    return "(%s; %s)" % (orders, rows)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .motpoly import FractionalPowerUnevaluable, MissingChi, MonoKey, MotPoly
+from .motpoly import FractionalPowerUnevaluable, LatKey, MissingChi, MotPoly, reduce_exp
 from .topzeta import TopZeta, frac_latex
 
 Rat = Fraction
@@ -349,8 +349,8 @@ class RatFunc:
             "(1 - %s)%s"
             % (
                 " * ".join(
-                    ([_pow_str("L", -f.nu)] if f.nu else [])
-                    + ([_pow_str("T", f.N)] if f.N else [])
+                    ([_pow_str("L", -f.nu.numerator, f.nu.denominator)] if f.nu else [])
+                    + ([_pow_str("T", f.N.numerator, f.N.denominator)] if f.N else [])
                 )
                 or "1",
                 "" if m == 1 else "^%d" % m,
@@ -457,27 +457,41 @@ def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> T
 # rendering helpers
 
 
-def _exp_str(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return "(%s)" % e
+def _exp_str(x: int, r: int = 1) -> str:
+    num, den = reduce_exp(x, r)
+    return str(num) if den == 1 else "(%d/%d)" % (num, den)
 
 
-def _pow_str(base: str, e: Fraction) -> str:
-    if e == 1:
+def _pow_str(base: str, x: int, r: int = 1) -> str:
+    """base^(x/r), or just base for the exponent 1."""
+    if x == r:
         return base
-    return "%s^%s" % (base, _exp_str(e))
+    return "%s^%s" % (base, _exp_str(x, r))
 
 
-def _mono_str(key: MonoKey, c: int, lead: bool) -> str:
+def _lattice_pow_str(r: int):
+    """_pow_str for the exponents x/r of one polynomial, memoised on
+    (base, x): the L and T exponents of a long polynomial repeat."""
+    memo: dict[tuple[str, int], str] = {}
+
+    def pow_str(base: str, x: int) -> str:
+        s = memo.get((base, x))
+        if s is None:
+            s = memo[(base, x)] = _pow_str(base, x, r)
+        return s
+
+    return pow_str
+
+
+def _mono_str(key: LatKey, c: int, lead: bool, pow_str) -> str:
     tau, ell, syms = key
     parts = []
-    if ell != 0:
-        parts.append(_pow_str("L", ell))
-    if tau != 0:
-        parts.append(_pow_str("T", tau))
+    if ell:
+        parts.append(pow_str("L", ell))
+    if tau:
+        parts.append(pow_str("T", tau))
     for name, e in syms:
-        parts.append(_pow_str("[%s]" % name, Fraction(e)))
+        parts.append(_pow_str("[%s]" % name, e))
     mag = abs(c)
     if not parts or mag != 1:
         parts.insert(0, str(mag))
@@ -488,13 +502,11 @@ def _mono_str(key: MonoKey, c: int, lead: bool) -> str:
 
 
 def render_poly(p: MotPoly) -> str:
-    terms = p.terms()
+    terms, r = p.lattice()
     if not terms:
         return "0"
-    out = []
-    for i, (key, c) in enumerate(terms):
-        out.append(_mono_str(key, c, lead=(i == 0)))
-    return " ".join(out)
+    pow_str = _lattice_pow_str(r)
+    return " ".join(_mono_str(key, c, i == 0, pow_str) for i, (key, c) in enumerate(terms))
 
 
 def render_poly_factored(p: MotPoly) -> str:
@@ -506,9 +518,11 @@ def render_poly_factored(p: MotPoly) -> str:
     g = p.gcd_monomial()
     if g == (0, 0, ()):
         return "(%s)" % render_poly(p)
-    ginv = MotPoly.monomial(1, ell=-g[1], tau=-g[0], syms=[(n, -e) for n, e in g[2]])
-    rest = p * ginv
-    return "%s * (%s)" % (_mono_str(g, 1, lead=True), render_poly(rest))
+    tau, ell, syms = g
+    r = p.scale
+    ginv = MotPoly.from_lattice({(-tau, -ell, tuple((n, -e) for n, e in syms)): 1}, r)
+    head = _mono_str(g, 1, True, _lattice_pow_str(r))
+    return "%s * (%s)" % (head, render_poly(p * ginv))
 
 
 def render_zeta(z: ZetaExpr) -> str:
@@ -529,23 +543,22 @@ def render_zeta(z: ZetaExpr) -> str:
     return " + ".join(chunks)
 
 
-def _exp_latex(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return ("-" if e < 0 else "") + "%d/%d" % (abs(e.numerator), e.denominator)
+def _exp_latex(x: int, r: int) -> str:
+    num, den = reduce_exp(x, r)
+    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 def latex_poly(p: MotPoly) -> str:
-    terms = p.terms()
+    terms, r = p.lattice()
     if not terms:
         return "0"
     out = []
     for i, ((tau, ell, syms), c) in enumerate(terms):
         parts = []
-        if ell != 0:
-            parts.append("\\mathbb{L}^{%s}" % _exp_latex(ell))
-        if tau != 0:
-            parts.append("T^{%s}" % _exp_latex(tau))
+        if ell:
+            parts.append("\\mathbb{L}^{%s}" % _exp_latex(ell, r))
+        if tau:
+            parts.append("T^{%s}" % _exp_latex(tau, r))
         for name, e in syms:
             body = "[%s]" % name
             parts.append(body if e == 1 else "%s^{%d}" % (body, e))

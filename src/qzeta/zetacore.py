@@ -233,10 +233,12 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
 # motivic measures of the origin
 
 
-def gor_measure_origin(g: GroupAction) -> MotPoly:
+def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> MotPoly:
     """Gorenstein measure of the origin: sum L^(age(gamma) - n) over the
-    smallified action."""
-    reduced, _m = small_reduce(g)
+    smallified action; ``reduced`` is ``small_reduce(g)[0]`` if the caller
+    already has it."""
+    if reduced is None:
+        reduced, _m = small_reduce(g)
     r = reduced.d_exp
     acc: dict = {}
     for gamma in reduced.elements():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qzeta.cli import main
+from qzeta.symring import ZetaExpr
 
 
 def run(capsys, argv):
@@ -92,6 +93,15 @@ def test_hj_check_equal(capsys):
     rc, out, _ = run(capsys, ["hj", "--d", "7", "--a", "1", "--b", "3", "--check"])
     assert rc == 0
     assert out.splitlines()[-1] == "cross-check vs direct quotient formula: EQUAL"
+
+
+def test_check_different_exits_1(capsys, monkeypatch):
+    # a second route that disagrees must print DIFFERENT and fail the run
+    monkeypatch.setattr("qzeta.cli.yomdin_zeta_closed", lambda y: ZetaExpr.one())
+    argv = ["yomdin", "--m", "9", "--k", "4", "--p", "5", "--q", "7", "--a", "2", "--check"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert out.splitlines()[-1] == "cross-check vs closed-form assembly: DIFFERENT"
 
 
 def test_hj_arity_error(capsys):

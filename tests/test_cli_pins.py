@@ -1,10 +1,12 @@
 """Byte-identical stdout of larger CLI runs, pinned by sha256.
 
 The hashes were recorded from the Fraction-keyed implementation of
-``MotPoly`` before its exponents moved onto an integer lattice, and the
+``MotPoly`` before its exponents moved onto an integer lattice, the
 order-10^4 ``group --json`` one while ``json_obj`` still read its terms as
-Fractions; any change to rendering, term order, reduction or JSON layout
-shows up here.  Each run takes well under two seconds.
+Fractions, and the two ``hj --d 1000`` ones while ``--series``/``--eval-L``
+and the printers still went through Fraction exponents; any change to
+rendering, term order, reduction, evaluation or JSON layout shows up here.
+Each run takes well under two seconds.
 """
 
 from __future__ import annotations
@@ -60,6 +62,18 @@ PINS = [
         ["group", "(10000;1,3,7)", "--json"],
         1669482,
         "f064ccedfbfa4553eea953b6a728aca4250e599605f4b41f51d8c1f6739c15ed",
+    ),
+    (
+        ["hj", "--d", "1000", "--a", "1", "--b", "3", "--N", "3,5", "--nu", "2,7", "--check",
+         "--euler", "--poles", "--series", "10", "--eval-L", "1"],
+        466154,
+        "5b88fd11f5e3f91b49a920607a8630eb3ea0891e3d0e3875a90309ac24237afb",
+    ),
+    (
+        ["hj", "--d", "1000", "--a", "1", "--b", "3", "--N", "3,5", "--nu", "2,7", "--check",
+         "--euler", "--poles", "--series", "10", "--eval-L", "1", "--json"],
+        1075100,
+        "6f401ed51ca763dc69c45b119137982728b727cf7961c9be6bf31c2a8b65595b",
     ),
 ]
 

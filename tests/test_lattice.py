@@ -5,7 +5,8 @@ Operands on different scales must combine, compare and hash as the
 rational-exponent polynomials they stand for.  The seeded checks at the
 end compare against a small Fraction-keyed dict implementation written
 here, an independent second route for product, sum, exact division and
-the JSON form.
+the JSON form, and against copies of the evaluation and the printers as
+they worked on Fraction exponents, one exact power per monomial.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from itertools import groupby
 
-from qzeta.symring import MotPoly
+from qzeta.symring import (
+    FractionalPowerUnevaluable,
+    MissingChi,
+    MotPoly,
+    latex_poly,
+    render_poly,
+    render_poly_factored,
+)
 
 # ---------------------------------------------------------------------------
 # mixed scales
@@ -215,3 +224,209 @@ def test_json_obj_matches_fraction_reference():
         {"c": 4, "L": {"num": 5, "den": 3}, "T": {"num": -1, "den": 2}, "syms": {"C": 1}},
         {"c": -1, "L": {"num": 0, "den": 1}, "T": {"num": 0, "den": 1}, "syms": {}},
     ]
+
+
+# ---------------------------------------------------------------------------
+# second route: evaluation and printing as they were done on Fraction keys
+
+
+def _ref_int_nth_root(a: int, n: int) -> int | None:
+    if n == 1:
+        return a
+    if a < 0:
+        if n % 2 == 0:
+            return None
+        r = _ref_int_nth_root(-a, n)
+        return None if r is None else -r
+    if a in (0, 1):
+        return a
+    x = max(1, int(round(a ** (1.0 / n))))
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    for cand in (x - 1, x, x + 1, x + 2):
+        if cand >= 0 and cand**n == a:
+            return cand
+    return None
+
+
+def _ref_rat_pow(p: F, e: F) -> F:
+    if e.denominator == 1:
+        if p == 0 and e < 0:
+            raise ZeroDivisionError("0 to a negative power")
+        return p ** e.numerator
+    rn = _ref_int_nth_root(p.numerator, e.denominator)
+    rd = _ref_int_nth_root(p.denominator, e.denominator)
+    if rn is None or rd is None:
+        raise FractionalPowerUnevaluable("%s has no exact rational %d-th root" % (p, e.denominator))
+    return F(rn, rd) ** e.numerator
+
+
+def _ref_eval_L(terms, p, sym_env=None) -> F:
+    """One Fraction power per monomial, in canonical order."""
+    p = F(p)
+    total = F(0)
+    for (tau, ell, syms), c in terms:
+        if tau != 0:
+            raise ValueError("monomial carries a T power; cannot evaluate at L only")
+        v = F(c) * _ref_rat_pow(p, ell)
+        for name, e in syms:
+            if not sym_env or name not in sym_env:
+                raise MissingChi(name)
+            v *= F(sym_env[name]) ** e
+        total += v
+    return total
+
+
+def _ref_series_values(ser: MotPoly, p) -> list:
+    """Group the Fraction terms by T and evaluate each group's coefficient."""
+    return [
+        (tau, _ref_eval_L([((F(0), ell, syms), c) for (_t, ell, syms), c in grp], p))
+        for tau, grp in groupby(ser.terms(), key=lambda kv: kv[0][0])
+    ]
+
+
+def _ref_exp_str(e: F) -> str:
+    return str(e.numerator) if e.denominator == 1 else "(%s)" % e
+
+
+def _ref_pow_str(base: str, e: F) -> str:
+    return base if e == 1 else "%s^%s" % (base, _ref_exp_str(e))
+
+
+def _ref_mono_str(key, c: int, lead: bool) -> str:
+    tau, ell, syms = key
+    parts = []
+    if ell != 0:
+        parts.append(_ref_pow_str("L", ell))
+    if tau != 0:
+        parts.append(_ref_pow_str("T", tau))
+    for name, e in syms:
+        parts.append(_ref_pow_str("[%s]" % name, F(e)))
+    mag = abs(c)
+    if not parts or mag != 1:
+        parts.insert(0, str(mag))
+    body = " * ".join(parts)
+    if lead:
+        return ("-" if c < 0 else "") + body
+    return ("- " if c < 0 else "+ ") + body
+
+
+def _ref_render(p: MotPoly) -> str:
+    terms = p.terms()
+    if not terms:
+        return "0"
+    return " ".join(_ref_mono_str(key, c, i == 0) for i, (key, c) in enumerate(terms))
+
+
+def _ref_render_factored(p: MotPoly) -> str:
+    terms = p.terms()
+    if len(terms) <= 1:
+        return _ref_render(p)
+    tau = min(k[0] for k, _c in terms)
+    ell = min(k[1] for k, _c in terms)
+    names = dict(terms[0][0][2])
+    for (_t, _l, syms), _c in terms[1:]:
+        d = dict(syms)
+        names = {n: min(e, d[n]) for n, e in names.items() if n in d}
+    syms = tuple(sorted(names.items()))
+    if (tau, ell, syms) == (0, 0, ()):
+        return "(%s)" % _ref_render(p)
+    rest = p * MotPoly.monomial(1, ell=-ell, tau=-tau, syms=[(n, -e) for n, e in syms])
+    return "%s * (%s)" % (_ref_mono_str((tau, ell, syms), 1, True), _ref_render(rest))
+
+
+def _ref_exp_latex(e: F) -> str:
+    if e.denominator == 1:
+        return str(e.numerator)
+    return ("-" if e < 0 else "") + "%d/%d" % (abs(e.numerator), e.denominator)
+
+
+def _ref_latex(p: MotPoly) -> str:
+    terms = p.terms()
+    if not terms:
+        return "0"
+    out = []
+    for i, ((tau, ell, syms), c) in enumerate(terms):
+        parts = []
+        if ell != 0:
+            parts.append("\\mathbb{L}^{%s}" % _ref_exp_latex(ell))
+        if tau != 0:
+            parts.append("T^{%s}" % _ref_exp_latex(tau))
+        for name, e in syms:
+            body = "[%s]" % name
+            parts.append(body if e == 1 else "%s^{%d}" % (body, e))
+        mag = abs(c)
+        if not parts or mag != 1:
+            parts.insert(0, str(mag))
+        body = "".join(parts)
+        out.append(("-" if c < 0 else "" if i == 0 else "+") + body)
+    return "".join(out)
+
+
+_P_VALUES = (F(0), F(1), F(-1), F(4), F(-8), F(2), F(2**12), F(3**12, 2**12))
+
+
+def _rand_lattice_poly(rng: random.Random, with_T: bool) -> MotPoly:
+    """Up to 8 terms on a random scale, some of them with symbols."""
+    r = rng.choice((1, 2, 3, 4, 6, 12, 5, 35))
+    acc: dict = {}
+    for _ in range(rng.randint(0, 8)):
+        t = rng.randint(-r, 3 * r) if with_T else 0
+        l = rng.randint(-3 * r, 3 * r)
+        syms = rng.choice(((),) * 4 + ((("a", 1),), (("a", 2), ("b", 1)), (("b", -1),)))
+        k = (t, l, syms)
+        c = acc.get(k, 0) + rng.choice((-3, -2, -1, 1, 1, 2, 5))
+        if c:
+            acc[k] = c
+        else:
+            acc.pop(k, None)
+    return MotPoly.from_lattice(acc, r)
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except (ValueError, ZeroDivisionError, MissingChi, FractionalPowerUnevaluable) as exc:
+        return (type(exc), str(exc))
+
+
+def test_eval_L_matches_fraction_reference():
+    rng = random.Random(53)
+    seen: set = set()
+    for _ in range(400):
+        p = _rand_lattice_poly(rng, with_T=rng.random() < 0.15)
+        P = rng.choice(_P_VALUES)
+        env = rng.choice((None, {"a": F(3, 2)}, {"a": F(-2), "b": F(0)}, {"a": 5, "b": F(1, 7)}))
+        got = _outcome(p.eval_L, P, env)
+        assert got == _outcome(_ref_eval_L, p.terms(), P, env), (p, P, env)
+        seen.add(got[0])
+    # values and every failure: T power, no exact root, 0^-k, missing chi
+    assert seen == {"value", ValueError, FractionalPowerUnevaluable, ZeroDivisionError, MissingChi}
+
+
+def test_series_values_match_fraction_reference():
+    rng = random.Random(59)
+    for _ in range(300):
+        ser = _rand_lattice_poly(rng, with_T=True)
+        P = rng.choice(_P_VALUES)
+        got = _outcome(lambda: [(t, c.eval_L(P)) for t, c in ser.split_T()])
+        assert got == _outcome(_ref_series_values, ser, P), (ser, P)
+    ser = MotPoly.from_lattice({(4, -2, ()): 3, (0, 6, ()): 1, (4, 1, (("a", 1),)): -1}, 4)
+    assert [(t, str(c)) for t, c in ser.split_T()] == [(F(0), "L^(3/2)"), (F(1), "3 * L^(-1/2) - L^(1/4) * [a]")]
+
+
+def test_printing_matches_fraction_reference():
+    rng = random.Random(61)
+    for _ in range(500):
+        p = _rand_lattice_poly(rng, with_T=True)
+        if rng.random() < 0.3:
+            p = p * _rand_lattice_poly(rng, with_T=True)
+        assert render_poly(p) == _ref_render(p)
+        assert render_poly_factored(p) == _ref_render_factored(p)
+        assert latex_poly(p) == _ref_latex(p)
+    # a common factor made of symbols alone is still pulled out front
+    p = MotPoly.from_lattice({(0, 0, (("a", 1),)): 1, (0, 6, (("a", 2),)): -2}, 4)
+    assert render_poly_factored(p) == _ref_render_factored(p) == "[a] * (1 - 2 * L^(3/2) * [a])"
