@@ -6,19 +6,14 @@ from .groups import (
     GroupElement,
     NotSmall,
     SizeLimit,
-    age,
     group_literal,
     is_small,
     parse_group_literal,
     small_reduce,
-    weight,
 )
 from .monodromy import (
     CyclotomicProduct,
-    degree,
     euler_phi,
-    is_eigenvalue_pole,
-    phi_multiplicity,
     yomdin_charpoly,
 )
 from .resolution import (
@@ -39,7 +34,6 @@ from .resolution import (
 )
 from .strata import ParseError, StrataFile, UndeclaredSymbol, parse_strata, render_strata
 from .symring import (
-    ClassSymbol,
     FractionalPowerUnevaluable,
     MissingChi,
     MotPoly,
@@ -49,7 +43,6 @@ from .symring import (
     ZetaExpr,
     candidate_poles,
     euler_specialize,
-    eval_L,
     fac,
     render_poly,
     render_poly_factored,
@@ -90,13 +83,13 @@ __all__ = [
     "__version__",
     # symring
     "MotPoly", "StdFactor", "fac", "ZetaExpr", "RatFunc", "TopZeta",
-    "ClassSymbol", "MissingChi", "FractionalPowerUnevaluable",
+    "MissingChi", "FractionalPowerUnevaluable",
     "ze_to_ratfunc", "ze_equal", "candidate_poles", "series_expand",
-    "euler_specialize", "eval_L",
+    "euler_specialize",
     "render_poly", "render_poly_factored", "render_zeta",
     # groups
     "GroupAction", "GroupElement", "NotSmall", "SizeLimit",
-    "age", "weight", "is_small", "small_reduce",
+    "is_small", "small_reduce",
     "parse_group_literal", "group_literal",
     # tetra
     "TetraParams", "TetraGroup", "BadParams", "build_tetra",
@@ -113,8 +106,7 @@ __all__ = [
     "yomdin_top", "yomdin_top_closed",
     "tetra_stratification", "tetra_zeta_closed", "tetra_top_closed",
     # monodromy
-    "CyclotomicProduct", "degree", "phi_multiplicity", "is_eigenvalue_pole",
-    "euler_phi", "yomdin_charpoly",
+    "CyclotomicProduct", "euler_phi", "yomdin_charpoly",
     # strata files
     "ParseError", "UndeclaredSymbol", "StrataFile", "parse_strata", "render_strata",
 ]

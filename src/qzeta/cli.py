@@ -38,7 +38,6 @@ from .resolution import (
 )
 from .symring import (
     MissingChi,
-    MotPoly,
     ZetaExpr,
     candidate_poles,
     euler_specialize,
@@ -100,11 +99,6 @@ def _frac_json(x: Fraction):
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _series_values(ser: MotPoly, P: Fraction):
-    """[(T-exponent, value at L=P)] in ascending T order."""
-    return [(t, c.eval_L(P)) for t, c in ser.split_T()]
-
-
 def _check(z: ZetaExpr, other: ZetaExpr, label: str) -> tuple[str, int]:
     """The --check line comparing z with its second route, and the exit status."""
     if ze_equal(z, other):
@@ -148,7 +142,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             )
         if args.eval_L is not None:
             P = args.eval_L
-            vals = _series_values(ser, P)
+            vals = [(t, c.eval_L(P)) for t, c in ser.split_T()]
             if args.json:
                 obj["series_at_L"] = [
                     {"T": _frac_json(t), "value": _frac_json(v)} for t, v in vals

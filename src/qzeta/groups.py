@@ -25,8 +25,6 @@ __all__ = [
     "GroupAction",
     "SizeLimit",
     "NotSmall",
-    "age",
-    "weight",
     "is_small",
     "small_reduce",
     "parse_group_literal",
@@ -53,10 +51,6 @@ class GroupElement:
     def n(self) -> int:
         return len(self.eps)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.eps)
-
     def zero_coords(self) -> int:
         return sum(1 for e in self.eps if e == 0)
 
@@ -81,14 +75,6 @@ class GroupElement:
         return GroupElement(
             tuple((-e) % self.d_exp for e in self.eps), self.d_exp
         )
-
-
-def age(gamma: GroupElement, k: Sequence[Rat]) -> Fraction:
-    return gamma.age(k)
-
-
-def weight(gamma: GroupElement, k: Sequence[Rat]) -> Fraction:
-    return gamma.weight(k)
 
 
 class GroupAction:

@@ -1,6 +1,7 @@
 """Monodromy zeta functions / characteristic polynomials as products of
 cyclotomic-style binomials  prod_M (t^M - 1)^(e_M),  with integer
-(possibly negative) exponents."""
+(possibly negative) exponents.  Expanding a product uses the dense
+polynomial helpers of :mod:`qzeta.topzeta`."""
 
 from __future__ import annotations
 
@@ -9,15 +10,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .resolution import YomdinParams
+from .topzeta import pdiv, pmul
 
 EXPAND_DEGREE_LIMIT = 200
 
 __all__ = [
     "CyclotomicProduct",
     "yomdin_charpoly",
-    "degree",
-    "phi_multiplicity",
-    "is_eigenvalue_pole",
     "euler_phi",
 ]
 
@@ -61,19 +60,16 @@ class CyclotomicProduct:
             raise ValueError("product has negative degree; not a polynomial")
         if deg > EXPAND_DEGREE_LIMIT:
             raise ValueError("degree %d exceeds the expansion limit" % deg)
-        num = [1]
-        den = [1]
-        for M, e in self.factors:
-            binom = [-1] + [0] * (M - 1) + [1]  # t^M - 1
+        # Multiply out every numerator binomial before dividing by any.
+        p = (1,)
+        for M, e in sorted(self.factors, key=lambda f: f[1] < 0):
+            binom = (-1,) + (0,) * (M - 1) + (1,)  # t^M - 1
             for _ in range(abs(e)):
-                if e > 0:
-                    num = _poly_mul(num, binom)
-                else:
-                    den = _poly_mul(den, binom)
-        quot, rem = _poly_divmod(num, den)
-        if any(rem):
-            raise ValueError("product is not a polynomial")
-        return quot
+                p = pmul(p, binom) if e > 0 else pdiv(p, binom)
+                if p is None:
+                    raise ValueError("product is not a polynomial")
+        # The binomials are monic, so the quotient's Fractions are integers.
+        return [int(c) for c in p]
 
     def __str__(self) -> str:
         if not self.factors:
@@ -89,44 +85,6 @@ class CyclotomicProduct:
         if den:
             out += " / " + (" * ".join(den) if len(den) == 1 else "(%s)" % " * ".join(den))
         return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
-    if den[-1] not in (1, -1) and len(num) >= len(den):
-        # our denominators are monic up to sign, so this never triggers
-        raise ValueError("cannot divide by a non-monic polynomial")
-    quot = [0] * max(1, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        quot[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    return quot, num
-
-
-def degree(c: CyclotomicProduct) -> int:
-    return c.degree()
-
-
-def phi_multiplicity(c: CyclotomicProduct, o: int) -> int:
-    return c.phi_multiplicity(o)
-
-
-def is_eigenvalue_pole(c: CyclotomicProduct, s0) -> bool:
-    return c.is_eigenvalue_pole(s0)
 
 
 def euler_phi(n: int) -> int:

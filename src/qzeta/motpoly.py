@@ -505,16 +505,15 @@ def _int_nth_root(a: int, n: int) -> int | None:
         return None if r is None else -r
     if a in (0, 1):
         return a
-    x = max(1, int(round(a ** (1.0 / n))))
+    # Newton's iteration decreases monotonically to floor(a^(1/n)) from
+    # any start at or above it, such as this power of two.
+    x = 1 << -(-a.bit_length() // n)
     while True:
         y = ((n - 1) * x + a // x ** (n - 1)) // n
         if y >= x:
             break
         x = y
-    for cand in (x - 1, x, x + 1, x + 2):
-        if cand >= 0 and cand**n == a:
-            return cand
-    return None
+    return x if x**n == a else None
 
 
 def _exact_root(p: Fraction, d: int) -> tuple[int, int]:

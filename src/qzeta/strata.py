@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .groups import GroupAction, group_literal
-from .symring import MotPoly
+from .symring import MotPoly, render_poly
 from .zetacore import DimensionMismatch, Stratification, Stratum
 
 __all__ = [
@@ -333,30 +333,12 @@ def parse_strata(text: str) -> StrataFile:
 def _expr_str(p: MotPoly) -> str:
     """Render a class polynomial in the grammar above (validating that it
     fits: integer nonnegative L powers, no T)."""
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for i, ((tau, ell, syms), c) in enumerate(p.terms()):
+    for (tau, ell, _syms), _c in p.terms():
         if tau != 0:
             raise ValueError("class polynomial carries a T power")
         if ell.denominator != 1 or ell < 0:
             raise ValueError("class polynomial needs plain L powers, got L^%s" % ell)
-        parts = []
-        if ell == 1:
-            parts.append("L")
-        elif ell != 0:
-            parts.append("L^%d" % ell)
-        for name, e in syms:
-            parts.append("[%s]" % name if e == 1 else "[%s]^%d" % (name, e))
-        mag = abs(c)
-        if not parts or mag != 1:
-            parts.insert(0, str(mag))
-        body = " * ".join(parts)
-        if i == 0:
-            chunks.append(("-" if c < 0 else "") + body)
-        else:
-            chunks.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(chunks)
+    return render_poly(p)
 
 
 def render_strata(strat: Stratification, chi_env: dict[str, int] | None = None) -> str:

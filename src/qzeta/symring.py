@@ -32,13 +32,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .motpoly import FractionalPowerUnevaluable, LatKey, MissingChi, MotPoly, reduce_exp
-from .topzeta import TopZeta, frac_latex
+from .topzeta import TopZeta, cancel, frac_latex
 
 Rat = Fraction
 
 __all__ = [
     "Rat",
-    "ClassSymbol",
     "MotPoly",
     "StdFactor",
     "ZetaExpr",
@@ -50,24 +49,8 @@ __all__ = [
     "ze_equal",
     "euler_specialize",
     "series_expand",
-    "eval_L",
     "candidate_poles",
 ]
-
-
-@dataclass(frozen=True)
-class ClassSymbol:
-    """A named stand-in for the class of a variety, e.g. ``[C0]``.
-
-    ``chi`` is the symbol's Euler characteristic, if declared.
-    """
-
-    name: str
-    chi: int | None = None
-
-
-def eval_L(x: MotPoly, p, sym_env: Mapping[str, Rat] | None = None) -> Fraction:
-    return x.eval_L(p, sym_env)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +273,9 @@ class RatFunc:
         return cls(MotPoly.zero(), ())
 
     @classmethod
-    def make(cls, numer: MotPoly, denom: Counter) -> "RatFunc":
-        numer, denom = cls._cancel(numer, Counter(denom))
-        return cls(numer, tuple(sorted(denom.items())))
-
-    @staticmethod
-    def _cancel(numer: MotPoly, denom: Counter):
-        if numer.is_zero:
-            return numer, Counter()
-        for f in sorted(denom):
-            while denom[f] > 0:
-                q = numer.divide_one_minus(-f.nu, f.N)
-                if q is None:
-                    break
-                numer = q
-                denom[f] -= 1
-        return numer, Counter({f: m for f, m in denom.items() if m > 0})
+    def make(cls, numer: MotPoly, denom: Mapping[StdFactor, int]) -> "RatFunc":
+        numer, left = cancel(numer, denom, _divide_factor)
+        return cls(numer, tuple(sorted(left.items())))
 
     @classmethod
     def from_term(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
@@ -314,29 +284,26 @@ class RatFunc:
             numer = numer * f.numer_poly()
         return cls.make(numer, Counter(factors))
 
-    def add(self, other: "RatFunc") -> "RatFunc":
-        da, db = Counter(dict(self.denom)), Counter(dict(other.denom))
-        dmax = Counter()
-        for f in set(da) | set(db):
-            dmax[f] = max(da[f], db[f])
-        na = self.numer
-        for f in dmax:
-            for _ in range(dmax[f] - da[f]):
+    def _common(self, other: "RatFunc"):
+        """Both numerators over the least common denominator: (na, nb, dmax)."""
+        da, db = dict(self.denom), dict(other.denom)
+        na, nb = self.numer, other.numer
+        dmax = {}
+        for f in da.keys() | db.keys():
+            a, b = da.get(f, 0), db.get(f, 0)
+            dmax[f] = m = max(a, b)
+            for _ in range(m - a):
                 na = na * f.binom_poly()
-        nb = other.numer
-        for f in dmax:
-            for _ in range(dmax[f] - db[f]):
+            for _ in range(m - b):
                 nb = nb * f.binom_poly()
+        return na, nb, dmax
+
+    def add(self, other: "RatFunc") -> "RatFunc":
+        na, nb, dmax = self._common(other)
         return RatFunc.make(na + nb, dmax)
 
     def equivalent(self, other: "RatFunc") -> bool:
-        da, db = Counter(dict(self.denom)), Counter(dict(other.denom))
-        na, nb = self.numer, other.numer
-        for f in set(da) | set(db):
-            for _ in range(max(da[f], db[f]) - da[f]):
-                na = na * f.binom_poly()
-            for _ in range(max(da[f], db[f]) - db[f]):
-                nb = nb * f.binom_poly()
+        na, nb, _dmax = self._common(other)
         return na == nb
 
     def __str__(self) -> str:
@@ -358,6 +325,11 @@ class RatFunc:
             for f, m in self.denom
         )
         return "(%s) / (%s)" % (num, den)
+
+
+def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
+    """p / (1 - L^-nu T^N) for f = Fac(N; nu), or None."""
+    return p.divide_one_minus(-f.nu, f.N)
 
 
 def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:

@@ -4,8 +4,15 @@ Euler specialization (L -> 1) turns each standard factor Fac(N; nu) into
 1/(N s + nu), so a zeta expression becomes a sum of rational functions
 of s whose denominators are products of linear factors.  :class:`TopZeta`
 keeps that structured sum together with its fully reduced single
-quotient.  Polynomials in s are dense tuples of Fractions, constant term
-first.
+quotient.
+
+The module also holds the two pieces of reduction that the rest of the
+package shares.  Dense polynomials are tuples of coefficients, constant
+term first: :func:`pmul`, :func:`padd` and the exact division
+:func:`pdiv` serve both ``TopZeta`` (Fraction coefficients in s) and
+:meth:`qzeta.monodromy.CyclotomicProduct.expand` (integers in t).
+:func:`cancel` is the one reduction rule for a quotient over a product
+of factors, used here and by ``symring.RatFunc``.
 """
 
 from __future__ import annotations
@@ -13,23 +20,28 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-__all__ = ["LinFactor", "TopZeta", "frac_latex"]
+__all__ = ["LinFactor", "TopZeta", "cancel", "frac_latex", "padd", "pdiv", "pmul"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
 
-def _pnorm(p: list[Fraction]) -> tuple[Fraction, ...]:
+# ---------------------------------------------------------------------------
+# dense polynomials and the reduction rule
+
+
+def _pnorm(p: list) -> tuple:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
 
 
-def _pmul(a, b):
+def pmul(a, b) -> tuple:
+    """The product of two dense polynomials."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -37,8 +49,9 @@ def _pmul(a, b):
     return _pnorm(out)
 
 
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+def padd(a, b) -> tuple:
+    """The sum of two dense polynomials."""
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
     for i, y in enumerate(b):
@@ -46,28 +59,69 @@ def _padd(a, b):
     return _pnorm(out)
 
 
-def _pdiv_linear(p, N: Fraction, nu: Fraction):
-    """Exact quotient of p by (N*s + nu) with N != 0, or None."""
+def pdiv(p, d):
+    """The exact quotient p / d of dense polynomials, or None when d does
+    not divide p.  d has a nonzero leading coefficient; the quotient's
+    coefficients are Fractions."""
     if not p:
         return ()
-    if N == 0:
-        raise ValueError("linear factor must have N != 0")
-    # p_k = N q_{k-1} + nu q_k, solved from the constant term up.
-    q = []
-    prev = Fraction(0)
-    for k in range(len(p) - 1):
-        prev = (p[k] - N * prev) / nu
-        q.append(prev)
-    if p[-1] - N * prev != 0:
+    n = len(d) - 1
+    if len(p) <= n:
+        return None
+    lead = Fraction(d[-1])
+    rem = list(p)
+    q = [0] * (len(p) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + n] / lead
+        q[k] = c
+        if c:
+            for j in range(n):
+                if d[j]:
+                    rem[k + j] -= c * d[j]
+    if any(rem[:n]):
         return None
     return _pnorm(q)
+
+
+def cancel(numer, denom: Mapping, divide: Callable) -> tuple[object, Counter]:
+    """Reduce numer / prod f^m over denom = {f: m}: the reduced numerator
+    and a Counter of the factors left.
+
+    The factors are tried in sorted order, each for as long as
+    ``divide(numer, f)`` returns an exact quotient rather than None;
+    multiplicities <= 0 are skipped, and a zero numerator keeps no factor.
+    The order is part of the result: 1 - x^2 over (1 - x)(1 - x^2) reduces
+    to (1 + x)/(1 - x^2) in this order and to 1/(1 - x) in the other.
+    """
+    left: Counter = Counter()
+    if not numer:
+        return numer, left
+    for f in sorted(denom):
+        m = denom[f]
+        while m > 0:
+            q = divide(numer, f)
+            if q is None:
+                break
+            numer = q
+            m -= 1
+        if m > 0:
+            left[f] = m
+    return numer, left
+
+
+def _divide_linear(p, f: LinFactor):
+    """p / (N*s + nu) for f = (N, nu) with N != 0, or None."""
+    N, nu = f
+    if N == 0:
+        raise ValueError("linear factor must have N != 0")
+    return pdiv(p, (nu, N))
 
 
 def _poly_of(denom: Iterable[tuple[LinFactor, int]]):
     out = (Fraction(1),)
     for (N, nu), m in denom:
         for _ in range(m):
-            out = _pmul(out, (nu, N))
+            out = pmul(out, (nu, N))
     return out
 
 
@@ -99,54 +153,29 @@ class TopZeta:
             for f, m in self.denom:
                 pw = m - own.get(f, 0)
                 for _ in range(pw):
-                    part = _pmul(part, (f[1], f[0]))
-            numer = _padd(numer, part)
-        self.numer = numer
-        # reduce
-        nred = numer
-        dred = Counter(denom)
-        if not nred:
-            dred = Counter()
-        else:
-            for f in sorted(dred):
-                while dred[f] > 0:
-                    q = _pdiv_linear(nred, f[0], f[1])
-                    if q is None:
-                        break
-                    nred = q
-                    dred[f] -= 1
-        self.numer_red = nred
-        self.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
+                    part = pmul(part, (f[1], f[0]))
+            numer = padd(numer, part)
+        self._reduce(numer, denom)
 
     @classmethod
     def from_quotient(cls, numer_coeffs, denom: Mapping[LinFactor, int]) -> "TopZeta":
         """Build directly from a quotient (linear factors need N > 0)."""
-        dd = tuple(sorted(Counter(denom).items()))
         tz = cls.__new__(cls)
         tz.terms = ()
-        tz.numer = _pnorm([Fraction(x) for x in numer_coeffs])
-        tz.denom = dd
-        nred = tz.numer
-        dred = Counter(denom)
-        if not nred:
-            dred = Counter()
-        else:
-            for f in sorted(dred):
-                while dred[f] > 0:
-                    q = _pdiv_linear(nred, f[0], f[1])
-                    if q is None:
-                        break
-                    nred = q
-                    dred[f] -= 1
-        tz.numer_red = nred
-        tz.denom_red = tuple(sorted((f, m) for f, m in dred.items() if m > 0))
+        tz.denom = tuple(sorted(Counter(denom).items()))
+        tz._reduce(_pnorm([Fraction(x) for x in numer_coeffs]), denom)
         return tz
+
+    def _reduce(self, numer, denom: Mapping[LinFactor, int]):
+        self.numer = numer
+        self.numer_red, left = cancel(numer, denom, _divide_linear)
+        self.denom_red = tuple(sorted(left.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TopZeta):
             return NotImplemented
-        lhs = _pmul(self.numer_red, _poly_of(other.denom_red))
-        rhs = _pmul(other.numer_red, _poly_of(self.denom_red))
+        lhs = pmul(self.numer_red, _poly_of(other.denom_red))
+        rhs = pmul(other.numer_red, _poly_of(self.denom_red))
         return lhs == rhs
 
     def __hash__(self):

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 from qzeta.cli import main as cli_main
 from qzeta.groups import GroupAction, is_small
-from qzeta.monodromy import degree, is_eigenvalue_pole, yomdin_charpoly
+from qzeta.monodromy import yomdin_charpoly
 from qzeta.resolution import (
     YomdinParams,
     hj_resolve,
@@ -175,7 +175,7 @@ def test_criterion_7_yomdin_sweep():
                 for a in (1, 2, 3):
                     y = YomdinParams(m, k, p, q, a)
                     cp = yomdin_charpoly(y)
-                    deg_ok = deg_ok and degree(cp) == (m - 1) ** 3 + k * (p - 1) * (
+                    deg_ok = deg_ok and cp.degree() == (m - 1) ** 3 + k * (p - 1) * (
                         q - 1
                     )
                     top_ok = top_ok and yomdin_top(y) == yomdin_top_closed(y)
@@ -194,14 +194,14 @@ def test_criterion_7_yomdin_sweep():
                     if a >= 2 and y.realizable:
                         s1 = F(-(a + 2), m)
                         s2 = F(-y.nu1, y.m1)
-                        pole_ok = pole_ok and is_eigenvalue_pole(cp, s2)
+                        pole_ok = pole_ok and cp.is_eigenvalue_pole(s2)
                         if s1.denominator == m:
-                            pole_ok = pole_ok and is_eigenvalue_pole(cp, s1)
+                            pole_ok = pole_ok and cp.is_eigenvalue_pole(s1)
                             pole_full += 1
                         else:
                             # order collapses: recorded, not asserted
                             pole_collapsed += 1
-                            if is_eigenvalue_pole(cp, s1):
+                            if cp.is_eigenvalue_pole(s1):
                                 pole_collapsed_pass += 1
     ok = deg_ok and phi_ok and top_ok and pole_ok
     detail = (

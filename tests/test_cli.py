@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -255,6 +256,24 @@ def test_rational_option_zero_denominator_is_usage_error(capsys, argv, option):
     err = capsys.readouterr().err
     assert err.startswith("usage: qzeta %s" % argv[0])
     assert "argument %s: invalid Fraction value: '1/0'" % option in err
+
+
+def test_eval_L_beyond_float_range(capsys):
+    # 2^1104 = (2^23)^48 and the series has exponent denominator 48; both
+    # values lie beyond the largest float, so no float root may be taken.
+    argv = ["monomial", "--group", "(12;1,5)", "--N", "1/2,3", "--nu", "1,3/4", "--series", "1", "--eval-L"]
+    rc, out, err = run(capsys, argv + [str(2**1104)])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[2] == "series at L = %d:" % 2**1104
+    assert [ln.split(":")[0] for ln in lines[3:]] == [
+        "  T^(11/24)", "  T^(7/8)", "  T^(11/12)", "  T^(23/24)",
+    ]
+    x = F(2**23)  # L^(1/48)
+    assert lines[3] == "  T^(11/24): %s" % (x**-119 - 2 * x**-71 + x**-23)
+    rc, out, err = run(capsys, argv + [str(2**1100)])
+    assert (rc, out) == (1, "")
+    assert err == "error: %d has no exact rational 48-th root\n" % 2**1100
 
 
 def test_rational_options_print_as_before(capsys):

@@ -9,12 +9,10 @@ from qzeta.groups import (
     GroupAction,
     NotSmall,
     SizeLimit,
-    age,
     group_literal,
     is_small,
     parse_group_literal,
     small_reduce,
-    weight,
 )
 
 
@@ -47,10 +45,10 @@ def test_ages_and_weights():
     g = GroupAction.cyclic(4, (1, 2))
     by_eps = {e.eps: e for e in g.elements()}
     k = (F(1), F(1))
-    assert age(by_eps[(1, 2)], k) == F(3, 4)
-    assert age(by_eps[(0, 0)], k) == 0
+    assert by_eps[(1, 2)].age(k) == F(3, 4)
+    assert by_eps[(0, 0)].age(k) == 0
     # weights of 1/4(1,2): 2, 3/4, 3/2, 5/4
-    ws = sorted(weight(e, k) for e in g.elements())
+    ws = sorted(e.weight(k) for e in g.elements())
     assert ws == [F(3, 4), F(5, 4), F(3, 2), F(2)]
 
 
@@ -63,7 +61,7 @@ def test_weight_age_duality():
         g = GroupAction.cyclic(d, tuple(rng.randrange(d) for _ in range(n)))
         k = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n))
         for gamma in g.elements():
-            assert weight(gamma, k) + age(gamma.inverse(), k) == sum(k)
+            assert gamma.weight(k) + gamma.inverse().age(k) == sum(k)
 
 
 def test_is_small():

@@ -9,6 +9,7 @@ from qzeta.resolution import hj_resolve, hj_stratification
 from qzeta.strata import (
     ParseError,
     UndeclaredSymbol,
+    _expr_str,
     parse_strata,
     render_strata,
 )
@@ -175,6 +176,20 @@ def test_render_rejects_nonclass_polynomials():
     strat = Stratification(1, 1, (st_bad,))
     with pytest.raises(ValueError):
         render_strata(strat)
+    st_frac = Stratum(
+        MotPoly.L(F(1, 2)) + 1, (F(1),), (F(1),), GroupAction.trivial(1)
+    )
+    with pytest.raises(ValueError) as ei:
+        render_strata(Stratification(1, 1, (st_frac,)))
+    assert str(ei.value) == "class polynomial needs plain L powers, got L^1/2"
+    # Stratum itself refuses a T power, so the emitter's check is called
+    # directly.  Terms are checked in canonical order (T-exponent first).
+    with pytest.raises(ValueError) as ei:
+        _expr_str(MotPoly.L(2) + MotPoly.T(1))
+    assert str(ei.value) == "class polynomial carries a T power"
+    with pytest.raises(ValueError) as ei:
+        _expr_str(MotPoly.T(1) + MotPoly.L(F(1, 2)))
+    assert str(ei.value) == "class polynomial needs plain L powers, got L^1/2"
 
 
 def test_zero_denominator_position():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from qzeta.symring import (
     ze_equal,
     ze_to_ratfunc,
 )
+from qzeta.topzeta import padd, pdiv, pmul
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -110,6 +112,15 @@ def test_ratfunc_cancellation():
     rf = RatFunc.make(MotPoly.one() - MotPoly.monomial(1, ell=-3, tau=2), {f: 1})
     assert rf.numer == MotPoly.one()
     assert rf.denom == ()
+
+
+def test_cancel_walks_factors_in_sorted_order():
+    # x = L^-1 T: 1 - x^2 over (1 - x)(1 - x^2).  1 - x = Fac(1; 1) sorts
+    # first, so the quotient is (1 + x)/(1 - x^2), not 1/(1 - x).
+    f1, f2 = fac(1, 1), fac(2, 2)
+    rf = RatFunc.make(f2.binom_poly(), {f2: 1, f1: 1})
+    assert rf.numer == MotPoly.one() + MotPoly.monomial(1, ell=-1, tau=1)
+    assert rf.denom == ((f2, 1),)
 
 
 def test_ratfunc_add_and_equivalent():
@@ -245,3 +256,264 @@ def test_topzeta_hash_agrees_with_eq():
     assert str(b) == "(2) / ((2*s + 2))"
     assert b.denom_red == (((F(2), F(2)), 1),)
     assert len({a, TopZeta.from_quotient([F(1)], {(F(1), F(2)): 1})}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the reduction code as it stood before RatFunc and
+# TopZeta shared one cancellation routine and one set of dense-polynomial
+# helpers.  The shared code must agree with them exactly.
+
+
+def _ref_pnorm(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _ref_pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _ref_pnorm(out)
+
+
+def _ref_padd(a, b):
+    out = [F(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return _ref_pnorm(out)
+
+
+def _ref_pdiv_linear(p, N, nu):
+    if not p:
+        return ()
+    if N == 0:
+        raise ValueError("linear factor must have N != 0")
+    q = []
+    prev = F(0)
+    for k in range(len(p) - 1):
+        prev = (p[k] - N * prev) / nu
+        q.append(prev)
+    if p[-1] - N * prev != 0:
+        return None
+    return _ref_pnorm(q)
+
+
+def _ref_topzeta_reduce(numer, denom):
+    nred = numer
+    dred = Counter(denom)
+    if not nred:
+        dred = Counter()
+    else:
+        for f in sorted(dred):
+            while dred[f] > 0:
+                q = _ref_pdiv_linear(nred, f[0], f[1])
+                if q is None:
+                    break
+                nred = q
+                dred[f] -= 1
+    return nred, tuple(sorted((f, m) for f, m in dred.items() if m > 0))
+
+
+def _ref_topzeta_numer(terms):
+    merged = {}
+    for c, lins in terms:
+        key = tuple(sorted(Counter(lins).items()))
+        merged[key] = merged.get(key, F(0)) + F(c)
+    kept = [(c, key) for key, c in sorted(merged.items()) if c != 0]
+    denom = Counter()
+    for _c, key in kept:
+        for f, m in key:
+            denom[f] = max(denom[f], m)
+    numer = ()
+    for c, key in kept:
+        own = dict(key)
+        part = (F(c),)
+        for f, m in sorted(denom.items()):
+            for _ in range(m - own.get(f, 0)):
+                part = _ref_pmul(part, (f[1], f[0]))
+        numer = _ref_padd(numer, part)
+    return numer, denom
+
+
+def _ref_make(numer, denom):
+    denom = Counter(denom)
+    if numer.is_zero:
+        return RatFunc(numer, ())
+    for f in sorted(denom):
+        while denom[f] > 0:
+            q = numer.divide_one_minus(-f.nu, f.N)
+            if q is None:
+                break
+            numer = q
+            denom[f] -= 1
+    return RatFunc(numer, tuple(sorted((f, m) for f, m in denom.items() if m > 0)))
+
+
+def _ref_from_term(coeff, factors):
+    numer = coeff
+    for f in factors:
+        numer = numer * f.numer_poly()
+    return _ref_make(numer, Counter(factors))
+
+
+def _ref_add(a, b):
+    da, db = Counter(dict(a.denom)), Counter(dict(b.denom))
+    dmax = Counter()
+    for f in set(da) | set(db):
+        dmax[f] = max(da[f], db[f])
+    na = a.numer
+    for f in dmax:
+        for _ in range(dmax[f] - da[f]):
+            na = na * f.binom_poly()
+    nb = b.numer
+    for f in dmax:
+        for _ in range(dmax[f] - db[f]):
+            nb = nb * f.binom_poly()
+    return _ref_make(na + nb, dmax)
+
+
+def _ref_equivalent(a, b):
+    da, db = Counter(dict(a.denom)), Counter(dict(b.denom))
+    na, nb = a.numer, b.numer
+    for f in set(da) | set(db):
+        for _ in range(max(da[f], db[f]) - da[f]):
+            na = na * f.binom_poly()
+        for _ in range(max(da[f], db[f]) - db[f]):
+            nb = nb * f.binom_poly()
+    return na == nb
+
+
+def _rand_spoly(rng: random.Random, n: int):
+    return _ref_pnorm([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+
+
+_LINS = [(F(1), F(1)), (F(2), F(2)), (F(1), F(2)), (F(3), F(5, 2)), (F(1, 2), F(3, 4))]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_dense_helpers_match_reference():
+    rng = random.Random(41)
+    exact = 0
+    for _ in range(400):
+        a, b = _rand_spoly(rng, rng.randint(0, 5)), _rand_spoly(rng, rng.randint(0, 5))
+        assert pmul(a, b) == _ref_pmul(a, b)
+        assert padd(a, b) == _ref_padd(a, b)
+        N = F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+        nu = F(rng.randint(1, 4), rng.randint(1, 3))
+        p = _ref_pmul(a, (nu, N)) if rng.random() < 0.5 else a
+        got = pdiv(p, (nu, N))
+        assert got == _ref_pdiv_linear(p, N, nu), (p, N, nu)
+        exact += got is not None and bool(p)
+    assert 100 < exact < 300  # both exact and inexact divisions were tried
+    assert pdiv((), (F(1), F(1))) == ()
+
+
+def test_topzeta_reduction_matches_reference():
+    rng = random.Random(42)
+    reduced = 0
+    for _ in range(300):
+        numer = _rand_spoly(rng, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 3)):
+            N, nu = rng.choice(_LINS)
+            numer = _ref_pmul(numer, (nu, N))
+        denom = {f: rng.randint(-1, 3) for f in rng.sample(_LINS, rng.randint(0, 4))}
+        tz = TopZeta.from_quotient(numer, denom)
+        assert tz.numer == numer
+        assert tz.denom == tuple(sorted(Counter(denom).items()))
+        assert (tz.numer_red, tz.denom_red) == _ref_topzeta_reduce(numer, denom)
+        reduced += tz.numer_red != numer
+
+        terms = [
+            (F(rng.randint(-3, 3), rng.randint(1, 2)),
+             {f: rng.randint(1, 2) for f in rng.sample(_LINS, rng.randint(0, 3))})
+            for _ in range(rng.randint(0, 4))
+        ]
+        tz = TopZeta(terms)
+        ref_numer, ref_denom = _ref_topzeta_numer(terms)
+        assert tz.numer == ref_numer
+        assert (tz.numer_red, tz.denom_red) == _ref_topzeta_reduce(ref_numer, ref_denom)
+    assert reduced > 50
+
+
+def test_topzeta_reduction_edge_cases():
+    # a zero numerator keeps no factor, multiplicity 0 included
+    tz = TopZeta.from_quotient([F(0)], {(F(1), F(1)): 2, (F(2), F(1)): 0})
+    assert (tz.numer_red, tz.denom_red) == ((), ())
+    assert tz.denom == (((F(1), F(1)), 2), ((F(2), F(1)), 0))
+    # multiplicity 0 is kept as given but never divided by
+    tz = TopZeta.from_quotient([F(1), F(1)], {(F(1), F(1)): 0})
+    assert (tz.numer_red, tz.denom_red) == ((F(1), F(1)), ())
+    # N = 0: refused once a division is tried, as before
+    cases = [
+        ([F(2), F(1)], {(F(0), F(2)): 1}),
+        ([F(1)], {(F(0), F(3)): 1, (F(1), F(1)): 1}),
+        ([F(0)], {(F(0), F(2)): 1}),
+    ]
+    got = [_outcome(_reduced, numer, denom) for numer, denom in cases]
+    assert got == [_outcome(_ref_topzeta_reduce, _ref_pnorm(list(n)), d) for n, d in cases]
+    refused = ("ValueError", "linear factor must have N != 0")
+    assert got == [refused, refused, ((), ())]
+
+
+def _reduced(numer, denom):
+    tz = TopZeta.from_quotient(numer, denom)
+    return tz.numer_red, tz.denom_red
+
+
+_FACS = [fac(1, 1), fac(2, 2), fac(1, 2), fac(F(1, 2), F(1, 2)), fac(3, 1), fac(0, 2)]
+
+
+def _rand_zeta(rng: random.Random) -> ZetaExpr:
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        facs = [rng.choice(_FACS) for _ in range(rng.randint(0, 3))]
+        terms.append((_rand_poly(rng, 3), facs))
+    return ZetaExpr(terms)
+
+
+def test_ratfunc_fold_matches_reference():
+    rng = random.Random(43)
+    fired = 0
+    for _ in range(150):
+        z = _rand_zeta(rng)
+        got, want = RatFunc.zero(), RatFunc.zero()
+        for factors, coeff in z.iter_terms():
+            got = got.add(RatFunc.from_term(coeff, factors))
+            want = _ref_add(want, _ref_from_term(coeff, factors))
+        assert got.numer == want.numer and got.denom == want.denom
+        assert str(got) == str(want)
+        assert got == ze_to_ratfunc(z)
+        # the sum with its negation has a zero numerator and no factor
+        neg = ze_to_ratfunc(-z)
+        assert got.add(neg) == _ref_add(want, neg) == RatFunc.zero()
+
+        # the same quotient over one more factor, another expression, and
+        # a numerator that differs
+        f = rng.choice(_FACS)
+        padded = RatFunc(
+            got.numer * f.binom_poly(),
+            tuple(sorted((Counter(dict(got.denom)) + Counter({f: 1})).items())),
+        )
+        assert got.equivalent(padded) and padded.equivalent(got)
+        for other in (
+            padded,
+            ze_to_ratfunc(_rand_zeta(rng)),
+            RatFunc(padded.numer + MotPoly.one(), padded.denom),
+        ):
+            assert got.equivalent(other) == _ref_equivalent(got, other)
+            assert other.equivalent(got) == _ref_equivalent(other, got)
+            fired += not got.equivalent(other)
+    assert fired > 150
