@@ -15,6 +15,7 @@ canonical form that :func:`parse_strata` reads back verbatim.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,6 +56,12 @@ class _Tok(NamedTuple):
 
 
 _PUNCT = set("={};[],()+-*^/")
+
+# The most decimal digits a power ``INT ^ e`` in a class expression may
+# have.  4300 is Python's default limit for converting an int to a string,
+# so a larger coefficient could never be printed; the parser refuses it
+# at the exponent instead of computing it first.
+MAX_POWER_DIGITS = 4300
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -293,11 +300,27 @@ class _Parser:
         return acc
 
     def factor(self) -> MotPoly:
+        base_tok = self.peek()
         base = self.atom()
         if self.peek().kind == "^":
             self.next()
             e = self.expect("INT", "an exponent")
-            return base ** int(e.text)
+            n = int(e.text)
+            if base_tok.kind == "INT":
+                # L ^ e and [sym] ^ e are monomials and cost nothing; an
+                # integer power is estimated first and computed in full
+                # only when it is near the bound.
+                b = int(base_tok.text)
+                if b > 1 and (
+                    n * math.log10(b) > MAX_POWER_DIGITS + 1
+                    or b**n >= 10**MAX_POWER_DIGITS
+                ):
+                    self.fail(
+                        "%s^%s has more than %d decimal digits"
+                        % (base_tok.text, e.text, MAX_POWER_DIGITS),
+                        e,
+                    )
+            return base ** n
         return base
 
     def atom(self) -> MotPoly:

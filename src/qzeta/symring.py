@@ -119,9 +119,15 @@ class ZetaExpr:
     order of first insertion (rendering always sorts canonically); the
     rational-function fold walks terms in insertion order, which builders
     exploit so that telescoping cancellations happen early.
+
+    An expression cannot be changed after construction: nothing writes
+    to ``_terms`` once a constructor has set it, and its coefficients
+    (:class:`MotPoly`) are never changed in place either.  So the
+    expression caches its fold: :func:`ze_to_ratfunc` reduces it at most
+    once and keeps the (frozen) :class:`RatFunc` in ``_rf``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_rf")
 
     def __init__(self, terms: Iterable[tuple[MotPoly, Iterable[StdFactor]]] = ()):
         acc: dict[FacTuple, MotPoly] = {}
@@ -134,6 +140,16 @@ class ZetaExpr:
             else:
                 acc[key] = coeff
         self._terms = {k: v for k, v in acc.items() if not v.is_zero}
+        self._rf = None
+
+    @classmethod
+    def _of(cls, terms: dict[FacTuple, MotPoly]) -> "ZetaExpr":
+        """The expression with these merged, nonzero terms; taken over, not
+        copied."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._rf = None
+        return out
 
     @classmethod
     def zero(cls) -> "ZetaExpr":
@@ -170,7 +186,6 @@ class ZetaExpr:
     def __add__(self, other) -> "ZetaExpr":
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        out = ZetaExpr.__new__(ZetaExpr)
         acc = dict(self._terms)
         for k, v in other._terms.items():
             s = acc.get(k)
@@ -179,13 +194,10 @@ class ZetaExpr:
                 acc.pop(k, None)
             else:
                 acc[k] = s
-        out._terms = acc
-        return out
+        return ZetaExpr._of(acc)
 
     def __neg__(self) -> "ZetaExpr":
-        out = ZetaExpr.__new__(ZetaExpr)
-        out._terms = {k: -v for k, v in self._terms.items()}
-        return out
+        return ZetaExpr._of({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other) -> "ZetaExpr":
         if not isinstance(other, ZetaExpr):
@@ -210,9 +222,7 @@ class ZetaExpr:
                         out[key] = s
                 else:
                     out[key] = c
-        z = ZetaExpr.__new__(ZetaExpr)
-        z._terms = out
-        return z
+        return ZetaExpr._of(out)
 
     __rmul__ = __mul__
 
@@ -224,9 +234,7 @@ class ZetaExpr:
             s = v * c
             if not s.is_zero:
                 out[k] = s
-        z = ZetaExpr.__new__(ZetaExpr)
-        z._terms = out
-        return z
+        return ZetaExpr._of(out)
 
     def __str__(self) -> str:
         return render_zeta(self)
@@ -337,11 +345,16 @@ def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
 
     Terms are folded in insertion order with a cancellation pass after
     each addition; builders order their terms so that the telescoping
-    divisions fire as early as possible.
+    divisions fire as early as possible.  The result is kept on ``z``,
+    so a later call (``--check`` after printing, say) returns the same
+    object without folding again.
     """
-    rf = RatFunc.zero()
-    for factors, coeff in z.iter_terms():
-        rf = rf.add(RatFunc.from_term(coeff, factors))
+    rf = z._rf
+    if rf is None:
+        rf = RatFunc.zero()
+        for factors, coeff in z.iter_terms():
+            rf = rf.add(RatFunc.from_term(coeff, factors))
+        z._rf = rf
     return rf
 
 
@@ -350,7 +363,8 @@ def ze_equal(a: ZetaExpr, b: ZetaExpr) -> bool:
 
     Sound because the ambient ring (Laurent monomials with bounded-
     denominator exponents over free symbols) is an integral domain, so
-    cross-multiplied numerators agree iff the quotients do.
+    cross-multiplied numerators agree iff the quotients do.  Each side
+    is folded at most once over its lifetime (see :func:`ze_to_ratfunc`).
     """
     return ze_to_ratfunc(a).equivalent(ze_to_ratfunc(b))
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from qzeta.cli import main
-from qzeta.symring import ZetaExpr
+from qzeta.symring import RatFunc, ZetaExpr
 
 
 def run(capsys, argv):
@@ -286,3 +286,24 @@ def test_rational_options_print_as_before(capsys):
     rc, out, _ = run(capsys, ["tetra", "--d", "3", "--q", "2", "--N", "4/2", "--nu", "3", "--poles"])
     assert rc == 0
     assert out.splitlines()[-1] == "candidate poles: s = -3/2"
+
+
+def test_check_shares_the_printed_fold(capsys, monkeypatch):
+    # --json prints no reduced quotient, so --check folds each route once;
+    # the text view prints the chain's fold and must not fold it again.
+    add = RatFunc.add
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(RatFunc, "add", counted)
+    argv = ["hj", "--d", "31", "--a", "1", "--b", "7", "--check"]
+    counts = []
+    for extra in ([], ["--json"]):
+        calls.clear()
+        rc, out, _ = run(capsys, argv + extra)
+        assert rc == 0 and "EQUAL" in out
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

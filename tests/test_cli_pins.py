@@ -3,8 +3,10 @@
 The hashes were recorded from the Fraction-keyed implementation of
 ``MotPoly`` before its exponents moved onto an integer lattice, the
 order-10^4 ``group --json`` one while ``json_obj`` still read its terms as
-Fractions, and the two ``hj --d 1000`` ones while ``--series``/``--eval-L``
-and the printers still went through Fraction exponents; any change to
+Fractions, the two ``hj --d 1000`` ones while ``--series``/``--eval-L``
+and the printers still went through Fraction exponents, and the last two
+(a long-chain text ``hj --check`` and the large ``yomdin`` row) while
+``--check`` still folded the printed expression a second time; any change to
 rendering, term order, reduction, evaluation or JSON layout shows up here.
 Each run takes well under two seconds.
 """
@@ -74,6 +76,17 @@ PINS = [
          "--euler", "--poles", "--series", "10", "--eval-L", "1", "--json"],
         1075100,
         "6f401ed51ca763dc69c45b119137982728b727cf7961c9be6bf31c2a8b65595b",
+    ),
+    (
+        ["hj", "--d", "97", "--a", "1", "--b", "96", "--N", "2,3", "--nu", "1,2", "--check"],
+        7680,
+        "f3ad1db87c71604ee9546a8309d7ba6880d0ff65f1ef1f7dcc1c94508cf5ae59",
+    ),
+    (
+        ["yomdin", "--m", "12", "--k", "8", "--p", "5", "--q", "7", "--a", "3", "--check",
+         "--euler", "--poles", "--charpoly"],
+        23036,
+        "bc8834036cbeea8b492e7bf87d03b87fd08f7aed9c3ba380a42d800209c30d7e",
     ),
 ]
 

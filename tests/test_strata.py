@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from qzeta.groups import GroupAction
-from qzeta.resolution import hj_resolve, hj_stratification
+from qzeta.resolution import (
+    YomdinParams,
+    hj_resolve,
+    hj_stratification,
+    tetra_stratification,
+    yomdin_stratification,
+)
 from qzeta.strata import (
+    MAX_POWER_DIGITS,
     ParseError,
     UndeclaredSymbol,
     _expr_str,
@@ -14,6 +22,7 @@ from qzeta.strata import (
     render_strata,
 )
 from qzeta.symring import MotPoly
+from qzeta.tetra import TetraParams
 from qzeta.zetacore import DimensionMismatch, Stratification, Stratum
 
 EXAMPLE = """\
@@ -197,3 +206,51 @@ def test_zero_denominator_position():
     with pytest.raises(ParseError, match="zero denominator") as ei:
         parse_strata(text)
     assert (ei.value.line, ei.value.col) == (3, 30)
+
+
+def _one_class(expr: str) -> str:
+    return (
+        "dimension = 1\ngindex = 1\nsymbol X\n"
+        "stratum { class = %s ; N = [1] ; nu = [1] ; group = (1; 0) }\n" % expr
+    )
+
+
+def test_integer_power_bounded_at_parse_time():
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as ei:
+        parse_strata(_one_class("3^30000000"))
+    assert time.perf_counter() - t0 < 5  # the power itself takes tens of seconds
+    assert str(ei.value) == "line 4, column 21: 3^30000000 has more than 4300 decimal digits"
+    assert MAX_POWER_DIGITS == 4300
+    # 3^9012 and 10^4299 have 4300 digits; 3^9013 and 10^4300 have 4301
+    fits = (("3^9012", 3**9012), ("10^4299", 10**4299), ("2 - 10^4299", 2 - 10**4299))
+    for expr, value in fits:
+        (st,) = parse_strata(_one_class(expr)).stratification.strata
+        assert st.klass == MotPoly.const(value)
+    too_big = (("3^9013", 21), ("10^4300", 22), ("2^14300", 21), ("L + 7^99999999999999999999", 25))
+    for expr, col in too_big:
+        with pytest.raises(ParseError, match="more than 4300 decimal digits") as ei:
+            parse_strata(_one_class(expr))
+        assert (ei.value.line, ei.value.col) == (4, col)
+    # bases 0 and 1, L and symbols are not bounded: their powers cost nothing
+    (st,) = parse_strata(
+        _one_class("0^30000000 + 1^30000000 * L^30000000 - [X]^30000000")
+    ).stratification.strata
+    assert st.klass == MotPoly.L() ** 30000000 - MotPoly.sym("X") ** 30000000
+
+
+def test_emitted_files_round_trip():
+    big = 3**9012  # a 4300-digit coefficient is written out in full
+    strats = [
+        (hj_stratification(hj_resolve(97, 1, 96), 2, 3, 1, 2), None),
+        yomdin_stratification(YomdinParams(12, 8, 5, 7, 3)),
+        tetra_stratification(TetraParams(13, 4), F(2), F(3)),
+    ]
+    klass = MotPoly.const(big) * MotPoly.L() - 1
+    st = Stratum(klass, (F(1),), (F(1),), GroupAction.trivial(1))
+    strats.append((Stratification(1, 1, (st,)), None))
+    for strat, chi in strats:
+        text = render_strata(strat, chi)
+        sf = parse_strata(text)
+        assert sf.stratification == strat
+        assert render_strata(sf.stratification, sf.chi_env) == text

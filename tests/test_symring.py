@@ -517,3 +517,53 @@ def test_ratfunc_fold_matches_reference():
             assert other.equivalent(got) == _ref_equivalent(other, got)
             fired += not got.equivalent(other)
     assert fired > 150
+
+
+def test_fold_is_memoised():
+    rng = random.Random(44)
+    for _ in range(30):
+        z = _rand_zeta(rng)
+        assert ze_to_ratfunc(z) is ze_to_ratfunc(z)
+
+
+def test_equal_then_print_folds_each_side_once(monkeypatch):
+    from_term = RatFunc.from_term
+    calls = []
+
+    def counted(cls, coeff, factors):
+        calls.append(factors)
+        return from_term(coeff, factors)
+
+    monkeypatch.setattr(RatFunc, "from_term", classmethod(counted))
+    rng = random.Random(45)
+    for _ in range(30):
+        a, b = _rand_zeta(rng), _rand_zeta(rng)
+        calls.clear()
+        same = ze_equal(a, b)
+        assert ze_to_ratfunc(a).equivalent(ze_to_ratfunc(b)) == same
+        assert ze_equal(b, a) == same
+        assert len(calls) == len(a.terms()) + len(b.terms())
+
+
+def test_new_expressions_start_without_a_fold():
+    rng = random.Random(43)
+    for _ in range(150):
+        z, w = _rand_zeta(rng), _rand_zeta(rng)
+        ze_to_ratfunc(z)
+        ze_to_ratfunc(w)
+        c = _rand_poly(rng, 2)
+        built = [
+            z + w,
+            z + ZetaExpr.zero(),
+            -z,
+            z * w,
+            z * ZetaExpr.one(),
+            z.scale(c),
+            z.scale(1),
+            z * 2,
+            ZetaExpr((coeff, facs) for facs, coeff in z.iter_terms()),
+        ]
+        for r in built:
+            assert r._rf is None
+            fresh = ZetaExpr((coeff, facs) for facs, coeff in r.iter_terms())
+            assert ze_to_ratfunc(r) == ze_to_ratfunc(fresh)
