@@ -142,7 +142,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             )
         if args.eval_L is not None:
             P = args.eval_L
-            vals = [(t, c.eval_L(P)) for t, c in ser.split_T()]
+            vals = ser.series_at_L(P)
             if args.json:
                 obj["series_at_L"] = [
                     {"T": _frac_json(t), "value": _frac_json(v)} for t, v in vals

@@ -79,8 +79,9 @@ class MotPoly:
     symmono)`` with ``tau`` the T-exponent and ``ell`` the L-exponent;
     values are nonzero ints and the zero polynomial has no terms.
     Operands on different scales meet on the lcm of the two.  Fractions
-    appear only where exponents cross the boundary: the constructor and
-    the readers :meth:`terms`, :meth:`min_tau` and :meth:`split_T`.
+    appear only where exponents cross the boundary: the constructor, the
+    readers :meth:`terms` and :meth:`min_tau`, and the T-exponents that
+    :meth:`series_at_L` returns.
     Printing, JSON and evaluation read the integer keys (:meth:`lattice`)
     and reduce each exponent x/r with :func:`reduce_exp`.
     """
@@ -321,6 +322,10 @@ class MotPoly:
         sym = tuple(sorted((n, e) for n, e in names.items() if e))
         return (tau, ell, sym)
 
+    def height(self) -> int:
+        """The largest absolute value of a coefficient; 0 for the zero polynomial."""
+        return max(map(abs, self._terms.values()), default=0)
+
     def has_T(self) -> bool:
         return any(k[0] for k in self._terms)
 
@@ -331,19 +336,6 @@ class MotPoly:
         return MotPoly.from_lattice(
             {k: c for k, c in self._terms.items() if k[0] <= cut}, self._r
         )
-
-    def split_T(self) -> list[tuple[Fraction, "MotPoly"]]:
-        """[(tau, coefficient of T^tau)] in ascending T order, in one pass;
-        each coefficient has no T part and keeps this polynomial's scale."""
-        cols: dict[int, dict[LatKey, int]] = {}
-        for (t, l, s), c in self._terms.items():
-            col = cols.get(t)
-            if col is None:
-                cols[t] = {(0, l, s): c}
-            else:
-                col[(0, l, s)] = c
-        r = self._r
-        return [(Fraction(t, r), MotPoly.from_lattice(cols[t], r)) for t in sorted(cols)]
 
     def coeff_of_T(self, j) -> "MotPoly":
         """The coefficient of T^j, as a polynomial with no T part."""
@@ -373,42 +365,87 @@ class MotPoly:
     def eval_L(self, p, sym_env: Mapping[str, Fraction] | None = None) -> Fraction:
         """Exact value with L = p (T powers are not evaluable here).
 
-        A term L^(k/d), k/d in lowest terms, needs the exact d-th root of p,
-        which is taken once per d.  The symbol-free terms of one d are
-        summed as an integer Laurent polynomial in that root, and give one
-        Fraction; each symbol term is valued on its own.  Terms are checked
-        in canonical order, so the first one that cannot be evaluated is
-        the one reported.
+        This is the T-free case of :meth:`series_at_L`.  A polynomial with
+        a T power fails at its first term, in canonical order, that has a T
+        power or no value.
         """
         p = Fraction(p)
-        r = self._r
-        roots: dict[int, tuple[int, int]] = {}
+        if self.has_T():
+            self._raise_first_failure(p, sym_env, t_free=True)
+        vals = self.series_at_L(p, sym_env)
+        return vals[0][1] if vals else Fraction(0)
+
+    def series_at_L(
+        self, p, sym_env: Mapping[str, Fraction] | None = None
+    ) -> list[tuple[Fraction, Fraction]]:
+        """[(tau, value at L = p of the coefficient of T^tau)], ascending in tau.
+
+        One pass over the integer keys takes g = gcd(r, every ell*r), so
+        each L-exponent is k/D with D = r/g and k = ell*r/g.  D is the lcm
+        of the exponents' reduced denominators d, and p has an exact d-th
+        root for every d exactly when it has a D-th root (a negative p needs
+        every d odd, and then D is odd too); so one root serves the whole
+        polynomial.  The symbol-free terms of each T-column are summed as an
+        integer Laurent polynomial in that root, and give one Fraction; each
+        symbol term is valued on its own.  When some term has no value, the
+        terms are walked in canonical order and the first of them that
+        cannot be evaluated is the one reported.
+        """
+        p = Fraction(p)
+        terms, r = self._terms, self._r
+        g = math.gcd(r, *(k[1] for k in terms))
         plain: dict[int, dict[int, int]] = {}
-        total = Fraction(0)
-        for (t, l, syms), c in sorted(self._terms.items()):
-            if t:
+        symbolic: dict[int, Fraction] = {}
+        try:
+            a, b = _exact_root(p, r // g)
+            root = Fraction(a, b)
+            for (t, l, syms), c in terms.items():
+                k = l // g
+                if syms:
+                    v = c * root**k
+                    for name, e in syms:
+                        if not sym_env or name not in sym_env:
+                            raise MissingChi(name)
+                        v *= Fraction(sym_env[name]) ** e
+                    symbolic[t] = symbolic.get(t, 0) + v
+                else:
+                    col = plain.get(t)
+                    if col is None:
+                        plain[t] = {k: c}
+                    else:
+                        col[k] = c
+            out = []
+            for t in sorted(plain.keys() | symbolic.keys()):
+                col = plain.get(t)
+                v = _laurent_value(col, a, b) if col else Fraction(0)
+                if t in symbolic:
+                    v += symbolic[t]
+                out.append((Fraction(t, r), v))
+        except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
+            self._raise_first_failure(p, sym_env)
+        return out
+
+    def _raise_first_failure(self, p: Fraction, sym_env, t_free: bool = False):
+        """Raise the error of the first term, in canonical order, that has
+        no value at L = p; with ``t_free`` a T power is such a term too."""
+        r = self._r
+        roots: dict[int, int] = {}  # d -> numerator of the d-th root of p
+        for t, l, syms in sorted(self._terms):
+            if t and t_free:
                 raise ValueError("monomial carries a T power; cannot evaluate at L only")
-            g = math.gcd(l, r)
-            k, d = l // g, r // g
-            root = roots.get(d)
-            if root is None:
-                root = roots[d] = _exact_root(p, d)
-            if k < 0 and not root[0]:
+            d = r // math.gcd(l, r)
+            if d not in roots:
+                roots[d] = _exact_root(p, d)[0]
+            if l < 0 and not roots[d]:
                 # past d = 1 this is what Fraction(0) ** k itself reports
                 raise ZeroDivisionError("0 to a negative power" if d == 1 else "Fraction(1, 0)")
-            if syms:
-                v = c * Fraction(*root) ** k
-                for name, e in syms:
-                    if not sym_env or name not in sym_env:
-                        raise MissingChi(name)
-                    v *= Fraction(sym_env[name]) ** e
-                total += v
-            else:
-                col = plain.setdefault(d, {})
-                col[k] = col.get(k, 0) + c
-        for d, col in plain.items():
-            total += _laurent_value(col, *roots[d])
-        return total
+            for name, e in syms:
+                if not sym_env or name not in sym_env:
+                    raise MissingChi(name)
+                # a symbol valued 0 to a negative power fails here, as
+                # in the valuation itself
+                Fraction(sym_env[name]) ** e
+        raise AssertionError("every term has a value at L = %s" % p)
 
     # -- exact division ---------------------------------------------------
 

@@ -57,11 +57,14 @@ class _Tok(NamedTuple):
 
 _PUNCT = set("={};[],()+-*^/")
 
-# The most decimal digits a power ``INT ^ e`` in a class expression may
-# have.  4300 is Python's default limit for converting an int to a string,
-# so a larger coefficient could never be printed; the parser refuses it
-# at the exponent instead of computing it first.
+# The most decimal digits an integer in a strata file may have.  4300 is
+# Python's default limit for converting an int to a string, so a larger
+# coefficient could never be printed.  The parser refuses a longer literal
+# at its token, a power ``INT ^ e`` at the exponent before computing it,
+# and a class coefficient that ``*``, ``+`` or ``-`` makes too long at
+# that operator.
 MAX_POWER_DIGITS = 4300
+_INT_BOUND = 10**MAX_POWER_DIGITS
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -90,6 +93,12 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_POWER_DIGITS:
+                raise ParseError(
+                    "integer literal has more than %d decimal digits" % MAX_POWER_DIGITS,
+                    line,
+                    start_col,
+                )
             toks.append(_Tok("INT", text[i:j], line, start_col))
             col += j - i
             i = j
@@ -278,6 +287,13 @@ class _Parser:
 
     # -- class expressions ----------------------------------------------------
 
+    def bound(self, acc: MotPoly, op: _Tok) -> MotPoly:
+        """``acc``, or a failure at the operator ``op`` that made one of its
+        coefficients too long."""
+        if acc.height() >= _INT_BOUND:
+            self.fail("coefficient has more than %d decimal digits" % MAX_POWER_DIGITS, op)
+        return acc
+
     def expr(self) -> MotPoly:
         neg = False
         if self.peek().kind == "-":
@@ -287,16 +303,16 @@ class _Parser:
         if neg:
             acc = -acc
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            op = self.next()
             t = self.term()
-            acc = acc + t if op == "+" else acc - t
+            acc = self.bound(acc + t if op.kind == "+" else acc - t, op)
         return acc
 
     def term(self) -> MotPoly:
         acc = self.factor()
         while self.peek().kind == "*":
-            self.next()
-            acc = acc * self.factor()
+            op = self.next()
+            acc = self.bound(acc * self.factor(), op)
         return acc
 
     def factor(self) -> MotPoly:
@@ -313,7 +329,7 @@ class _Parser:
                 b = int(base_tok.text)
                 if b > 1 and (
                     n * math.log10(b) > MAX_POWER_DIGITS + 1
-                    or b**n >= 10**MAX_POWER_DIGITS
+                    or b**n >= _INT_BOUND
                 ):
                     self.fail(
                         "%s^%s has more than %d decimal digits"

@@ -52,3 +52,5 @@ def test_removed_names_are_gone():
             assert attr not in qzeta.__all__ and not hasattr(qzeta, attr), attr
     assert not hasattr(qzeta.groups.GroupElement, "is_identity")
     assert not hasattr(qzeta.cli, "_series_values")
+    # the CLI values a series with MotPoly.series_at_L, not per T-column
+    assert not hasattr(qzeta.motpoly.MotPoly, "split_T")

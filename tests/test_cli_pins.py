@@ -6,9 +6,12 @@ order-10^4 ``group --json`` one while ``json_obj`` still read its terms as
 Fractions, the two ``hj --d 1000`` ones while ``--series``/``--eval-L``
 and the printers still went through Fraction exponents, and the last two
 (a long-chain text ``hj --check`` and the large ``yomdin`` row) while
-``--check`` still folded the printed expression a second time; any change to
-rendering, term order, reduction, evaluation or JSON layout shows up here.
-Each run takes well under two seconds.
+``--check`` still folded the printed expression a second time, and the
+odd-root ``--eval-L -8`` pair and the error pins at the end while
+``--eval-L`` still split the series into one polynomial per T-column and
+took a root per column; any change to rendering, term order, reduction,
+evaluation, error precedence or JSON layout shows up here.  Each run takes
+well under two seconds.
 """
 
 from __future__ import annotations
@@ -88,6 +91,18 @@ PINS = [
         23036,
         "bc8834036cbeea8b492e7bf87d03b87fd08f7aed9c3ba380a42d800209c30d7e",
     ),
+    (
+        ["monomial", "--group", "(3;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "3",
+         "--eval-L", "-8"],
+        811,
+        "8bbc8fbe4d18a003965510c23a2365e7450bfa3dc6fb07f3bb7242cc168cba44",
+    ),
+    (
+        ["monomial", "--group", "(3;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "3",
+         "--eval-L", "-8", "--json"],
+        2477,
+        "9fdc04794b779727b14cc75587a51fda4a9e31d32c97b6f2b7010ae927678ee1",
+    ),
 ]
 
 
@@ -97,3 +112,44 @@ def test_cli_stdout_pinned(capsys, argv, size, digest):
     out = capsys.readouterr().out.encode("utf-8")
     assert len(out) == size
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# A stratification whose series has a half-integer L power at T^(1/2) and
+# a class symbol without an Euler characteristic at T^2.
+MISSING_CHI = """\
+dimension = 2
+gindex = 2
+symbol C0
+stratum { class = L - 1 ; N = [1/2, 0] ; nu = [1/2, 1] ; group = (1; 0,0) }
+stratum { class = [C0] ; N = [1, 1] ; nu = [1, 1] ; group = (1; 0,0) }
+"""
+
+# --eval-L failures: exit status 1, nothing on stdout, and the error of the
+# first term, in ascending T order, that has no value.
+ERROR_PINS = [
+    (
+        ["hj", "--d", "1000", "--a", "1", "--b", "3", "--N", "3,5", "--nu", "2,7", "--check",
+         "--euler", "--poles", "--series", "10", "--eval-L", "4"],
+        "error: 4 has no exact rational 1000-th root\n",
+    ),
+    (
+        ["hj", "--d", "7", "--a", "1", "--b", "3", "--series", "2", "--eval-L", "0"],
+        "error: Fraction(1, 0)\n",
+    ),
+    (["strata", MISSING_CHI, "--series", "2", "--eval-L", "4"], "error: C0\n"),
+    (["strata", MISSING_CHI, "--series", "2", "--eval-L", "2"], "error: 2 has no exact rational 2-th root\n"),
+    (["strata", MISSING_CHI, "--series", "2", "--eval-L", "-4"], "error: -4 has no exact rational 2-th root\n"),
+    (["strata", MISSING_CHI, "--series", "2", "--eval-L", "0"], "error: Fraction(1, 0)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stderr", ERROR_PINS, ids=["%s-%s" % (p[0][0], p[0][-1]) for p in ERROR_PINS]
+)
+def test_cli_eval_L_error_pinned(capsys, tmp_path, argv, stderr):
+    if argv[0] == "strata":
+        path = tmp_path / "missing_chi.strata"
+        path.write_text(argv[1], encoding="utf-8")
+        argv = ["strata", str(path)] + argv[2:]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr)

@@ -16,6 +16,8 @@ import random
 from fractions import Fraction as F
 from itertools import groupby
 
+import pytest
+
 from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
@@ -409,13 +411,88 @@ def test_eval_L_matches_fraction_reference():
 
 def test_series_values_match_fraction_reference():
     rng = random.Random(59)
+    seen: set = set()
     for _ in range(300):
         ser = _rand_lattice_poly(rng, with_T=True)
         P = rng.choice(_P_VALUES)
-        got = _outcome(lambda: [(t, c.eval_L(P)) for t, c in ser.split_T()])
+        got = _outcome(ser.series_at_L, P)
         assert got == _outcome(_ref_series_values, ser, P), (ser, P)
+        seen.add(got[0])
+    # a T power is a column here, not a failure; every other outcome shows
+    assert seen == {"value", FractionalPowerUnevaluable, ZeroDivisionError, MissingChi}
     ser = MotPoly.from_lattice({(4, -2, ()): 3, (0, 6, ()): 1, (4, 1, (("a", 1),)): -1}, 4)
-    assert [(t, str(c)) for t, c in ser.split_T()] == [(F(0), "L^(3/2)"), (F(1), "3 * L^(-1/2) - L^(1/4) * [a]")]
+    assert ser.series_at_L(16, {"a": 2}) == [(F(0), F(64)), (F(1), F(3, 4) - 4)]
+
+
+def test_series_values_on_one_common_root():
+    # Exponent denominators 2, 3, 4 and 6 in one series: 2^12 has a root
+    # of each order, so one 12-th root values every column.
+    ser = MotPoly.from_lattice(
+        {(0, 6, ()): 1, (12, -4, ()): -2, (12, 3, ()): 5, (18, -2, ()): 1,
+         (18, 9, (("a", 1),)): 3, (24, 0, ()): -1}, 12
+    )
+    env = {"a": F(-1, 3)}
+    for P in (2**12, F(3**12, 5**12), -(2**12), -(2**15), 2**13, 0):
+        got = _outcome(ser.series_at_L, P)
+        assert got == _outcome(_ref_series_values, ser, P), P
+        for t, v in ser.series_at_L(2**12, env):
+            col = ser.coeff_of_T(t)
+            assert v == _ref_eval_L(col.terms(), 2**12, env)
+    assert ser.series_at_L(2**12, env)[0] == (F(0), F(2**6))
+    assert _outcome(ser.series_at_L, -(2**15)) == (
+        FractionalPowerUnevaluable, "-32768 has no exact rational 2-th root"
+    )
+    # odd denominators 3, 5 and 15 all have roots of -(2^15): with the
+    # 15-th root x = -2, the key (t, l) is x^l * T^(t/15)
+    odd = MotPoly.from_lattice(
+        {(0, 5, ()): 1, (0, -3, ()): 2, (15, 10, ()): -1, (15, 1, ()): 4, (30, -6, ()): 7}, 15
+    )
+    got = odd.series_at_L(-(2**15))
+    assert got == _ref_series_values(odd, -(2**15))
+    x = F(-2)
+    assert got == [(F(0), x**5 + 2 * x**-3), (F(1), -(x**10) + 4 * x), (F(2), 7 * x**-6)]
+    assert [odd.coeff_of_T(t).eval_L(-(2**15)) for t, _v in got] == [v for _t, v in got]
+    # the root is of the order the exponents need, not of the scale: on
+    # scale 12 with integer exponents, p = 2 has no 12-th root but needs none
+    ints = MotPoly.from_lattice({(12, 24, ()): 1, (24, -12, ()): 3, (24, 0, (("a", 1),)): 1}, 12)
+    assert ints.series_at_L(2, {"a": 5}) == [(F(1), F(4)), (F(2), F(3, 2) + 5)]
+    # the error names the first failing term's own order, L^(-1/5), not 15
+    assert _outcome(odd.series_at_L, 2**14) == (
+        FractionalPowerUnevaluable, "16384 has no exact rational 5-th root"
+    )
+
+
+def test_series_values_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scales = (1, 2, 3, 4, 6, 12, 5, 15, 35)
+    symmonos = ((), (), (), (("a", 1),), (("a", 2), ("b", 1)), (("b", -1),))
+    P_values = _P_VALUES + (F(-(2**15)), F(3**60, 2**60), F(-1, 3**15))
+
+    @st.composite
+    def series(draw, with_T=True):
+        r = draw(st.sampled_from(scales))
+        acc: dict = {}
+        for _ in range(draw(st.integers(0, 10))):
+            t = draw(st.integers(-r, 3 * r)) if with_T else 0
+            k = (t, draw(st.integers(-3 * r, 3 * r)), draw(st.sampled_from(symmonos)))
+            c = acc.get(k, 0) + draw(st.sampled_from((-3, -1, 1, 2, 5)))
+            if c:
+                acc[k] = c
+            else:
+                acc.pop(k, None)
+        return MotPoly.from_lattice(acc, r)
+
+    envs = st.sampled_from((None, {"a": F(3, 2)}, {"a": F(-2), "b": F(0)}, {"a": 5, "b": F(1, 7)}))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(series(), series(with_T=False), st.sampled_from(P_values), envs)
+    def check(ser, col, P, env):
+        assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P)
+        assert _outcome(col.eval_L, P, env) == _outcome(_ref_eval_L, col.terms(), P, env)
+        assert _outcome(ser.eval_L, P, env) == _outcome(_ref_eval_L, ser.terms(), P, env)
+
+    check()
 
 
 def test_printing_matches_fraction_reference():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qzeta.cli import main
 from qzeta.groups import GroupAction
 from qzeta.resolution import (
     YomdinParams,
@@ -237,6 +238,66 @@ def test_integer_power_bounded_at_parse_time():
         _one_class("0^30000000 + 1^30000000 * L^30000000 - [X]^30000000")
     ).stratification.strata
     assert st.klass == MotPoly.L() ** 30000000 - MotPoly.sym("X") ** 30000000
+
+
+def test_integer_literal_bounded_at_its_token():
+    big = "1" + "0" * MAX_POWER_DIGITS  # 10^4300, 4301 digits
+    msg = "integer literal has more than 4300 decimal digits"
+    cases = (
+        (_one_class(big), 4, 19),
+        (_one_class("L - " + big), 4, 23),
+        (_one_class("L^" + big), 4, 21),
+        (_one_class("1").replace("N = [1]", "N = [%s]" % big), 4, 28),
+        (_one_class("1").replace("nu = [1]", "nu = [1/%s]" % big), 4, 41),
+        (_one_class("1").replace("gindex = 1", "gindex = " + big), 2, 10),
+        ("dimension = 1\ngindex = 1\nsymbol X chi = -%s\n" % big, 3, 17),
+    )
+    for text, line, col in cases:
+        with pytest.raises(ParseError) as ei:
+            parse_strata(text)
+        assert str(ei.value) == "line %d, column %d: %s" % (line, col, msg)
+    # 4300 digits still fit, leading zeros included
+    (st,) = parse_strata(_one_class("9" * 4300 + " - 0" + "7" * 4299)).stratification.strata
+    assert st.klass == MotPoly.const(10**4300 - 1 - int("7" * 4299))
+
+
+def test_computed_coefficient_bounded_at_its_operator():
+    nines = "9" * 4300  # 10^4300 - 1, the largest coefficient that fits
+    msg = "coefficient has more than 4300 decimal digits"
+    cases = (
+        ("10^4299 * 10^4299", 27),
+        ("L * 10^2150 * L * 10^2150", 35),
+        ("%s + 1" % nines, 4320),
+        ("-%s - 1" % nines, 4321),
+        ("%s * L - 1 + %s * L" % (nines, nines), 4328),
+        # the running sum is bounded, even where a later term brings it back
+        ("%s + %s - %s" % (nines, nines, nines), 4320),
+    )
+    for expr, col in cases:
+        with pytest.raises(ParseError) as ei:
+            parse_strata(_one_class(expr))
+        assert str(ei.value) == "line 4, column %d: %s" % (col, msg)
+    c = 10**4300 - 1
+    fits = (
+        ("10^4299 * 9", MotPoly.const(9 * 10**4299)),
+        ("%s - 1 + 1" % nines, MotPoly.const(c)),
+        ("-%s + 1 - 1" % nines, MotPoly.const(-c)),
+        ("%s + %s * L - %s * L^2" % (nines, nines, nines), c * (1 + MotPoly.L() - MotPoly.L() ** 2)),
+        ("L - L + 5", MotPoly.const(5)),
+    )
+    for expr, klass in fits:
+        (st,) = parse_strata(_one_class(expr)).stratification.strata
+        assert st.klass == klass
+    assert MotPoly.zero().height() == 0 and (3 - 7 * MotPoly.L()).height() == 7
+
+
+def test_oversized_coefficient_exits_with_a_position(capsys, tmp_path):
+    path = tmp_path / "big.strata"
+    path.write_text(_one_class("10^4299 * 10^4299"), encoding="utf-8")
+    assert main(["strata", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: line 4, column 27: coefficient has more than 4300 decimal digits\n"
+    )
 
 
 def test_emitted_files_round_trip():
