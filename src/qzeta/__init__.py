@@ -27,9 +27,7 @@ from .resolution import (
     tetra_top_closed,
     tetra_zeta_closed,
     yomdin_stratification,
-    yomdin_top,
     yomdin_top_closed,
-    yomdin_zeta,
     yomdin_zeta_closed,
 )
 from .strata import ParseError, StrataFile, UndeclaredSymbol, parse_strata, render_strata
@@ -102,8 +100,7 @@ __all__ = [
     "veys_det_713", "jet_count_oracle",
     # resolution
     "Chain2D", "NotCoprime", "TetraReduced", "hj_resolve", "hj_stratification",
-    "YomdinParams", "yomdin_stratification", "yomdin_zeta", "yomdin_zeta_closed",
-    "yomdin_top", "yomdin_top_closed",
+    "YomdinParams", "yomdin_stratification", "yomdin_zeta_closed", "yomdin_top_closed",
     "tetra_stratification", "tetra_zeta_closed", "tetra_top_closed",
     # monodromy
     "CyclotomicProduct", "euler_phi", "yomdin_charpoly",

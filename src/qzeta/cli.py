@@ -69,19 +69,17 @@ def _notice(msg: str):
     print("notice: %s" % msg, file=sys.stderr)
 
 
-def _fractions(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("cannot read %r as a comma-separated rational vector" % text)
-
-
 def _fraction_arg(text: str) -> Fraction:
     """argparse type for one rational; a bad value is a usage error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text) from None
+
+
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    """argparse type for a comma-separated rational vector."""
+    return tuple(_fraction_arg(tok) for tok in text.split(","))
 
 
 def _add_view_flags(p: argparse.ArgumentParser, with_emit: bool = False):
@@ -166,11 +164,9 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
 
 def cmd_monomial(args) -> int:
     g = groups.parse_group_literal(args.group)
-    Nvec = _fractions(args.N)
-    nuvec = _fractions(args.nu)
     if args.allow_nonsmall and not groups.is_small(g):
         _notice("group is not small; quasi-reflexions contribute extra jets")
-    z = zetacore.local_monomial_zeta(g, Nvec, nuvec, allow_nonsmall=args.allow_nonsmall)
+    z = zetacore.local_monomial_zeta(g, args.N, args.nu, allow_nonsmall=args.allow_nonsmall)
     for line in _emit_zeta(args, z):
         print(line)
     return 0
@@ -188,11 +184,9 @@ def cmd_strata(args) -> int:
 
 def cmd_hj(args) -> int:
     chain = hj_resolve(args.d, args.a, args.b)
-    Nvec, nuvec = _fractions(args.N), _fractions(args.nu)
-    if len(Nvec) != 2 or len(nuvec) != 2:
+    if len(args.N) != 2 or len(args.nu) != 2:
         raise ValueError("hj needs two-entry --N and --nu vectors")
-    N1, N2 = Nvec
-    nu1, nu2 = nuvec
+    (N1, N2), (nu1, nu2) = args.N, args.nu
     strat = hj_stratification(chain, N1, N2, nu1, nu2)
     z = zetacore.stratified_zeta(strat)
     lines = _emit_zeta(args, z, None, strat)
@@ -311,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monomial", help="zeta of a monomial pair on C^n / G at the origin")
     p.add_argument("--group", required=True, help='group literal, e.g. "(2;1,1)"')
-    p.add_argument("--N", required=True, help="comma-separated multiplicities")
-    p.add_argument("--nu", required=True, help="comma-separated discrepancy shifts")
+    p.add_argument("--N", type=_fractions, required=True, help="comma-separated multiplicities")
+    p.add_argument("--nu", type=_fractions, required=True, help="comma-separated discrepancy shifts")
     p.add_argument("--allow-nonsmall", action="store_true", help="accept actions with quasi-reflexions")
     _add_view_flags(p)
     p.set_defaults(func=cmd_monomial)
@@ -327,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", default="1,1", help="multiplicities of x, y (default 1,1)")
-    p.add_argument("--nu", default="1,1", help="shifts of x, y (default 1,1)")
+    p.add_argument("--N", type=_fractions, default="1,1", help="multiplicities of x, y (default 1,1)")
+    p.add_argument("--nu", type=_fractions, default="1,1", help="shifts of x, y (default 1,1)")
     p.add_argument("--check", action="store_true", help="cross-check against the direct quotient formula")
     _add_view_flags(p, with_emit=True)
     p.set_defaults(func=cmd_hj)

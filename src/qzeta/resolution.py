@@ -18,7 +18,7 @@ from fractions import Fraction
 from .groups import GroupAction
 from .symring import MotPoly, Rat, TopZeta, ZetaExpr, fac
 from .tetra import TetraParams
-from .zetacore import Stratification, Stratum, infer_gindex, stratified_zeta
+from .zetacore import Stratification, Stratum, infer_gindex
 
 __all__ = [
     "NotCoprime",
@@ -27,9 +27,7 @@ __all__ = [
     "hj_stratification",
     "YomdinParams",
     "yomdin_stratification",
-    "yomdin_zeta",
     "yomdin_zeta_closed",
-    "yomdin_top",
     "yomdin_top_closed",
     "TetraReduced",
     "tetra_stratification",
@@ -242,11 +240,6 @@ def yomdin_stratification(y: YomdinParams) -> tuple[Stratification, dict[str, in
     return strat, {"C0": y.chi_c0, "C1": y.chi_c1}
 
 
-def yomdin_zeta(y: YomdinParams) -> ZetaExpr:
-    strat, _chi = yomdin_stratification(y)
-    return stratified_zeta(strat)
-
-
 def _cyclic_sum(d0: int, wvec, Nvec, nuvec) -> MotPoly:
     """Inline S-sum for a cyclic action, written directly from the ages:
     sum over t of L^( sum nu_j ((t w_j) mod d0) / d0 ) against T likewise.
@@ -317,13 +310,6 @@ def yomdin_zeta_closed(y: YomdinParams) -> ZetaExpr:
     )
     e1 = fE1 * chart1 * Lm3
     return e0 + e1
-
-
-def yomdin_top(y: YomdinParams) -> TopZeta:
-    strat, chi = yomdin_stratification(y)
-    from .symring import euler_specialize
-
-    return euler_specialize(stratified_zeta(strat), chi)
 
 
 def yomdin_top_closed(y: YomdinParams) -> TopZeta:

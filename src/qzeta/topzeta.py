@@ -3,8 +3,8 @@
 Euler specialization (L -> 1) turns each standard factor Fac(N; nu) into
 1/(N s + nu), so a zeta expression becomes a sum of rational functions
 of s whose denominators are products of linear factors.  :class:`TopZeta`
-keeps that structured sum together with its fully reduced single
-quotient.
+sums them over one common denominator and keeps only the reduced
+quotient, which equality and hashing read through one canonical form.
 
 The module also holds the two pieces of reduction that the rest of the
 package shares.  Dense polynomials are tuples of coefficients, constant
@@ -125,75 +125,74 @@ def _poly_of(denom: Iterable[tuple[LinFactor, int]]):
     return out
 
 
-class TopZeta:
-    """A univariate rational function of s assembled from Euler-specialized
-    zeta terms: a structured sum  sum c / prod (N s + nu)^m  plus the fully
-    reduced single quotient."""
+def _lowest_terms(numer, denom: Mapping[LinFactor, int]):
+    """numer / prod (N s + nu)^m reduced: (numer_red, denom_red)."""
+    numer, left = cancel(numer, denom, _divide_linear)
+    return numer, tuple(sorted(left.items()))
 
-    __slots__ = ("terms", "numer", "denom", "numer_red", "denom_red")
+
+class TopZeta:
+    """A univariate rational function of s, held only as its reduced
+    quotient: ``numer_red`` (dense, constant term first) over
+    ``denom_red``, sorted ((N, nu), m) pairs for prod (N s + nu)^m."""
+
+    __slots__ = ("numer_red", "denom_red")
 
     def __init__(self, terms: Iterable[tuple[Fraction, Mapping[LinFactor, int]]]):
+        """Sum c / prod (N s + nu)^m over the terms (c, {(N, nu): m}): each
+        term's share of the common denominator D is D / its own factors."""
         merged: dict[tuple, Fraction] = {}
         for c, lins in terms:
             key = tuple(sorted(Counter(lins).items()))
             merged[key] = merged.get(key, Fraction(0)) + Fraction(c)
-        self.terms = tuple(
-            (c, key) for key, c in sorted(merged.items()) if c != 0
-        )
+        kept = [(c, key) for key, c in merged.items() if c != 0]
         denom: Counter = Counter()
-        for _c, key in self.terms:
-            for f, m in key:
-                if m > denom[f]:
-                    denom[f] = m
-        self.denom = tuple(sorted(denom.items()))
+        for _c, key in kept:
+            denom |= Counter(dict(key))  # the largest positive multiplicity
+        D = _poly_of(denom.items())
         numer = ()
-        for c, key in self.terms:
-            own = Counter(dict(key))
-            part = (Fraction(c),)
-            for f, m in self.denom:
-                pw = m - own.get(f, 0)
-                for _ in range(pw):
+        for c, key in kept:
+            part = D
+            for f, m in key:
+                for _ in range(m):
+                    part = _divide_linear(part, f)
+                for _ in range(-m):
                     part = pmul(part, (f[1], f[0]))
-            numer = padd(numer, part)
-        self._reduce(numer, denom)
+            numer = padd(numer, [c * x for x in part])
+        self.numer_red, self.denom_red = _lowest_terms(numer, denom)
 
     @classmethod
     def from_quotient(cls, numer_coeffs, denom: Mapping[LinFactor, int]) -> "TopZeta":
-        """Build directly from a quotient (linear factors need N > 0)."""
+        """Build directly from a quotient (linear factors need N != 0).
+
+        Nothing in the package builds a quotient this way; it is the
+        reference constructor that the tests compare against."""
         tz = cls.__new__(cls)
-        tz.terms = ()
-        tz.denom = tuple(sorted(Counter(denom).items()))
-        tz._reduce(_pnorm([Fraction(x) for x in numer_coeffs]), denom)
+        numer = _pnorm([Fraction(x) for x in numer_coeffs])
+        tz.numer_red, tz.denom_red = _lowest_terms(numer, denom)
         return tz
 
-    def _reduce(self, numer, denom: Mapping[LinFactor, int]):
-        self.numer = numer
-        self.numer_red, left = cancel(numer, denom, _divide_linear)
-        self.denom_red = tuple(sorted(left.items()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TopZeta):
-            return NotImplemented
-        lhs = pmul(self.numer_red, _poly_of(other.denom_red))
-        rhs = pmul(other.numer_red, _poly_of(self.denom_red))
-        return lhs == rhs
-
-    def __hash__(self):
-        # Hash a canonical form of the reduced quotient, which __eq__
-        # compares by value: each linear factor scaled to primitive integer
-        # (N, nu), proportional factors merged, the numerator rescaled to
-        # match.  The reduced quotient is in lowest terms, so equal
-        # functions share this form.
+    def _canonical(self):
+        # The quotient is in lowest terms with no N = 0 factor, so making
+        # each factor a primitive integer (N, nu) with N > 0, merging
+        # proportional ones and rescaling the numerator is canonical.
         scale = Fraction(1)
         denom: Counter = Counter()
         for (N, nu), m in self.denom_red:
             k = math.lcm(N.denominator, nu.denominator)
             a, b = int(N * k), int(nu * k)
-            g = math.gcd(a, b)
+            g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
             denom[(a // g, b // g)] += m
             scale *= Fraction(k, g) ** m
-        numer = tuple(c * scale for c in self.numer_red)
-        return hash((numer, tuple(sorted(denom.items()))))
+        return tuple(c * scale for c in self.numer_red), tuple(sorted(denom.items()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TopZeta):
+            return NotImplemented
+        return self._canonical() == other._canonical()
+
+    def __hash__(self):
+        return hash(self._canonical())
 
     def eval_at(self, s0) -> Fraction:
         s0 = Fraction(s0)

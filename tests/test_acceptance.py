@@ -22,7 +22,7 @@ from qzeta.resolution import (
     hj_stratification,
     tetra_stratification,
     tetra_top_closed,
-    yomdin_top,
+    yomdin_stratification,
     yomdin_top_closed,
 )
 from qzeta.strata import parse_strata
@@ -178,7 +178,9 @@ def test_criterion_7_yomdin_sweep():
                     deg_ok = deg_ok and cp.degree() == (m - 1) ** 3 + k * (p - 1) * (
                         q - 1
                     )
-                    top_ok = top_ok and yomdin_top(y) == yomdin_top_closed(y)
+                    strat, chi = yomdin_stratification(y)
+                    top = euler_specialize(stratified_zeta(strat), chi)
+                    top_ok = top_ok and top == yomdin_top_closed(y)
                     orders = {
                         o
                         for M, _e in cp.factors

@@ -20,6 +20,7 @@ REMOVED = {
     "groups": ["age", "weight"],
     "monodromy": ["degree", "phi_multiplicity", "is_eigenvalue_pole"],
     "symring": ["eval_L", "ClassSymbol"],
+    "resolution": ["yomdin_zeta", "yomdin_top"],
 }
 
 

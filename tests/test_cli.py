@@ -241,21 +241,33 @@ def test_series_zero_denominator_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,option",
+    "argv,message",
     [
-        (["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "1", "--eval-L", "1/0"], "--eval-L"),
-        (["tetra", "--d", "3", "--q", "2", "--N", "1/0"], "--N"),
-        (["tetra", "--d", "3", "--q", "2", "--nu", "1/0"], "--nu"),
+        (["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "1", "--eval-L", "1/0"],
+         "qzeta monomial: error: argument --eval-L: invalid Fraction value: '1/0'"),
+        (["tetra", "--d", "3", "--q", "2", "--N", "1/0"],
+         "qzeta tetra: error: argument --N: invalid Fraction value: '1/0'"),
+        (["tetra", "--d", "3", "--q", "2", "--nu", "1/0"],
+         "qzeta tetra: error: argument --nu: invalid Fraction value: '1/0'"),
+        (["hj", "--d", "7", "--a", "1", "--b", "3", "--N", "1/0,1"],
+         "qzeta hj: error: argument --N: invalid Fraction value: '1/0'"),
+        (["hj", "--d", "7", "--a", "1", "--b", "3", "--nu", "1,x"],
+         "qzeta hj: error: argument --nu: invalid Fraction value: 'x'"),
+        (["monomial", "--group", "(2;1,1)", "--N", "1,1/0", "--nu", "1,1"],
+         "qzeta monomial: error: argument --N: invalid Fraction value: '1/0'"),
+        (["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", ",1"],
+         "qzeta monomial: error: argument --nu: invalid Fraction value: ''"),
     ],
-    ids=["eval-L", "tetra-N", "tetra-nu"],
+    ids=["eval-L", "tetra-N", "tetra-nu", "hj-N", "hj-nu", "monomial-N", "monomial-nu"],
 )
-def test_rational_option_zero_denominator_is_usage_error(capsys, argv, option):
+def test_rational_option_zero_denominator_is_usage_error(capsys, argv, message):
+    # a malformed rational, alone or in a vector, is a usage error
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: qzeta %s" % argv[0])
-    assert "argument %s: invalid Fraction value: '1/0'" % option in err
+    assert err.splitlines()[-1] == message
 
 
 def test_eval_L_beyond_float_range(capsys):

@@ -4,14 +4,16 @@ The hashes were recorded from the Fraction-keyed implementation of
 ``MotPoly`` before its exponents moved onto an integer lattice, the
 order-10^4 ``group --json`` one while ``json_obj`` still read its terms as
 Fractions, the two ``hj --d 1000`` ones while ``--series``/``--eval-L``
-and the printers still went through Fraction exponents, and the last two
-(a long-chain text ``hj --check`` and the large ``yomdin`` row) while
-``--check`` still folded the printed expression a second time, and the
-odd-root ``--eval-L -8`` pair and the error pins at the end while
-``--eval-L`` still split the series into one polynomial per T-column and
-took a root per column; any change to rendering, term order, reduction,
-evaluation, error precedence or JSON layout shows up here.  Each run takes
-well under two seconds.
+and the printers still went through Fraction exponents, the long-chain
+text ``hj --check`` and the large ``yomdin`` row while ``--check`` still
+folded the printed expression a second time, the odd-root ``--eval-L -8``
+pair and the error pins at the end while ``--eval-L`` still split the
+series into one polynomial per T-column and took a root per column, and
+the last one (a long-chain ``hj --euler --json``) while ``TopZeta`` still
+multiplied each term by every denominator factor it lacked and compared
+quotients by cross-multiplication; any change to rendering, term order,
+reduction, evaluation, error precedence or JSON layout shows up here.
+Each run takes well under two seconds.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ PINS = [
          "--eval-L", "-8", "--json"],
         2477,
         "9fdc04794b779727b14cc75587a51fda4a9e31d32c97b6f2b7010ae927678ee1",
+    ),
+    (
+        ["hj", "--d", "97", "--a", "1", "--b", "96", "--N", "2,3", "--nu", "1,2", "--euler",
+         "--json"],
+        49058,
+        "3f5883cd5469063d56356d9b11a3e2872585165ce720740ed90eccc406140c87",
     ),
 ]
 

@@ -17,9 +17,7 @@ from qzeta.resolution import (
     tetra_top_closed,
     tetra_zeta_closed,
     yomdin_stratification,
-    yomdin_top,
     yomdin_top_closed,
-    yomdin_zeta,
     yomdin_zeta_closed,
 )
 from qzeta.symring import TopZeta, euler_specialize, ze_equal
@@ -136,12 +134,14 @@ def test_yomdin_strata_shape():
 @pytest.mark.parametrize("params", [(3, 1, 2, 3, 3), (5, 2, 2, 5, 1)])
 def test_yomdin_two_routes_agree(params):
     y = YomdinParams(*params)
-    assert ze_equal(yomdin_zeta(y), yomdin_zeta_closed(y))
-    assert yomdin_top(y) == yomdin_top_closed(y)
+    strat, chi = yomdin_stratification(y)
+    assert ze_equal(stratified_zeta(strat), yomdin_zeta_closed(y))
+    assert euler_specialize(stratified_zeta(strat), chi) == yomdin_top_closed(y)
 
 
 def test_yomdin_top_value():
-    top = yomdin_top(YomdinParams(3, 1, 2, 3, 3))
+    strat, chi = yomdin_stratification(YomdinParams(3, 1, 2, 3, 3))
+    top = euler_specialize(stratified_zeta(strat), chi)
     want = TopZeta.from_quotient(
         [F(175, 3), F(319, 3), 46], {(1, 1): 1, (3, 5): 1, (24, 35): 1}
     )
