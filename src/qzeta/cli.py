@@ -14,12 +14,14 @@ the motivic zeta function and accept the shared view flags ``--euler``,
 ``--poles``, ``--series M``, ``--eval-L P`` (with ``--series``),
 ``--latex``, ``--json`` and, where a stratification is built,
 ``--emit-strata FILE``.  Exit status: 0 on success, 1 on a domain error
-(reported on stderr), 2 on a usage error.
+(reported on stderr) or when the reader closes stdout early (reported
+nowhere), 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -116,7 +118,12 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
     else:
         lines.append(str(ze_to_ratfunc(z)))
     if args.euler:
-        tz = euler_specialize(z, chi_env)
+        try:
+            tz = euler_specialize(z, chi_env)
+        except MissingChi as exc:
+            raise ValueError(
+                "--euler: no chi declared for the class symbol [%s]" % exc
+            ) from None
         if args.json:
             obj["euler"] = tz.json_obj()
         else:
@@ -133,14 +140,19 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
     if args.series is not None:
         ser = series_expand(z, args.series)
         if args.json:
-            obj["series"] = ser.json_obj()
+            obj["series"] = ser
         else:
             lines.append(
                 "series (T-order <= %s): %s" % (args.series, symring.render_poly(ser))
             )
         if args.eval_L is not None:
             P = args.eval_L
-            vals = ser.series_at_L(P)
+            try:
+                vals = ser.series_at_L(P)
+            except MissingChi as exc:
+                raise ValueError(
+                    "--eval-L: the class symbol [%s] has no value at L = %s" % (exc, P)
+                ) from None
             if args.json:
                 obj["series_at_L"] = [
                     {"T": _frac_json(t), "value": _frac_json(v)} for t, v in vals
@@ -274,8 +286,8 @@ def cmd_group(args) -> int:
                     "small": small,
                     "reduced": groups.group_literal(reduced),
                     "m": list(m),
-                    "gor_measure": gor.json_obj(),
-                    "orb_measure": orb.json_obj(),
+                    "gor_measure": gor,
+                    "orb_measure": orb,
                 }
             )
         )
@@ -362,7 +374,14 @@ def main(argv=None) -> int:
     if getattr(args, "eval_L", None) is not None and getattr(args, "series", None) is None:
         ap.error("--eval-L needs --series")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed early (``qzeta ... | head``).  Point stdout at
+        # devnull, so that the flush at shutdown does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

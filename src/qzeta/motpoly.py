@@ -510,6 +510,8 @@ class MotPoly:
         return latex_poly(self)
 
     def json_obj(self):
+        """The terms as JSON-ready dicts, in canonical order.  The CLI writes
+        the same data as text with :func:`qzeta.symring.json_poly`."""
         terms, r = self.lattice()
 
         def frac(x: int) -> dict:

@@ -591,5 +591,44 @@ def latex_zeta(z: ZetaExpr) -> str:
     return " + ".join(chunks)
 
 
-def json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+def json_poly(p: MotPoly) -> str:
+    """The JSON text of ``p.json_obj()``, written in one pass over the
+    integer keys with no intermediate objects.  The ``{"den": d, "num": n}``
+    fragment of each exponent x/r is memoised on x, and ``syms`` goes
+    through :func:`json.dumps`, so symbol names are escaped as it escapes
+    them."""
+    terms, r = p.lattice()
+    fracs: dict[int, str] = {}
+
+    def frac(x: int) -> str:
+        s = fracs.get(x)
+        if s is None:
+            num, den = reduce_exp(x, r)
+            s = fracs[x] = '{"den": %d, "num": %d}' % (den, num)
+        return s
+
+    return "[%s]" % ", ".join(
+        '{"L": %s, "T": %s, "c": %d, "syms": %s}'
+        % (frac(l), frac(t), c, json.dumps(dict(syms), sort_keys=True) if syms else "{}")
+        for (t, l, syms), c in terms
+    )
+
+
+def json_dump(obj: dict) -> str:
+    """A top-level dict as one line of JSON, keys in sorted order.
+
+    A :class:`MotPoly` value is written by :func:`json_poly`, every other
+    value by :func:`json.dumps` with sorted keys.  The text is byte-identical
+    to ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
+    polynomial replaced by its ``json_obj()``.
+    """
+    return "{%s}" % ", ".join(
+        "%s: %s"
+        % (
+            json.dumps(k),
+            json_poly(v)
+            if isinstance(v, MotPoly)
+            else json.dumps(v, sort_keys=True, separators=(", ", ": ")),
+        )
+        for k, v in sorted(obj.items())
+    )

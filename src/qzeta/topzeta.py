@@ -163,10 +163,17 @@ class TopZeta:
 
     @classmethod
     def from_quotient(cls, numer_coeffs, denom: Mapping[LinFactor, int]) -> "TopZeta":
-        """Build directly from a quotient (linear factors need N != 0).
+        """Build directly from a quotient (linear factors need N != 0 and
+        multiplicities m >= 0; a negative one raises ValueError).
 
         Nothing in the package builds a quotient this way; it is the
         reference constructor that the tests compare against."""
+        for (N, nu), m in sorted(denom.items()):
+            if m < 0:
+                raise ValueError(
+                    "from_quotient needs multiplicities >= 0, got %d for (N, nu) = (%s, %s)"
+                    % (m, N, nu)
+                )
         tz = cls.__new__(cls)
         numer = _pnorm([Fraction(x) for x in numer_coeffs])
         tz.numer_red, tz.denom_red = _lowest_terms(numer, denom)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import qzeta
 from qzeta.cli import main
 from qzeta.symring import RatFunc, ZetaExpr
 
@@ -319,3 +324,31 @@ def test_check_shares_the_printed_fold(capsys, monkeypatch):
         assert rc == 0 and "EQUAL" in out
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "argv,keep",
+    [
+        # 1.6 MB on one line, more than any pipe buffer: the write fails
+        # while the program is still printing, as under ``| head -c 100``
+        (["group", "(10000;1,3,7)", "--json"], 100),
+        # a few lines that sit in stdout's buffer: the write fails when
+        # the buffer is flushed
+        (["group", "(4;1,2)"], 0),
+    ],
+    ids=["large", "small"],
+)
+def test_closed_pipe_exits_quietly(argv, keep):
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(qzeta.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "qzeta.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(keep)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert len(head) == keep and head.startswith(b'{"exponent": 10000, "gor_measure": ['[:keep])
+    assert err == b""

@@ -11,9 +11,12 @@ pair and the error pins at the end while ``--eval-L`` still split the
 series into one polynomial per T-column and took a root per column, and
 the last one (a long-chain ``hj --euler --json``) while ``TopZeta`` still
 multiplied each term by every denominator factor it lacked and compared
-quotients by cross-multiplication; any change to rendering, term order,
-reduction, evaluation, error precedence or JSON layout shows up here.
-Each run takes well under two seconds.
+quotients by cross-multiplication.  The two after it (class symbols in
+``yomdin --json``, and a non-ASCII symbol name in ``strata --json``) were
+recorded while ``--json`` still built a dict per term and handed it to
+``json.dumps``.  Any change to rendering, term order, reduction,
+evaluation, error precedence or JSON layout shows up here.  Each run takes
+well under two seconds.
 """
 
 from __future__ import annotations
@@ -23,6 +26,15 @@ import hashlib
 import pytest
 
 from qzeta.cli import main
+
+# A class symbol whose name is not ASCII: JSON escapes it as \u00e9.
+ACCENTED = """\
+dimension = 2
+gindex = 2
+symbol C\u00e90 chi = -1
+stratum { class = L - 1 ; N = [1/2, 0] ; nu = [1/2, 1] ; group = (1; 0,0) }
+stratum { class = [C\u00e90] ; N = [1, 1] ; nu = [1, 1] ; group = (1; 0,0) }
+"""
 
 PINS = [
     (
@@ -111,12 +123,32 @@ PINS = [
         49058,
         "3f5883cd5469063d56356d9b11a3e2872585165ce720740ed90eccc406140c87",
     ),
+    (
+        ["yomdin", "--m", "9", "--k", "2", "--p", "2", "--q", "3", "--a", "1", "--series", "3",
+         "--euler", "--poles", "--json"],
+        3113,
+        "366b6935a30251e00210bf2bba6f0585b75558a768086ac6ee7eedb3a21013db",
+    ),
+    (
+        ["strata", ACCENTED, "--series", "3", "--json"],
+        2417,
+        "34a928b69a93f21ddeb6c586d08866ce9c274393dc5dd7b4055c162f1bc9e5d0",
+    ),
 ]
 
 
+def _with_file(tmp_path, argv):
+    """argv with a strata command's inline file text written to a temp file."""
+    if argv[0] != "strata":
+        return argv
+    path = tmp_path / "pinned.strata"
+    path.write_text(argv[1], encoding="utf-8")
+    return ["strata", str(path)] + argv[2:]
+
+
 @pytest.mark.parametrize("argv,size,digest", PINS, ids=[p[0][0] + "-" + str(i) for i, p in enumerate(PINS)])
-def test_cli_stdout_pinned(capsys, argv, size, digest):
-    assert main(argv) == 0
+def test_cli_stdout_pinned(capsys, tmp_path, argv, size, digest):
+    assert main(_with_file(tmp_path, argv)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert len(out) == size
     assert hashlib.sha256(out).hexdigest() == digest
@@ -133,7 +165,8 @@ stratum { class = [C0] ; N = [1, 1] ; nu = [1, 1] ; group = (1; 0,0) }
 """
 
 # --eval-L failures: exit status 1, nothing on stdout, and the error of the
-# first term, in ascending T order, that has no value.
+# first term, in ascending T order, that has no value.  A class symbol has
+# no value at L = P; under --euler, one without a declared chi is refused.
 ERROR_PINS = [
     (
         ["hj", "--d", "1000", "--a", "1", "--b", "3", "--N", "3,5", "--nu", "2,7", "--check",
@@ -144,10 +177,14 @@ ERROR_PINS = [
         ["hj", "--d", "7", "--a", "1", "--b", "3", "--series", "2", "--eval-L", "0"],
         "error: Fraction(1, 0)\n",
     ),
-    (["strata", MISSING_CHI, "--series", "2", "--eval-L", "4"], "error: C0\n"),
+    (
+        ["strata", MISSING_CHI, "--series", "2", "--eval-L", "4"],
+        "error: --eval-L: the class symbol [C0] has no value at L = 4\n",
+    ),
     (["strata", MISSING_CHI, "--series", "2", "--eval-L", "2"], "error: 2 has no exact rational 2-th root\n"),
     (["strata", MISSING_CHI, "--series", "2", "--eval-L", "-4"], "error: -4 has no exact rational 2-th root\n"),
     (["strata", MISSING_CHI, "--series", "2", "--eval-L", "0"], "error: Fraction(1, 0)\n"),
+    (["strata", MISSING_CHI, "--euler"], "error: --euler: no chi declared for the class symbol [C0]\n"),
 ]
 
 
@@ -155,9 +192,5 @@ ERROR_PINS = [
     "argv,stderr", ERROR_PINS, ids=["%s-%s" % (p[0][0], p[0][-1]) for p in ERROR_PINS]
 )
 def test_cli_eval_L_error_pinned(capsys, tmp_path, argv, stderr):
-    if argv[0] == "strata":
-        path = tmp_path / "missing_chi.strata"
-        path.write_text(argv[1], encoding="utf-8")
-        argv = ["strata", str(path)] + argv[2:]
-    assert main(argv) == 1
+    assert main(_with_file(tmp_path, argv)) == 1
     assert capsys.readouterr() == ("", stderr)

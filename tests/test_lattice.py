@@ -11,6 +11,7 @@ they worked on Fraction exponents, one exact power per monomial.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -22,6 +23,8 @@ from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
     MotPoly,
+    json_dump,
+    json_poly,
     latex_poly,
     render_poly,
     render_poly_factored,
@@ -226,6 +229,79 @@ def test_json_obj_matches_fraction_reference():
         {"c": 4, "L": {"num": 5, "den": 3}, "T": {"num": -1, "den": 2}, "syms": {"C": 1}},
         {"c": -1, "L": {"num": 0, "den": 1}, "T": {"num": 0, "den": 1}, "syms": {}},
     ]
+
+
+def _json_text(p: MotPoly) -> str:
+    """The JSON text of p as the dict route writes it."""
+    return json.dumps(p.json_obj(), sort_keys=True, separators=(", ", ": "))
+
+
+# ASCII and non-ASCII class symbol names; all pass str.isalnum, as strata
+# files require, and the last one lies outside the Basic Multilingual Plane.
+_NAMES = ("a", "C0", "C\u00e90", "\u03a9", "\u6570x", "E\U0001d7d8")
+
+
+def test_json_poly_matches_dict_route():
+    rng = random.Random(53)
+    for _ in range(150):
+        a, b = _rand_poly(rng, neg=True), _rand_poly(rng, neg=True)
+        for _ in range(rng.randint(0, 2)):
+            a = a + MotPoly.sym(rng.choice(_NAMES), rng.choice((-1, 1, 2))) * _rand_poly(rng, 3)
+        r = rng.choice((1, 4, 15, 60))
+        # one polynomial read off a lattice finer than its exponents need
+        fine = MotPoly.from_lattice({(t * r, l * r, s): c for (t, l, s), c in a.lattice()[0]}, a.scale * r)
+        for p in (a, b, a + b, a * b, fine, fine * b - a, a**3):
+            assert json_poly(p) == _json_text(p)
+    assert json_poly(MotPoly.zero()) == _json_text(MotPoly.zero()) == "[]"
+    p = MotPoly.from_lattice({(-3, 10, (("C\u00e90", 1), ("b", -2))): 4, (0, 0, ()): -1}, 6)
+    assert json_poly(p) == (
+        '[{"L": {"den": 3, "num": 5}, "T": {"den": 2, "num": -1}, "c": 4, '
+        '"syms": {"C\\u00e90": 1, "b": -2}}, '
+        '{"L": {"den": 1, "num": 0}, "T": {"den": 1, "num": 0}, "c": -1, "syms": {}}]'
+    )
+
+
+def test_json_dump_matches_json_dumps():
+    p = MotPoly.from_lattice({(-3, 10, (("C\u00e90", 1),)): 4, (0, 0, ()): -1}, 6)
+    obj = {
+        "series": p,
+        "zero": MotPoly.zero(),
+        "a": [1, {"z": True, "y": None}],
+        "\u00e9": "C\u00e90",
+        "kind": {"num": -1, "den": 3},
+    }
+    want = {k: v.json_obj() if isinstance(v, MotPoly) else v for k, v in obj.items()}
+    assert json_dump(obj) == json.dumps(want, sort_keys=True, separators=(", ", ": "))
+    assert json_dump({}) == "{}"
+
+
+def test_json_poly_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = st.one_of(
+        st.sampled_from(_NAMES),
+        st.text(st.characters(categories=("Lu", "Ll", "Lo", "Nd")), min_size=1, max_size=3),
+    )
+    symmonos = st.dictionaries(names, st.sampled_from((-2, -1, 1, 3)), max_size=2).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    coeffs = st.one_of(st.integers(-5, 5), st.integers(-(10**30), 10**30)).filter(bool)
+    exps = st.integers(-40, 40)
+    polys = st.builds(
+        lambda r, terms: MotPoly.from_lattice({(t, l, s): c for t, l, s, c in terms}, r),
+        st.sampled_from((1, 2, 3, 6, 7, 12, 35)),
+        st.lists(st.tuples(exps, exps, symmonos, coeffs), max_size=8),
+    )
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(polys)
+    def check(p):
+        assert json_poly(p) == _json_text(p)
+        assert json_dump({"p": p, "n": len(p), "r": p.scale}) == json.dumps(
+            {"p": p.json_obj(), "n": len(p), "r": p.scale}, sort_keys=True, separators=(", ", ": ")
+        )
+
+    check()
 
 
 # ---------------------------------------------------------------------------

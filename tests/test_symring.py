@@ -495,13 +495,24 @@ def test_dense_helpers_match_reference():
 
 def test_topzeta_reduction_matches_reference():
     rng = random.Random(42)
-    reduced = 0
+    reduced = refused = 0
     for _ in range(300):
         numer = _rand_spoly(rng, rng.randint(0, 3))
         for _ in range(rng.randint(0, 3)):
             N, nu = rng.choice(_LINS)
             numer = _ref_pmul(numer, (nu, N))
         denom = {f: rng.randint(-1, 3) for f in rng.sample(_LINS, rng.randint(0, 4))}
+        negative = sorted(f for f, m in denom.items() if m < 0)
+        if negative:
+            # a negative multiplicity is refused, naming the first such factor
+            N, nu = negative[0]
+            assert _outcome(_reduced, numer, denom) == (
+                "ValueError",
+                "from_quotient needs multiplicities >= 0, got -1 for (N, nu) = (%s, %s)" % (N, nu),
+            )
+            refused += 1
+            # the same quotient without those factors still reduces
+            denom = {f: m for f, m in denom.items() if m >= 0}
         tz = TopZeta.from_quotient(numer, denom)
         assert (tz.numer_red, tz.denom_red) == _ref_topzeta_reduce(numer, denom)
         reduced += tz.numer_red != numer
@@ -514,7 +525,7 @@ def test_topzeta_reduction_matches_reference():
         tz = TopZeta(terms)
         ref_numer, ref_denom = _ref_topzeta_numer(terms)
         assert (tz.numer_red, tz.denom_red) == _ref_topzeta_reduce(ref_numer, ref_denom)
-    assert reduced > 50
+    assert reduced > 50 and refused > 50
 
 
 def test_topzeta_reduction_edge_cases():
