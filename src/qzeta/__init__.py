@@ -3,7 +3,6 @@ on abelian quotient singularities, with resolution-based cross-checks."""
 
 from .groups import (
     GroupAction,
-    GroupElement,
     NotSmall,
     SizeLimit,
     group_literal,
@@ -86,7 +85,7 @@ __all__ = [
     "euler_specialize",
     "render_poly", "render_poly_factored", "render_zeta",
     # groups
-    "GroupAction", "GroupElement", "NotSmall", "SizeLimit",
+    "GroupAction", "NotSmall", "SizeLimit",
     "is_small", "small_reduce",
     "parse_group_literal", "group_literal",
     # tetra

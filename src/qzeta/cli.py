@@ -49,6 +49,7 @@ from .symring import (
     ze_equal,
     ze_to_ratfunc,
 )
+from .topzeta import frac_json
 
 DOMAIN_ERRORS = (
     ValueError,
@@ -95,10 +96,6 @@ def _add_view_flags(p: argparse.ArgumentParser, with_emit: bool = False):
         p.add_argument("--emit-strata", metavar="FILE", help="write the stratification in the strata-file format")
 
 
-def _frac_json(x: Fraction):
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def _check(z: ZetaExpr, other: ZetaExpr, label: str) -> tuple[str, int]:
     """The --check line comparing z with its second route, and the exit status."""
     if ze_equal(z, other):
@@ -131,7 +128,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
     if args.poles:
         ps = sorted(candidate_poles(z))
         if args.json:
-            obj["poles"] = [_frac_json(x) for x in ps]
+            obj["poles"] = [frac_json(x) for x in ps]
         else:
             lines.append(
                 "candidate poles: %s"
@@ -155,7 +152,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
                 ) from None
             if args.json:
                 obj["series_at_L"] = [
-                    {"T": _frac_json(t), "value": _frac_json(v)} for t, v in vals
+                    {"T": frac_json(t), "value": frac_json(v)} for t, v in vals
                 ]
             else:
                 lines.append("series at L = %s:" % P)

@@ -184,8 +184,6 @@ class MotPoly:
         """
         return sorted(self._terms.items()), self._r
 
-    items = terms
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, MotPoly):

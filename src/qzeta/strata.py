@@ -384,7 +384,7 @@ def render_strata(strat: Stratification, chi_env: dict[str, int] | None = None) 
     chi_env = chi_env or {}
     names = set(chi_env)
     for st in strat.strata:
-        for (_tau, _ell, syms), _c in st.klass.items():
+        for (_tau, _ell, syms), _c in st.klass.terms():
             for name, _e in syms:
                 names.add(name)
     lines = ["dimension = %d" % strat.n, "gindex = %d" % strat.r]

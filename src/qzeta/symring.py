@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .motpoly import FractionalPowerUnevaluable, LatKey, MissingChi, MotPoly, reduce_exp
-from .topzeta import TopZeta, cancel, frac_latex
+from .topzeta import TopZeta, _lin_latex, cancel, frac_json, frac_latex
 
 Rat = Fraction
 
@@ -253,11 +253,7 @@ class ZetaExpr:
                 {
                     "coeff": coeff.json_obj(),
                     "factors": [
-                        {
-                            "N": {"num": f.N.numerator, "den": f.N.denominator},
-                            "nu": {"num": f.nu.numerator, "den": f.nu.denominator},
-                            "mult": m,
-                        }
+                        {"N": frac_json(f.N), "nu": frac_json(f.nu), "mult": m}
                         for f, m in sorted(cnt.items())
                     ],
                 }
@@ -320,19 +316,12 @@ class RatFunc:
         num = render_poly_factored(self.numer)
         if not self.denom:
             return num
-        den = " * ".join(
-            "(1 - %s)%s"
-            % (
-                " * ".join(
-                    ([_pow_str("L", -f.nu.numerator, f.nu.denominator)] if f.nu else [])
-                    + ([_pow_str("T", f.N.numerator, f.N.denominator)] if f.N else [])
-                )
-                or "1",
-                "" if m == 1 else "^%d" % m,
-            )
-            for f, m in self.denom
-        )
-        return "(%s) / (%s)" % (num, den)
+        parts = []
+        for f, m in self.denom:
+            r, n, v = f._lattice()
+            mono = _mono_str((n, -v, ()), 1, True, _lattice_pow_str(r))
+            parts.append("(1 - %s)%s" % (mono, "" if m == 1 else "^%d" % m))
+        return "(%s) / (%s)" % (num, " * ".join(parts))
 
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
@@ -562,8 +551,7 @@ def latex_poly(p: MotPoly) -> str:
 def _lin_exp_latex(f: StdFactor) -> str:
     if f.N == 0:
         return frac_latex(f.nu)
-    np = "s" if f.N == 1 else "%ss" % frac_latex(f.N)
-    return "%s+%s" % (np, frac_latex(f.nu))
+    return _lin_latex((f.N, f.nu))
 
 
 def latex_zeta(z: ZetaExpr) -> str:

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["LinFactor", "TopZeta", "cancel", "frac_latex", "padd", "pdiv", "pmul"]
+__all__ = ["LinFactor", "TopZeta", "cancel", "frac_json", "frac_latex", "padd", "pdiv", "pmul"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
@@ -230,16 +230,10 @@ class TopZeta:
     def json_obj(self):
         return {
             "kind": "topzeta",
-            "numer": [
-                {"num": c.numerator, "den": c.denominator} for c in self.numer_red
-            ],
+            "numer": [frac_json(c) for c in self.numer_red],
             "denom": [
-                {
-                    "N": {"num": f[0].numerator, "den": f[0].denominator},
-                    "nu": {"num": f[1].numerator, "den": f[1].denominator},
-                    "mult": m,
-                }
-                for f, m in self.denom_red
+                {"N": frac_json(N), "nu": frac_json(nu), "mult": m}
+                for (N, nu), m in self.denom_red
             ],
         }
 
@@ -259,6 +253,10 @@ class TopZeta:
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def frac_json(x: Fraction) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def frac_latex(x: Fraction) -> str:

@@ -80,8 +80,7 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     kN = tuple(x.numerator * (D // x.denominator) for x in Nvec)
     knu = tuple(x.numerator * (D // x.denominator) for x in nuvec)
     acc: dict = {}
-    for gamma in g.elements():
-        eps = gamma.eps
+    for eps in g.elements():
         key = (
             -sum(k * e for k, e in zip(kN, eps)),
             sum(k * e for k, e in zip(knu, eps)),
@@ -241,8 +240,8 @@ def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> Mo
         reduced, _m = small_reduce(g)
     r = reduced.d_exp
     acc: dict = {}
-    for gamma in reduced.elements():
-        key = (0, sum(gamma.eps) - g.n * r, ())
+    for eps in reduced.elements():
+        key = (0, sum(eps) - g.n * r, ())
         acc[key] = acc.get(key, 0) + 1
     return MotPoly.from_lattice(acc, r)
 
@@ -252,8 +251,8 @@ def orb_measure_origin(g: GroupAction) -> MotPoly:
     action, where w counts zero exponents at full weight."""
     r = g.d_exp
     acc: dict = {}
-    for gamma in g.elements():
-        key = (0, -sum(e or r for e in gamma.eps), ())
+    for eps in g.elements():
+        key = (0, -sum(e or r for e in eps), ())
         acc[key] = acc.get(key, 0) + 1
     return MotPoly.from_lattice(acc, r)
 

@@ -17,7 +17,7 @@ MODULES = [
 
 # One-line wrappers of methods, and names nothing called, that were removed.
 REMOVED = {
-    "groups": ["age", "weight"],
+    "groups": ["age", "weight", "GroupElement"],
     "monodromy": ["degree", "phi_multiplicity", "is_eigenvalue_pole"],
     "symring": ["eval_L", "ClassSymbol"],
     "resolution": ["yomdin_zeta", "yomdin_top"],
@@ -51,7 +51,6 @@ def test_removed_names_are_gone():
         for attr in attrs:
             assert attr not in mod.__all__ and not hasattr(mod, attr), (name, attr)
             assert attr not in qzeta.__all__ and not hasattr(qzeta, attr), attr
-    assert not hasattr(qzeta.groups.GroupElement, "is_identity")
     assert not hasattr(qzeta.cli, "_series_values")
     # the CLI values a series with MotPoly.series_at_L, not per T-column
     assert not hasattr(qzeta.motpoly.MotPoly, "split_T")

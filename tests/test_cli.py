@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -203,6 +204,23 @@ def test_group_json(capsys):
     assert obj["small"] is False
     assert obj["reduced"] == "(2; 1,1)"
     assert obj["m"] == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["group", "(1000,1000;1,0;0,1)"], "error: refusing to enumerate 1000000 tuples\n"),
+        (["tetra", "--d", "300", "--q", "299", "--stringy"], "error: group order 270000 over the limit\n"),
+    ],
+    ids=["group", "tetra"],
+)
+def test_size_budget_refuses_before_enumerating(capsys, argv, err):
+    # both lie under the older bounds (10^7 and 10^6), where they ran for
+    # seconds to minutes; the refusal comes before any element is made
+    t0 = time.perf_counter()
+    rc, out, got = run(capsys, argv)
+    assert (rc, out, got) == (1, "", err)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_emit_strata_roundtrip(capsys, tmp_path):

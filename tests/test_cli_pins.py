@@ -14,7 +14,10 @@ multiplied each term by every denominator factor it lacked and compared
 quotients by cross-multiplication.  The two after it (class symbols in
 ``yomdin --json``, and a non-ASCII symbol name in ``strata --json``) were
 recorded while ``--json`` still built a dict per term and handed it to
-``json.dumps``.  Any change to rendering, term order, reduction,
+``json.dumps``.  The last two (a non-small rank-3 ``group``, whose
+``reduced:`` line is the greedy two-generator presentation) were recorded
+while group elements were objects and every subgroup was closed by a
+breadth-first search.  Any change to rendering, term order, reduction,
 evaluation, error precedence or JSON layout shows up here.  Each run takes
 well under two seconds.
 """
@@ -133,6 +136,16 @@ PINS = [
         ["strata", ACCENTED, "--series", "3", "--json"],
         2417,
         "34a928b69a93f21ddeb6c586d08866ce9c274393dc5dd7b4055c162f1bc9e5d0",
+    ),
+    (
+        ["group", "(10,18,19;7,5,2;6,2,13;6,14,8)"],
+        41183,
+        "0b50d0bb823c4cca959650add93dd973728324628a617f8c321113020831bdcc",
+    ),
+    (
+        ["group", "(10,18,19;7,5,2;6,2,13;6,14,8)", "--json"],
+        203615,
+        "44f6b864aa7a49c9e6e24f675996bf552056ae8c2e1285dbb3c37214869031e4",
     ),
 ]
 

@@ -38,6 +38,22 @@ def test_order_formula():
             assert len(t.elements) == 3 * d**3 // dp
 
 
+def test_elements_match_the_parametrisation():
+    # every diag(xi^(jq+k), xi^(i+kq), xi^(iq+j)) with every shift, by brute force
+    for d in range(1, 13):
+        for q in range(d) if d > 1 else (0,):
+            if math.gcd(d, q) != 1:
+                continue
+            want = {
+                (a, ((j * q + k) % d, (i + k * q) % d, (i * q + j) % d))
+                for i in range(d)
+                for j in range(d)
+                for k in range(d)
+                for a in range(3)
+            }
+            assert build_tetra(d, q).elements == tuple(sorted(want))
+
+
 def test_group_axioms_spot():
     rng = random.Random(9)
     t = build_tetra(5, 4)

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer wraps named methods from outside the package.
+
+Tier-1 does not run ``perfbench/``, so a method the tracer wraps could be
+deleted or moved to a base class with every other test still passing, and
+the benchmark would fail only once the tracer is installed.  These tests
+load ``perfbench/tracer.py`` by path, without changing it, and check what
+it reads.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from qzeta.groups import GroupAction
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    # exec the source text, so that no bytecode cache is written beside it
+    mod = types.ModuleType("_perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(mod))
+    return mod
+
+
+TRACED = [
+    (mname, cname, meth)
+    for mname, classes in _tracer().METHODS.items()
+    for cname, methods in classes.items()
+    for meth in methods
+]
+
+
+@pytest.mark.parametrize("mname,cname,meth", TRACED, ids=[".".join(t) for t in TRACED])
+def test_traced_method_is_in_its_class_body(mname, cname, meth):
+    # the tracer replaces vars(cls)[meth], so an inherited method will not do
+    cls = getattr(importlib.import_module("qzeta." + mname), cname)
+    assert meth in vars(cls), "%s.%s.%s" % (mname, cname, meth)
+
+
+def test_group_action_keeps_the_elements_slot():
+    # the enumeration hook counts only calls that find _elements unset
+    assert "_elements" in GroupAction.__slots__
+    g = GroupAction.cyclic(5, (1, 2))
+    assert g._elements is None
+    assert len(g.elements()) == 5 and g._elements is not None

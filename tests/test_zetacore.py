@@ -42,7 +42,7 @@ def test_s_g_sum_713_pairs():
         aN = F(e1 * N1 + e2 * N2, 7)
         anu = F(e1 * nu1 + e2 * nu2, 7)
         pairs.add((-aN, anu, ()))
-    assert set(dict(s.items())) == pairs
+    assert set(dict(s.terms())) == pairs
     assert len(s) == 7
 
 
