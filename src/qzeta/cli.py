@@ -237,6 +237,9 @@ def cmd_yomdin(args) -> int:
 def cmd_tetra(args) -> int:
     t = tetra.TetraParams(args.d, args.q)
     if args.stringy:
+        # (d, q) alone decide smallness; refuse before the group is built
+        if not t.is_small_formula:
+            raise groups.NotSmall("G(%d, %d) has quasi-reflexions" % (t.d, t.q))
         grp = tetra.build_tetra(args.d, args.q)
         st = tetra.stringy_euler_tetra(grp)
         cc = tetra.conjugacy_count(grp)

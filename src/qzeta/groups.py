@@ -102,7 +102,12 @@ class GroupAction:
         cls, vectors: Iterable[tuple[int, ...]], d_exp: int, n: int
     ) -> "GroupAction":
         """Present an explicit subgroup by a greedy generating set: in
-        sorted order, each vector not yet in the span becomes a generator."""
+        sorted order, each vector not yet in the span becomes a generator.
+
+        The action is stored over the subgroup's exact exponent, which may
+        be a proper divisor of ``d_exp``: ``from_elements([(2,)], 4, 1)``
+        is the action of type (2; 1).
+        """
         want = {tuple(v % d_exp for v in vec) for vec in vectors}
         want.add((0,) * n)
         gens: list[tuple[int, ...]] = []
@@ -127,7 +132,9 @@ class GroupAction:
         # of the greedy orders can exceed its order many times over.
         act = cls.__new__(cls)
         act._set(tuple(orders), tuple(rows), n)
-        assert set(act.elements()) == want
+        # on the exact exponent act.d_exp, each vector of want is divided by step
+        step = d_exp // act.d_exp
+        assert set(act.elements()) == {tuple(x // step for x in vec) for vec in want}
         return act
 
     # -- enumeration -------------------------------------------------------
@@ -151,7 +158,15 @@ class GroupAction:
         return len(self.elements())
 
     def exponent(self) -> int:
-        return self.canonical()[0]
+        """The least common multiple of the element orders.
+
+        Every element is a sum of multiples of the generators, so the gcd
+        of d_exp with all element entries is its gcd with the generator
+        entries, each row scaled by d_exp // order; no element is made.
+        """
+        d = self.d_exp
+        gens = (a * (d // order) for order, row in zip(self.orders, self.rows) for a in row)
+        return d // math.gcd(d, *gens)
 
     def canonical(self) -> tuple[int, frozenset]:
         """(exponent, exponent vectors rescaled to it) -- presentation-free."""

@@ -66,6 +66,11 @@ def _rat(x) -> Fraction | int:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is passed through, not copied."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _rescale(terms: dict[LatKey, int], m: int) -> dict[LatKey, int]:
     """The same terms on a lattice m times finer."""
     return {(t * m, l * m, s): c for (t, l, s), c in terms.items()}
@@ -455,19 +460,38 @@ class MotPoly:
         one-variable cumulative-sum quotient, exact iff the class
         coefficients sum to zero.  A direction off the polynomial's
         lattice moves the quotient onto the finer common lattice.
+
+        Most divisions the fold tries fail, so one cheap pass rejects first.
+        With the direction written as integers ``(tx, lx)`` over its own
+        common denominator, the form ``t*lx - l*tx`` is constant along the
+        direction, so each translation class lies on one level of it (and
+        on one symbol monomial).  A level's coefficient sum is the sum of
+        its classes' sums; if one is nonzero, some class sum is too, and
+        the quotient is not exact.  The pass reads the polynomial's own
+        keys, before any rescale or class is made.  Zero level sums are
+        necessary only: the classes are still walked.
         """
         tau_x, ell_x = _rat(tau_x), _rat(ell_x)
-        if tau_x == 0 and ell_x == 0:
+        tn, td = tau_x.numerator, tau_x.denominator
+        ln, ld = ell_x.numerator, ell_x.denominator
+        if not tn and not ln:
             raise ValueError("division by 1 - 1 is undefined")
         if not self._terms:
             return MotPoly.zero()
         terms, r = self._terms, self._r
-        dx = math.lcm(tau_x.denominator, ell_x.denominator)
+        dx = math.lcm(td, ld)
+        tx, lx = tn * (dx // td), ln * (dx // ld)
+        levels: dict = {}  # level, or (level, symbols) when there are symbols
+        get = levels.get
+        for (t, l, s), c in terms.items():
+            key = (t * lx - l * tx, s) if s else t * lx - l * tx
+            levels[key] = get(key, 0) + c
+        if any(levels.values()):
+            return None
         if r % dx:
             m = dx // math.gcd(r, dx)
             terms, r = _rescale(terms, m), r * m
-        tx = tau_x.numerator * (r // tau_x.denominator)
-        lx = ell_x.numerator * (r // ell_x.denominator)
+        tx, lx = tn * (r // td), ln * (r // ld)
         classes: dict[LatKey, dict[int, int]] = {}
         for (t, l, s), c in terms.items():
             j = t // tx if tx else l // lx

@@ -24,6 +24,7 @@ equality of zeta expressions is decided by exact cross-multiplication.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -31,7 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .motpoly import FractionalPowerUnevaluable, LatKey, MissingChi, MotPoly, reduce_exp
+from .motpoly import (
+    FractionalPowerUnevaluable,
+    LatKey,
+    MissingChi,
+    MotPoly,
+    _fraction,
+    _mul_syms,
+    reduce_exp,
+)
 from .topzeta import TopZeta, _lin_latex, cancel, frac_json, frac_latex
 
 Rat = Fraction
@@ -57,55 +66,86 @@ __all__ = [
 # standard factors and zeta expressions
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True, eq=False)
 class StdFactor:
-    """The factor (L-1) L^-(N s + nu) / (1 - L^-(N s + nu))."""
+    """The factor (L-1) L^-(N s + nu) / (1 - L^-(N s + nu)).
+
+    ``N`` and ``nu`` are Fractions.  The factor also keeps its integer
+    lattice ``(r, N*r, nu*r)``, r the least common denominator of N and nu,
+    and its two polynomials, all made once on construction: the fold reads
+    them for every term and every division.  Order and equality are those
+    of the pair ``(N, nu)``, decided on the lattice by cross-multiplication.
+    """
 
     N: Fraction
     nu: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "N", Fraction(self.N))
-        object.__setattr__(self, "nu", Fraction(self.nu))
-        if self.N < 0:
-            raise ValueError("factor needs N >= 0, got %s" % (self.N,))
-        if self.nu <= 0:
-            raise ValueError("factor needs nu > 0, got %s" % (self.nu,))
-        # The fold looks factors up in dicts several times per term, and
-        # hashing two Fractions on each lookup used to dominate it.
-        object.__setattr__(self, "_hash", hash((self.N, self.nu)))
+        N, nu = _fraction(self.N), _fraction(self.nu)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "nu", nu)
+        r = math.lcm(N.denominator, nu.denominator)
+        n = N.numerator * (r // N.denominator)
+        v = nu.numerator * (r // nu.denominator)
+        if n < 0:
+            raise ValueError("factor needs N >= 0, got %s" % (N,))
+        if v <= 0:
+            raise ValueError("factor needs nu > 0, got %s" % (nu,))
+        lat = (r, n, v)
+        object.__setattr__(self, "_lat", lat)
+        # The fold looks factors up in dicts several times per term.
+        object.__setattr__(self, "_hash", hash(lat))
+        # The direction (ell, tau) = (-nu, N) of the binomial 1 - L^-nu T^N.
+        object.__setattr__(self, "_direction", (-nu, N))
+        object.__setattr__(
+            self, "_numer", MotPoly.from_lattice({(n, r - v, ()): 1, (n, -v, ()): -1}, r)
+        )
+        object.__setattr__(
+            self, "_binom", MotPoly.from_lattice({(0, 0, ()): 1, (n, -v, ()): -1}, r)
+        )
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if not isinstance(other, StdFactor):
+            return NotImplemented
+        return self._lat == other._lat
+
+    def __lt__(self, other):
+        if not isinstance(other, StdFactor):
+            return NotImplemented
+        r1, n1, v1 = self._lat
+        r2, n2, v2 = other._lat
+        a, b = n1 * r2, n2 * r1
+        if a != b:
+            return a < b
+        return v1 * r2 < v2 * r1
+
     @property
     def is_trivial(self) -> bool:
         # Fac(0; 1) = (L-1) L^-1 / (1 - L^-1) = 1.
-        return self.N == 0 and self.nu == 1
+        return self._lat == (1, 0, 1)
 
     def _lattice(self) -> tuple[int, int, int]:
         """(r, N*r, nu*r) with r the least common denominator of N and nu."""
-        r = math.lcm(self.N.denominator, self.nu.denominator)
-        n = self.N.numerator * (r // self.N.denominator)
-        v = self.nu.numerator * (r // self.nu.denominator)
-        return r, n, v
+        return self._lat
 
     def numer_poly(self) -> MotPoly:
         """(L - 1) * L^-nu * T^N, the numerator over 1 - L^-nu T^N."""
-        r, n, v = self._lattice()
-        return MotPoly.from_lattice({(n, r - v, ()): 1, (n, -v, ()): -1}, r)
+        return self._numer
 
     def binom_poly(self) -> MotPoly:
         """1 - L^-nu T^N."""
-        r, n, v = self._lattice()
-        return MotPoly.from_lattice({(0, 0, ()): 1, (n, -v, ()): -1}, r)
+        return self._binom
 
     def __str__(self) -> str:
         return "Fac(%s; %s)" % (self.N, self.nu)
 
 
 def fac(N, nu) -> StdFactor:
-    return StdFactor(Fraction(N), Fraction(nu))
+    return StdFactor(N, nu)
 
 
 FacTuple = tuple[StdFactor, ...]
@@ -279,7 +319,8 @@ class RatFunc:
     @classmethod
     def make(cls, numer: MotPoly, denom: Mapping[StdFactor, int]) -> "RatFunc":
         numer, left = cancel(numer, denom, _divide_factor)
-        return cls(numer, tuple(sorted(left.items())))
+        # cancel fills ``left`` in sorted order
+        return cls(numer, tuple(left.items()))
 
     @classmethod
     def from_term(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
@@ -326,7 +367,7 @@ class RatFunc:
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
     """p / (1 - L^-nu T^N) for f = Fac(N; nu), or None."""
-    return p.divide_one_minus(-f.nu, f.N)
+    return p.divide_one_minus(*f._direction)
 
 
 def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
@@ -480,7 +521,10 @@ def render_poly(p: MotPoly) -> str:
     terms, r = p.lattice()
     if not terms:
         return "0"
-    pow_str = _lattice_pow_str(r)
+    return _render_terms(terms, _lattice_pow_str(r))
+
+
+def _render_terms(terms: list[tuple[LatKey, int]], pow_str) -> str:
     return " ".join(_mono_str(key, c, i == 0, pow_str) for i, (key, c) in enumerate(terms))
 
 
@@ -493,11 +537,15 @@ def render_poly_factored(p: MotPoly) -> str:
     g = p.gcd_monomial()
     if g == (0, 0, ()):
         return "(%s)" % render_poly(p)
+    # the quotient by g, made by shifting the keys of the sorted terms
     tau, ell, syms = g
-    r = p.scale
-    ginv = MotPoly.from_lattice({(-tau, -ell, tuple((n, -e) for n, e in syms)): 1}, r)
-    head = _mono_str(g, 1, True, _lattice_pow_str(r))
-    return "%s * (%s)" % (head, render_poly(p * ginv))
+    inv = tuple((n, -e) for n, e in syms)
+    terms, r = p.lattice()
+    shifted = [((t - tau, l - ell, _mul_syms(s, inv)), c) for (t, l, s), c in terms]
+    if inv:
+        shifted.sort()  # dropping symbol powers can reorder the terms
+    pow_str = _lattice_pow_str(r)
+    return "%s * (%s)" % (_mono_str(g, 1, True, pow_str), _render_terms(shifted, pow_str))
 
 
 def render_zeta(z: ZetaExpr) -> str:

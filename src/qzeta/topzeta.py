@@ -85,7 +85,7 @@ def pdiv(p, d):
 
 def cancel(numer, denom: Mapping, divide: Callable) -> tuple[object, Counter]:
     """Reduce numer / prod f^m over denom = {f: m}: the reduced numerator
-    and a Counter of the factors left.
+    and a Counter of the factors left, filled in sorted order.
 
     The factors are tried in sorted order, each for as long as
     ``divide(numer, f)`` returns an exact quotient rather than None;

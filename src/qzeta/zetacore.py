@@ -23,6 +23,7 @@ import math
 from typing import Iterable, Sequence
 
 from .groups import GroupAction, NotSmall, is_small, small_reduce
+from .motpoly import _fraction
 from .symring import MotPoly, Rat, StdFactor, ZetaExpr, fac
 
 JET_BUDGET = 10**8
@@ -67,8 +68,8 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     With T = L^(-s) this is sum L^(age_N(gamma) s + age_nu(gamma)); ages
     of distinct elements can coincide, in which case terms merge.
     """
-    Nvec = tuple(Fraction(x) for x in Nvec)
-    nuvec = tuple(Fraction(x) for x in nuvec)
+    Nvec = tuple(map(_fraction, Nvec))
+    nuvec = tuple(map(_fraction, nuvec))
     if len(Nvec) != g.n or len(nuvec) != g.n:
         raise DimensionMismatch(
             "group acts on %d coordinates, data has %d/%d"
@@ -140,8 +141,8 @@ class Stratum:
     group: GroupAction
 
     def __post_init__(self):
-        object.__setattr__(self, "Nvec", tuple(Fraction(x) for x in self.Nvec))
-        object.__setattr__(self, "nuvec", tuple(Fraction(x) for x in self.nuvec))
+        object.__setattr__(self, "Nvec", tuple(map(_fraction, self.Nvec)))
+        object.__setattr__(self, "nuvec", tuple(map(_fraction, self.nuvec)))
         if self.klass.has_T():
             raise TInCoefficient(
                 "stratum class %s carries a T power" % (self.klass,)

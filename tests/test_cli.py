@@ -129,6 +129,22 @@ def test_tetra_stringy_json(capsys):
     assert json.loads(out) == {"conjugacy": 11, "match": True, "stringy": 11}
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_tetra_stringy_refuses_nonsmall_before_building(capsys, monkeypatch, extra):
+    from qzeta import tetra
+
+    built, scanned = [], []
+    build, scan = tetra.build_tetra, tetra.is_small_tetra
+    monkeypatch.setattr(tetra, "build_tetra", lambda d, q: built.append((d, q)) or build(d, q))
+    monkeypatch.setattr(tetra, "is_small_tetra", lambda t: scanned.append(t) or scan(t))
+    rc, out, err = run(capsys, ["tetra", "--d", "40", "--q", "3", "--stringy", *extra])
+    assert (rc, out, err) == (1, "", "error: G(40, 3) has quasi-reflexions\n")
+    assert built == [] and scanned == []
+    # a small member is still built, and its eigenvalue scan still runs
+    rc, _out, _err = run(capsys, ["tetra", "--d", "7", "--q", "3", "--stringy", *extra])
+    assert rc == 0 and built == [(7, 3)] and len(scanned) == 1
+
+
 def test_tetra_reduction_notice(capsys):
     rc, out, err = run(capsys, ["tetra", "--d", "5", "--q", "2", "--check"])
     assert rc == 0

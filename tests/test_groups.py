@@ -109,6 +109,33 @@ def test_canonical_equality():
     assert hash(GroupAction.cyclic(4, (2, 2))) == hash(GroupAction.cyclic(2, (1, 1)))
 
 
+def test_exponent_from_generators_matches_canonical():
+    rng = random.Random(2000)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+        rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in orders]
+        g = GroupAction(orders, rows, n)
+        assert g.exponent() == g.canonical()[0]
+
+
+def test_from_elements_below_the_given_exponent():
+    g = GroupAction.from_elements([(2,)], 4, 1)
+    assert g == GroupAction.cyclic(2, (1,))
+    assert (g.d_exp, g.elements(), g.exponent()) == (2, ((0,), (1,)), 2)
+    # any subgroup, handed over on a multiple of its exponent
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 2))]
+        rows = [[rng.randrange(o) for _ in range(n)] for o in orders]
+        g = GroupAction(orders, rows, n)
+        k = rng.randint(1, 4)
+        vecs = [tuple(x * k for x in v) for v in g.elements()]
+        h = GroupAction.from_elements(vecs, g.d_exp * k, n)
+        assert h == g and h.d_exp == g.exponent()
+
+
 def test_literal_roundtrip():
     rng = random.Random(6)
     for _ in range(25):

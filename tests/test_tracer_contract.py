@@ -16,6 +16,10 @@ from pathlib import Path
 import pytest
 
 from qzeta.groups import GroupAction
+from qzeta.motpoly import MotPoly
+from qzeta.resolution import hj_resolve, hj_stratification
+from qzeta.symring import ze_to_ratfunc
+from qzeta.zetacore import stratified_zeta
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,3 +52,19 @@ def test_group_action_keeps_the_elements_slot():
     g = GroupAction.cyclic(5, (1, 2))
     assert g._elements is None
     assert len(g.elements()) == 5 and g._elements is not None
+
+
+def test_fold_divides_through_the_traced_method(monkeypatch):
+    # symring.divide_calls and divide_useful_ratio count calls of this
+    # method; a fold that divided some other way would read 0 for both
+    calls = []
+    divide = MotPoly.divide_one_minus
+
+    def counted(self, ell_x, tau_x):
+        calls.append(divide(self, ell_x, tau_x))
+        return calls[-1]
+
+    monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
+    ze_to_ratfunc(stratified_zeta(hj_stratification(hj_resolve(7, 1, 3), 1, 1, 1, 1)))
+    useful = [q for q in calls if q is not None]
+    assert len(calls) > len(useful) > 0
