@@ -16,12 +16,13 @@ Ages and weights are read off the vectors where they are summed, in
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import reduce
 from typing import Iterable
 
-# The largest product of cyclic orders an action may have: it bounds the
-# group order before anything is enumerated.  The budget is about 10 s and
+# The largest order an action may have, taken exactly from its generators
+# (see _order) before anything is enumerated.  The budget is about 10 s and
 # 1 GB for one `group` command.  Measured per command on 2 shared vCPUs
 # (CPython 3.11): "(10^5;1,3)" 0.8-1.1 s and 87 MB, "(10^6;1,3)" 9.9-11.7 s
 # and 686 MB, the non-small "(5*10^5;1,2,2,2)" 11.4 s and 586 MB, and
@@ -74,18 +75,15 @@ class GroupAction:
             n = n_rows
         if n is None or n <= 0:
             raise ValueError("dimension must be a positive integer")
-        prod = math.prod(orders)
-        if prod > SIZE_LIMIT:
-            raise SizeLimit("refusing to enumerate %d tuples" % prod)
-        self._set(orders, rows, n)
-
-    def _set(self, orders: tuple[int, ...], rows: tuple[tuple[int, ...], ...], n: int):
         self.orders = orders
         self.rows = rows
         self.n = n
         self.d_exp = reduce(math.lcm, orders, 1)
         self._elements = None
         self._canon = None
+        order = self.order
+        if order > SIZE_LIMIT:
+            raise SizeLimit("refusing to enumerate %d tuples" % order)
 
     # -- constructors -----------------------------------------------------
 
@@ -128,16 +126,20 @@ class GroupAction:
             orders.append(order)
         if not rows:
             return cls.trivial(n)
-        # No size check: the subgroup is enumerated already, and the product
-        # of the greedy orders can exceed its order many times over.
-        act = cls.__new__(cls)
-        act._set(tuple(orders), tuple(rows), n)
+        act = cls(orders, rows, n)
         # on the exact exponent act.d_exp, each vector of want is divided by step
         step = d_exp // act.d_exp
         assert set(act.elements()) == {tuple(x // step for x in vec) for vec in want}
         return act
 
     # -- enumeration -------------------------------------------------------
+
+    def _generators(self) -> list[tuple[int, ...]]:
+        """The generator rows as exponent vectors mod d_exp."""
+        d = self.d_exp
+        return [
+            tuple(a * (d // order) % d for a in row) for order, row in zip(self.orders, self.rows)
+        ]
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All distinct exponent vectors mod d_exp, sorted.
@@ -146,16 +148,16 @@ class GroupAction:
         element is built once, whatever the presentation.
         """
         if self._elements is None:
-            d = self.d_exp
             span = {(0,) * self.n}
-            for order, row in zip(self.orders, self.rows):
-                span = _span(span, tuple(a * (d // order) % d for a in row), d)
+            for gen in self._generators():
+                span = _span(span, gen, self.d_exp)
             self._elements = tuple(sorted(span))
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements())
+        """The number of elements, with none enumerated (see ``_order``)."""
+        return _order(self._generators(), self.d_exp, self.n)
 
     def exponent(self) -> int:
         """The least common multiple of the element orders.
@@ -164,9 +166,7 @@ class GroupAction:
         of d_exp with all element entries is its gcd with the generator
         entries, each row scaled by d_exp // order; no element is made.
         """
-        d = self.d_exp
-        gens = (a * (d // order) for order, row in zip(self.orders, self.rows) for a in row)
-        return d // math.gcd(d, *gens)
+        return self.d_exp // math.gcd(self.d_exp, *itertools.chain(*self._generators()))
 
     def canonical(self) -> tuple[int, frozenset]:
         """(exponent, exponent vectors rescaled to it) -- presentation-free."""
@@ -189,6 +189,40 @@ class GroupAction:
 
     def __repr__(self):
         return "GroupAction(%s)" % group_literal(self)
+
+
+def _order(gens: list[tuple[int, ...]], d: int, n: int) -> int:
+    """The order of the subgroup of (Z/d)^n generated by ``gens``: d^n over
+    the index in Z^n of the lattice spanned by the generators and d * Z^n,
+    the product of the pivots of its Hermite normal form.  The form is made
+    a column at a time by Euclid's algorithm on the rows nonzero there and
+    the row d * e_col; the rows d * e_j of later columns stay implicit, so
+    entries there are reduced mod d.  A column with a pivot below d at
+    least doubles the order, so at most log2(order) columns cost more than
+    a scan of the rows."""
+    rows = [list(g) for g in gens if any(g)]
+    order = 1
+    for col in range(n):
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        unit = [0] * n
+        unit[col] = d
+        rows.append(unit)
+        live.append(unit)
+        while len(live) > 1:
+            piv = min(live, key=lambda r: r[col])
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[col] -= q * piv[col]
+                    for j in range(col + 1, n):
+                        r[j] = (r[j] - q * piv[j]) % d
+            live = [r for r in live if r[col]]
+        (piv,) = live
+        order *= d // piv[col]
+        rows = [r for r in rows if r is not piv and any(r)]
+    return order
 
 
 def _span(span: set, gen: tuple[int, ...], d_exp: int) -> set:

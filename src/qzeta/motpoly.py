@@ -61,11 +61,6 @@ def _mul_syms(a: SymMono, b: SymMono) -> SymMono:
     return tuple(sorted((n, e) for n, e in d.items() if e))
 
 
-def _rat(x) -> Fraction | int:
-    """x as an exact rational; ints and Fractions pass through unconverted."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 def _fraction(x) -> Fraction:
     """x as a Fraction; a Fraction is passed through, not copied."""
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -91,7 +86,7 @@ class MotPoly:
     and reduce each exponent x/r with :func:`reduce_exp`.
     """
 
-    __slots__ = ("_terms", "_r", "_hashed")
+    __slots__ = ("_terms", "_r")
 
     def __init__(self, terms: Mapping[MonoKey, int] | None = None):
         fracs = []
@@ -119,7 +114,6 @@ class MotPoly:
                 del clean[key]
         self._terms = clean
         self._r = r
-        self._hashed = None
 
     # -- constructors ---------------------------------------------------
 
@@ -133,7 +127,6 @@ class MotPoly:
         out = cls.__new__(cls)
         out._terms = terms
         out._r = r
-        out._hashed = None
         return out
 
     @classmethod
@@ -220,13 +213,11 @@ class MotPoly:
     def __hash__(self):
         # Hash the form on the coarsest lattice, so equal polynomials hash
         # equal whatever scale they are stored at.
-        if self._hashed is None:
-            terms, r = self._terms, self._r
-            g = math.gcd(r, *(k[0] for k in terms), *(k[1] for k in terms))
-            if g > 1:
-                terms = {(t // g, l // g, s): c for (t, l, s), c in terms.items()}
-            self._hashed = hash((r // g, frozenset(terms.items())))
-        return self._hashed
+        terms, r = self._terms, self._r
+        g = math.gcd(r, *(k[0] for k in terms), *(k[1] for k in terms))
+        if g > 1:
+            terms = {(t // g, l // g, s): c for (t, l, s), c in terms.items()}
+        return hash((r // g, frozenset(terms.items())))
 
     def __neg__(self) -> "MotPoly":
         return MotPoly.from_lattice({k: -c for k, c in self._terms.items()}, self._r)
@@ -334,7 +325,7 @@ class MotPoly:
 
     def truncate_tau(self, bound) -> "MotPoly":
         """Drop monomials whose T-exponent exceeds ``bound``."""
-        bound = _rat(bound)
+        bound = _fraction(bound)
         cut = bound.numerator * self._r // bound.denominator
         return MotPoly.from_lattice(
             {k: c for k, c in self._terms.items() if k[0] <= cut}, self._r
@@ -342,7 +333,7 @@ class MotPoly:
 
     def coeff_of_T(self, j) -> "MotPoly":
         """The coefficient of T^j, as a polynomial with no T part."""
-        j = _rat(j)
+        j = _fraction(j)
         tj, rem = divmod(j.numerator * self._r, j.denominator)
         if rem:
             return MotPoly.zero()
@@ -471,7 +462,7 @@ class MotPoly:
         keys, before any rescale or class is made.  Zero level sums are
         necessary only: the classes are still walked.
         """
-        tau_x, ell_x = _rat(tau_x), _rat(ell_x)
+        tau_x, ell_x = _fraction(tau_x), _fraction(ell_x)
         tn, td = tau_x.numerator, tau_x.denominator
         ln, ld = ell_x.numerator, ell_x.denominator
         if not tn and not ln:

@@ -65,14 +65,6 @@ class Chain2D:
     kappa: tuple[int, ...]
     coeffs: tuple[tuple[int, int], ...]
 
-    @property
-    def c0(self) -> tuple[int, int]:
-        return (0, self.d)
-
-    @property
-    def c_end(self) -> tuple[int, int]:
-        return (self.d, 0)
-
 
 def hj_resolve(d: int, a: int, b: int) -> Chain2D:
     d, a, b = int(d), int(a), int(b)
@@ -117,27 +109,10 @@ def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
     Lm1 = MotPoly.L() - 1
     one = MotPoly.one()
     strata = []
-    r = len(chain.coeffs)
-    for i in range(1, r + 1):
-        strata.append(
-            Stratum(
-                one,
-                (data[i - 1][0], data[i][0]),
-                (data[i - 1][1], data[i][1]),
-                triv,
-            )
-        )
-        strata.append(
-            Stratum(Lm1, (data[i][0], Fraction(0)), (data[i][1], Fraction(1)), triv)
-        )
-    strata.append(
-        Stratum(
-            one,
-            (data[r][0], data[r + 1][0]),
-            (data[r][1], data[r + 1][1]),
-            triv,
-        )
-    )
+    for i, ((Na, nua), (Nb, nub)) in enumerate(zip(data, data[1:])):
+        if i:  # the curve of the interior point a, between its two corners
+            strata.append(Stratum(Lm1, (Na, Fraction(0)), (nua, Fraction(1)), triv))
+        strata.append(Stratum(one, (Na, Nb), (nua, nub), triv))
     return Stratification(2, math.lcm(d, infer_gindex(strata)), tuple(strata))
 
 

@@ -25,6 +25,7 @@ equality of zeta expressions is decided by exact cross-multiplication.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import Counter
@@ -41,9 +42,17 @@ from .motpoly import (
     _mul_syms,
     reduce_exp,
 )
-from .topzeta import TopZeta, _lin_latex, cancel, frac_json, frac_latex
+from .topzeta import TopZeta, _lin_latex, cancel, frac_json, frac_latex, quotient_str
 
 Rat = Fraction
+
+# The largest work bound a series expansion may have (see series_expand):
+# about 10 s and 1 GB for one command, as for groups.SIZE_LIMIT.  One factor
+# costs the most per unit, as each product is a printed term.  Measured on
+# 2 shared vCPUs (CPython 3.11), `monomial --group "(1;0)" --N 1 --nu 1
+# --series M` took 7.5 s and 527 MB at M = 5*10^5 (bound 10^6) and 10.4 s
+# and 835 MB at M = 7.5*10^5 (bound 1.5*10^6).
+SERIES_TERM_LIMIT = 15 * 10**5
 
 __all__ = [
     "Rat",
@@ -151,6 +160,16 @@ def fac(N, nu) -> StdFactor:
 FacTuple = tuple[StdFactor, ...]
 
 
+def _merge(pairs: Iterable[tuple[FacTuple, MotPoly]]) -> dict[FacTuple, MotPoly]:
+    """The (factors, coefficient) pairs with equal factor tuples summed, in
+    the order of each tuple's first insertion, and zero sums dropped."""
+    acc: dict[FacTuple, MotPoly] = {}
+    for key, c in pairs:
+        s = acc.get(key)
+        acc[key] = c if s is None else s + c
+    return {k: v for k, v in acc.items() if not v.is_zero}
+
+
 class ZetaExpr:
     """Finite sum of  coeff * prod of standard factors.
 
@@ -170,16 +189,13 @@ class ZetaExpr:
     __slots__ = ("_terms", "_rf")
 
     def __init__(self, terms: Iterable[tuple[MotPoly, Iterable[StdFactor]]] = ()):
-        acc: dict[FacTuple, MotPoly] = {}
-        for coeff, factors in terms:
-            if not isinstance(coeff, MotPoly):
-                coeff = MotPoly.const(coeff)
-            key = tuple(sorted(f for f in factors if not f.is_trivial))
-            if key in acc:
-                acc[key] = acc[key] + coeff
-            else:
-                acc[key] = coeff
-        self._terms = {k: v for k, v in acc.items() if not v.is_zero}
+        self._terms = _merge(
+            (
+                tuple(sorted(f for f in factors if not f.is_trivial)),
+                coeff if isinstance(coeff, MotPoly) else MotPoly.const(coeff),
+            )
+            for coeff, factors in terms
+        )
         self._rf = None
 
     @classmethod
@@ -226,15 +242,7 @@ class ZetaExpr:
     def __add__(self, other) -> "ZetaExpr":
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            s = acc.get(k)
-            s = v if s is None else s + v
-            if s.is_zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return ZetaExpr._of(acc)
+        return ZetaExpr._of(_merge(itertools.chain(self._terms.items(), other._terms.items())))
 
     def __neg__(self) -> "ZetaExpr":
         return ZetaExpr._of({k: -v for k, v in self._terms.items()})
@@ -249,32 +257,20 @@ class ZetaExpr:
             return self.scale(other)
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        out: dict[FacTuple, MotPoly] = {}
-        for f1, c1 in self._terms.items():
-            for f2, c2 in other._terms.items():
-                key = tuple(sorted(f1 + f2))
-                c = c1 * c2
-                if key in out:
-                    s = out[key] + c
-                    if s.is_zero:
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
-        return ZetaExpr._of(out)
+        return ZetaExpr._of(
+            _merge(
+                (tuple(sorted(f1 + f2)), c1 * c2)
+                for f1, c1 in self._terms.items()
+                for f2, c2 in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "ZetaExpr":
         if isinstance(c, int):
             c = MotPoly.const(c)
-        out: dict[FacTuple, MotPoly] = {}
-        for k, v in self._terms.items():
-            s = v * c
-            if not s.is_zero:
-                out[k] = s
-        return ZetaExpr._of(out)
+        return ZetaExpr._of(_merge((k, v * c) for k, v in self._terms.items()))
 
     def __str__(self) -> str:
         return render_zeta(self)
@@ -352,17 +348,11 @@ class RatFunc:
         return na == nb
 
     def __str__(self) -> str:
-        if self.numer.is_zero:
-            return "0"
-        num = render_poly_factored(self.numer)
-        if not self.denom:
-            return num
-        parts = []
+        den = []
         for f, m in self.denom:
             r, n, v = f._lattice()
-            mono = _mono_str((n, -v, ()), 1, True, _lattice_pow_str(r))
-            parts.append("(1 - %s)%s" % (mono, "" if m == 1 else "^%d" % m))
-        return "(%s) / (%s)" % (num, " * ".join(parts))
+            den.append(("1 - " + _mono_str((n, -v, ()), 1, True, _lattice_pow_str(r)), m))
+        return quotient_str(render_poly_factored(self.numer), den)
 
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
@@ -415,25 +405,48 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     Each factor expands as (L-1) * sum_{j>=1} L^(-j nu) T^(j N); a factor
     with N = 0 (and nu != 1, since Fac(0;1) never survives construction)
     has no such expansion and is rejected.
+
+    Each term is planned before any is expanded: a factor raises the least
+    T-exponent lo by exactly N (the ring is a domain), so its sum stops at
+    jmax = floor((M - lo) / N) with lo known in advance.  The work is
+    bounded by the coefficient length times the product of 2 * jmax over
+    the factors, summed over the terms; over :data:`SERIES_TERM_LIMIT` the
+    expansion is refused.
     """
     M = Fraction(M)
     if M < 0:
         raise ValueError("truncation order must be >= 0")
-    total = MotPoly.zero()
+    plan = []
+    work = 0
     for factors, coeff in z.iter_terms():
         cur = coeff.truncate_tau(M)
+        if cur.is_zero:
+            continue
+        lo = cur.min_tau()
+        steps = []
+        size = len(cur)
         for f in sorted(factors):
-            if cur.is_zero:
-                break
             if f.N == 0:
                 raise ValueError(
                     "factor %s has no Laurent expansion in T" % (f,)
                 )
-            lo = cur.min_tau()
             jmax = math.floor((M - lo) / f.N)
             if jmax < 1:
-                cur = MotPoly.zero()
                 break
+            steps.append((f, jmax))
+            size *= 2 * jmax
+            lo += f.N
+        else:
+            plan.append((cur, steps))
+            work += size
+    if work > SERIES_TERM_LIMIT:
+        raise ValueError(
+            "refusing to expand to T-order %s: about %d terms, over the limit %d"
+            % (M, work, SERIES_TERM_LIMIT)
+        )
+    total = MotPoly.zero()
+    for cur, steps in plan:
+        for f, jmax in steps:
             r, n, v = f._lattice()
             geo = MotPoly.from_lattice(
                 {(j * n, -j * v, ()): 1 for j in range(1, jmax + 1)}, r
@@ -596,12 +609,6 @@ def latex_poly(p: MotPoly) -> str:
     return "".join(out)
 
 
-def _lin_exp_latex(f: StdFactor) -> str:
-    if f.N == 0:
-        return frac_latex(f.nu)
-    return _lin_latex((f.N, f.nu))
-
-
 def latex_zeta(z: ZetaExpr) -> str:
     terms = z.terms()
     if not terms:
@@ -611,7 +618,7 @@ def latex_zeta(z: ZetaExpr) -> str:
         cnt = Counter(facs)
         fparts = []
         for f, m in sorted(cnt.items()):
-            e = _lin_exp_latex(f)
+            e = frac_latex(f.nu) if f.N == 0 else _lin_latex((f.N, f.nu))
             frac = (
                 "\\frac{(\\mathbb{L}-1)\\mathbb{L}^{-(%s)}}{1-\\mathbb{L}^{-(%s)}}"
                 % (e, e)

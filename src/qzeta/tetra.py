@@ -124,10 +124,6 @@ class TetraGroup:
         er = _sigma(e, -j)
         return ((-j) % 3, tuple((-x) % d for x in er))
 
-    @property
-    def identity(self) -> Element:
-        return (0, (0, 0, 0))
-
 
 def build_tetra(d: int, q: int) -> TetraGroup:
     params = TetraParams(d, q)

@@ -22,7 +22,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["LinFactor", "TopZeta", "cancel", "frac_json", "frac_latex", "padd", "pdiv", "pmul"]
+__all__ = ["LinFactor", "TopZeta", "cancel", "frac_json", "frac_latex", "padd", "pdiv", "pmul",
+           "quotient_str"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
@@ -213,16 +214,9 @@ class TopZeta:
         return {Fraction(-nu, 1) / N for (N, nu), _m in self.denom_red if N != 0}
 
     def __str__(self) -> str:
-        if not self.numer_red:
-            return "0"
-        num = _spoly_str(self.numer_red)
-        if not self.denom_red:
-            return num
-        den = " * ".join(
-            "(%s)%s" % (_lin_str(f), "" if m == 1 else "^%d" % m)
-            for f, m in self.denom_red
+        return quotient_str(
+            _spoly_str(self.numer_red), [(_lin_str(f), m) for f, m in self.denom_red]
         )
-        return "(%s) / (%s)" % (num, den)
 
     def __repr__(self):
         return "TopZeta(%s)" % str(self)
@@ -264,6 +258,16 @@ def frac_latex(x: Fraction) -> str:
         return str(x.numerator)
     sign = "-" if x < 0 else ""
     return "%s\\tfrac{%d}{%d}" % (sign, abs(x.numerator), x.denominator)
+
+
+def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
+    """``(num) / ((f)^m * ...)`` over the (factor text, multiplicity) pairs
+    ``den``, with no ``^1``; the numerator alone when it is "0" or ``den``
+    is empty.  :class:`TopZeta` and ``symring.RatFunc`` print through it."""
+    if num == "0" or not den:
+        return num
+    parts = ("(%s)%s" % (f, "" if m == 1 else "^%d" % m) for f, m in den)
+    return "(%s) / (%s)" % (num, " * ".join(parts))
 
 
 def _spoly_str(p) -> str:

@@ -180,27 +180,16 @@ class Stratification:
                     raise ValueError(
                         "denominator of %s does not divide the index %d" % (x, self.r)
                     )
-            # group exponents must only involve primes of r
-            e = st.group.d_exp
-            for p in _prime_factors(e):
-                if self.r % p != 0:
-                    raise ValueError(
-                        "group exponent %d has a prime %d foreign to index %d"
-                        % (e, p, self.r)
-                    )
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out
+            # group exponents must only involve primes of r: strip the
+            # shared part, and what is left is the foreign factor
+            e = foreign = st.group.d_exp
+            while (g := math.gcd(foreign, self.r)) > 1:
+                foreign //= g
+            if foreign > 1:
+                raise ValueError(
+                    "group exponent %d has the factor %d foreign to index %d"
+                    % (e, foreign, self.r)
+                )
 
 
 def infer_gindex(strata: Iterable[Stratum]) -> int:

@@ -54,3 +54,9 @@ def test_removed_names_are_gone():
     assert not hasattr(qzeta.cli, "_series_values")
     # the CLI values a series with MotPoly.series_at_L, not per T-column
     assert not hasattr(qzeta.motpoly.MotPoly, "split_T")
+    # members that only tests read, and helpers with a one-line replacement
+    assert not hasattr(qzeta.resolution.Chain2D, "c0")
+    assert not hasattr(qzeta.resolution.Chain2D, "c_end")
+    assert not hasattr(qzeta.tetra.TetraGroup, "identity")
+    assert not hasattr(qzeta.motpoly, "_rat")
+    assert not hasattr(qzeta.zetacore, "_prime_factors")

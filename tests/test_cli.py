@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -386,3 +389,118 @@ def test_closed_pipe_exits_quietly(argv, keep):
         assert proc.wait(timeout=60) == 1
     assert len(head) == keep and head.startswith(b'{"exponent": 10000, "gor_measure": ['[:keep])
     assert err == b""
+
+
+def test_group_order_is_exact_before_the_size_bound(capsys):
+    # the cyclic orders multiply to 10^6; the group has order 1000
+    rc, out, err = run(capsys, ["group", "(1000,1000;1,1;1,1)"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("order: 1000\nexponent: 1000\nsmall: yes\n")
+
+
+def test_series_budget_refuses_at_once(capsys):
+    argv = ["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "1e9"]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: refusing to expand to T-order 1000000000: about ")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path):
+    """argv drawn from a small grammar over the six subcommands, with valid
+    and malformed values: every run exits 0, 1 or 2, and no exception
+    escapes ``main``."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    bad_ints = ["-3", "0", "x", "", "2.5"]
+    small = ([str(i) for i in range(1, 8)], bad_ints)
+    upto40 = (["1", "2", "3", "5", "7", "12", "31", "40"], bad_ints)
+    rats = (["0", "1", "2", "1/2", "3/4", "-1"], ["1/0", "x", ""])
+    vecs = (["1,1", "2,3", "0,1", "1/2,3", "3,1/2"], ["1", "1,1,1", "a,b", "", "1,", "1/0,1"])
+    literals = (
+        ["(2;1,1)", "(4;1,3)", "(4;1,2)", "(3;1,1,1)", "(2,2;1,0;0,1)", "(6,4;1,2;3,1)", "(5;1,2)"],
+        ["(1;0)", "(0;1)", "(2;1,1", "2;1,1", "(2;a)", "()", "(2;)", "(2,3;1,1)"],
+    )
+    series = (["0", "1", "2", "4", "1/2"], ["-1", "x"])
+    strata_texts = (
+        [
+            "dimension = 2\ngindex = 7\n"
+            "stratum { class = 1 ; N = [1/7, 3/7] ; nu = [1, 5/7] ; group = (1; 0,0) }\n",
+            "dimension = 1\ngindex = 2\nsymbol C0 chi = 2\n"
+            "stratum { class = [C0] - L ; N = [1/2] ; nu = [1] ; group = (2; 1) }\n",
+        ],
+        [
+            "dimension = 1\ngindex = 1\nstratum { class = [X] ; N = [1] ; nu = [1] ; group = (1; 0) }\n",
+            "dimension = 2\nwat\n",
+            "dimension = 2\ngindex = 3\n"
+            "stratum { class = 1 ; N = [1] ; nu = [0, 1] ; group = (1; 0,0) }\n",
+            "",
+        ],
+    )
+
+    def argv_of(rnd):
+        def value(pool):
+            # one value in ten is malformed
+            valid, malformed = pool
+            return rnd.choice(malformed if rnd.random() < 0.1 else valid)
+
+        def opt(name, pool):
+            # an option is left out one time in ten
+            return [] if rnd.random() < 0.1 else [name, value(pool)]
+
+        def flags(*names):
+            return [f for f in names if rnd.random() < 0.3]
+
+        def views():
+            out = flags("--euler", "--poles", "--latex", "--json")
+            with_series = rnd.random() < 0.5
+            if with_series:
+                out += ["--series", value(series)]
+            # --eval-L mostly with --series; without it, it is a usage error
+            if rnd.random() < (0.5 if with_series else 0.05):
+                out += ["--eval-L", value(rats)]
+            return out
+
+        cmd = rnd.choice(["monomial", "strata", "hj", "yomdin", "tetra", "group"])
+        argv = [cmd]
+        if cmd == "monomial":
+            argv += opt("--group", literals) + opt("--N", vecs) + opt("--nu", vecs)
+            argv += flags("--allow-nonsmall") + views()
+        elif cmd == "strata":
+            path = tmp_path / "fuzz.strata"
+            path.write_text(value(strata_texts), encoding="utf-8")
+            argv += [str(path)] + flags("--allow-nonsmall") + views()
+        elif cmd == "hj":
+            for name in ("--d", "--a", "--b"):
+                argv += opt(name, upto40)
+            argv += opt("--N", vecs) + opt("--nu", vecs) + flags("--check") + views()
+        elif cmd == "yomdin":
+            for name in ("--m", "--k", "--p", "--q", "--a"):
+                argv += opt(name, small)
+            argv += flags("--check", "--charpoly") + views()
+        elif cmd == "tetra":
+            argv += opt("--d", upto40) + opt("--q", upto40) + opt("--N", rats) + opt("--nu", rats)
+            argv += rnd.choice([[], ["--stringy"], ["--check"]]) + views()
+        else:
+            argv += [] if rnd.random() < 0.1 else [value(literals)]
+            argv += flags("--json")
+        return argv
+
+    @hyp.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, 2**32))
+    def check(seed):
+        # a seeded Random, not hypothesis's own draws, keeps the shares of
+        # malformed values and left-out options at the rates set above
+        argv = argv_of(random.Random(seed))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+        assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

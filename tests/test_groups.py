@@ -161,6 +161,35 @@ def test_size_limit():
         GroupAction((10**4, 10**4), ((1, 0), (0, 1)), 2)
 
 
+def test_size_limit_bounds_the_exact_order():
+    # the product of the cyclic orders is 10^6, the order 1000
+    g = GroupAction((1000, 1000), ((1, 1), (1, 1)), 2)
+    assert g.order == 1000 and g._elements is None
+    assert len(g.elements()) == 1000
+    # one wide row: the order is read without a quadratic table of rows
+    wide = GroupAction((4,), ((3, 1) * 5000,))
+    assert wide.order == 4 and wide._elements is None
+
+
+def test_exact_order_matches_enumeration():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def actions(draw):
+        n = draw(st.integers(1, 4))
+        orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        rows = [draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)) for _ in orders]
+        return GroupAction(orders, rows, n)
+
+    @hyp.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hyp.given(actions())
+    def check(g):
+        assert g.order == len(g.elements())
+
+    check()
+
+
 def test_reduction_presentation_is_not_size_checked():
     # order 5278; the greedy presentation of its reduction has order 2639
     # but a product of orders of 240,149, over the size bound

@@ -34,7 +34,6 @@ def test_chain_713():
     assert ch.e == 3
     assert ch.kappa == (3, 2, 2)
     assert ch.coeffs == ((1, 3), (3, 2), (5, 1))
-    assert ch.c0 == (0, 7) and ch.c_end == (7, 0)
 
 
 def test_chain_211_and_smooth():
@@ -58,7 +57,7 @@ def test_chain_recurrence_and_reversal():
         ch = hj_resolve(d, a, b)
         assert all(k >= 2 for k in ch.kappa)
         assert ch.e == (pow(a, -1, d) * b) % d
-        pts = (ch.c0,) + ch.coeffs + (ch.c_end,)
+        pts = ((0, d),) + ch.coeffs + ((d, 0),)
         for i in range(1, len(pts) - 1):
             k = ch.kappa[i - 1]
             assert (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction as F
 
@@ -99,6 +100,50 @@ def test_hj_roundtrip():
     sf = parse_strata(text)
     assert sf.stratification == strat
     assert render_strata(sf.stratification, sf.chi_env) == text
+
+
+def test_roundtrip_property():
+    """Generated stratifications of dimension 1-3, with small groups,
+    rational data and class polynomials in declared symbols, parse back
+    to themselves and re-render byte for byte."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = ("C0", "D", "E1")
+
+    @st.composite
+    def strata_files(draw):
+        n = draw(st.integers(1, 3))
+        groups = []
+        for _ in range(draw(st.integers(1, 3))):
+            orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+            rows = [draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)) for _ in orders]
+            groups.append(GroupAction(orders, rows, n))
+        r = math.lcm(*(g.d_exp for g in groups)) * draw(st.integers(1, 4))
+        strata = []
+        for g in groups:
+            klass = MotPoly.zero()
+            for _ in range(draw(st.integers(0, 4))):
+                syms = {x: draw(st.integers(0, 2)) for x in draw(st.sets(st.sampled_from(names)))}
+                klass = klass + MotPoly.monomial(
+                    draw(st.integers(-5, 5)), ell=draw(st.integers(0, 3)), syms=syms
+                )
+            Nvec = [F(draw(st.integers(0, 3 * r)), r) for _ in range(n)]
+            nuvec = [F(draw(st.integers(1, 3 * r)), r) for _ in range(n)]
+            strata.append(Stratum(klass, Nvec, nuvec, g))
+        chi = {x: draw(st.integers(-4, 4)) for x in draw(st.sets(st.sampled_from(names)))}
+        return Stratification(n, r, tuple(strata)), chi
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(strata_files())
+    def check(case):
+        strat, chi = case
+        text = render_strata(strat, chi)
+        sf = parse_strata(text)
+        assert sf.stratification == strat
+        assert sf.chi_env == chi
+        assert render_strata(sf.stratification, sf.chi_env) == text
+
+    check()
 
 
 def test_expression_grammar():

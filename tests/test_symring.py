@@ -25,7 +25,8 @@ from qzeta.symring import (
     ze_equal,
     ze_to_ratfunc,
 )
-from qzeta.topzeta import padd, pdiv, pmul
+from qzeta import symring
+from qzeta.topzeta import padd, pdiv, pmul, quotient_str
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -179,6 +180,30 @@ def test_series_rejects_constant_factor():
         series_expand(z, 3)
 
 
+def test_series_budget_is_the_planned_work():
+    # one factor, coefficient length 1, jmax = 3: the bound is 1 * 2 * 3
+    z = ZetaExpr.of(MotPoly.one(), (fac(1, 1),))
+    old = symring.SERIES_TERM_LIMIT
+    try:
+        symring.SERIES_TERM_LIMIT = 6
+        assert len(series_expand(z, 3)) == 6
+        symring.SERIES_TERM_LIMIT = 5
+        with pytest.raises(ValueError, match="about 6 terms, over the limit 5"):
+            series_expand(z, 3)
+    finally:
+        symring.SERIES_TERM_LIMIT = old
+
+
+def test_series_budget_refuses_before_expanding():
+    z = ZetaExpr.of(MotPoly.one() + MotPoly.L(), (fac(1, 1), fac(1, 2)))
+    with pytest.raises(ValueError, match="refusing to expand to T-order 1000000000"):
+        series_expand(z, 10**9)
+    # a factor with no expansion is reported first, wherever its term is
+    z2 = z + ZetaExpr.of(MotPoly.one(), (fac(0, 2),))
+    with pytest.raises(ValueError, match="has no Laurent expansion"):
+        series_expand(z2, 10**9)
+
+
 def test_candidate_poles():
     z = ZetaExpr.of(MotPoly.one(), (fac(2, 3), fac(1, 1), fac(0, 2)))
     assert candidate_poles(z) == {F(-3, 2), F(-1)}
@@ -231,6 +256,29 @@ def test_render_strings():
     z = ZetaExpr.of(MotPoly.one(), (fac(1, 1), fac(1, 1)))
     assert render_zeta(z) == "Fac(1; 1)^2"
     assert str(fac(F(1, 2), F(3, 2))) == "Fac(1/2; 3/2)"
+
+
+def test_quotient_str_layout():
+    assert quotient_str("1 + s", []) == "1 + s"
+    assert quotient_str("0", [("s + 1", 2)]) == "0"
+    assert quotient_str("2", [("s + 1", 1), ("2*s + 3", 2)]) == "(2) / ((s + 1) * (2*s + 3)^2)"
+    rf = RatFunc.make(MotPoly.one(), Counter({fac(1, 1): 2}))
+    assert str(rf) == "(1) / ((1 - L^-1 * T)^2)"
+    assert str(TopZeta([(F(1), {(F(1), F(1)): 2})])) == "(1) / ((s + 1)^2)"
+
+
+def test_merge_keeps_first_position_through_zero():
+    a, b = fac(1, 1), fac(1, 2)
+    one = MotPoly.one()
+    # (a, b) gets +1, then -1, then +1 again: it keeps its first place
+    x = ZetaExpr([(one, ()), (one, (a,)), (one, (b,))])
+    y = ZetaExpr([(one, (a, b)), (-one, (b,)), (one, (a,))])
+    keys = [k for k, _ in (x * y).iter_terms()]
+    assert keys == [(a, b), (b,), (a,), (a, a, b), (a, a), (a, b, b), (b, b)]
+    z = ZetaExpr([(one, (a,)), (one, (b,)), (-one, (a,)), (one, ()), (one, (a,))])
+    assert [k for k, _ in z.iter_terms()] == [(a,), (b,), ()]
+    assert [k for k, _ in (z + (-z)).iter_terms()] == []
+    assert [k for k, _ in z.scale(0).iter_terms()] == []
 
 
 def test_json_deterministic():

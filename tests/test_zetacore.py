@@ -130,8 +130,12 @@ def test_stratification_index_checks():
         Stratification(1, 2, (st,))  # denominator 3 does not divide 2
     g5 = GroupAction.cyclic(5, (1,))
     st5 = Stratum(MotPoly.one(), (F(1),), (F(1),), g5)
-    with pytest.raises(ValueError):
-        Stratification(1, 3, (st5,))  # group exponent prime 5 foreign to 3
+    with pytest.raises(ValueError, match="group exponent 5 has the factor 5 foreign to index 3"):
+        Stratification(1, 3, (st5,))
+    st12 = Stratum(MotPoly.one(), (F(1),), (F(1),), GroupAction.cyclic(12, (1,)))
+    Stratification(1, 6, (st12,))  # 12 = 2^2 * 3: only primes of 6
+    with pytest.raises(ValueError, match="group exponent 12 has the factor 3 foreign to index 4"):
+        Stratification(1, 4, (st12,))
 
 
 def test_infer_gindex():
