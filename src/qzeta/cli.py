@@ -27,6 +27,7 @@ import warnings
 from fractions import Fraction
 
 from . import groups, monodromy, strata, symring, tetra, zetacore
+from .motpoly import TooManyDigits
 from .resolution import (
     NotCoprime,
     TetraReduced,
@@ -150,6 +151,8 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
                 raise ValueError(
                     "--eval-L: the class symbol [%s] has no value at L = %s" % (exc, P)
                 ) from None
+            except TooManyDigits as exc:
+                raise ValueError("--eval-L: %s" % exc) from None
             if args.json:
                 obj["series_at_L"] = [
                     {"T": frac_json(t), "value": frac_json(v)} for t, v in vals

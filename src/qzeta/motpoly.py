@@ -17,7 +17,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-__all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "reduce_exp"]
+__all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits", "MAX_DIGITS",
+           "reduce_exp"]
 
 
 class MissingChi(Exception):
@@ -26,6 +27,17 @@ class MissingChi(Exception):
 
 class FractionalPowerUnevaluable(Exception):
     """A rational exponent has no exact rational value at the given base."""
+
+
+class TooManyDigits(ValueError):
+    """An exact value would have more than MAX_DIGITS decimal digits."""
+
+
+# The most decimal digits an exact integer may have where it is printed.
+# 4300 is Python's default limit for converting an int to a string, so a
+# longer one could never be printed.  The strata parser bounds its
+# integers by it, and MotPoly.series_at_L the values it returns.
+MAX_DIGITS = 4300
 
 
 # A symbol monomial: sorted ((name, exponent), ...) with exponents > 0.
@@ -384,36 +396,68 @@ class MotPoly:
         symbol term is valued on its own.  When some term has no value, the
         terms are walked in canonical order and the first of them that
         cannot be evaluated is the one reported.
+
+        Before any power is taken, each column's value is bounded from the
+        root's size and the column's exponent span and coefficient sum (see
+        :func:`_digits_bound`); a value that may pass :data:`MAX_DIGITS`
+        digits, and so could not be printed, raises :class:`TooManyDigits`.
+        The bound covers the L-part of every term; the values of class
+        symbols come from the caller and are not bounded.
         """
         p = Fraction(p)
         terms, r = self._terms, self._r
         g = math.gcd(r, *(k[1] for k in terms))
         plain: dict[int, dict[int, int]] = {}
-        symbolic: dict[int, Fraction] = {}
+        symbolic: dict[int, list[tuple[int, int, SymMono]]] = {}
         try:
             a, b = _exact_root(p, r // g)
-            root = Fraction(a, b)
             for (t, l, syms), c in terms.items():
                 k = l // g
                 if syms:
-                    v = c * root**k
-                    for name, e in syms:
+                    for name, _e in syms:
                         if not sym_env or name not in sym_env:
                             raise MissingChi(name)
-                        v *= Fraction(sym_env[name]) ** e
-                    symbolic[t] = symbolic.get(t, 0) + v
+                    symbolic.setdefault(t, []).append((k, c, syms))
                 else:
                     col = plain.get(t)
                     if col is None:
                         plain[t] = {k: c}
                     else:
                         col[k] = c
+            ts = sorted(plain.keys() | symbolic.keys())
+            # The bound over all the terms at once is at least each
+            # column's, so the columns are bounded one by one only when
+            # it passes the limit.  With a root of size at most 1, no L
+            # power adds digits, and the exponents are not read.
+            lo = hi = 0
+            if terms and (abs(a) > 1 or b > 1):
+                lo = min(k[1] for k in terms) // g
+                hi = max(k[1] for k in terms) // g
+            if terms and _digits_bound(lo, hi, sum(map(abs, terms.values())), a, b) > MAX_DIGITS:
+                for t in ts:
+                    col = plain.get(t, {})
+                    if t in symbolic:
+                        col = dict(col)
+                        for k, c, _syms in symbolic[t]:
+                            col[k] = abs(col.get(k, 0)) + abs(c)
+                    digits = _digits_bound(
+                        min(col), max(col), sum(map(abs, col.values())), a, b
+                    )
+                    if digits > MAX_DIGITS:
+                        raise TooManyDigits(
+                            "the coefficient of T^%s at L = %s may have %d decimal digits,"
+                            " over the limit %d" % (Fraction(t, r), p, digits, MAX_DIGITS)
+                        )
+            root = Fraction(a, b)
             out = []
-            for t in sorted(plain.keys() | symbolic.keys()):
+            for t in ts:
                 col = plain.get(t)
                 v = _laurent_value(col, a, b) if col else Fraction(0)
-                if t in symbolic:
-                    v += symbolic[t]
+                for k, c, syms in symbolic.get(t, ()):
+                    w = c * root**k
+                    for name, e in syms:
+                        w *= Fraction(sym_env[name]) ** e
+                    v += w
                 out.append((Fraction(t, r), v))
         except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
             self._raise_first_failure(p, sym_env)
@@ -441,7 +485,7 @@ class MotPoly:
                 Fraction(sym_env[name]) ** e
         raise AssertionError("every term has a value at L = %s" % p)
 
-    # -- exact division ---------------------------------------------------
+    # -- binomials: exact division and product ----------------------------
 
     def divide_one_minus(self, ell_x, tau_x) -> "MotPoly | None":
         """Exact quotient by ``1 - L^ell_x * T^tau_x``, or None.
@@ -504,6 +548,37 @@ class MotPoly:
             if run + col[last]:
                 return None
         return MotPoly.from_lattice(out, r)
+
+    def mul_binomial(self, r: int, a: tuple[int, int], b: tuple[int, int]) -> "MotPoly":
+        """The product with the binomial ``x^a - x^b``, whose monomials have
+        the integer keys ``a = (tau*r, ell*r)`` and ``b`` on the scale r.
+
+        The inverse of :meth:`divide_one_minus` when ``a`` is ``(0, 0)``,
+        and equal to ``self * MotPoly.from_lattice({a + ((),): 1, b + ((),):
+        -1}, r)``, on the same lcm scale, made in one pass that shifts each
+        key by ``a`` and by ``b``.
+        """
+        terms, rs = self._terms, self._r
+        if not terms:
+            return MotPoly.zero()
+        R = math.lcm(rs, r)
+        if R != rs:
+            terms = _rescale(terms, R // rs)
+        m = R // r
+        ta, la, tb, lb = a[0] * m, a[1] * m, b[0] * m, b[1] * m
+        if ta or la:
+            acc = {(t + ta, l + la, s): c for (t, l, s), c in terms.items()}
+        else:
+            acc = dict(terms)
+        get = acc.get
+        for (t, l, s), c in terms.items():
+            k = (t + tb, l + lb, s)
+            v = get(k, 0) - c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        return MotPoly.from_lattice(acc, R)
 
     # -- rendering ---------------------------------------------------------
 
@@ -578,6 +653,19 @@ def _exact_root(p: Fraction, d: int) -> tuple[int, int]:
     if rn is None or rd is None:
         raise FractionalPowerUnevaluable("%s has no exact rational %d-th root" % (p, d))
     return rn, rd
+
+
+def _digits_bound(lo: int, hi: int, csum: int, a: int, b: int) -> int:
+    """An upper bound on the decimal digits of the numerator and of the
+    denominator of sum c * (a/b)^k over lo <= k <= hi with sum |c| = csum,
+    as :func:`_laurent_value` forms them: with M = max(|a|, b), the integer
+    S there is at most csum * M^(hi - lo) in size, so no power need be
+    taken."""
+    la = math.log10(abs(a)) if a else 0.0
+    lb = math.log10(b)
+    num = math.log10(csum) + (hi - lo) * max(la, lb) + max(lo, 0) * la + max(-hi, 0) * lb
+    den = max(-lo, 0) * la + max(hi, 0) * lb
+    return math.floor(max(num, den)) + 1
 
 
 def _laurent_value(col: dict[int, int], a: int, b: int) -> Fraction:

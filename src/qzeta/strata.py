@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .groups import GroupAction, group_literal
+from .motpoly import MAX_DIGITS
 from .symring import MotPoly, render_poly
 from .zetacore import DimensionMismatch, Stratification, Stratum
 
@@ -57,13 +58,12 @@ class _Tok(NamedTuple):
 
 _PUNCT = set("={};[],()+-*^/")
 
-# The most decimal digits an integer in a strata file may have.  4300 is
-# Python's default limit for converting an int to a string, so a larger
-# coefficient could never be printed.  The parser refuses a longer literal
-# at its token, a power ``INT ^ e`` at the exponent before computing it,
-# and a class coefficient that ``*``, ``+`` or ``-`` makes too long at
-# that operator.
-MAX_POWER_DIGITS = 4300
+# The most decimal digits an integer in a strata file may have: the bound
+# on printed integers, motpoly.MAX_DIGITS (4300).  The parser refuses a
+# longer literal at its token, a power ``INT ^ e`` at the exponent before
+# computing it, and a class coefficient that ``*``, ``+`` or ``-`` makes
+# too long at that operator.
+MAX_POWER_DIGITS = MAX_DIGITS
 _INT_BOUND = 10**MAX_POWER_DIGITS
 
 

@@ -82,9 +82,11 @@ class StdFactor:
 
     ``N`` and ``nu`` are Fractions.  The factor also keeps its integer
     lattice ``(r, N*r, nu*r)``, r the least common denominator of N and nu,
-    and its two polynomials, all made once on construction: the fold reads
-    them for every term and every division.  Order and equality are those
-    of the pair ``(N, nu)``, decided on the lattice by cross-multiplication.
+    its ray (the primitive integer pair on the line of ``(N, nu)``), and
+    the keys of its two binomials for :meth:`MotPoly.mul_binomial`, all
+    made once on construction: the fold reads them for every term and
+    every division.  Order and equality are those of the pair ``(N, nu)``,
+    decided on the lattice by cross-multiplication.
     """
 
     N: Fraction
@@ -107,12 +109,12 @@ class StdFactor:
         object.__setattr__(self, "_hash", hash(lat))
         # The direction (ell, tau) = (-nu, N) of the binomial 1 - L^-nu T^N.
         object.__setattr__(self, "_direction", (-nu, N))
-        object.__setattr__(
-            self, "_numer", MotPoly.from_lattice({(n, r - v, ()): 1, (n, -v, ()): -1}, r)
-        )
-        object.__setattr__(
-            self, "_binom", MotPoly.from_lattice({(0, 0, ()): 1, (n, -v, ()): -1}, r)
-        )
+        g = math.gcd(n, v)
+        object.__setattr__(self, "_ray", (n // g, v // g))
+        # numer = x^(n, r - v) - x^(n, -v) and binom = x^(0, 0) - x^(n, -v)
+        # on the scale r, as MotPoly.mul_binomial takes them
+        object.__setattr__(self, "_numer_keys", (r, (n, r - v), (n, -v)))
+        object.__setattr__(self, "_binom_keys", (r, (0, 0), (n, -v)))
 
     def __hash__(self):
         return self._hash
@@ -143,11 +145,11 @@ class StdFactor:
 
     def numer_poly(self) -> MotPoly:
         """(L - 1) * L^-nu * T^N, the numerator over 1 - L^-nu T^N."""
-        return self._numer
+        return MotPoly.one().mul_binomial(*self._numer_keys)
 
     def binom_poly(self) -> MotPoly:
         """1 - L^-nu T^N."""
-        return self._binom
+        return MotPoly.one().mul_binomial(*self._binom_keys)
 
     def __str__(self) -> str:
         return "Fac(%s; %s)" % (self.N, self.nu)
@@ -303,7 +305,21 @@ class ZetaExpr:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """numer / prod (1 - L^-nu T^N)^mult, with an exact-division reduction."""
+    """numer / prod (1 - L^-nu T^N)^mult, with an exact-division reduction.
+
+    A reduced quotient -- one that :meth:`make`, :meth:`from_term` or
+    :meth:`add` returns -- keeps the invariant that no factor left in its
+    denominator divides its numerator (and a zero numerator keeps no
+    factor).  :meth:`add` and :meth:`from_term` rely on it to skip the
+    divisions that provably fail; a quotient built by hand with a dividing
+    factor is valid only for :meth:`equivalent`.
+
+    The skips rest on one fact.  A binomial 1 - L^-nu T^N is 1 - y^k for
+    the primitive monomial y on its ray, so it is a product of cyclotomic
+    polynomials in y; the Laurent ring over a common lattice is a UFD, so
+    binomials on different rays, as well as integers, monomials and
+    (L - 1) against an N > 0 factor, are coprime.
+    """
 
     numer: MotPoly
     denom: tuple[tuple[StdFactor, int], ...]  # sorted, multiplicities >= 1
@@ -314,37 +330,80 @@ class RatFunc:
 
     @classmethod
     def make(cls, numer: MotPoly, denom: Mapping[StdFactor, int]) -> "RatFunc":
-        numer, left = cancel(numer, denom, _divide_factor)
-        # cancel fills ``left`` in sorted order
-        return cls(numer, tuple(left.items()))
+        """numer / prod f^m over denom = {f: m}, reduced by trying every
+        factor in sorted order."""
+        return cls(*cancel(numer, sorted(denom.items()), _divide_factor))
 
     @classmethod
     def from_term(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
+        """coeff * prod Fac(N; nu), reduced; ``factors`` is sorted.
+
+        With a one-term coefficient no N > 0 factor is tried: the numerator
+        is a monomial times (L - 1)^k, which such a factor cannot divide.
+        """
         numer = coeff
         for f in factors:
-            numer = numer * f.numer_poly()
-        return cls.make(numer, Counter(factors))
+            numer = numer.mul_binomial(*f._numer_keys)
+        pairs = [(f, len(list(run))) for f, run in itertools.groupby(factors)]
+        skip = {f for f, _m in pairs if f._lat[1]} if len(coeff) == 1 else ()
+        return cls(*cancel(numer, pairs, _divide_factor, skip))
 
     def _common(self, other: "RatFunc"):
-        """Both numerators over the least common denominator: (na, nb, dmax)."""
-        da, db = dict(self.denom), dict(other.denom)
+        """Both numerators over the least common denominator: (na, nb, rows)
+        with rows the (factor, multiplicity here, multiplicity there) of
+        each factor of either denominator, in sorted order."""
+        da, db = self.denom, other.denom
+        rows = []
+        i = j = 0
+        while i < len(da) and j < len(db):
+            (fa, a), (fb, b) = da[i], db[j]
+            if fa == fb:
+                rows.append((fa, a, b))
+                i += 1
+                j += 1
+            elif fa < fb:
+                rows.append((fa, a, 0))
+                i += 1
+            else:
+                rows.append((fb, 0, b))
+                j += 1
+        rows.extend((f, a, 0) for f, a in da[i:])
+        rows.extend((f, 0, b) for f, b in db[j:])
         na, nb = self.numer, other.numer
-        dmax = {}
-        for f in da.keys() | db.keys():
-            a, b = da.get(f, 0), db.get(f, 0)
-            dmax[f] = m = max(a, b)
-            for _ in range(m - a):
-                na = na * f.binom_poly()
-            for _ in range(m - b):
-                nb = nb * f.binom_poly()
-        return na, nb, dmax
+        for f, a, b in rows:
+            for _ in range(b - a):
+                na = na.mul_binomial(*f._binom_keys)
+            for _ in range(a - b):
+                nb = nb.mul_binomial(*f._binom_keys)
+        return na, nb, rows
 
     def add(self, other: "RatFunc") -> "RatFunc":
-        na, nb, dmax = self._common(other)
-        return RatFunc.make(na + nb, dmax)
+        """The reduced sum of two reduced quotients.
+
+        A factor f with unequal multiplicities on the two sides, and no
+        other factor of the common denominator on its ray, is not tried.
+        Say it has more on this side.  Raised to the common denominator,
+        the other numerator has f as a factor; this one is its own
+        numerator (which f does not divide, by the invariant) times
+        binomials on other rays, coprime to f, so f does not divide the
+        sum.  Nor is any factor tried when one side is zero.
+        """
+        if not self.numer:
+            return other
+        if not other.numer:
+            return self
+        na, nb, rows = self._common(other)
+        seen: dict[tuple[int, int], int] = {}
+        for f, _a, _b in rows:
+            seen[f._ray] = seen.get(f._ray, 0) + 1
+        skip = {f for f, a, b in rows if a != b and seen[f._ray] == 1}
+        pairs = [(f, max(a, b)) for f, a, b in rows]
+        return RatFunc(*cancel(na + nb, pairs, _divide_factor, skip))
 
     def equivalent(self, other: "RatFunc") -> bool:
-        na, nb, _dmax = self._common(other)
+        """Equality as rational functions, for any two quotients, reduced
+        or not: the numerators over the least common denominator agree."""
+        na, nb, _rows = self._common(other)
         return na == nb
 
     def __str__(self) -> str:
@@ -365,7 +424,11 @@ def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
 
     Terms are folded in insertion order with a cancellation pass after
     each addition; builders order their terms so that the telescoping
-    divisions fire as early as possible.  The result is kept on ``z``,
+    divisions fire as early as possible.  Each step returns a reduced
+    :class:`RatFunc` (no factor left divides its numerator), so each
+    step can skip the divisions that coprimality rules out (see
+    :meth:`RatFunc.add` and :meth:`RatFunc.from_term`); the result is the
+    one that trying every division gives.  The result is kept on ``z``,
     so a later call (``--check`` after printing, say) returns the same
     object without folding again.
     """

@@ -84,30 +84,39 @@ def pdiv(p, d):
     return _pnorm(q)
 
 
-def cancel(numer, denom: Mapping, divide: Callable) -> tuple[object, Counter]:
-    """Reduce numer / prod f^m over denom = {f: m}: the reduced numerator
-    and a Counter of the factors left, filled in sorted order.
+def cancel(numer, pairs: Iterable, divide: Callable, skip=()) -> tuple[object, tuple]:
+    """Reduce numer / prod f^m over the (f, m) ``pairs``: the reduced
+    numerator and the (f, m) pairs of the factors left, in the given order.
 
-    The factors are tried in sorted order, each for as long as
-    ``divide(numer, f)`` returns an exact quotient rather than None;
-    multiplicities <= 0 are skipped, and a zero numerator keeps no factor.
-    The order is part of the result: 1 - x^2 over (1 - x)(1 - x^2) reduces
-    to (1 + x)/(1 - x^2) in this order and to 1/(1 - x) in the other.
+    The factors are tried in the order of ``pairs`` (callers sort them),
+    each for as long as ``divide(numer, f)`` returns an exact quotient
+    rather than None.  Multiplicities <= 0 are skipped, and a zero
+    numerator keeps no factor.  The order is part of the result: 1 - x^2
+    over (1 - x)(1 - x^2) reduces to (1 + x)/(1 - x^2) in the sorted order
+    and to 1/(1 - x) in the other.
+
+    The result keeps an invariant: no factor left divides the numerator,
+    since each later numerator divides the one that a factor failed on.
+    A factor in ``skip`` is kept whole without a try; the caller must have
+    proved that it does not divide.  ``symring.RatFunc`` proves it from
+    the invariant of its operands and from coprimality: binomials on
+    different rays are coprime, and so are an N > 0 factor and a
+    monomial times (L - 1)^k.
     """
-    left: Counter = Counter()
     if not numer:
-        return numer, left
-    for f in sorted(denom):
-        m = denom[f]
-        while m > 0:
-            q = divide(numer, f)
-            if q is None:
-                break
-            numer = q
-            m -= 1
+        return numer, ()
+    left = []
+    for f, m in pairs:
+        if f not in skip:
+            while m > 0:
+                q = divide(numer, f)
+                if q is None:
+                    break
+                numer = q
+                m -= 1
         if m > 0:
-            left[f] = m
-    return numer, left
+            left.append((f, m))
+    return numer, tuple(left)
 
 
 def _divide_linear(p, f: LinFactor):
@@ -128,8 +137,7 @@ def _poly_of(denom: Iterable[tuple[LinFactor, int]]):
 
 def _lowest_terms(numer, denom: Mapping[LinFactor, int]):
     """numer / prod (N s + nu)^m reduced: (numer_red, denom_red)."""
-    numer, left = cancel(numer, denom, _divide_linear)
-    return numer, tuple(sorted(left.items()))
+    return cancel(numer, sorted(denom.items()), _divide_linear)
 
 
 class TopZeta:

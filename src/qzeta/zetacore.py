@@ -152,9 +152,9 @@ class Stratum:
                 "stratum data lengths %d/%d vs group dimension %d"
                 % (len(self.Nvec), len(self.nuvec), self.group.n)
             )
-        if any(N < 0 for N in self.Nvec):
+        if any(N.numerator < 0 for N in self.Nvec):
             raise ValueError("stratum N entries must be >= 0")
-        if any(nu <= 0 for nu in self.nuvec):
+        if any(nu.numerator <= 0 for nu in self.nuvec):
             raise ValueError("stratum nu entries must be > 0")
 
 
@@ -206,15 +206,25 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
     """L^-n * sum over strata of  class * S_G(N, nu) * prod Fac(N_i; nu_i).
 
     Terms are emitted in the stratification's own order, which builders
-    choose so that the rational-function fold telescopes.
+    choose so that the rational-function fold telescopes.  Neighbouring
+    strata share divisors, so each distinct factor is built once, looked
+    up by the integer numerators and denominators of its (N, nu).
     """
     Ln = MotPoly.L(-strat.n)
     terms = []
+    made: dict[tuple[int, int, int, int], StdFactor] = {}
     for st in strat.strata:
         if not allow_nonsmall and not is_small(st.group):
             raise NotSmall("stratum group %r has quasi-reflexions" % (st.group,))
         coeff = st.klass * s_g_sum(st.group, st.Nvec, st.nuvec) * Ln
-        terms.append((coeff, _factors(st.Nvec, st.nuvec)))
+        factors = []
+        for N, nu in zip(st.Nvec, st.nuvec):
+            key = (N.numerator, N.denominator, nu.numerator, nu.denominator)
+            f = made.get(key)
+            if f is None:
+                f = made[key] = StdFactor(N, nu)
+            factors.append(f)
+        terms.append((coeff, factors))
     return ZetaExpr(terms)
 
 

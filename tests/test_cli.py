@@ -407,6 +407,28 @@ def test_series_budget_refuses_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_eval_L_digit_budget_refuses_at_once(capsys):
+    # The coefficient of T^j here is (P - 1) / P^(j + 1).  At P = 2 it has
+    # 4301 digits from j = 14284 on, one past what Python will print.
+    argv = ["monomial", "--group", "(1;0)", "--N", "1", "--nu", "1", "--series"]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, argv + ["20000", "--eval-L", "2"])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: --eval-L: the coefficient of T^14284 at L = 2 may have 4301 decimal digits,"
+        " over the limit 4300\n"
+    )
+    assert time.perf_counter() - t0 < 2.0
+    # at P = 2^1000 the value of T^13 has 4215 digits and prints; T^14 would have 4516
+    P = 2**1000
+    rc, out, err = run(capsys, argv + ["13", "--eval-L", str(P)])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "  T^13: %s" % F(P - 1, P**14)
+    rc, out, err = run(capsys, argv + ["14", "--eval-L", str(P)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: --eval-L: the coefficient of T^14 at L = %d may have 4516 " % P)
+
+
 def test_cli_fuzz_exits_cleanly(tmp_path):
     """argv drawn from a small grammar over the six subcommands, with valid
     and malformed values: every run exits 0, 1 or 2, and no exception

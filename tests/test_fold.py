@@ -19,16 +19,15 @@ import pytest
 
 from qzeta.groups import GroupAction
 from qzeta.resolution import hj_resolve, hj_stratification
-from qzeta.symring import MotPoly, StdFactor, fac, ze_to_ratfunc
+from qzeta.symring import MotPoly, RatFunc, StdFactor, fac, ze_to_ratfunc
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 
 FOLD_PIN = (509328, "c3c19380539928e5b248ecfe9ae60f2f67d8302099e1e321696dbc50e42d4ac0")
 
 
-def test_criterion_4_fold_pinned():
+def _criterion_4_sweep():
+    """The pinned sweep's 200 seeded draws, as (chain, direct) expressions."""
     rng = random.Random(4011)
-    h = hashlib.sha256()
-    size = 0
     for _ in range(200):
         d = rng.randint(1, 40)
         units = [x for x in range(1, d + 1) if math.gcd(x, d) == 1]
@@ -37,12 +36,59 @@ def test_criterion_4_fold_pinned():
         nu = (rng.randint(1, 3), rng.randint(1, 3))
         chain = stratified_zeta(hj_stratification(hj_resolve(d, a, b), *N, *nu))
         direct = local_monomial_zeta(GroupAction.cyclic(d, (a, b)), N, nu)
-        for z in (chain, direct):
+        yield chain, direct
+
+
+def test_criterion_4_fold_pinned():
+    h = hashlib.sha256()
+    size = 0
+    for pair in _criterion_4_sweep():
+        for z in pair:
             text = str(ze_to_ratfunc(z))
             size += len(text)
             h.update(text.encode())
             h.update(b"\n")
     assert (size, h.hexdigest()) == FOLD_PIN
+
+
+# The divisions the pinned sweep may try.  The fold that tried every factor
+# of every common denominator made 9990 calls, 1097 of them exact; skipping
+# the divisions that coprimality rules out leaves 4153, with the same 1097
+# exact ones.  A change that brings futile divisions back fails here.
+FOLD_DIVISIONS = 4153
+
+
+def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):
+    calls = []
+    divide = MotPoly.divide_one_minus
+
+    def counted(self, ell_x, tau_x):
+        q = divide(self, ell_x, tau_x)
+        calls.append(q is not None)
+        return q
+
+    monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
+    for pair in _criterion_4_sweep():
+        for z in pair:
+            ze_to_ratfunc(z)
+    assert len(calls) <= FOLD_DIVISIONS
+    assert sum(calls) > 0
+
+
+def _assert_reduced(rf: RatFunc):
+    """The invariant of a reduced quotient: no factor left in the
+    denominator divides the numerator, and a zero numerator keeps none."""
+    if not rf.numer:
+        assert rf.denom == ()
+    for f, m in rf.denom:
+        assert m >= 1
+        assert rf.numer.divide_one_minus(-f.nu, f.N) is None, (str(rf), str(f))
+
+
+def test_criterion_4_folds_are_reduced():
+    for pair in _criterion_4_sweep():
+        for z in pair:
+            _assert_reduced(ze_to_ratfunc(z))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +198,40 @@ def test_divide_rejects_where_only_the_classes_differ():
         p.divide_one_minus(0, F(0))
 
 
+def test_mul_binomial_is_the_product_and_division_inverts_it():
+    hyp, st, polys, dirs = _strategies()
+    scales = st.sampled_from((1, 2, 3, 5, 6, 12))
+    keys = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(polys, scales, keys, keys)
+    def check(p, r, a, b):
+        hyp.assume(a != b and b != (0, 0))
+        want = p * MotPoly.from_lattice({a + ((),): 1, b + ((),): -1}, r)
+        got = p.mul_binomial(r, a, b)
+        assert got == want and got.lattice() == want.lattice()
+        # x^(0, 0) - x^b = 1 - L^(b_ell/r) T^(b_tau/r)
+        assert p.mul_binomial(r, (0, 0), b).divide_one_minus(F(b[1], r), F(b[0], r)) == p
+
+    check()
+    # a factor's two binomials, on a scale finer than the polynomial's
+    f = fac(F(3, 2), F(5, 4))
+    p = MotPoly.sym("C") * MotPoly.L(F(1, 3)) - MotPoly.T(2)
+    assert p.mul_binomial(*f._numer_keys) == p * f.numer_poly()
+    assert p.mul_binomial(*f._binom_keys) == p * f.binom_poly()
+    assert p.mul_binomial(*f._binom_keys).scale == 12
+    assert p.mul_binomial(*f._binom_keys).divide_one_minus(*f._direction) == p
+    assert MotPoly.zero().mul_binomial(*f._binom_keys) == MotPoly.zero()
+
+
+def test_factor_rays_are_the_primitive_pairs():
+    # Fac(1; 2), Fac(2; 4) and Fac(3/2; 3) lie on one ray; the fold must
+    # try each of them, as their binomials share the factor 1 - L^-2 T
+    rays = {fac(1, 2)._ray, fac(2, 4)._ray, fac(F(3, 2), 3)._ray}
+    assert rays == {(1, 2)}
+    assert fac(0, F(7, 3))._ray == (0, 1) and fac(F(2, 3), F(4, 9))._ray == (3, 2)
+
+
 # ---------------------------------------------------------------------------
 # standard factors
 
@@ -184,7 +264,8 @@ def test_factor_keeps_fractions_and_its_polynomials():
     f = StdFactor(F(9, 500), F(23, 1000))
     assert str(f) == "Fac(9/500; 23/1000)"
     assert f._lattice() == (1000, 18, 23)
-    assert f.numer_poly() is f.numer_poly() and f.binom_poly() is f.binom_poly()
+    assert f.numer_poly().scale == f.binom_poly().scale == 1000
+    assert f.numer_poly() == (MotPoly.L() - 1) * MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
     assert f.binom_poly() == MotPoly.one() - MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
     g = fac(3, 2)
     assert type(g.N) is F and type(g.nu) is F and g == StdFactor(F(3), F(2))

@@ -19,6 +19,7 @@ from itertools import groupby
 
 import pytest
 
+from qzeta.motpoly import TooManyDigits, _digits_bound, _laurent_value
 from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
@@ -569,6 +570,35 @@ def test_series_values_property():
         assert _outcome(ser.eval_L, P, env) == _outcome(_ref_eval_L, ser.terms(), P, env)
 
     check()
+
+
+def test_digits_bound_covers_every_value():
+    rng = random.Random(67)
+    roots = ((1, 1), (-1, 1), (2, 1), (1, 3), (-5, 2), (0, 1), (10**30, 7), (3, 10**20))
+    tight = 0
+    for _ in range(400):
+        col = {rng.randint(-60, 60): rng.choice((-7, -1, 1, 2, 9)) for _ in range(rng.randint(1, 5))}
+        a, b = rng.choice(roots)
+        if a == 0 and min(col) < 0:
+            continue
+        v = _laurent_value(col, a, b)
+        bound = _digits_bound(min(col), max(col), sum(map(abs, col.values())), a, b)
+        digits = max(len(str(abs(v.numerator))), len(str(v.denominator)))
+        assert digits <= bound, (col, a, b)
+        tight += digits == bound
+    assert tight > 100
+    # one power: the bound is the exact digit count on either side of the limit
+    assert MotPoly.L(-14284).eval_L(2) == F(1, 2**14284)  # 4300 digits
+    with pytest.raises(TooManyDigits, match="4301 decimal digits, over the limit 4300"):
+        MotPoly.L(-14285).eval_L(2)
+    # each column is bounded on its own: 2^10000 and 2^-10000 print, though
+    # the exponents of the whole series span 20000
+    ser = MotPoly.from_lattice({(0, 10000, ()): 1, (1, -10000, ()): 1}, 1)
+    assert ser.series_at_L(2) == [(F(0), F(2**10000)), (F(1), F(1, 2**10000))]
+    # the first column over the bound, in T order, is named
+    ser = MotPoly.from_lattice({(2, 15000, ()): 1, (1, 14300, ()): 1, (0, 1, ()): 1}, 1)
+    with pytest.raises(TooManyDigits, match=r"^the coefficient of T\^1 at L = 2 may have 4305 "):
+        ser.series_at_L(2)
 
 
 def test_printing_matches_fraction_reference():

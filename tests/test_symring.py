@@ -650,6 +650,64 @@ def test_ratfunc_fold_matches_reference():
     assert fired > 150
 
 
+# Three factors on the ray (1, 2), two with N = 0 on (0, 1), and others
+# alone on their rays.  Each draw builds a new factor, so equal factors
+# need not be the same object.
+_RAY_DATA = [(1, 2), (2, 4), (F(3, 2), 3), (0, 2), (0, F(1, 2)), (1, 1), (3, 1), (F(1, 2), F(5, 4))]
+
+
+def _ray_fac(rng: random.Random) -> StdFactor:
+    return fac(*rng.choice(_RAY_DATA))
+
+
+def _rand_coeff(rng: random.Random) -> MotPoly:
+    """A monomial or a sum of terms, with class symbols in some of them,
+    and now and then a multiple of a factor's binomial, which some
+    division then takes out."""
+    mono = MotPoly.monomial(
+        rng.choice((-2, -1, 1, 3)),
+        ell=F(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+        tau=F(rng.randint(0, 4), rng.choice((1, 2))),
+        syms=rng.choice(((), (("C0", 1),), (("C0", 1), ("C1", 2)))),
+    )
+    kind = rng.randrange(3)
+    if kind == 0:
+        return mono
+    if kind == 1:
+        return mono + _rand_poly(rng, 3)
+    return mono * _ray_fac(rng).binom_poly()
+
+
+def _assert_reduced(rf: RatFunc):
+    if not rf.numer:
+        assert rf.denom == ()
+    for f, _m in rf.denom:
+        assert rf.numer.divide_one_minus(-f.nu, f.N) is None, (str(rf), str(f))
+
+
+def test_fold_matches_the_fold_that_tries_every_division():
+    rng = random.Random(47)
+    monomial = multi = cut = divided = 0
+    for _ in range(250):
+        got, want = RatFunc.zero(), RatFunc.zero()
+        for _ in range(rng.randint(1, 5)):
+            coeff = _rand_coeff(rng)
+            factors = tuple(sorted(_ray_fac(rng) for _ in range(rng.randint(0, 3))))
+            term, ref = RatFunc.from_term(coeff, factors), _ref_from_term(coeff, factors)
+            assert term.numer.lattice() == ref.numer.lattice() and term.denom == ref.denom
+            _assert_reduced(term)
+            cut += sum(m for _f, m in term.denom) < len(factors)
+            monomial += len(coeff) == 1
+            multi += len(coeff) > 1
+            common = Counter(dict(got.denom)) | Counter(dict(term.denom))
+            got, want = got.add(term), _ref_add(want, ref)
+            assert got.numer.lattice() == want.numer.lattice()
+            assert got.denom == want.denom and str(got) == str(want)
+            _assert_reduced(got)
+            divided += sum(m for _f, m in got.denom) < sum(common.values())
+    assert monomial > 200 and multi > 200 and cut > 100 and divided > 15
+
+
 def test_fold_is_memoised():
     rng = random.Random(44)
     for _ in range(30):
