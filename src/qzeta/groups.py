@@ -16,17 +16,19 @@ Ages and weights are read off the vectors where they are summed, in
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import reduce
+from itertools import chain, compress, count, filterfalse, islice, repeat
+from operator import add, eq, floordiv, mod, mul
 from typing import Iterable
 
 # The largest order an action may have, taken exactly from its generators
 # (see _order) before anything is enumerated.  The budget is about 10 s and
-# 1 GB for one `group` command.  Measured per command on 2 shared vCPUs
-# (CPython 3.11): "(10^5;1,3)" 0.8-1.1 s and 87 MB, "(10^6;1,3)" 9.9-11.7 s
-# and 686 MB, the non-small "(5*10^5;1,2,2,2)" 11.4 s and 586 MB, and
-# "(2*10^5;1,2,2,2)" 3.3 s and 290 MB with --json.
+# 1 GB for one `group` command.  Measured per command, three runs each in a
+# fresh interpreter, on 2 shared vCPUs (CPython 3.11.7): "(10^5;1,3)"
+# 1.0-1.05 s and 72 MB, "(2*10^5;1,2,2,2)" 2.8-3.2 s and 210 MB with --json,
+# and, with the bound raised, "(10^6;1,3)" 7.9-8.7 s and 553 MB and the
+# non-small "(5*10^5;1,2,2,2)" 8.4-9.4 s and 454 MB.
 SIZE_LIMIT = 2 * 10**5
 
 __all__ = [
@@ -106,13 +108,13 @@ class GroupAction:
         be a proper divisor of ``d_exp``: ``from_elements([(2,)], 4, 1)``
         is the action of type (2; 1).
         """
-        want = {tuple(v % d_exp for v in vec) for vec in vectors}
+        want = set(zip(*(map(mod, col, repeat(d_exp)) for col in zip(*vectors))))
         want.add((0,) * n)
         gens: list[tuple[int, ...]] = []
         span = {(0,) * n}
-        for vec in sorted(want):
-            if vec in span:
-                continue
+        # the least vector outside the span is the next one a walk in sorted
+        # order would take; the span only grows, so none is skipped
+        while (vec := min(filterfalse(span.__contains__, want), default=None)) is not None:
             gens.append(vec)
             span = _span(span, vec, d_exp)
         if span != want:
@@ -129,7 +131,9 @@ class GroupAction:
         act = cls(orders, rows, n)
         # on the exact exponent act.d_exp, each vector of want is divided by step
         step = d_exp // act.d_exp
-        assert set(act.elements()) == {tuple(x // step for x in vec) for vec in want}
+        if step > 1:
+            want = set(zip(*(map(floordiv, col, repeat(step)) for col in zip(*want))))
+        assert set(act.elements()) == want
         return act
 
     # -- enumeration -------------------------------------------------------
@@ -166,7 +170,7 @@ class GroupAction:
         of d_exp with all element entries is its gcd with the generator
         entries, each row scaled by d_exp // order; no element is made.
         """
-        return self.d_exp // math.gcd(self.d_exp, *itertools.chain(*self._generators()))
+        return self.d_exp // math.gcd(self.d_exp, *chain(*self._generators()))
 
     def canonical(self) -> tuple[int, frozenset]:
         """(exponent, exponent vectors rescaled to it) -- presentation-free."""
@@ -228,18 +232,30 @@ def _order(gens: list[tuple[int, ...]], d: int, n: int) -> int:
 def _span(span: set, gen: tuple[int, ...], d_exp: int) -> set:
     """The subgroup generated by the subgroup ``span`` and ``gen``.
 
-    It is the union of the cosets span + k*gen for k = 0, 1, ..., up to the
-    first multiple of ``gen`` that lies in ``span``.  Those cosets are
-    disjoint, so each element is made once.
+    It is the union of the cosets span + j*gen for j = 0, 1, ..., k - 1,
+    where k*gen is the first multiple of ``gen`` in ``span``.  Those cosets
+    are disjoint, so each element is made once.  The order o of ``gen`` is
+    k times the order of k*gen, so o <= k*|span|: making all o multiples
+    costs no more than the result.  Every vector is built a column at a
+    time by ``map``, so no Python code runs per element.
     """
-    mults = [(0,) * len(gen)]
-    step = gen
-    while step not in span:
-        mults.append(step)
-        step = tuple((a + b) % d_exp for a, b in zip(step, gen))
+    o = d_exp // math.gcd(d_exp, *gen)
+    mult_cols = [list(map(mod, map(mul, range(o), repeat(a)), repeat(d_exp))) for a in gen]
     if len(span) == 1:  # span is {0}: the multiples are the elements, no sums needed
-        return set(mults)
-    return {tuple((a + b) % d_exp for a, b in zip(v, k)) for k in mults for v in span}
+        return set(zip(*mult_cols))
+    k = next(compress(count(1), map(span.__contains__, islice(zip(*mult_cols), 1, None))), o)
+    size = len(span)
+    # column i of the cosets: span's column i, k times over, plus entry i
+    # of j*gen repeated |span| times for each j < k
+    cols = (
+        map(
+            mod,
+            map(add, chain.from_iterable(repeat(col, k)), chain.from_iterable(map(repeat, mcol[:k], repeat(size)))),
+            repeat(d_exp),
+        )
+        for col, mcol in zip(zip(*span), mult_cols)
+    )
+    return set(zip(*cols))
 
 
 def is_small(g: GroupAction) -> bool:
@@ -248,8 +264,7 @@ def is_small(g: GroupAction) -> bool:
     For a diagonal action that means: no element has exactly n-1 zero
     exponents.
     """
-    n = g.n
-    return not any(v.count(0) == n - 1 for v in g.elements())
+    return g.n - 1 not in map(tuple.count, g.elements(), repeat(0))
 
 
 def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
@@ -267,18 +282,15 @@ def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
         elems = cur.elements()
         # a quasi-reflection is nonzero on one axis only, so coordinate i
         # of the others adds nothing to the gcd that gives the axis order
-        refl = [v for v in elems if v.count(0) == n - 1]
+        refl = list(compress(elems, map(eq, map(tuple.count, elems, repeat(0)), repeat(n - 1))))
         if not refl:
             break
         d = cur.d_exp
         m_pass = [d // math.gcd(d, *(v[i] for v in refl)) for i in range(n)]
-        vecs = {
-            tuple((mi * x) % d for mi, x in zip(m_pass, v)) for v in elems
-        }
-        g0 = reduce(math.gcd, (reduce(math.gcd, v, 0) for v in vecs), d)
-        new_d = d // g0
-        vecs = {tuple(x // g0 for x in v) for v in vecs}
-        cur = GroupAction.from_elements(vecs, new_d, n)
+        cols = [list(map(mod, map(mul, col, repeat(mi)), repeat(d))) for mi, col in zip(m_pass, zip(*elems))]
+        g0 = math.gcd(d, *(math.gcd(*col) for col in cols))
+        vecs = set(zip(*(map(floordiv, col, repeat(g0)) for col in cols)))
+        cur = GroupAction.from_elements(vecs, d // g0, n)
         m_total = [a * b for a, b in zip(m_total, m_pass)]
     return cur, tuple(m_total)
 

@@ -101,9 +101,14 @@ def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
     """
     N1, N2, nu1, nu2 = (Fraction(x) for x in (N1, N2, nu1, nu2))
     d = chain.d
+    # each curve's data is (cx * N1 + cy * N2) / d, made as one Fraction over
+    # the integer numerators n_i = N_i * D of a common denominator D
+    D = math.lcm(N1.denominator, N2.denominator, nu1.denominator, nu2.denominator)
+    n1, n2, m1, m2 = (x.numerator * (D // x.denominator) for x in (N1, N2, nu1, nu2))
+    dD = d * D
     data = [(N2, nu2)]
     for cx, cy in chain.coeffs:
-        data.append(((cx * N1 + cy * N2) / d, (cx * nu1 + cy * nu2) / d))
+        data.append((Fraction(cx * n1 + cy * n2, dD), Fraction(cx * m1 + cy * m2, dD)))
     data.append((N1, nu1))
     triv = GroupAction.trivial(2)
     Lm1 = MotPoly.L() - 1

@@ -31,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv
 from typing import Iterable, Mapping
 
 from .motpoly import (
@@ -698,26 +699,37 @@ def latex_zeta(z: ZetaExpr) -> str:
 
 
 def json_poly(p: MotPoly) -> str:
-    """The JSON text of ``p.json_obj()``, written in one pass over the
-    integer keys with no intermediate objects.  The ``{"den": d, "num": n}``
-    fragment of each exponent x/r is memoised on x, and ``syms`` goes
-    through :func:`json.dumps`, so symbol names are escaped as it escapes
-    them."""
+    """The JSON text of ``p.json_obj()``, written straight off the integer
+    keys.  Terms sorted by key come in runs with one T-exponent and one
+    symbol monomial; each run is written by one ``%`` over its term
+    template repeated, so only the L-exponent x/r (reduced by a gcd taken
+    with ``map``) and the coefficient vary.  ``syms`` goes through
+    :func:`json.dumps`, so symbol names are escaped as it escapes them, and
+    each ``%`` in that text is doubled before it joins the template."""
     terms, r = p.lattice()
-    fracs: dict[int, str] = {}
-
-    def frac(x: int) -> str:
-        s = fracs.get(x)
-        if s is None:
-            num, den = reduce_exp(x, r)
-            s = fracs[x] = '{"den": %d, "num": %d}' % (den, num)
-        return s
-
-    return "[%s]" % ", ".join(
-        '{"L": %s, "T": %s, "c": %d, "syms": %s}'
-        % (frac(l), frac(t), c, json.dumps(dict(syms), sort_keys=True) if syms else "{}")
-        for (t, l, syms), c in terms
-    )
+    if not terms:
+        return "[]"
+    keys, cs = zip(*terms)
+    ts, ls, symss = zip(*keys)
+    gs = list(map(math.gcd, ls, itertools.repeat(r)))
+    dens = map(floordiv, itertools.repeat(r), gs)
+    values = tuple(itertools.chain.from_iterable(zip(dens, map(floordiv, ls, gs), cs)))
+    templates: dict = {}
+    runs = []
+    end = 0
+    for key, run in itertools.groupby(zip(ts, symss)):
+        start, end = end, end + len(list(run))
+        template = templates.get(key)
+        if template is None:
+            t, syms = key
+            num, den = reduce_exp(t, r)
+            syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
+            template = templates[key] = (
+                '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
+                % (den, num, syms_text.replace("%", "%%"))
+            )
+        runs.append(", ".join(itertools.repeat(template, end - start)) % values[3 * start : 3 * end])
+    return "[%s]" % ", ".join(runs)
 
 
 def json_dump(obj: dict) -> str:

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mod, mul, not_
 
 from .groups import NotSmall, SizeLimit, _span
 
 # The largest group order build_tetra enumerates, checked before it starts.
 # The budget is about 10 s and 1 GB for one `tetra --stringy`, whose
 # conjugacy search costs most per element on the small members (order
-# 3 d^2).  Measured on 2 shared vCPUs (CPython 3.11): d = 258 (order
-# 199,692) 3.5 s and 80 MB, d = 400 (order 480,000) 10.2-11.9 s and 179 MB.
+# 3 d^2).  Measured per command, three runs each in a fresh interpreter, on
+# 2 shared vCPUs (CPython 3.11.7): --d 258 --q 257 (order 199,692) 1.5-1.7 s
+# and 88 MB, and, with the bound raised, --d 400 --q 399 (order 480,000)
+# 4.5-5.2 s and 190 MB.
 TETRA_SIZE_LIMIT = 2 * 10**5
 
 __all__ = [
@@ -134,7 +138,9 @@ def build_tetra(d: int, q: int) -> TetraGroup:
     diags = {(0, 0, 0)}
     for col in ((0, 1, q), (q, 0, 1), (1, q, 0)):
         diags = _span(diags, tuple(x % d for x in col), d)
-    elements = tuple(sorted((a, diag) for a in range(3) for diag in diags))
+    # sorted by shift, then by diagonal: each shift takes the sorted diagonals
+    diags = sorted(diags)
+    elements = tuple(chain.from_iterable(zip(repeat(a), diags) for a in range(3)))
     assert len(elements) == params.order, (
         "enumerated %d elements, expected %d" % (len(elements), params.order)
     )
@@ -148,14 +154,8 @@ def is_small_tetra(t: TetraGroup) -> bool:
     nontrivial shift has the three distinct cube roots of one number as
     eigenvalues, so eigenvalue 1 never has multiplicity 2.
     """
-    scan_small = True
-    for shift, diag in t.elements:
-        if shift != 0:
-            continue
-        zeros = sum(1 for x in diag if x == 0)
-        if zeros == 2:
-            scan_small = False
-            break
+    shift_free = compress(map(itemgetter(1), t.elements), map(not_, map(itemgetter(0), t.elements)))
+    scan_small = 2 not in map(tuple.count, shift_free, repeat(0))
     formula = t.params.is_small_formula
     assert scan_small == formula, (
         "eigenvalue scan disagrees with divisibility at %r" % (t.params,)
@@ -169,36 +169,77 @@ def conjugacy_count(t: TetraGroup) -> int:
     Conjugation by the shift B and by the three diagonal generators (the
     unit vectors i, j, k of the parametrisation) closes each class.  Each
     element not yet reached opens a class, which a stack search closes
-    under h -> s h s^-1 for every generator s: 4 |G| conjugations in all.
-    Each s permutes the finite group, so a set closed under s is closed
-    under s^-1 too.
+    under h -> s h s^-1 for every generator s.  Each s permutes the finite
+    group, so a set closed under s is closed under s^-1 too.
+
+    The four permutations are made without a group product per element.
+    The shift-free elements form a normal subgroup A, and c(h) = s h s^-1
+    is an automorphism, so on (j, e) = (j, 0) (0, e) it is
+
+        c(j, e) = c(j, 0) c(0, e) = (j, tau_j + M e),
+
+    with the translation tau_j read off c(j, 0) for j = 0, 1, 2 and the
+    linear map M off c(0, e_i) for the three unit vectors: six
+    conjugations by ``t.mul`` per generator, on the semidirect product
+    (Z/d)^3 x| Z/3 that holds G.  The map is then applied a column at a
+    time to the elements coded as the integers ((j d + u) d + v) d + w,
+    which increase in the sorted order, and each image is looked up in the
+    element index: an image outside G fails that closure check.
+
+    The count stays an independent route to the closed form of
+    :func:`stringy_euler_tetra`, (d^2 + 8 beta)/3: it searches orbits on all
+    of G, and counts nothing over A alone.
     """
     d, q = t.params.d, t.params.q
     gens = [(1, (0, 0, 0))] + [
         (0, tuple(x % d for x in diag)) for diag in ((0, 1, q), (q, 0, 1), (1, q, 0))
     ]
-    elements = t.elements
-    members = set(elements)
+    shifts = list(map(itemgetter(0), t.elements))
+    diags = list(map(itemgetter(1), t.elements))
+    cols = [list(map(itemgetter(i), diags)) for i in range(3)]
+    jd = list(map(mul, shifts, repeat(d)))
+    index = dict(zip(_codes(jd, cols, d), range(len(shifts))))
+    for j, e in gens:
+        assert next(_codes([j * d], zip(e), d)) in index, (
+            "generator %r not in G%r" % ((j, e), (d, q))
+        )
+    perms = []
     for s in gens:
-        assert s in members, "generator %r not in G%r" % (s, (d, q))
-    conjugators = [(s, t.inv(s)) for s in gens]
-    assigned = set()
+        s_inv = t.inv(s)
+        tau = [t.mul(t.mul(s, (j, (0, 0, 0))), s_inv) for j in range(3)]
+        lin = [t.mul(t.mul(s, (0, e)), s_inv) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        assert [j for j, _ in tau] == [0, 1, 2] and all(j == 0 for j, _ in lin)
+        images = []
+        for i in range(3):
+            col = map((tau[0][1][i], tau[1][1][i], tau[2][1][i]).__getitem__, shifts)
+            for (_, m), x in zip(lin, cols):
+                if m[i]:
+                    col = map(add, col, x if m[i] == 1 else map(mul, x, repeat(m[i])))
+            images.append(map(mod, col, repeat(d)))
+        perm = list(map(index.get, _codes(jd, images, d)))
+        assert None not in perm, "conjugacy orbits leave G%r" % ((d, q),)
+        perms.append(perm)
+    neighbours = list(zip(*perms))
+    assigned = bytearray(len(shifts))
     count = 0
-    for g in elements:
-        if g in assigned:
-            continue
+    g = assigned.find(0)
+    while g >= 0:
         count += 1
-        assigned.add(g)
+        assigned[g] = 1
         stack = [g]
         while stack:
-            h = stack.pop()
-            for s, s_inv in conjugators:
-                c = t.mul(t.mul(s, h), s_inv)
-                if c not in assigned:
-                    assigned.add(c)
+            for c in neighbours[stack.pop()]:
+                if not assigned[c]:
+                    assigned[c] = 1
                     stack.append(c)
-    assert assigned == members, "conjugacy orbits leave G%r" % ((d, q),)
+        g = assigned.find(0, g + 1)
     return count
+
+
+def _codes(jd, cols, d):
+    """The codes ((j d + u) d + v) d + w over the columns j d, u, v, w."""
+    u, v, w = cols
+    return map(add, map(mul, map(add, map(mul, map(add, jd, u), repeat(d)), v), repeat(d)), w)
 
 
 def stringy_euler_tetra(t: TetraGroup) -> int:

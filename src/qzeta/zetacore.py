@@ -16,10 +16,13 @@ to exercise.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 import math
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .groups import GroupAction, NotSmall, is_small, small_reduce
@@ -216,7 +219,10 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
     for st in strat.strata:
         if not allow_nonsmall and not is_small(st.group):
             raise NotSmall("stratum group %r has quasi-reflexions" % (st.group,))
-        coeff = st.klass * s_g_sum(st.group, st.Nvec, st.nuvec) * Ln
+        if st.group.d_exp == 1:  # the trivial group: S_G is the constant 1
+            coeff = st.klass * Ln
+        else:
+            coeff = st.klass * s_g_sum(st.group, st.Nvec, st.nuvec) * Ln
         factors = []
         for N, nu in zip(st.Nvec, st.nuvec):
             key = (N.numerator, N.denominator, nu.numerator, nu.denominator)
@@ -232,6 +238,13 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
 # motivic measures of the origin
 
 
+def _measure(exps: Counter, r: int) -> MotPoly:
+    """sum over x of exps[x] * L^(x/r), built with its keys in ascending
+    order, so that the sort in lattice() finds them in one run."""
+    xs = sorted(exps)
+    return MotPoly.from_lattice(dict(zip(zip(repeat(0), xs, repeat(())), map(exps.__getitem__, xs))), r)
+
+
 def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> MotPoly:
     """Gorenstein measure of the origin: sum L^(age(gamma) - n) over the
     smallified action; ``reduced`` is ``small_reduce(g)[0]`` if the caller
@@ -239,22 +252,16 @@ def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> Mo
     if reduced is None:
         reduced, _m = small_reduce(g)
     r = reduced.d_exp
-    acc: dict = {}
-    for eps in reduced.elements():
-        key = (0, sum(eps) - g.n * r, ())
-        acc[key] = acc.get(key, 0) + 1
-    return MotPoly.from_lattice(acc, r)
+    return _measure(Counter(map(sub, map(sum, reduced.elements()), repeat(g.n * r))), r)
 
 
 def orb_measure_origin(g: GroupAction) -> MotPoly:
     """Orbifold measure of the origin: sum L^(-w(gamma)) over the given
     action, where w counts zero exponents at full weight."""
     r = g.d_exp
-    acc: dict = {}
-    for eps in g.elements():
-        key = (0, -sum(e or r for e in eps), ())
-        acc[key] = acc.get(key, 0) + 1
-    return MotPoly.from_lattice(acc, r)
+    elems = g.elements()
+    zeros = map(tuple.count, elems, repeat(0))
+    return _measure(Counter(map(sub, map(mul, zeros, repeat(-r)), map(sum, elems))), r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -279,3 +280,71 @@ def test_coset_walk_matches_reference():
         assert (group_literal(reduced), m) == _ref_small_reduce(orders, rows, n)
         nonsmall += not is_small(g)
     assert nonsmall > 100
+
+
+# The column-wise kernels against per-element loops: enumeration against
+# every sum of generator multiples, the quasi-reflection scan and the
+# measures as they were binned one element at a time, and the reduction
+# against the reference above.
+
+
+def _sum_closure(g: GroupAction) -> tuple:
+    """Every sum of multiples k_j * gen_j, k_j below the order of row j, sorted."""
+    d = g.d_exp
+    gens = g._generators()
+    return tuple(sorted({
+        tuple(sum(k * gen[i] for k, gen in zip(ks, gens)) % d for i in range(g.n))
+        for ks in itertools.product(*(range(o) for o in g.orders))
+    }))
+
+
+def _loop_measures(g: GroupAction, reduced: GroupAction) -> tuple[MotPoly, MotPoly]:
+    r = reduced.d_exp
+    gor: dict = {}
+    for eps in _sum_closure(reduced):
+        key = (0, sum(eps) - g.n * r, ())
+        gor[key] = gor.get(key, 0) + 1
+    r = g.d_exp
+    orb: dict = {}
+    for eps in _sum_closure(g):
+        key = (0, -sum(e or r for e in eps), ())
+        orb[key] = orb.get(key, 0) + 1
+    return MotPoly.from_lattice(gor, reduced.d_exp), MotPoly.from_lattice(orb, r)
+
+
+def test_column_kernels_match_per_element_loops():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def actions(draw):
+        n = draw(st.integers(1, 4))
+        entries = st.one_of(st.just(0), st.integers(-30, 30))
+        orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in orders]
+        if len(orders) < 3 and draw(st.booleans()):
+            # a redundant row: a multiple of a row already there
+            j = draw(st.integers(0, len(orders) - 1))
+            k = draw(st.integers(0, 5))
+            orders.append(orders[j])
+            rows.append([k * a for a in rows[j]])
+        return GroupAction(orders, rows, n)
+
+    seen = {"nonsmall": 0, "redundant": 0}
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(actions())
+    def check(g):
+        elems = _sum_closure(g)
+        assert g.elements() == elems
+        assert is_small(g) == (not any(v.count(0) == g.n - 1 for v in elems))
+        reduced, m = small_reduce(g)
+        assert (group_literal(reduced), m) == _ref_small_reduce(g.orders, g.rows, g.n)
+        gor, orb = _loop_measures(g, reduced)
+        assert gor_measure_origin(g, reduced).lattice() == gor.lattice()
+        assert orb_measure_origin(g).lattice() == orb.lattice()
+        seen["nonsmall"] += not is_small(g)
+        seen["redundant"] += len(elems) < math.prod(g.orders)
+
+    check()
+    assert seen["nonsmall"] > 50 and seen["redundant"] > 50

@@ -11,15 +11,18 @@ they worked on Fraction exponents, one exact power per monomial.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import groupby
 
 import pytest
 
 from qzeta.motpoly import TooManyDigits, _digits_bound, _laurent_value
+from qzeta.resolution import hj_resolve, hj_stratification
 from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
@@ -29,7 +32,9 @@ from qzeta.symring import (
     latex_poly,
     render_poly,
     render_poly_factored,
+    series_expand,
 )
+from qzeta.zetacore import stratified_zeta
 
 # ---------------------------------------------------------------------------
 # mixed scales
@@ -303,6 +308,67 @@ def test_json_poly_property():
         )
 
     check()
+
+
+# Names a library caller may give a class symbol: a "%" the run template
+# must not read as a conversion, JSON's own delimiters and escapes, and a
+# character outside the Basic Multilingual Plane.
+_ODD_NAMES = ("%", "a%d", "%%s", "{x}", '"q"', "back\\slash", "\U0001f600", "%\U0001d7d8{")
+
+
+def test_json_poly_escapes_odd_symbol_names():
+    rng = random.Random(71)
+    for name in _ODD_NAMES:
+        for _ in range(10):
+            p = _rand_poly(rng, neg=True) + MotPoly.sym(name, rng.choice((-1, 2))) * _rand_poly(rng, 3)
+            p = p * (MotPoly.sym(rng.choice(_ODD_NAMES)) + MotPoly.T(F(1, 3)))
+            assert json_poly(p) == _json_text(p), name
+    p = MotPoly.sym("%d%%", 2) * MotPoly.L(F(1, 2))
+    assert json_poly(p) == (
+        '[{"L": {"den": 2, "num": 1}, "T": {"den": 1, "num": 0}, "c": 1, "syms": {"%d%%": 2}}]'
+    )
+
+
+def test_json_poly_runs_of_one_term():
+    # inside each T-power the symbol monomial changes from one L-power to
+    # the next, so every run of equal (T, syms) holds a single term
+    rng = random.Random(72)
+    for r in (1, 6, 35):
+        syms = ((("A", 1),), (), (("%B", -2), ("C", 1)))
+        terms = {
+            (t, l, syms[(t + l) % 3]): rng.choice((-3, -1, 1, 2, 10**25))
+            for t in range(-4, 5)
+            for l in range(-6, 7)
+        }
+        p = MotPoly.from_lattice(terms, r)
+        keys = [k for k, _ in p.lattice()[0]]
+        assert all((a[0], a[2]) != (b[0], b[2]) for a, b in zip(keys, keys[1:]))
+        assert json_poly(p) == _json_text(p)
+
+
+# The --series 10 polynomial of the d = 1000 hj anchor: 9993 terms in 3165
+# runs, and its JSON text as the dict route writes it.
+_SERIES_PIN = (868962, "0670d129d406d6e1243a085ced57aad9c649e80f3cad9387eb1542f1e840e0a7")
+
+
+def test_json_poly_on_the_d1000_series():
+    z = stratified_zeta(hj_stratification(hj_resolve(1000, 1, 3), 3, 5, 2, 7))
+    ser = series_expand(z, 10)
+    text = json_poly(ser)
+    assert text == _json_text(ser)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == _SERIES_PIN
+
+    # one pass over the integer keys must stay faster than the dict route,
+    # which it took about a third of the time of when this was written
+    def best(f):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            f(ser)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best(json_poly) < best(_json_text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qzeta.cli import main
 from qzeta.groups import NotSmall
 from qzeta.tetra import (
     BadParams,
+    TetraGroup,
     TetraParams,
     build_tetra,
     conjugacy_count,
@@ -146,3 +147,89 @@ def test_conjugacy_count_matches_all_conjugators():
 def test_stringy_d31_pinned(capsys):
     assert main(["tetra", "--d", "31", "--q", "30", "--stringy"]) == 0
     assert capsys.readouterr().out == "323\nconjugacy classes: 323 (match)\n"
+
+
+def _conjugacy_count_all_conjugators_np(t) -> int:
+    """The reference above with its products taken over all of G at once.
+
+    The arrays hold the shifts j and the diagonals e of the elements, and
+    the products transcribe ``TetraGroup.mul``/``inv``: (j1, e1)(j2, e2) =
+    (j1 + j2, sigma^j2(e1) + e2), with sigma^1(u, v, w) = (w, u, v), and
+    (j, e)^-1 = (-j, -sigma^-j(e)).  Each new representative g is
+    conjugated by every c in G: c g c^-1.
+    """
+    np = pytest.importorskip("numpy")
+    d = t.params.d
+    rot = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])  # row j: the indices of sigma^j
+    js = np.array([j for j, _ in t.elements], dtype=np.int32)
+    es = np.array([e for _, e in t.elements], dtype=np.int32).reshape(-1, 3)
+
+    def mod_d(x):  # x mod d for 0 <= x < 2d
+        return x - d * (x >= d)
+
+    def code(j, e):
+        return j * d**3 + e @ np.array([d * d, d, 1], dtype=np.int32)
+
+    ij = (-js) % 3
+    flat = np.arange(len(js))[:, None] * 3 + rot[ij]  # sigma^-j(e) row by row, on e.ravel()
+    ie = (-es.ravel()[flat]) % d  # c^-1 = (ij, ie) for every c = (j, e)
+    index = np.full(3 * d**3, -1)
+    index[code(js, es)] = np.arange(len(js))
+    assigned = np.zeros(len(js), dtype=bool)
+    count = 0
+    for i in range(len(js)):
+        if assigned[i]:
+            continue
+        count += 1
+        cg_j, cg_e = (js + js[i]) % 3, mod_d(es[:, rot[js[i]]] + es[i])
+        image = index[code((cg_j + ij) % 3, mod_d(cg_e.ravel()[flat] + ie))]
+        assert (image >= 0).all(), "conjugate outside G"
+        assigned[image] = True
+    return count
+
+
+def _small_members(dmax):
+    return [
+        (d, q)
+        for d in range(1, dmax + 1)
+        for q in (range(d) if d > 1 else (0,))
+        if math.gcd(d, q) == 1 and (q**3 + 1) % d == 0
+    ]
+
+
+def test_array_reference_matches_the_reference():
+    pytest.importorskip("numpy")
+    # small members, and non-small ones whose classes meet the shifts unevenly
+    for d, q in _small_members(9) + [(13, 4), (5, 2), (6, 1), (4, 1)]:
+        t = build_tetra(d, q)
+        assert _conjugacy_count_all_conjugators_np(t) == _conjugacy_count_all_conjugators(t), (d, q)
+
+
+def test_conjugacy_count_on_every_small_member_to_d40():
+    pytest.importorskip("numpy")
+    members = _small_members(40)
+    assert len(members) == 72
+    for d, q in members:
+        t = build_tetra(d, q)
+        assert conjugacy_count(t) == _conjugacy_count_all_conjugators_np(t), (d, q)
+
+
+# The TetraGroup.mul calls conjugacy_count may make on G(31, 30), order
+# 2883.  Conjugating every element by each of the four generators made
+# 8 |G| = 23,064; reading each conjugation's affine map off six
+# conjugations makes 4 * 6 * 2 = 48, whatever the order.
+CONJUGACY_MULS = 48
+
+
+def test_conjugacy_count_makes_no_product_per_element(monkeypatch):
+    calls = []
+    mul = TetraGroup.mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    t = build_tetra(31, 30)
+    monkeypatch.setattr(TetraGroup, "mul", counted)
+    assert conjugacy_count(t) == 323
+    assert 0 < len(calls) <= CONJUGACY_MULS
