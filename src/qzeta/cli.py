@@ -160,7 +160,8 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             else:
                 lines.append("series at L = %s:" % P)
                 for t, v in vals:
-                    lines.append("  T^%s: %s" % (symring._exp_str(t.numerator, t.denominator), v))
+                    exp = t if t.denominator == 1 else "(%s)" % t
+                    lines.append("  T^%s: %s" % (exp, v))
     if stratification is not None and getattr(args, "emit_strata", None):
         text = strata.render_strata(stratification, chi_env)
         with open(args.emit_strata, "w", encoding="utf-8") as fh:

@@ -368,7 +368,7 @@ class MotPoly:
             total += v
         return total
 
-    def eval_L(self, p, sym_env: Mapping[str, Fraction] | None = None) -> Fraction:
+    def eval_L(self, p) -> Fraction:
         """Exact value with L = p (T powers are not evaluable here).
 
         This is the T-free case of :meth:`series_at_L`.  A polynomial with
@@ -377,13 +377,11 @@ class MotPoly:
         """
         p = Fraction(p)
         if self.has_T():
-            self._raise_first_failure(p, sym_env, t_free=True)
-        vals = self.series_at_L(p, sym_env)
+            self._raise_first_failure(p, t_free=True)
+        vals = self.series_at_L(p)
         return vals[0][1] if vals else Fraction(0)
 
-    def series_at_L(
-        self, p, sym_env: Mapping[str, Fraction] | None = None
-    ) -> list[tuple[Fraction, Fraction]]:
+    def series_at_L(self, p) -> list[tuple[Fraction, Fraction]]:
         """[(tau, value at L = p of the coefficient of T^tau)], ascending in tau.
 
         One pass over the integer keys takes g = gcd(r, every ell*r), so
@@ -391,40 +389,31 @@ class MotPoly:
         of the exponents' reduced denominators d, and p has an exact d-th
         root for every d exactly when it has a D-th root (a negative p needs
         every d odd, and then D is odd too); so one root serves the whole
-        polynomial.  The symbol-free terms of each T-column are summed as an
-        integer Laurent polynomial in that root, and give one Fraction; each
-        symbol term is valued on its own.  When some term has no value, the
-        terms are walked in canonical order and the first of them that
-        cannot be evaluated is the one reported.
+        polynomial.  The terms of each T-column are summed as an integer
+        Laurent polynomial in that root, and give one Fraction.  A class
+        symbol has no value: :class:`MissingChi` names it.  When some term
+        has no value, the terms are walked in canonical order and the first
+        of them that cannot be evaluated is the one reported.
 
         Before any power is taken, each column's value is bounded from the
         root's size and the column's exponent span and coefficient sum (see
         :func:`_digits_bound`); a value that may pass :data:`MAX_DIGITS`
         digits, and so could not be printed, raises :class:`TooManyDigits`.
-        The bound covers the L-part of every term; the values of class
-        symbols come from the caller and are not bounded.
         """
         p = Fraction(p)
         terms, r = self._terms, self._r
         g = math.gcd(r, *(k[1] for k in terms))
-        plain: dict[int, dict[int, int]] = {}
-        symbolic: dict[int, list[tuple[int, int, SymMono]]] = {}
+        cols: dict[int, dict[int, int]] = {}
         try:
             a, b = _exact_root(p, r // g)
             for (t, l, syms), c in terms.items():
-                k = l // g
                 if syms:
-                    for name, _e in syms:
-                        if not sym_env or name not in sym_env:
-                            raise MissingChi(name)
-                    symbolic.setdefault(t, []).append((k, c, syms))
+                    raise MissingChi(syms[0][0])
+                col = cols.get(t)
+                if col is None:
+                    cols[t] = {l // g: c}
                 else:
-                    col = plain.get(t)
-                    if col is None:
-                        plain[t] = {k: c}
-                    else:
-                        col[k] = c
-            ts = sorted(plain.keys() | symbolic.keys())
+                    col[l // g] = c
             # The bound over all the terms at once is at least each
             # column's, so the columns are bounded one by one only when
             # it passes the limit.  With a root of size at most 1, no L
@@ -433,13 +422,10 @@ class MotPoly:
             if terms and (abs(a) > 1 or b > 1):
                 lo = min(k[1] for k in terms) // g
                 hi = max(k[1] for k in terms) // g
+            ts = sorted(cols)
             if terms and _digits_bound(lo, hi, sum(map(abs, terms.values())), a, b) > MAX_DIGITS:
                 for t in ts:
-                    col = plain.get(t, {})
-                    if t in symbolic:
-                        col = dict(col)
-                        for k, c, _syms in symbolic[t]:
-                            col[k] = abs(col.get(k, 0)) + abs(c)
+                    col = cols[t]
                     digits = _digits_bound(
                         min(col), max(col), sum(map(abs, col.values())), a, b
                     )
@@ -448,22 +434,11 @@ class MotPoly:
                             "the coefficient of T^%s at L = %s may have %d decimal digits,"
                             " over the limit %d" % (Fraction(t, r), p, digits, MAX_DIGITS)
                         )
-            root = Fraction(a, b)
-            out = []
-            for t in ts:
-                col = plain.get(t)
-                v = _laurent_value(col, a, b) if col else Fraction(0)
-                for k, c, syms in symbolic.get(t, ()):
-                    w = c * root**k
-                    for name, e in syms:
-                        w *= Fraction(sym_env[name]) ** e
-                    v += w
-                out.append((Fraction(t, r), v))
+            return [(Fraction(t, r), _laurent_value(cols[t], a, b)) for t in ts]
         except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
-            self._raise_first_failure(p, sym_env)
-        return out
+            self._raise_first_failure(p)
 
-    def _raise_first_failure(self, p: Fraction, sym_env, t_free: bool = False):
+    def _raise_first_failure(self, p: Fraction, t_free: bool = False):
         """Raise the error of the first term, in canonical order, that has
         no value at L = p; with ``t_free`` a T power is such a term too."""
         r = self._r
@@ -477,12 +452,8 @@ class MotPoly:
             if l < 0 and not roots[d]:
                 # past d = 1 this is what Fraction(0) ** k itself reports
                 raise ZeroDivisionError("0 to a negative power" if d == 1 else "Fraction(1, 0)")
-            for name, e in syms:
-                if not sym_env or name not in sym_env:
-                    raise MissingChi(name)
-                # a symbol valued 0 to a negative power fails here, as
-                # in the valuation itself
-                Fraction(sym_env[name]) ** e
+            if syms:
+                raise MissingChi(syms[0][0])
         raise AssertionError("every term has a value at L = %s" % p)
 
     # -- binomials: exact division and product ----------------------------

@@ -13,7 +13,9 @@ On top of the plain polynomials (:class:`MotPoly`, see
 
 and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
 (:class:`ZetaExpr`), their reduced rational-function form, series and
-the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`).
+the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`),
+and their printers: the factors of each monomial come from one lattice
+helper, and each sum is written by :func:`qzeta.topzeta.sum_str`.
 All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
 (for a quotient by G they are ages, so r is the index), while factor
@@ -43,17 +45,25 @@ from .motpoly import (
     _mul_syms,
     reduce_exp,
 )
-from .topzeta import TopZeta, _lin_latex, cancel, frac_json, frac_latex, quotient_str
+from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
+from .topzeta import quotient_str, sum_str
 
 Rat = Fraction
 
-# The largest work bound a series expansion may have (see series_expand):
-# about 10 s and 1 GB for one command, as for groups.SIZE_LIMIT.  One factor
-# costs the most per unit, as each product is a printed term.  Measured on
-# 2 shared vCPUs (CPython 3.11), `monomial --group "(1;0)" --N 1 --nu 1
-# --series M` took 7.5 s and 527 MB at M = 5*10^5 (bound 10^6) and 10.4 s
-# and 835 MB at M = 7.5*10^5 (bound 1.5*10^6).
+# The largest bounds a series expansion may have (see series_expand): about
+# 10 s and 1 GB for one command, as for groups.SIZE_LIMIT.  Each term the
+# expansion can keep costs the most, as it is printed.  Measured on 2 shared
+# vCPUs (CPython 3.11), `monomial --group "(1;0)" --N 1 --nu 1 --series M`
+# took 7.5 s and 527 MB at M = 5*10^5 (10^6 terms) and 10.4 s and 835 MB at
+# M = 7.5*10^5 (1.5*10^6 terms).  A product that lands on a kept term costs
+# less: with two factors on one ray, `monomial --group "(2;1,1)" --N 1,1
+# --nu 1,1 --series M` made 3.2*10^7 products in 8.4 s at M = 2000 and
+# 3.9*10^7 in 10.2 s at M = 2200, in 22 MB.  Neither bound of a plan passes
+# twice its coefficient length times the product of 2 * jmax over its
+# factors; with the product limit at least twice the term limit, every plan
+# within the term limit by that one measure is accepted.
 SERIES_TERM_LIMIT = 15 * 10**5
+SERIES_PRODUCT_LIMIT = 35 * 10**6
 
 __all__ = [
     "Rat",
@@ -411,7 +421,8 @@ class RatFunc:
         den = []
         for f, m in self.denom:
             r, n, v = f._lattice()
-            den.append(("1 - " + _mono_str((n, -v, ()), 1, True, _lattice_pow_str(r)), m))
+            binom = _lattice_terms([((0, 0, ()), 1), ((n, -v, ()), -1)], r, TEXT)
+            den.append((sum_str(binom, TEXT), m))
         return quotient_str(render_poly_factored(self.numer), den)
 
 
@@ -472,23 +483,31 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
 
     Each term is planned before any is expanded: a factor raises the least
     T-exponent lo by exactly N (the ring is a domain), so its sum stops at
-    jmax = floor((M - lo) / N) with lo known in advance.  The work is
-    bounded by the coefficient length times the product of 2 * jmax over
-    the factors, summed over the terms; over :data:`SERIES_TERM_LIMIT` the
-    expansion is refused.
+    jmax = floor((M - lo) / N) with lo known in advance.  Two measures are
+    bounded, each summed over the terms: the products that the steps make
+    (a step multiplies the terms kept so far by 2 * jmax), and the most
+    terms kept at once.  The terms kept after a step are at most the
+    products of that step, and at most the coefficient length times k + 1
+    times, for each ray, the T-exponents up to M that the sums of its
+    factors can reach: the factors of one ray move a monomial along that
+    ray, and the k factors (L - 1) so far add an L-exponent from 0 to k.
+    Over :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
+    products the expansion is refused.
     """
     M = Fraction(M)
     if M < 0:
         raise ValueError("truncation order must be >= 0")
     plan = []
-    work = 0
+    products = kept = 0
     for factors, coeff in z.iter_terms():
         cur = coeff.truncate_tau(M)
         if cur.is_zero:
             continue
-        lo = cur.min_tau()
+        lo = lo0 = cur.min_tau()
         steps = []
-        size = len(cur)
+        keys = most = len(cur)
+        work = 0
+        rays: dict = {}  # ray -> (gcd of its N, sum of its N)
         for f in sorted(factors):
             if f.N == 0:
                 raise ValueError(
@@ -498,16 +517,26 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
             if jmax < 1:
                 break
             steps.append((f, jmax))
-            size *= 2 * jmax
+            work += keys * 2 * jmax
+            step, total = rays.get(f._ray, (0, 0))
+            rays[f._ray] = (_gcd(step, f.N), total + f.N)
+            points = math.prod((M - lo0 - t) // g + 1 for g, t in rays.values())
+            keys = min(keys * 2 * jmax, len(cur) * (len(steps) + 1) * points)
+            most = max(most, keys)
             lo += f.N
         else:
             plan.append((cur, steps))
-            work += size
-    if work > SERIES_TERM_LIMIT:
-        raise ValueError(
-            "refusing to expand to T-order %s: about %d terms, over the limit %d"
-            % (M, work, SERIES_TERM_LIMIT)
-        )
+            products += work
+            kept += most
+    for n, limit, what in (
+        (kept, SERIES_TERM_LIMIT, "terms"),
+        (products, SERIES_PRODUCT_LIMIT, "products"),
+    ):
+        if n > limit:
+            raise ValueError(
+                "refusing to expand to T-order %s: about %d %s, over the limit %d"
+                % (M, n, what, limit)
+            )
     total = MotPoly.zero()
     for cur, steps in plan:
         for f, jmax in steps:
@@ -518,6 +547,13 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
             cur = (cur * ((MotPoly.L() - 1) * geo)).truncate_tau(M)
         total = total + cur
     return total
+
+
+def _gcd(a: Fraction, b: Fraction) -> Fraction:
+    """The greatest Fraction of which a and b are integer multiples."""
+    d = math.lcm(a.denominator, b.denominator)
+    n = math.gcd(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+    return Fraction(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -550,66 +586,39 @@ def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> T
 # rendering helpers
 
 
-def _exp_str(x: int, r: int = 1) -> str:
-    num, den = reduce_exp(x, r)
-    return str(num) if den == 1 else "(%d/%d)" % (num, den)
+def _lattice_terms(terms: Iterable[tuple[LatKey, int]], r: int, syntax: Syntax) -> list[tuple]:
+    """The (factor texts, coefficient) pair of each (key, coefficient) term
+    on the scale r, for :func:`sum_str`: the factors are the powers of L, T
+    and each symbol, in ``syntax``.  The power of each exponent of L and of
+    T is written once, on its first term, as the exponents of a long
+    polynomial repeat."""
+    power, ratio, unit, L = syntax.power, syntax.ratio, syntax.unit, syntax.L
 
-
-def _pow_str(base: str, x: int, r: int = 1) -> str:
-    """base^(x/r), or just base for the exponent 1."""
-    if x == r:
-        return base
-    return "%s^%s" % (base, _exp_str(x, r))
-
-
-def _lattice_pow_str(r: int):
-    """_pow_str for the exponents x/r of one polynomial, memoised on
-    (base, x): the L and T exponents of a long polynomial repeat."""
-    memo: dict[tuple[str, int], str] = {}
-
-    def pow_str(base: str, x: int) -> str:
-        s = memo.get((base, x))
-        if s is None:
-            s = memo[(base, x)] = _pow_str(base, x, r)
+    def pow_of(memo: dict, base: str, x: int) -> tuple[str, ...]:
+        g = math.gcd(x, r)
+        e = x // g if g == r else ratio % (x // g, r // g)
+        memo[x] = s = (base if e == 1 and not unit else power % (base, e),)
         return s
 
-    return pow_str
-
-
-def _mono_str(key: LatKey, c: int, lead: bool, pow_str) -> str:
-    tau, ell, syms = key
-    parts = []
-    if ell:
-        parts.append(pow_str("L", ell))
-    if tau:
-        parts.append(pow_str("T", tau))
-    for name, e in syms:
-        parts.append(_pow_str("[%s]" % name, e))
-    mag = abs(c)
-    if not parts or mag != 1:
-        parts.insert(0, str(mag))
-    body = " * ".join(parts)
-    if lead:
-        return ("-" if c < 0 else "") + body
-    return ("- " if c < 0 else "+ ") + body
+    Ls: dict[int, tuple[str, ...]] = {0: ()}
+    Ts: dict[int, tuple[str, ...]] = {0: ()}
+    out = []
+    for (tau, ell, syms), c in terms:
+        f = Ls[ell] if ell in Ls else pow_of(Ls, L, ell)
+        f += Ts[tau] if tau in Ts else pow_of(Ts, "T", tau)
+        if syms:
+            f += tuple("[%s]" % n if e == 1 else power % ("[%s]" % n, e) for n, e in syms)
+        out.append((f, c))
+    return out
 
 
 def render_poly(p: MotPoly) -> str:
-    terms, r = p.lattice()
-    if not terms:
-        return "0"
-    return _render_terms(terms, _lattice_pow_str(r))
-
-
-def _render_terms(terms: list[tuple[LatKey, int]], pow_str) -> str:
-    return " ".join(_mono_str(key, c, i == 0, pow_str) for i, (key, c) in enumerate(terms))
+    return sum_str(_lattice_terms(*p.lattice(), TEXT), TEXT)
 
 
 def render_poly_factored(p: MotPoly) -> str:
     """Render with the common monomial pulled out front: ``L^-2 * (1 + L)``."""
-    if p.is_zero:
-        return "0"
-    if len(p) == 1:
+    if len(p) <= 1:
         return render_poly(p)
     g = p.gcd_monomial()
     if g == (0, 0, ()):
@@ -621,8 +630,8 @@ def render_poly_factored(p: MotPoly) -> str:
     shifted = [((t - tau, l - ell, _mul_syms(s, inv)), c) for (t, l, s), c in terms]
     if inv:
         shifted.sort()  # dropping symbol powers can reorder the terms
-    pow_str = _lattice_pow_str(r)
-    return "%s * (%s)" % (_mono_str(g, 1, True, pow_str), _render_terms(shifted, pow_str))
+    (head, _one), *body = _lattice_terms([(g, 1), *shifted], r, TEXT)
+    return "%s * (%s)" % (TEXT.times.join(head), sum_str(body, TEXT))
 
 
 def render_zeta(z: ZetaExpr) -> str:
@@ -643,34 +652,8 @@ def render_zeta(z: ZetaExpr) -> str:
     return " + ".join(chunks)
 
 
-def _exp_latex(x: int, r: int) -> str:
-    num, den = reduce_exp(x, r)
-    return str(num) if den == 1 else "%d/%d" % (num, den)
-
-
 def latex_poly(p: MotPoly) -> str:
-    terms, r = p.lattice()
-    if not terms:
-        return "0"
-    out = []
-    for i, ((tau, ell, syms), c) in enumerate(terms):
-        parts = []
-        if ell:
-            parts.append("\\mathbb{L}^{%s}" % _exp_latex(ell, r))
-        if tau:
-            parts.append("T^{%s}" % _exp_latex(tau, r))
-        for name, e in syms:
-            body = "[%s]" % name
-            parts.append(body if e == 1 else "%s^{%d}" % (body, e))
-        mag = abs(c)
-        if not parts or mag != 1:
-            parts.insert(0, str(mag))
-        body = "".join(parts)
-        if i == 0:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("-" if c < 0 else "+") + body)
-    return "".join(out)
+    return sum_str(_lattice_terms(*p.lattice(), LATEX), LATEX)
 
 
 def latex_zeta(z: ZetaExpr) -> str:

@@ -6,24 +6,29 @@ of s whose denominators are products of linear factors.  :class:`TopZeta`
 sums them over one common denominator and keeps only the reduced
 quotient, which equality and hashing read through one canonical form.
 
-The module also holds the two pieces of reduction that the rest of the
-package shares.  Dense polynomials are tuples of coefficients, constant
-term first: :func:`pmul`, :func:`padd` and the exact division
+The module also holds the pieces of reduction and printing that the rest
+of the package shares.  Dense polynomials are tuples of coefficients,
+constant term first: :func:`pmul`, :func:`padd` and the exact division
 :func:`pdiv` serve both ``TopZeta`` (Fraction coefficients in s) and
 :meth:`qzeta.monodromy.CyclotomicProduct.expand` (integers in t).
 :func:`cancel` is the one reduction rule for a quotient over a product
-of factors, used here and by ``symring.RatFunc``.
+of factors, used here and by ``symring.RatFunc``.  :func:`sum_str` is the
+one term walker: every polynomial printed, in L, T and class symbols by
+``symring`` or in s here, is a sum of (factor texts, coefficient) pairs
+written in one of three syntaxes, :data:`TEXT`, :data:`TEXT_S` (factors
+joined by "*", for polynomials in s) and :data:`LATEX`; and
+:func:`quotient_str` lays out every printed quotient.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["LinFactor", "TopZeta", "cancel", "frac_json", "frac_latex", "padd", "pdiv", "pmul",
-           "quotient_str"]
+__all__ = ["LATEX", "LinFactor", "Syntax", "TEXT", "TEXT_S", "TopZeta", "cancel", "frac_json",
+           "frac_latex", "padd", "pdiv", "pmul", "quotient_str", "sum_str"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
@@ -223,7 +228,7 @@ class TopZeta:
 
     def __str__(self) -> str:
         return quotient_str(
-            _spoly_str(self.numer_red), [(_lin_str(f), m) for f, m in self.denom_red]
+            _spoly(self.numer_red, TEXT_S), [(_lin_str(f), m) for f, m in self.denom_red]
         )
 
     def __repr__(self):
@@ -240,9 +245,7 @@ class TopZeta:
         }
 
     def latex(self) -> str:
-        if not self.numer_red:
-            return "0"
-        num = _spoly_latex(self.numer_red)
+        num = _spoly(self.numer_red, LATEX)
         if not self.denom_red:
             return num
         den = "".join(
@@ -268,6 +271,35 @@ def frac_latex(x: Fraction) -> str:
     return "%s\\tfrac{%d}{%d}" % (sign, abs(x.numerator), x.denominator)
 
 
+# The tokens in which printed sums differ: the power and fractional exponent
+# formats, the coefficient text, the name of L, whether the power 1 of L and T
+# is written out, and the separators between the factors of a term and
+# before a positive and a negative term.
+Syntax = namedtuple("Syntax", "power ratio coeff L unit times plus minus")
+TEXT = Syntax("%s^%s", "(%d/%d)", str, "L", False, " * ", " + ", " - ")
+TEXT_S = TEXT._replace(times="*")  # s-polynomials: 2*s^2 + 1
+LATEX = Syntax("%s^{%s}", "%d/%d", frac_latex, "\\mathbb{L}", True, "", "+", "-")
+
+
+def sum_str(terms: Iterable[tuple[Sequence[str], object]], syntax: Syntax) -> str:
+    """The sum of the (factor texts, coefficient) ``terms`` in ``syntax``:
+    each term's sign, then its coefficient's magnitude and factors joined,
+    the magnitude left out when it is 1 beside factors.  Zero terms are
+    skipped; the first sign is "-" or nothing, and an empty sum is "0"."""
+    times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
+    out = []
+    for factors, c in terms:
+        if c:
+            mag = -c if c < 0 else c
+            if mag != 1 or not factors:
+                factors = (coeff(mag), *factors)
+            out += minus if c < 0 else plus, times.join(factors)
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == minus else ""
+    return "".join(out)
+
+
 def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
     """``(num) / ((f)^m * ...)`` over the (factor text, multiplicity) pairs
     ``den``, with no ``^1``; the numerator alone when it is "0" or ``den``
@@ -278,43 +310,14 @@ def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
     return "(%s) / (%s)" % (num, " * ".join(parts))
 
 
-def _spoly_str(p) -> str:
-    # descending powers of s
-    out = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            spow = "s" if k == 1 else "s^%d" % k
-            body = spow if mag == 1 else "%s*%s" % (mag, spow)
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out) if out else "0"
-
-
-def _spoly_latex(p) -> str:
-    out = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = frac_latex(abs(c))
-        else:
-            mag = abs(c)
-            spow = "s" if k == 1 else "s^{%d}" % k
-            body = spow if mag == 1 else "%s%s" % (frac_latex(mag), spow)
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("-" if c < 0 else "+") + body)
-    return "".join(out) if out else "0"
+def _spoly(p, syntax: Syntax) -> str:
+    """The dense polynomial p in s, highest power first."""
+    power = syntax.power
+    return sum_str(
+        (((power % ("s", k),) if k > 1 else ("s",) if k else (), p[k])
+         for k in range(len(p) - 1, -1, -1)),
+        syntax,
+    )
 
 
 def _lin_str(f: LinFactor) -> str:

@@ -22,6 +22,11 @@ REMOVED = {
     "symring": ["eval_L", "ClassSymbol"],
     "resolution": ["yomdin_zeta", "yomdin_top"],
 }
+# Printers that each walked the terms of a sum: text and LaTeX now share
+# topzeta.sum_str, with the monomials' factors from one lattice helper.
+REMOVED["symring"] += ["_exp_str", "_pow_str", "_lattice_pow_str", "_mono_str", "_render_terms",
+                       "_exp_latex"]
+REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -60,3 +65,23 @@ def test_removed_names_are_gone():
     assert not hasattr(qzeta.tetra.TetraGroup, "identity")
     assert not hasattr(qzeta.motpoly, "_rat")
     assert not hasattr(qzeta.zetacore, "_prime_factors")
+
+
+def test_cli_reads_no_private_symring_name():
+    tree = ast.parse(Path(qzeta.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "symring"
+        and node.attr.startswith("_")
+    ]
+    private += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "symring"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -407,6 +407,34 @@ def test_series_budget_refuses_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_series_budget_counts_products_and_kept_terms(capsys):
+    # Two factors on one ray keep about 6 * M terms, not the product of
+    # 2 * jmax over the factors (8 * 10^6 here): the expansion runs.
+    argv = ["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series"]
+    rc, out, err = run(capsys, argv + ["1000"])
+    assert (rc, err) == (0, "")
+    series = out.splitlines()[1]
+    assert series.startswith("series (T-order <= 1000): L^-3 * T - 2 * L^-2 * T + L^-1 * T + ")
+    assert series.endswith(" * T^1000") and series.count(" * T^") == 3 * 999
+    # the same ray at M = 2200 makes 3.9 * 10^7 products, about 10 s
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, argv + ["2200"])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: refusing to expand to T-order 2200: about 38746404 products,"
+        " over the limit 35000000\n"
+    )
+    # one factor keeps every product: 2 * 750001 terms are one over the limit
+    one = ["monomial", "--group", "(1;0)", "--N", "1", "--nu", "1", "--series", "750001"]
+    rc, out, err = run(capsys, one)
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: refusing to expand to T-order 750001: about 1500002 terms,"
+        " over the limit 1500000\n"
+    )
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_eval_L_digit_budget_refuses_at_once(capsys):
     # The coefficient of T^j here is (P - 1) / P^(j + 1).  At P = 2 it has
     # 4301 digits from j = 14284 on, one past what Python will print.

@@ -69,6 +69,42 @@ def test_equal_polynomials_hash_equal_across_scales():
     assert zeros == {MotPoly.zero()}
 
 
+def test_ring_laws_across_scales():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    symmonos = st.sampled_from(((), (), (("a", 1),), (("a", 2), ("b", 1)), (("b", -1),)))
+    exps = st.integers(-14, 14)
+    polys = st.builds(
+        lambda r, terms: MotPoly({(F(t, r), F(l, r), s): c for t, l, s, c in terms}),
+        st.sampled_from((1, 2, 3, 6, 7)),
+        st.lists(st.tuples(exps, exps, symmonos, st.sampled_from((-3, -1, 1, 2))), max_size=5),
+    )
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(polys, polys, polys, st.sampled_from((1, 2, 3, 6, 7)), st.integers(0, 3))
+    def check(a, b, c, m, n):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == MotPoly.zero() and (a - a).is_zero
+        assert a * 1 == a and a * MotPoly.one() == a
+        power = MotPoly.one()
+        for _ in range(n):
+            power = power * a
+        assert a**n == power
+        # the same polynomial stored on a lattice m times finer
+        fine = MotPoly.from_lattice(
+            {(t * m, l * m, s): k for (t, l, s), k in a.lattice()[0]}, a.scale * m
+        )
+        assert fine == a and hash(fine) == hash(a)
+        assert (fine == b) == (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    check()
+
+
 def test_from_lattice_reads_back_as_fractions():
     p = MotPoly.from_lattice({(-3, 10, (("C", 1),)): 4, (0, 0, ()): -1}, 6)
     assert p.terms() == [((F(-1, 2), F(5, 3), (("C", 1),)), 4), ((F(0), F(0), ()), -1)]
@@ -409,18 +445,17 @@ def _ref_rat_pow(p: F, e: F) -> F:
     return F(rn, rd) ** e.numerator
 
 
-def _ref_eval_L(terms, p, sym_env=None) -> F:
-    """One Fraction power per monomial, in canonical order."""
+def _ref_eval_L(terms, p) -> F:
+    """One Fraction power per monomial, in canonical order; a class symbol
+    has no value."""
     p = F(p)
     total = F(0)
     for (tau, ell, syms), c in terms:
         if tau != 0:
             raise ValueError("monomial carries a T power; cannot evaluate at L only")
         v = F(c) * _ref_rat_pow(p, ell)
-        for name, e in syms:
-            if not sym_env or name not in sym_env:
-                raise MissingChi(name)
-            v *= F(sym_env[name]) ** e
+        for name, _e in syms:
+            raise MissingChi(name)
         total += v
     return total
 
@@ -544,9 +579,8 @@ def test_eval_L_matches_fraction_reference():
     for _ in range(400):
         p = _rand_lattice_poly(rng, with_T=rng.random() < 0.15)
         P = rng.choice(_P_VALUES)
-        env = rng.choice((None, {"a": F(3, 2)}, {"a": F(-2), "b": F(0)}, {"a": 5, "b": F(1, 7)}))
-        got = _outcome(p.eval_L, P, env)
-        assert got == _outcome(_ref_eval_L, p.terms(), P, env), (p, P, env)
+        got = _outcome(p.eval_L, P)
+        assert got == _outcome(_ref_eval_L, p.terms(), P), (p, P)
         seen.add(got[0])
     # values and every failure: T power, no exact root, 0^-k, missing chi
     assert seen == {"value", ValueError, FractionalPowerUnevaluable, ZeroDivisionError, MissingChi}
@@ -563,8 +597,11 @@ def test_series_values_match_fraction_reference():
         seen.add(got[0])
     # a T power is a column here, not a failure; every other outcome shows
     assert seen == {"value", FractionalPowerUnevaluable, ZeroDivisionError, MissingChi}
-    ser = MotPoly.from_lattice({(4, -2, ()): 3, (0, 6, ()): 1, (4, 1, (("a", 1),)): -1}, 4)
-    assert ser.series_at_L(16, {"a": 2}) == [(F(0), F(64)), (F(1), F(3, 4) - 4)]
+    ser = MotPoly.from_lattice({(4, -2, ()): 3, (0, 6, ()): 1}, 4)
+    assert ser.series_at_L(16) == [(F(0), F(64)), (F(1), F(3, 4))]
+    # a class symbol has no value, and is named
+    ser = ser + MotPoly.from_lattice({(4, 1, (("a", 1),)): -1}, 4)
+    assert _outcome(ser.series_at_L, 16) == (MissingChi, "a")
 
 
 def test_series_values_on_one_common_root():
@@ -572,16 +609,15 @@ def test_series_values_on_one_common_root():
     # of each order, so one 12-th root values every column.
     ser = MotPoly.from_lattice(
         {(0, 6, ()): 1, (12, -4, ()): -2, (12, 3, ()): 5, (18, -2, ()): 1,
-         (18, 9, (("a", 1),)): 3, (24, 0, ()): -1}, 12
+         (18, 9, ()): 3, (24, 0, ()): -1}, 12
     )
-    env = {"a": F(-1, 3)}
     for P in (2**12, F(3**12, 5**12), -(2**12), -(2**15), 2**13, 0):
         got = _outcome(ser.series_at_L, P)
         assert got == _outcome(_ref_series_values, ser, P), P
-        for t, v in ser.series_at_L(2**12, env):
+        for t, v in ser.series_at_L(2**12):
             col = ser.coeff_of_T(t)
-            assert v == _ref_eval_L(col.terms(), 2**12, env)
-    assert ser.series_at_L(2**12, env)[0] == (F(0), F(2**6))
+            assert v == _ref_eval_L(col.terms(), 2**12)
+    assert ser.series_at_L(2**12)[0] == (F(0), F(2**6))
     assert _outcome(ser.series_at_L, -(2**15)) == (
         FractionalPowerUnevaluable, "-32768 has no exact rational 2-th root"
     )
@@ -597,8 +633,8 @@ def test_series_values_on_one_common_root():
     assert [odd.coeff_of_T(t).eval_L(-(2**15)) for t, _v in got] == [v for _t, v in got]
     # the root is of the order the exponents need, not of the scale: on
     # scale 12 with integer exponents, p = 2 has no 12-th root but needs none
-    ints = MotPoly.from_lattice({(12, 24, ()): 1, (24, -12, ()): 3, (24, 0, (("a", 1),)): 1}, 12)
-    assert ints.series_at_L(2, {"a": 5}) == [(F(1), F(4)), (F(2), F(3, 2) + 5)]
+    ints = MotPoly.from_lattice({(12, 24, ()): 1, (24, -12, ()): 3, (24, 0, ()): 1}, 12)
+    assert ints.series_at_L(2) == [(F(1), F(4)), (F(2), F(3, 2) + 1)]
     # the error names the first failing term's own order, L^(-1/5), not 15
     assert _outcome(odd.series_at_L, 2**14) == (
         FractionalPowerUnevaluable, "16384 has no exact rational 5-th root"
@@ -626,14 +662,12 @@ def test_series_values_property():
                 acc.pop(k, None)
         return MotPoly.from_lattice(acc, r)
 
-    envs = st.sampled_from((None, {"a": F(3, 2)}, {"a": F(-2), "b": F(0)}, {"a": 5, "b": F(1, 7)}))
-
     @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hyp.given(series(), series(with_T=False), st.sampled_from(P_values), envs)
-    def check(ser, col, P, env):
+    @hyp.given(series(), series(with_T=False), st.sampled_from(P_values))
+    def check(ser, col, P):
         assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P)
-        assert _outcome(col.eval_L, P, env) == _outcome(_ref_eval_L, col.terms(), P, env)
-        assert _outcome(ser.eval_L, P, env) == _outcome(_ref_eval_L, ser.terms(), P, env)
+        assert _outcome(col.eval_L, P) == _outcome(_ref_eval_L, col.terms(), P)
+        assert _outcome(ser.eval_L, P) == _outcome(_ref_eval_L, ser.terms(), P)
 
     check()
 

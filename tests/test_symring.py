@@ -26,7 +26,8 @@ from qzeta.symring import (
     ze_to_ratfunc,
 )
 from qzeta import symring
-from qzeta.topzeta import padd, pdiv, pmul, quotient_str
+from qzeta import topzeta
+from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -204,6 +205,71 @@ def test_series_budget_refuses_before_expanding():
         series_expand(z2, 10**9)
 
 
+def _series_budget(monkeypatch, z, M) -> tuple[int, int]:
+    """The (terms, products) that series_expand(z, M) plans, read off its
+    refusals with each limit set below its measure in turn."""
+    out = []
+    for terms, products in ((-1, 10**30), (10**30, -1)):
+        monkeypatch.setattr(symring, "SERIES_TERM_LIMIT", terms)
+        monkeypatch.setattr(symring, "SERIES_PRODUCT_LIMIT", products)
+        with pytest.raises(ValueError, match="about") as exc:
+            series_expand(z, M)
+        out.append(int(str(exc.value).split("about ")[1].split()[0]))
+    monkeypatch.undo()
+    return out[0], out[1]
+
+
+def _series_counted(z, M) -> tuple[int, int, int]:
+    """The terms kept (the most at once, summed over the terms) and the
+    products made when each term is expanded one factor at a time, and the
+    coefficient length times the product of 2 * jmax over the factors."""
+    kept = products = product_bound = 0
+    for factors, coeff in z.iter_terms():
+        cur = coeff.truncate_tau(M)
+        if cur.is_zero:
+            continue
+        lo, most, work, bound = cur.min_tau(), len(cur), 0, len(cur)
+        for f in sorted(factors):
+            jmax = (M - lo) // f.N
+            if jmax < 1:
+                break
+            geo = sum((MotPoly.monomial(1, ell=-j * f.nu, tau=j * f.N) for j in range(1, jmax + 1)),
+                      MotPoly.zero())
+            work += len(cur) * 2 * jmax
+            bound *= 2 * jmax
+            cur = (cur * (MotPoly.L() - 1) * geo).truncate_tau(M)
+            most = max(most, len(cur))
+            lo += f.N
+        else:
+            kept, products, product_bound = kept + most, products + work, product_bound + bound
+    return kept, products, product_bound
+
+
+def test_series_budget_bounds_the_work(monkeypatch):
+    # factors on shared rays, (1, 1) and (2, 1), and on rays of their own
+    pool = [fac(1, 1), fac(2, 2), fac(F(2, 3), F(2, 3)), fac(2, 1), fac(4, 2), fac(1, 2),
+            fac(F(1, 2), F(3, 2)), fac(3, 1)]
+    rng = random.Random(43)
+    for _ in range(150):
+        z = ZetaExpr.zero()
+        for _ in range(rng.randint(1, 3)):
+            coeff = _rand_poly(rng, 3) + MotPoly.monomial(1, ell=rng.randint(-2, 2))
+            z = z + ZetaExpr.of(coeff, rng.sample(pool, rng.randint(1, 3)))
+        M = F(rng.randint(0, 24), rng.choice((1, 2)))
+        kept, products, bound = _series_counted(z, M)
+        if not bound:
+            continue
+        terms, planned = _series_budget(monkeypatch, z, M)
+        assert kept <= terms <= bound, (z, M)
+        assert products <= planned < 2 * bound, (z, M)
+    # one ray: the sums of two Fac(1; 1) reach the T-exponents 2..M, each
+    # with an L-exponent from 0 to 2 added, so 3 * (M - 1) terms; the second
+    # step multiplies the 2 * M terms of the first by 2 * (M - 1)
+    z = ZetaExpr.of(MotPoly.one(), (fac(1, 1), fac(1, 1)))
+    assert _series_budget(monkeypatch, z, 100) == (3 * 99, 2 * 100 + 200 * 2 * 99)
+    assert _series_counted(z, 100)[:2] == (3 * 99, 2 * 100 + 200 * 2 * 99)
+
+
 def test_candidate_poles():
     z = ZetaExpr.of(MotPoly.one(), (fac(2, 3), fac(1, 1), fac(0, 2)))
     assert candidate_poles(z) == {F(-3, 2), F(-1)}
@@ -243,9 +309,9 @@ def test_eval_L():
         p.eval_L(2)
     with pytest.raises(ValueError):
         MotPoly.T().eval_L(2)
+    # a class symbol has no value at L = p
     q = MotPoly.sym("a") * MotPoly.L()
-    assert q.eval_L(5, {"a": F(2)}) == 10
-    with pytest.raises(MissingChi):
+    with pytest.raises(MissingChi, match="^a$"):
         q.eval_L(5)
 
 
@@ -304,6 +370,76 @@ def test_topzeta_hash_agrees_with_eq():
     assert str(b) == "(2) / ((2*s + 2))"
     assert b.denom_red == (((F(2), F(2)), 1),)
     assert len({a, TopZeta.from_quotient([F(1)], {(F(1), F(2)): 1})}) == 2
+
+
+# The s-polynomial printers as they were written before text and LaTeX
+# shared one term walker, kept here as the reference for both.
+
+
+def _ref_spoly_str(p) -> str:
+    out = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            mag = abs(c)
+            spow = "s" if k == 1 else "s^%d" % k
+            body = spow if mag == 1 else "%s*%s" % (mag, spow)
+        if not out:
+            out.append(("-" if c < 0 else "") + body)
+        else:
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out) if out else "0"
+
+
+def _ref_spoly_latex(p) -> str:
+    out = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = frac_latex(abs(c))
+        else:
+            mag = abs(c)
+            spow = "s" if k == 1 else "s^{%d}" % k
+            body = spow if mag == 1 else "%s%s" % (frac_latex(mag), spow)
+        if not out:
+            out.append(("-" if c < 0 else "") + body)
+        else:
+            out.append(("-" if c < 0 else "+") + body)
+    return "".join(out) if out else "0"
+
+
+def test_spoly_printers_match_reference():
+    rng = random.Random(47)
+    values = [F(0)] * 3 + [F(1), F(-1)] * 2 + [F(2), F(-3), F(3, 2), F(-5, 4), F(7, 3)]
+    swapped_text = TEXT_S._replace(plus=TEXT_S.minus, minus=TEXT_S.plus)
+    swapped_latex = LATEX._replace(plus=LATEX.minus, minus=LATEX.plus)
+    caught = 0
+    for _ in range(500):
+        coeffs = [rng.choice(values) for _ in range(rng.randint(0, 7))]
+        tz = TopZeta.from_quotient(coeffs, {})
+        assert str(tz) == _ref_spoly_str(tz.numer_red), coeffs
+        assert tz.latex() == _ref_spoly_latex(tz.numer_red), coeffs
+        # over the numerator of a quotient with a denominator, too
+        f = rng.choice(_LINS)
+        tz = TopZeta.from_quotient(coeffs, {f: 1})
+        if tz.denom_red:
+            assert str(tz).startswith("(%s) / (" % _ref_spoly_str(tz.numer_red))
+            assert tz.latex().startswith("\\frac{%s}{" % _ref_spoly_latex(tz.numer_red))
+        # the comparison sees a walker with its plus and minus swapped
+        p = _ref_pnorm(coeffs)
+        if sum(1 for c in p if c) > 1:
+            caught += 1
+            assert topzeta._spoly(p, swapped_text) != _ref_spoly_str(p)
+            assert topzeta._spoly(p, swapped_latex) != _ref_spoly_latex(p)
+    assert caught > 200
+    assert str(TopZeta.from_quotient([F(-1), F(-1)], {})) == "-s - 1"
+    assert TopZeta.from_quotient([F(1, 2), F(0), F(-1)], {}).latex() == "-s^{2}+\\tfrac{1}{2}"
 
 
 def test_topzeta_negative_N_equality():
