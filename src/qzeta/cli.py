@@ -97,16 +97,9 @@ def _add_view_flags(p: argparse.ArgumentParser, with_emit: bool = False):
         p.add_argument("--emit-strata", metavar="FILE", help="write the stratification in the strata-file format")
 
 
-def _check(z: ZetaExpr, other: ZetaExpr, label: str) -> tuple[str, int]:
-    """The --check line comparing z with its second route, and the exit status."""
-    if ze_equal(z, other):
-        return "cross-check vs %s: EQUAL" % label, 0
-    return "cross-check vs %s: DIFFERENT" % label, 1
-
-
 def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str]:
-    """Render the shared zeta views; returns extra plain-text lines to
-    print after (the caller prints them so check lines can interleave)."""
+    """Render the shared zeta views, writing ``--emit-strata``; returns the
+    lines to print (the caller prints them, after adding its own)."""
     obj = {}
     lines = []
     if args.json:
@@ -185,14 +178,26 @@ def cmd_monomial(args) -> int:
     return 0
 
 
+def _run_stratified(args, strat, chi_env, route=None, label=None, extra=()) -> int:
+    """Sum ``strat`` and print its views; under ``--check``, then the line
+    comparing it with ``route()``, the second route; then the ``extra``
+    lines.  Returns the exit status."""
+    z = zetacore.stratified_zeta(strat, allow_nonsmall=getattr(args, "allow_nonsmall", False))
+    lines = _emit_zeta(args, z, chi_env, strat)
+    status = 0
+    if route is not None and args.check:
+        status = 0 if ze_equal(z, route()) else 1
+        lines.append("cross-check vs %s: %s" % (label, "DIFFERENT" if status else "EQUAL"))
+    for line in [*lines, *extra]:
+        print(line)
+    return status
+
+
 def cmd_strata(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     sf = strata.parse_strata(text)
-    z = zetacore.stratified_zeta(sf.stratification, allow_nonsmall=args.allow_nonsmall)
-    for line in _emit_zeta(args, z, sf.chi_env, sf.stratification):
-        print(line)
-    return 0
+    return _run_stratified(args, sf.stratification, sf.chi_env)
 
 
 def cmd_hj(args) -> int:
@@ -200,19 +205,15 @@ def cmd_hj(args) -> int:
     if len(args.N) != 2 or len(args.nu) != 2:
         raise ValueError("hj needs two-entry --N and --nu vectors")
     (N1, N2), (nu1, nu2) = args.N, args.nu
-    strat = hj_stratification(chain, N1, N2, nu1, nu2)
-    z = zetacore.stratified_zeta(strat)
-    lines = _emit_zeta(args, z, None, strat)
-    status = 0
-    if args.check:
-        direct = zetacore.local_monomial_zeta(
+    return _run_stratified(
+        args,
+        hj_stratification(chain, N1, N2, nu1, nu2),
+        None,
+        lambda: zetacore.local_monomial_zeta(
             groups.GroupAction.cyclic(args.d, (args.a, args.b)), (N1, N2), (nu1, nu2)
-        )
-        line, status = _check(z, direct, "direct quotient formula")
-        lines.append(line)
-    for line in lines:
-        print(line)
-    return status
+        ),
+        "direct quotient formula",
+    )
 
 
 def cmd_yomdin(args) -> int:
@@ -223,19 +224,13 @@ def cmd_yomdin(args) -> int:
             "output is the formal evaluation of the formulas"
         )
     strat, chi_env = yomdin_stratification(y)
-    z = zetacore.stratified_zeta(strat)
-    lines = _emit_zeta(args, z, chi_env, strat)
-    status = 0
-    if args.check:
-        line, status = _check(z, yomdin_zeta_closed(y), "closed-form assembly")
-        lines.append(line)
+    extra = []
     if args.charpoly:
         cp = monodromy.yomdin_charpoly(y)
-        lines.append("monodromy charpoly: %s" % cp)
-        lines.append("degree: %d" % cp.degree())
-    for line in lines:
-        print(line)
-    return status
+        extra = ["monodromy charpoly: %s" % cp, "degree: %d" % cp.degree()]
+    return _run_stratified(
+        args, strat, chi_env, lambda: yomdin_zeta_closed(y), "closed-form assembly", extra
+    )
 
 
 def cmd_tetra(args) -> int:
@@ -263,15 +258,9 @@ def cmd_tetra(args) -> int:
     for w in caught:
         if issubclass(w.category, TetraReduced):
             _notice(str(w.message))
-    z = zetacore.stratified_zeta(strat)
-    lines = _emit_zeta(args, z, chi_env, strat)
-    status = 0
-    if args.check:
-        line, status = _check(z, tetra_zeta_closed(t, N, nu), "closed-form assembly")
-        lines.append(line)
-    for line in lines:
-        print(line)
-    return status
+    return _run_stratified(
+        args, strat, chi_env, lambda: tetra_zeta_closed(t, N, nu), "closed-form assembly"
+    )
 
 
 def cmd_group(args) -> int:

@@ -64,7 +64,9 @@ class GroupAction:
         orders = tuple(int(d) for d in orders)
         rows = tuple(tuple(int(a) for a in row) for row in rows)
         if len(orders) != len(rows):
-            raise ValueError("need one generator row per cyclic order")
+            raise ValueError(
+                "%d cyclic orders need as many generator rows, got %d" % (len(orders), len(rows))
+            )
         if any(d <= 0 for d in orders):
             raise ValueError("cyclic orders must be positive")
         if rows:
@@ -73,7 +75,7 @@ class GroupAction:
                 raise ValueError("generator rows must all have the same length")
             n_rows = widths.pop()
             if n is not None and n != n_rows:
-                raise ValueError("row length disagrees with the given dimension")
+                raise ValueError("generator rows have length %d, dimension is %d" % (n_rows, n))
             n = n_rows
         if n is None or n <= 0:
             raise ValueError("dimension must be a positive integer")
@@ -311,10 +313,15 @@ def parse_group_literal(text: str) -> GroupAction:
     def ints(seg: str) -> tuple[int, ...]:
         if not seg:
             raise ValueError("empty number list in group literal %r" % text)
-        try:
-            return tuple(int(tok.strip()) for tok in seg.split(","))
-        except ValueError:
-            raise ValueError("bad integer in group literal %r" % text) from None
+        toks = [tok.strip() for tok in seg.split(",")]
+        # as in a strata file, an optional "-" and ASCII digits: int() alone
+        # would also read "+7", "1_0" and the digits of other scripts
+        if all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in toks):
+            try:
+                return tuple(map(int, toks))
+            except ValueError:  # over the 4300 digits int() reads
+                pass
+        raise ValueError("bad integer in group literal %r" % text)
 
     orders = ints(segments[0])
     rows = [ints(seg) for seg in segments[1:]]

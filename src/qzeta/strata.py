@@ -7,19 +7,26 @@
     stratum { class = L - 1 ; N = [1/7, 0] ; nu = [3/7, 1] ; group = (1; 0,0) }
 
 Class expressions are integer polynomials in ``L`` and declared bracket
-symbols, with ``+ - * ^`` and no parentheses.  Rationals are ``INT`` or
-``INT/INT``.  Group literals are ``(d1,...,dr; row1; ...; rowr)`` with a
-single row allowed for cyclic groups.  The emitter below writes the
-canonical form that :func:`parse_strata` reads back verbatim.
+symbols, with ``+ - * ^`` and no parentheses.  Integers are ASCII digits;
+rationals are ``INT`` or ``INT/INT``.  Group literals are
+``(d1,...,dr; row1; ...; rowr)``, one row per order.  The emitter below
+writes the canonical form that :func:`parse_strata` reads back verbatim.
+
+:func:`parse_strata` raises only :class:`ParseError`, which names a line
+and a column.  The parser checks the grammar; the values are checked by
+the constructors that own them (``GroupAction``, ``Stratum``,
+``Stratification``), whose refusals it reports at the group literal's
+``(``, the stratum's ``{`` or the refused declaration's keyword.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import GroupAction, group_literal
+from .groups import GroupAction, SizeLimit, group_literal
 from .motpoly import MAX_DIGITS
 from .symring import MotPoly, render_poly
 from .zetacore import DimensionMismatch, Stratification, Stratum
@@ -50,13 +57,10 @@ class StrataFile(NamedTuple):
 
 
 class _Tok(NamedTuple):
-    kind: str  # NAME, INT, or the punctuation char itself
+    kind: str  # NAME, INT, EOF, or the punctuation char itself
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the file; _at gives its line and column
 
-
-_PUNCT = set("={};[],()+-*^/")
 
 # The most decimal digits an integer in a strata file may have: the bound
 # on printed integers, motpoly.MAX_DIGITS (4300).  The parser refuses a
@@ -66,68 +70,54 @@ _PUNCT = set("={};[],()+-*^/")
 MAX_POWER_DIGITS = MAX_DIGITS
 _INT_BOUND = 10**MAX_POWER_DIGITS
 
+# Blanks, newlines and comments are skipped before each token; the named
+# group that matches is the token's kind.  Digits are ASCII; a name starts
+# with a word character other than a decimal digit.  Any other character
+# is BAD.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<INT>[0-9]+)|(?P<NAME>[^\W\d]\w*)|(?P<PUNCT>[={};\[\],()+\-*^/])|(?P<BAD>.)|(?P<EOF>\Z))",
+    re.DOTALL,
+)
+
+
+def _at(text: str, pos: int) -> tuple[int, int]:
+    """The line and column, both from 1, of the offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j - i > MAX_POWER_DIGITS:
-                raise ParseError(
-                    "integer literal has more than %d decimal digits" % MAX_POWER_DIGITS,
-                    line,
-                    start_col,
-                )
-            toks.append(_Tok("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(_Tok("EOF", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "PUNCT":
+            toks.append(_Tok(m[kind], m[kind], pos))
+        elif kind == "INT" and m.end() - pos > MAX_POWER_DIGITS:
+            raise ParseError(
+                "integer literal has more than %d decimal digits" % MAX_POWER_DIGITS, *_at(text, pos)
+            )
+        elif kind == "BAD":
+            raise ParseError("unexpected character %r" % m[kind], *_at(text, pos))
+        elif kind == "EOF":
+            # the end sits at the "#" of a comment that ends the file
+            hash_at = text.find("#", text.rfind("\n") + 1)
+            toks.append(_Tok(kind, "", pos if hash_at < 0 else hash_at))
+            break
+        else:
+            toks.append(_Tok(kind, m[kind], pos))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.symbols: dict[str, int | None] = {}
         self.dimension: int | None = None
         self.gindex: int | None = None
+        self.declared: dict[str, _Tok] = {}  # keyword token of each declaration
         self.strata: list[Stratum] = []
 
     def peek(self) -> _Tok:
@@ -140,7 +130,7 @@ class _Parser:
 
     def fail(self, msg: str, tok: _Tok | None = None):
         tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+        raise ParseError(msg, *_at(self.text, tok.pos))
 
     def expect(self, kind: str, what: str | None = None) -> _Tok:
         t = self.peek()
@@ -161,18 +151,13 @@ class _Parser:
             t = self.peek()
             if t.kind != "NAME":
                 self.fail("expected a declaration keyword, got %r" % t.text)
-            if t.text == "dimension":
+            if t.text in ("dimension", "gindex"):
                 self.next()
                 self.expect("=")
-                if self.dimension is not None:
-                    self.fail("dimension declared twice", t)
-                self.dimension = self.int_value()
-            elif t.text == "gindex":
-                self.next()
-                self.expect("=")
-                if self.gindex is not None:
-                    self.fail("gindex declared twice", t)
-                self.gindex = self.int_value()
+                if t.text in self.declared:
+                    self.fail("%s declared twice" % t.text, t)
+                self.declared[t.text] = t
+                setattr(self, t.text, self.int_value())
             elif t.text == "symbol":
                 self.next()
                 name = self.expect("NAME", "symbol name").text
@@ -193,7 +178,12 @@ class _Parser:
             self.fail("file never declares a dimension")
         if self.gindex is None:
             self.fail("file never declares a gindex")
-        strat = Stratification(self.dimension, self.gindex, tuple(self.strata))
+        try:
+            strat = Stratification(self.dimension, self.gindex, tuple(self.strata))
+        except ValueError as exc:
+            # the index is refused, unless the dimension is not positive
+            key = "dimension" if self.dimension <= 0 else "gindex"
+            self.fail(str(exc), self.declared[key])
         chi_env = {n: c for n, c in self.symbols.items() if c is not None}
         return StrataFile(strat, chi_env)
 
@@ -238,12 +228,10 @@ class _Parser:
         self.expect("=")
         group = self.group()
         self.expect("}")
-        if len(Nvec) != self.dimension or len(nuvec) != self.dimension:
-            raise DimensionMismatch(
-                "stratum vectors have lengths %d/%d, dimension is %d"
-                % (len(Nvec), len(nuvec), self.dimension)
-            )
-        self.strata.append(Stratum(klass, tuple(Nvec), tuple(nuvec), group))
+        try:
+            self.strata.append(Stratum(klass, tuple(Nvec), tuple(nuvec), group))
+        except (ValueError, DimensionMismatch) as exc:
+            self.fail(str(exc), open_tok)
 
     def vector(self) -> list[Fraction]:
         self.expect("[")
@@ -270,19 +258,9 @@ class _Parser:
             self.next()
             rows.append(intlist())
         self.expect(")")
-        if len(rows) != len(orders):
-            self.fail(
-                "group literal needs %d generator rows, found %d"
-                % (len(orders), len(rows)),
-                open_tok,
-            )
-        if any(len(r) != self.dimension for r in rows):
-            raise DimensionMismatch(
-                "group rows must have %d entries" % self.dimension
-            )
         try:
             return GroupAction(orders, rows, self.dimension)
-        except ValueError as exc:
+        except (ValueError, SizeLimit) as exc:
             self.fail(str(exc), open_tok)
 
     # -- class expressions ----------------------------------------------------
@@ -353,9 +331,7 @@ class _Parser:
             self.expect("]")
             if name_tok.text not in self.symbols:
                 raise UndeclaredSymbol(
-                    "symbol %r not declared" % name_tok.text,
-                    name_tok.line,
-                    name_tok.col,
+                    "symbol %r not declared" % name_tok.text, *_at(self.text, name_tok.pos)
                 )
             return MotPoly.sym(name_tok.text)
         self.fail("expected an integer, 'L' or a [symbol]")

@@ -488,10 +488,16 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     (a step multiplies the terms kept so far by 2 * jmax), and the most
     terms kept at once.  The terms kept after a step are at most the
     products of that step, and at most the coefficient length times k + 1
-    times, for each ray, the T-exponents up to M that the sums of its
-    factors can reach: the factors of one ray move a monomial along that
-    ray, and the k factors (L - 1) so far add an L-exponent from 0 to k.
-    Over :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
+    times the tuples of T-exponents that the rays can reach: the factors of
+    one ray move a monomial along that ray, and the k factors (L - 1) so
+    far add an L-exponent from 0 to k.  A ray whose factors' N have gcd g
+    and sum t reaches t + g*y for y >= 0.  The tuples y are counted for
+    each ray alone up to M, and, since the rays share one budget, jointly:
+    for each y with sum g*y <= c = M - lo0 - sum t, the box of sides g at
+    the point g*y lies in the simplex u >= 0, sum u <= c + sum g, and the
+    boxes are disjoint, so over r rays there are at most
+    (c + sum g)^r / (r! * prod g).  The lesser count is taken.  Over
+    :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
     products the expansion is refused.
     """
     M = Fraction(M)
@@ -521,6 +527,10 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
             step, total = rays.get(f._ray, (0, 0))
             rays[f._ray] = (_gcd(step, f.N), total + f.N)
             points = math.prod((M - lo0 - t) // g + 1 for g, t in rays.values())
+            gs, ts = zip(*rays.values())
+            c = M - lo0 - sum(ts)
+            simplex = (c + sum(gs)) ** len(gs) / (math.factorial(len(gs)) * math.prod(gs))
+            points = min(points, math.floor(simplex))
             keys = min(keys * 2 * jmax, len(cur) * (len(steps) + 1) * points)
             most = max(most, keys)
             lo += f.N

@@ -27,6 +27,8 @@ REMOVED = {
 REMOVED["symring"] += ["_exp_str", "_pow_str", "_lattice_pow_str", "_mono_str", "_render_terms",
                        "_exp_latex"]
 REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
+# The --check line is written by the one runner of the stratified commands.
+REMOVED["cli"] = ["_check"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,7 +56,7 @@ def test_removed_names_are_gone():
     for name, attrs in REMOVED.items():
         mod = importlib.import_module("qzeta." + name)
         for attr in attrs:
-            assert attr not in mod.__all__ and not hasattr(mod, attr), (name, attr)
+            assert attr not in getattr(mod, "__all__", ()) and not hasattr(mod, attr), (name, attr)
             assert attr not in qzeta.__all__ and not hasattr(qzeta, attr), attr
     assert not hasattr(qzeta.cli, "_series_values")
     # the CLI values a series with MotPoly.series_at_L, not per T-column

@@ -433,6 +433,12 @@ def test_series_budget_counts_products_and_kept_terms(capsys):
         " over the limit 1500000\n"
     )
     assert time.perf_counter() - t0 < 1.0
+    # factors on two rays share one T budget: at most 907500 terms are kept,
+    # where counting each ray alone gave 1815000, over the limit
+    two = ["monomial", "--group", "(1;0,0)", "--N", "1,2", "--nu", "1,1", "--series", "1100"]
+    rc, out, err = run(capsys, two)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1].startswith("series (T-order <= 1100): ")
 
 
 def test_eval_L_digit_budget_refuses_at_once(capsys):
@@ -471,7 +477,8 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
     vecs = (["1,1", "2,3", "0,1", "1/2,3", "3,1/2"], ["1", "1,1,1", "a,b", "", "1,", "1/0,1"])
     literals = (
         ["(2;1,1)", "(4;1,3)", "(4;1,2)", "(3;1,1,1)", "(2,2;1,0;0,1)", "(6,4;1,2;3,1)", "(5;1,2)"],
-        ["(1;0)", "(0;1)", "(2;1,1", "2;1,1", "(2;a)", "()", "(2;)", "(2,3;1,1)"],
+        ["(1;0)", "(0;1)", "(2;1,1", "2;1,1", "(2;a)", "()", "(2;)", "(2,3;1,1)",
+         "(1_0;1,3)", "(+7;1,3)", "(\u0663;1,2)"],
     )
     series = (["0", "1", "2", "4", "1/2"], ["-1", "x"])
     strata_texts = (

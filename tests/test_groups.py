@@ -155,6 +155,12 @@ def test_literal_parsing():
     for bad in ("4;1,2", "(4)", "(4; 1; 2)", "(4,2; 1,1)", "(0; 1)"):
         with pytest.raises(ValueError):
             parse_group_literal(bad)
+    # an optional "-" and ASCII digits, as in a strata file; int() alone
+    # would read the first three as 10, 7 and 3
+    for bad in ("(1_0;1,3)", "(+7;1,3)", "(\u0663;1,2)", "(7;1,\u00b3)", "(7;1,- 3)"):
+        with pytest.raises(ValueError, match="bad integer in group literal"):
+            parse_group_literal(bad)
+    assert parse_group_literal(" ( 7 ; -1 , 10 ) ") == GroupAction.cyclic(7, (6, 3))
 
 
 def test_size_limit():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -172,8 +173,6 @@ def test_tetra_two_routes_agree(d, q, N, nu):
 def test_tetra_autoreduce_warns():
     with pytest.warns(TetraReduced):
         strat, _ = tetra_stratification(TetraParams(5, 2), 1, 1)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the reduced member must stay quiet
         want, _ = tetra_stratification(TetraParams(1, 0), 1, 1)
@@ -187,3 +186,83 @@ def test_tetra_top_closed_values():
     assert top.eval_at(0) == 11
     const = tetra_top_closed(TetraParams(3, 2), 0, 2)
     assert const == TopZeta([(F(35, 8), {})])
+
+
+# ---------------------------------------------------------------------------
+# the two routes of each family on random data, with Q-divisors (rational
+# N and nu) where the family takes them
+
+
+def _rats(hi: int, lo: int):
+    st = pytest.importorskip("hypothesis.strategies")
+    return st.builds(F, st.integers(lo, hi), st.integers(1, 4))
+
+
+def test_hj_routes_agree_on_q_divisors():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def quotients(draw):
+        d = draw(st.integers(1, 24))
+        units = [x for x in range(1, d + 1) if math.gcd(x, d) == 1]
+        return d, draw(st.sampled_from(units)), draw(st.sampled_from(units))
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(quotients(), _rats(12, 0), _rats(12, 0), _rats(12, 1), _rats(12, 1))
+    def check(dab, N1, N2, nu1, nu2):
+        d, a, b = dab
+        direct = local_monomial_zeta(GroupAction.cyclic(d, (a, b)), (N1, N2), (nu1, nu2))
+        via_chain = stratified_zeta(hj_stratification(hj_resolve(d, a, b), N1, N2, nu1, nu2))
+        assert ze_equal(via_chain, direct)
+        assert euler_specialize(via_chain) == euler_specialize(direct)
+
+    check()
+
+
+def test_yomdin_routes_agree_on_random_parameters():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def params(draw):
+        p = draw(st.integers(2, 4))
+        q = draw(st.sampled_from([x for x in range(p + 1, 9) if math.gcd(p, x) == 1]))
+        return YomdinParams(draw(st.integers(2, 6)), draw(st.integers(1, 4)), p, q, draw(st.integers(1, 4)))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(params())
+    def check(y):
+        strat, chi = yomdin_stratification(y)
+        z = stratified_zeta(strat)
+        assert ze_equal(z, yomdin_zeta_closed(y))
+        assert euler_specialize(z, chi) == yomdin_top_closed(y)
+
+    check()
+
+
+def test_tetra_routes_agree_on_q_divisors():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def members(draw):
+        d = draw(st.integers(1, 40))
+        q = draw(st.sampled_from([x for x in range(d) if math.gcd(d, x) == 1] or [0]))
+        return TetraParams(d, q)
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(members(), _rats(9, 0), _rats(9, 1))
+    # members with quasi-reflexions, which both routes reduce
+    @hyp.example(TetraParams(5, 2), F(1, 2), F(3, 4))
+    @hyp.example(TetraParams(20, 3), F(3), F(2, 3))
+    @hyp.example(TetraParams(39, 5), F(0), F(5, 2))
+    def check(t, N, nu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TetraReduced)
+            strat, chi = tetra_stratification(t, N, nu)
+        z = stratified_zeta(strat)
+        assert ze_equal(z, tetra_zeta_closed(t, N, nu))
+        assert euler_specialize(z, chi) == tetra_top_closed(t, N, nu)
+
+    check()

@@ -25,7 +25,7 @@ from qzeta.strata import (
 )
 from qzeta.symring import MotPoly
 from qzeta.tetra import TetraParams
-from qzeta.zetacore import DimensionMismatch, Stratification, Stratum
+from qzeta.zetacore import Stratification, Stratum
 
 EXAMPLE = """\
 # comments run to end of line
@@ -198,30 +198,103 @@ def test_duplicate_and_missing_declarations():
 
 
 def test_group_shape_errors():
+    # GroupAction refuses the shape; the parser reports it at the literal's "("
     head = "dimension = 2\ngindex = 7\n"
-    with pytest.raises(DimensionMismatch):
-        parse_strata(
-            head + "stratum { class = 1 ; N = [1, 1] ; nu = [1, 1] ;"
-            " group = (7; 1,3,5) }\n"
-        )
-    with pytest.raises(ParseError, match="generator rows"):
-        parse_strata(
-            head + "stratum { class = 1 ; N = [1, 1] ; nu = [1, 1] ;"
-            " group = (4,2; 1,0) }\n"
-        )
-    with pytest.raises(ParseError):
-        parse_strata(
-            head + "stratum { class = 1 ; N = [1, 1] ; nu = [1, 1] ;"
-            " group = (0; 1,1) }\n"
-        )
+    for group, msg in (
+        ("(7; 1,3,5)", "generator rows have length 3, dimension is 2"),
+        ("(4,2; 1,0)", "2 cyclic orders need as many generator rows, got 1"),
+        ("(0; 1,1)", "cyclic orders must be positive"),
+    ):
+        with pytest.raises(ParseError) as ei:
+            parse_strata(
+                head + "stratum { class = 1 ; N = [1, 1] ; nu = [1, 1] ;"
+                " group = %s }\n" % group
+            )
+        assert str(ei.value) == "line 3, column 58: " + msg
 
 
 def test_vector_length_checked():
-    with pytest.raises(DimensionMismatch):
+    # Stratum refuses the lengths; the parser reports it at the stratum's "{"
+    with pytest.raises(ParseError) as ei:
         parse_strata(
             "dimension = 2\ngindex = 1\n"
             "stratum { class = 1 ; N = [1] ; nu = [1, 1] ; group = (1; 0,0) }\n"
         )
+    assert str(ei.value) == "line 3, column 9: stratum data lengths 1/2 vs group dimension 2"
+
+
+def _stratum(N="1, 1", nu="1, 1", group="(1; 0,0)") -> str:
+    return "stratum { class = 1 ; N = [%s] ; nu = [%s] ; group = %s }\n" % (N, nu, group)
+
+
+_HEAD = "dimension = 2\ngindex = 7\n"
+
+# Each value a constructor refuses, with the position the parser gives it:
+# the stratum's "{" (Stratum), the group literal's "(" (GroupAction), the
+# keyword of the refused declaration (Stratification), or the character.
+REFUSALS = {
+    "N below 0": (_HEAD + _stratum(N="-1, 1"), 3, 9, "stratum N entries must be >= 0"),
+    "nu of 0": (_HEAD + _stratum(nu="0, 1"), 3, 9, "stratum nu entries must be > 0"),
+    "short vector": (_HEAD + _stratum(N="1"), 3, 9, "stratum data lengths 1/2 vs group dimension 2"),
+    "long vector": (_HEAD + _stratum(nu="1, 1, 1"), 3, 9, "stratum data lengths 2/3 vs group dimension 2"),
+    "long row": (_HEAD + _stratum(group="(7; 1,3,5)"), 3, 58, "generator rows have length 3, dimension is 2"),
+    "order 0": (_HEAD + _stratum(group="(0; 1,1)"), 3, 58, "cyclic orders must be positive"),
+    "order over the limit": (
+        _HEAD.replace("7", "200003") + _stratum(group="(200003; 1,1)"), 3, 58,
+        "refusing to enumerate 200003 tuples",
+    ),
+    "denominator": (_HEAD + _stratum(N="1/3, 1"), 2, 1, "denominator of 1/3 does not divide the index 7"),
+    "foreign factor": (_HEAD + _stratum(group="(5; 1,1)"), 2, 1, "group exponent 5 has the factor 5 foreign to index 7"),
+    "dimension 0": ("dimension = 0\ngindex = 1\n", 1, 1, "dimension and index must be positive"),
+    "gindex 0": ("dimension = 1\n  gindex = 0\n", 2, 3, "dimension and index must be positive"),
+    "superscript digit": (_HEAD + _stratum(N="\u00b2, 1"), 3, 28, "expected an integer, got '\u00b2'"),
+    "non-ASCII digit": (_HEAD + _stratum(N="\u0663, 1"), 3, 28, "unexpected character '\u0663'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=list(REFUSALS))
+def test_every_refusal_has_a_position(case, capsys, tmp_path):
+    text, line, col, msg = REFUSALS[case]
+    with pytest.raises(ParseError) as ei:
+        parse_strata(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value) == "line %d, column %d: %s" % (line, col, msg)
+    path = tmp_path / "bad.strata"
+    path.write_text(text, encoding="utf-8")
+    assert main(["strata", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line %d, column %d: %s\n" % (line, col, msg))
+
+
+def test_edited_emitted_files_raise_only_parse_errors():
+    """One to three character edits of emitted hj, yomdin and tetra files
+    either parse or raise ParseError, never another exception."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    texts = [
+        render_strata(hj_stratification(hj_resolve(13, 2, 5), F(1, 2), 3, 1, F(5, 3))),
+        render_strata(*yomdin_stratification(YomdinParams(4, 2, 2, 3, 2))),
+        render_strata(*tetra_stratification(TetraParams(7, 3), F(2, 3), 1)),
+    ]
+    chars = st.sampled_from(sorted(set("".join(texts)) | set("0123456789\u00b2\u00e9_#\n-")))
+    edit = st.tuples(st.sampled_from(("insert", "delete", "replace")), st.floats(0, 1), chars)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(texts), st.lists(edit, min_size=1, max_size=3))
+    def check(text, edits):
+        for op, where, ch in edits:
+            i = min(int(where * len(text)), len(text) - 1)
+            if op == "insert":
+                text = text[:i] + ch + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + ch + text[i + 1:]
+        try:
+            parse_strata(text)
+        except ParseError:
+            pass
+
+    check()
 
 
 def test_render_rejects_nonclass_polynomials():

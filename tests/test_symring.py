@@ -268,6 +268,11 @@ def test_series_budget_bounds_the_work(monkeypatch):
     z = ZetaExpr.of(MotPoly.one(), (fac(1, 1), fac(1, 1)))
     assert _series_budget(monkeypatch, z, 100) == (3 * 99, 2 * 100 + 200 * 2 * 99)
     assert _series_counted(z, 100)[:2] == (3 * 99, 2 * 100 + 200 * 2 * 99)
+    # two rays share one T budget: the pairs 1 + y1 + 2 * (1 + y2) <= 1100
+    # are at most (1097 + 3)^2 / (2! * 1 * 2) = 302500, where each ray alone
+    # counts 1100 * 550; either is times 3, for the L-exponents 0 to 2
+    z = ZetaExpr.of(MotPoly.one(), (fac(1, 1), fac(2, 1)))
+    assert _series_budget(monkeypatch, z, 1100)[0] == 3 * 302500
 
 
 def test_candidate_poles():
