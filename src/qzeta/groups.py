@@ -22,6 +22,8 @@ from itertools import chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, floordiv, mod, mul
 from typing import Iterable
 
+from .motpoly import MAX_DIGITS
+
 # The largest order an action may have, taken exactly from its generators
 # (see _order) before anything is enumerated.  The budget is about 10 s and
 # 1 GB for one `group` command.  Measured per command, three runs each in a
@@ -40,6 +42,15 @@ __all__ = [
     "parse_group_literal",
     "group_literal",
 ]
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n > 0, with no str() of n.
+
+    k = floor(bit_length * log10(2)) is log10(2^bit_length) rounded down,
+    and 2^(bit_length - 1) <= n < 2^bit_length, so n has k or k + 1 digits."""
+    k = int(n.bit_length() * math.log10(2))
+    return k + (n >= 10**k)
 
 
 class SizeLimit(Exception):
@@ -87,6 +98,10 @@ class GroupAction:
         self._canon = None
         order = self.order
         if order > SIZE_LIMIT:
+            digits = _decimal_digits(order)
+            if digits > MAX_DIGITS:
+                # str() of the order would itself fail; give its length
+                raise SizeLimit("refusing to enumerate a %d-digit number of tuples" % digits)
             raise SizeLimit("refusing to enumerate %d tuples" % order)
 
     # -- constructors -----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 __all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits", "MAX_DIGITS",
            "reduce_exp"]
@@ -192,7 +192,11 @@ class MotPoly:
         On one positive scale the integer keys sort as their Fractions do,
         so this is the order of :meth:`terms`.
         """
-        return sorted(self._terms.items()), self._r
+        # The keys are distinct, so sorting them alone gives the same order
+        # without a tuple comparison around each key comparison.
+        terms = self._terms
+        keys = sorted(terms)
+        return list(zip(keys, map(terms.__getitem__, keys))), self._r
 
     @staticmethod
     def _coerce(x):
@@ -286,6 +290,56 @@ class MotPoly:
         return MotPoly.from_lattice(acc, r)
 
     __rmul__ = __mul__
+
+    def _mul_truncated(self, other: "MotPoly", bound) -> "MotPoly":
+        """``(self * other).truncate_tau(bound)``, with no product past T^bound
+        formed: the terms of ``other`` are walked in ascending T order, and
+        the walk stops at the first whose product with a term of ``self``
+        lies past the bound.  Cheapest with ``other`` the smaller factor."""
+        if not self._terms or not other._terms:
+            return MotPoly.zero()
+        a, b, r = self._common(self, other)
+        bound = _fraction(bound)
+        cut = bound.numerator * r // bound.denominator
+        small = sorted(b.items(), key=lambda kv: kv[0][0])
+        acc: dict[LatKey, int] = {}
+        get = acc.get
+        for (t1, l1, s1), c1 in a.items():
+            room = cut - t1
+            for (t2, l2, s2), c2 in small:
+                if t2 > room:
+                    break
+                k = (t1 + t2, l1 + l2, _mul_syms(s1, s2) if s1 and s2 else s1 or s2)
+                v = get(k, 0) + c1 * c2
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+        return MotPoly.from_lattice(acc, r)
+
+    @staticmethod
+    def _sum(polys: "Iterable[MotPoly]") -> "MotPoly":
+        """The sum of ``polys``, each added in turn into one dict, which
+        moves onto the lcm scale when a summand is on a finer one."""
+        acc: dict[LatKey, int] = {}
+        r = 1
+        for q in polys:
+            terms, rq = q._terms, q._r
+            if not terms:
+                continue
+            R = math.lcm(r, rq)
+            if R != r:
+                acc, r = _rescale(acc, R // r), R
+            if rq != R:
+                terms = _rescale(terms, R // rq)
+            get = acc.get
+            for k, c in terms.items():
+                v = get(k, 0) + c
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+        return MotPoly.from_lattice(acc, r)
 
     def __pow__(self, n: int) -> "MotPoly":
         if n < 0:
@@ -390,7 +444,9 @@ class MotPoly:
         root for every d exactly when it has a D-th root (a negative p needs
         every d odd, and then D is odd too); so one root serves the whole
         polynomial.  The terms of each T-column are summed as an integer
-        Laurent polynomial in that root, and give one Fraction.  A class
+        Laurent polynomial in that root, and give one Fraction; at the root
+        1 or -1 that is a signed coefficient sum, made with no power
+        (:meth:`_unit_root_values`).  A class
         symbol has no value: :class:`MissingChi` names it.  When some term
         has no value, the terms are walked in canonical order and the first
         of them that cannot be evaluated is the one reported.
@@ -406,6 +462,10 @@ class MotPoly:
         cols: dict[int, dict[int, int]] = {}
         try:
             a, b = _exact_root(p, r // g)
+            if b == 1 and abs(a) == 1 and (
+                not terms or _digits_bound(0, 0, sum(map(abs, terms.values())), a, b) <= MAX_DIGITS
+            ):
+                return self._unit_root_values(a, g)
             for (t, l, syms), c in terms.items():
                 if syms:
                     raise MissingChi(syms[0][0])
@@ -437,6 +497,24 @@ class MotPoly:
             return [(Fraction(t, r), _laurent_value(cols[t], a, b)) for t in ts]
         except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
             self._raise_first_failure(p)
+
+    def _unit_root_values(self, a: int, g: int) -> list[tuple[Fraction, Fraction]]:
+        """:meth:`series_at_L` at the common root a = 1 or -1, under the
+        digit limit: each T-column's value is its coefficient sum, each term
+        signed by the parity of k = ell*r/g when a = -1, so no power is
+        taken.  Over the limit, :meth:`series_at_L` takes its general path,
+        which refuses the first column past it."""
+        terms, r = self._terms, self._r
+        neg = a < 0
+        sums: dict[int, int] = {}
+        get = sums.get
+        for (t, l, syms), c in terms.items():
+            if syms:
+                raise MissingChi(syms[0][0])
+            if neg and l // g & 1:
+                c = -c
+            sums[t] = get(t, 0) + c
+        return [(Fraction(t, r), Fraction(sums[t])) for t in sorted(sums)]
 
     def _raise_first_failure(self, p: Fraction, t_free: bool = False):
         """Raise the error of the first term, in canonical order, that has

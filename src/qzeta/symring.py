@@ -499,6 +499,10 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     (c + sum g)^r / (r! * prod g).  The lesser count is taken.  Over
     :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
     products the expansion is refused.
+
+    A step multiplies with :meth:`MotPoly._mul_truncated`, which forms no
+    product past T^M, so the planned products bound the work from above;
+    each term's expansion is added into one accumulator.
     """
     M = Fraction(M)
     if M < 0:
@@ -547,16 +551,20 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
                 "refusing to expand to T-order %s: about %d %s, over the limit %d"
                 % (M, n, what, limit)
             )
-    total = MotPoly.zero()
-    for cur, steps in plan:
-        for f, jmax in steps:
-            r, n, v = f._lattice()
-            geo = MotPoly.from_lattice(
-                {(j * n, -j * v, ()): 1 for j in range(1, jmax + 1)}, r
-            )
-            cur = (cur * ((MotPoly.L() - 1) * geo)).truncate_tau(M)
-        total = total + cur
-    return total
+    return MotPoly._sum(_expand_term(cur, steps, M) for cur, steps in plan)
+
+
+def _expand_term(cur: MotPoly, steps, M: Fraction) -> MotPoly:
+    """The coefficient ``cur`` times each planned factor's expansion
+    (L - 1) * sum_{1 <= j <= jmax} L^(-j nu) T^(j N), truncated at T^M."""
+    for f, jmax in steps:
+        r, n, v = f._lattice()
+        step = {}
+        for j in range(1, jmax + 1):
+            step[(j * n, r - j * v, ())] = 1
+            step[(j * n, -j * v, ())] = -1
+        cur = cur._mul_truncated(MotPoly.from_lattice(step, r), M)
+    return cur
 
 
 def _gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -230,8 +230,11 @@ def test_group_json(capsys):
     [
         (["group", "(1000,1000;1,0;0,1)"], "error: refusing to enumerate 1000000 tuples\n"),
         (["tetra", "--d", "300", "--q", "299", "--stringy"], "error: group order 270000 over the limit\n"),
+        # an order of 4400 digits is past what str() of an int may print
+        (["group", "(%s,%s7;1,0;0,1)" % ("9" * 2200, "1" * 2199)],
+         "error: refusing to enumerate a 4400-digit number of tuples\n"),
     ],
-    ids=["group", "tetra"],
+    ids=["group", "tetra", "group-unprintable"],
 )
 def test_size_budget_refuses_before_enumerating(capsys, argv, err):
     # both lie under the older bounds (10^7 and 10^6), where they ran for

@@ -14,10 +14,12 @@ multiplied each term by every denominator factor it lacked and compared
 quotients by cross-multiplication.  The two after it (class symbols in
 ``yomdin --json``, and a non-ASCII symbol name in ``strata --json``) were
 recorded while ``--json`` still built a dict per term and handed it to
-``json.dumps``.  The last two (a non-small rank-3 ``group``, whose
+``json.dumps``.  The two after those (a non-small rank-3 ``group``, whose
 ``reduced:`` line is the greedy two-generator presentation) were recorded
 while group elements were objects and every subgroup was closed by a
-breadth-first search.  Any change to rendering, term order, reduction,
+breadth-first search.  The last one (an odd root at ``--eval-L -1``) was
+recorded while every value at L = 1 or -1 still took a power per term.
+Any change to rendering, term order, reduction,
 evaluation, error precedence or JSON layout shows up here.  Each run takes
 well under two seconds.
 """
@@ -146,6 +148,12 @@ PINS = [
         ["group", "(10,18,19;7,5,2;6,2,13;6,14,8)", "--json"],
         203615,
         "44f6b864aa7a49c9e6e24f675996bf552056ae8c2e1285dbb3c37214869031e4",
+    ),
+    (
+        ["hj", "--d", "7", "--a", "1", "--b", "3", "--N", "3,5", "--nu", "2,7", "--series", "6",
+         "--eval-L", "-1"],
+        1316,
+        "4993e76386a8298e76013fd294aa9976fcf417e8438027966365c9bc4b5db8e3",
     ),
 ]
 

@@ -27,6 +27,8 @@ from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
     MotPoly,
+    ZetaExpr,
+    fac,
     json_dump,
     json_poly,
     latex_poly,
@@ -713,3 +715,152 @@ def test_printing_matches_fraction_reference():
     # a common factor made of symbols alone is still pulled out front
     p = MotPoly.from_lattice({(0, 0, (("a", 1),)): 1, (0, 6, (("a", 2),)): -2}, 4)
     assert render_poly_factored(p) == _ref_render_factored(p) == "[a] * (1 - 2 * L^(3/2) * [a])"
+
+
+# ---------------------------------------------------------------------------
+# the series views: truncated products, the unit roots L = 1 and L = -1,
+# and the key-only sort of lattice()
+
+
+def _old_series_expand(z, M) -> MotPoly:
+    """series_expand as it worked before its products were truncated:
+    each step forms the whole product, then truncates it, and the terms
+    are summed one by one.  The budget is left out."""
+    M = F(M)
+    total = MotPoly.zero()
+    for factors, coeff in z.iter_terms():
+        cur = coeff.truncate_tau(M)
+        if cur.is_zero:
+            continue
+        lo = cur.min_tau()
+        for f in sorted(factors):
+            jmax = math.floor((M - lo) / f.N)
+            if jmax < 1:
+                break  # every product of this term lies past T^M
+            r, n, v = f._lattice()
+            geo = MotPoly.from_lattice({(j * n, -j * v, ()): 1 for j in range(1, jmax + 1)}, r)
+            cur = (cur * ((MotPoly.L() - 1) * geo)).truncate_tau(M)
+            lo += f.N
+        else:
+            total = total + cur
+    return total
+
+
+def _summed_lattice_poly(r: int, terms) -> MotPoly:
+    """The sum of the terms (t, l, symbols, c), keyed on the scale r itself."""
+    acc: dict = {}
+    for t, l, syms, c in terms:
+        k = (t, l, syms)
+        v = acc.get(k, 0) + c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return MotPoly.from_lattice(acc, r)
+
+
+def test_truncated_product_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    symmonos = st.sampled_from(((), (), (("a", 1),), (("a", 2), ("b", 1)), (("b", -1),)))
+    polys = st.builds(
+        _summed_lattice_poly,
+        st.sampled_from((1, 2, 3, 6, 7)),
+        st.lists(st.tuples(st.integers(-14, 21), st.integers(-9, 9), symmonos,
+                           st.sampled_from((-3, -1, 1, 2))), max_size=8),
+    )
+    bounds = st.builds(F, st.integers(-6, 24), st.sampled_from((1, 2, 3, 5, 7)))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(polys, polys, bounds)
+    def check(a, b, M):
+        assert a._mul_truncated(b, M).lattice() == (a * b).truncate_tau(M).lattice()
+        assert b._mul_truncated(a, M) == (a * b).truncate_tau(M)
+        for p in (a, b, a * b):
+            assert p.lattice() == (sorted(p._terms.items()), p.scale)
+
+    check()
+
+
+def test_series_expand_matches_product_then_truncate():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    symmonos = st.sampled_from(((), (), (("a", 1),), (("b", 2),)))
+    coeffs = st.builds(
+        lambda terms: MotPoly({(F(t, q), F(l, q), s): c for t, q, l, s, c in terms}),
+        st.lists(st.tuples(st.integers(-3, 6), st.sampled_from((1, 2, 3)), st.integers(-4, 4),
+                           symmonos, st.sampled_from((-2, -1, 1, 3))), min_size=1, max_size=4),
+    )
+    factors = st.lists(
+        st.builds(fac, st.builds(F, st.integers(1, 5), st.sampled_from((1, 2, 3))),
+                  st.builds(F, st.integers(1, 7), st.sampled_from((1, 2, 7)))),
+        max_size=3,
+    )
+    exprs = st.builds(
+        lambda terms: sum((ZetaExpr.of(c, fs) for c, fs in terms), ZetaExpr.zero()),
+        st.lists(st.tuples(coeffs, factors), max_size=4),
+    )
+    orders = st.builds(F, st.integers(0, 18), st.sampled_from((1, 2, 3)))
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(exprs, orders)
+    def check(z, M):
+        got = series_expand(z, M)
+        want = _old_series_expand(z, M)
+        assert got == want
+        assert render_poly(got) == render_poly(want)
+
+    check()
+
+
+def test_unit_root_values_match_fraction_reference():
+    # D = r / gcd(r, every ell*r) is the order of the common root; at
+    # P = -1 it must be odd.
+    odd = MotPoly.from_lattice(
+        {(0, 5, ()): 1, (0, -3, ()): 2, (15, 10, ()): -1, (15, 1, ()): 4, (30, -6, ()): 7,
+         (30, 0, ()): -7, (-15, 2, ()): 3}, 15
+    )
+    even = MotPoly.from_lattice(
+        {(0, 6, ()): 1, (12, -4, ()): -2, (12, 3, ()): 5, (18, -2, ()): 1, (18, 9, ()): 3}, 12
+    )
+    ints = MotPoly.from_lattice({(4, 8, ()): 1, (4, -4, ()): 3, (8, 0, ()): -1, (8, 12, ()): 1}, 4)
+    for ser in (odd, even, ints, MotPoly.zero()):
+        for P in (1, -1):
+            assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P), (ser, P)
+    # the columns of odd at -1: each term signed by (-1)^k, k its exponent on the root
+    assert odd.series_at_L(-1) == [(F(-1), F(3)), (F(0), F(-3)), (F(1), F(-5)), (F(2), F(0))]
+    assert odd.series_at_L(1) == [(F(-1), F(3)), (F(0), F(3)), (F(1), F(3)), (F(2), F(0))]
+    # D = 12 is even: -1 has no 12-th root, and the first term that needs one is named
+    assert _outcome(even.series_at_L, -1) == (
+        FractionalPowerUnevaluable, "-1 has no exact rational 2-th root"
+    )
+    rng = random.Random(71)
+    for _ in range(300):
+        ser = _rand_lattice_poly(rng, with_T=True)
+        P = rng.choice((1, -1))
+        assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P), (ser, P)
+
+
+def test_unit_root_refusals():
+    big = 10**4300  # 4301 digits
+    # no column has a coefficient sum past the limit, though all the
+    # terms together have: the values are returned
+    under = MotPoly.from_lattice({(0, 0, ()): 6 * 10**4299, (1, 1, ()): -6 * 10**4299}, 1)
+    for P in (1, -1):
+        assert under.series_at_L(P) == [(F(0), F(6 * 10**4299)), (F(1), F(-6 * 10**4299) * P)]
+    # the first column past the limit, in T order, is named, though its
+    # value is 0, a later column is larger, and the dict holds that one first
+    over = MotPoly.from_lattice(
+        {(2, 0, ()): 10 * big, (0, 0, ()): 1, (1, 0, ()): big, (1, 3, ()): -big}, 1
+    )
+    for P in (1, -1):
+        with pytest.raises(TooManyDigits, match=r"^the coefficient of T\^1 at L = %d may have 4301 " % P):
+            over.series_at_L(P)
+    # a class symbol is reported before any digit bound, and the one named
+    # is the first in canonical order, not in the order of the dict
+    syms = over + MotPoly.from_lattice(
+        {(5, 0, (("b", 1),)): 1, (3, 1, (("z", 1),)): 1, (3, 1, (("a", 1),)): 2}, 1
+    )
+    for P in (1, -1):
+        assert _outcome(syms.series_at_L, P) == (MissingChi, "a")
+        assert _outcome((syms - over + under).series_at_L, P) == (MissingChi, "a")

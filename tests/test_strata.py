@@ -243,6 +243,10 @@ REFUSALS = {
         _HEAD.replace("7", "200003") + _stratum(group="(200003; 1,1)"), 3, 58,
         "refusing to enumerate 200003 tuples",
     ),
+    "unprintable order": (
+        _HEAD + _stratum(group="(%s,%s7; 1,0; 0,1)" % ("9" * 2200, "1" * 2199)), 3, 58,
+        "refusing to enumerate a 4400-digit number of tuples",
+    ),
     "denominator": (_HEAD + _stratum(N="1/3, 1"), 2, 1, "denominator of 1/3 does not divide the index 7"),
     "foreign factor": (_HEAD + _stratum(group="(5; 1,1)"), 2, 1, "group exponent 5 has the factor 5 foreign to index 7"),
     "dimension 0": ("dimension = 0\ngindex = 1\n", 1, 1, "dimension and index must be positive"),
