@@ -139,7 +139,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
         if args.eval_L is not None:
             P = args.eval_L
             try:
-                vals = ser.series_at_L(P)
+                vals = ser.values_at_L(P)
             except MissingChi as exc:
                 raise ValueError(
                     "--eval-L: the class symbol [%s] has no value at L = %s" % (exc, P)
@@ -147,14 +147,9 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             except TooManyDigits as exc:
                 raise ValueError("--eval-L: %s" % exc) from None
             if args.json:
-                obj["series_at_L"] = [
-                    {"T": frac_json(t), "value": frac_json(v)} for t, v in vals
-                ]
+                obj["series_at_L"] = vals
             else:
-                lines.append("series at L = %s:" % P)
-                for t, v in vals:
-                    exp = t if t.denominator == 1 else "(%s)" % t
-                    lines.append("  T^%s: %s" % (exp, v))
+                lines.append(symring.render_values_at_L(P, vals))
     if stratification is not None and getattr(args, "emit_strata", None):
         text = strata.render_strata(stratification, chi_env)
         with open(args.emit_strata, "w", encoding="utf-8") as fh:

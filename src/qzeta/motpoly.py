@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits", "MAX_DIGITS",
-           "reduce_exp"]
+           "ValuesAtL", "reduce_exp"]
 
 
 class MissingChi(Exception):
@@ -36,7 +37,7 @@ class TooManyDigits(ValueError):
 # The most decimal digits an exact integer may have where it is printed.
 # 4300 is Python's default limit for converting an int to a string, so a
 # longer one could never be printed.  The strata parser bounds its
-# integers by it, and MotPoly.series_at_L the values it returns.
+# integers by it, and MotPoly.values_at_L the values it returns.
 MAX_DIGITS = 4300
 
 
@@ -46,6 +47,16 @@ SymMono = tuple[tuple[str, int], ...]
 MonoKey = tuple[Fraction, Fraction, SymMono]
 # Monomial key on the lattice (1/r)Z: (T-exponent * r, L-exponent * r, symbols).
 LatKey = tuple[int, int, SymMono]
+
+
+class ValuesAtL(NamedTuple):
+    """A series valued at L = p, as columns: ``ts`` the T-exponents on the
+    lattice (1/r)Z, ascending, and ``values`` the value of each T-power's
+    coefficient, an int at the roots 1 and -1 and a Fraction otherwise."""
+
+    ts: list[int]
+    values: list
+    r: int
 
 
 def _norm_syms(syms) -> SymMono:
@@ -94,8 +105,8 @@ class MotPoly:
     appear only where exponents cross the boundary: the constructor, the
     readers :meth:`terms` and :meth:`min_tau`, and the T-exponents that
     :meth:`series_at_L` returns.
-    Printing, JSON and evaluation read the integer keys (:meth:`lattice`)
-    and reduce each exponent x/r with :func:`reduce_exp`.
+    Printing and JSON read the integer keys as columns (:meth:`columns`)
+    and reduce each exponent x/r to lowest terms.
     """
 
     __slots__ = ("_terms", "_r")
@@ -197,6 +208,20 @@ class MotPoly:
         terms = self._terms
         keys = sorted(terms)
         return list(zip(keys, map(terms.__getitem__, keys))), self._r
+
+    def columns(self) -> tuple[list[int], list[int], list[SymMono], list[int], int]:
+        """The terms in canonical order as columns: the T-exponents, the
+        L-exponents (both integers on the lattice), the symbol monomials and
+        the coefficients; and the scale r."""
+        terms = self._terms
+        keys = sorted(terms)
+        return (
+            list(map(itemgetter(0), keys)),
+            list(map(itemgetter(1), keys)),
+            list(map(itemgetter(2), keys)),
+            list(map(terms.__getitem__, keys)),
+            self._r,
+        )
 
     @staticmethod
     def _coerce(x):
@@ -367,20 +392,19 @@ class MotPoly:
 
     def gcd_monomial(self) -> LatKey:
         """Componentwise-minimal monomial across all terms (coefficient 1),
-        keyed on this polynomial's scale; the polynomial must be nonzero."""
-        tau = min(k[0] for k in self._terms)
-        ell = min(k[1] for k in self._terms)
-        names: dict[str, int] = {}
-        first = True
-        for _tau, _ell, syms in self._terms:
+        keyed on this polynomial's scale; the polynomial must be nonzero.
+        The symbols are intersected term by term until none is left."""
+        terms = self._terms
+        tau = min(map(itemgetter(0), terms))
+        ell = min(map(itemgetter(1), terms))
+        symss = map(itemgetter(2), terms)
+        names = dict(next(symss))
+        for syms in symss:
+            if not names:
+                break
             d = dict(syms)
-            if first:
-                names = d
-                first = False
-            else:
-                names = {n: min(e, d.get(n, 0)) for n, e in names.items() if n in d}
-        sym = tuple(sorted((n, e) for n, e in names.items() if e))
-        return (tau, ell, sym)
+            names = {n: min(e, d[n]) for n, e in names.items() if n in d}
+        return (tau, ell, tuple(sorted(names.items())))
 
     def height(self) -> int:
         """The largest absolute value of a coefficient; 0 for the zero polynomial."""
@@ -432,11 +456,17 @@ class MotPoly:
         p = Fraction(p)
         if self.has_T():
             self._raise_first_failure(p, t_free=True)
-        vals = self.series_at_L(p)
-        return vals[0][1] if vals else Fraction(0)
+        values = self.values_at_L(p).values
+        return _fraction(values[0]) if values else Fraction(0)
 
     def series_at_L(self, p) -> list[tuple[Fraction, Fraction]]:
-        """[(tau, value at L = p of the coefficient of T^tau)], ascending in tau.
+        """[(tau, value at L = p of the coefficient of T^tau)], ascending in
+        tau: :meth:`values_at_L` with each exponent and value a Fraction."""
+        ts, values, r = self.values_at_L(p)
+        return [(Fraction(t, r), _fraction(v)) for t, v in zip(ts, values)]
+
+    def values_at_L(self, p) -> ValuesAtL:
+        """The value at L = p of the coefficient of each T-power, as columns.
 
         One pass over the integer keys takes g = gcd(r, every ell*r), so
         each L-exponent is k/D with D = r/g and k = ell*r/g.  D is the lcm
@@ -445,7 +475,7 @@ class MotPoly:
         every d odd, and then D is odd too); so one root serves the whole
         polynomial.  The terms of each T-column are summed as an integer
         Laurent polynomial in that root, and give one Fraction; at the root
-        1 or -1 that is a signed coefficient sum, made with no power
+        1 or -1 that is a signed coefficient sum, an int made with no power
         (:meth:`_unit_root_values`).  A class
         symbol has no value: :class:`MissingChi` names it.  When some term
         has no value, the terms are walked in canonical order and the first
@@ -494,15 +524,15 @@ class MotPoly:
                             "the coefficient of T^%s at L = %s may have %d decimal digits,"
                             " over the limit %d" % (Fraction(t, r), p, digits, MAX_DIGITS)
                         )
-            return [(Fraction(t, r), _laurent_value(cols[t], a, b)) for t in ts]
+            return ValuesAtL(ts, [_laurent_value(cols[t], a, b) for t in ts], r)
         except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
             self._raise_first_failure(p)
 
-    def _unit_root_values(self, a: int, g: int) -> list[tuple[Fraction, Fraction]]:
-        """:meth:`series_at_L` at the common root a = 1 or -1, under the
+    def _unit_root_values(self, a: int, g: int) -> ValuesAtL:
+        """:meth:`values_at_L` at the common root a = 1 or -1, under the
         digit limit: each T-column's value is its coefficient sum, each term
         signed by the parity of k = ell*r/g when a = -1, so no power is
-        taken.  Over the limit, :meth:`series_at_L` takes its general path,
+        taken.  Over the limit, :meth:`values_at_L` takes its general path,
         which refuses the first column past it."""
         terms, r = self._terms, self._r
         neg = a < 0
@@ -514,7 +544,8 @@ class MotPoly:
             if neg and l // g & 1:
                 c = -c
             sums[t] = get(t, 0) + c
-        return [(Fraction(t, r), Fraction(sums[t])) for t in sorted(sums)]
+        ts = sorted(sums)
+        return ValuesAtL(ts, list(map(sums.__getitem__, ts)), r)
 
     def _raise_first_failure(self, p: Fraction, t_free: bool = False):
         """Raise the error of the first term, in canonical order, that has

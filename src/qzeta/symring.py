@@ -14,12 +14,13 @@ On top of the plain polynomials (:class:`MotPoly`, see
 and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
 (:class:`ZetaExpr`), their reduced rational-function form, series and
 the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`),
-and their printers: the factors of each monomial come from one lattice
-helper, and each sum is written by :func:`qzeta.topzeta.sum_str`.
+and their printers, which write a polynomial a column at a time from its
+sorted keys: the exponent texts come from one helper, and each sum is
+written by :func:`qzeta.topzeta.sum_str`.
 All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
-(for a quotient by G they are ages, so r is the index), while factor
-data, topological zetas and everything printed are
+(for a quotient by G they are ages, so r is the index), and prints them
+from those integers, while factor data and topological zetas are
 :class:`fractions.Fraction` values.  Nothing is approximated, and
 equality of zeta expressions is decided by exact cross-multiplication.
 """
@@ -33,14 +34,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv
+from operator import attrgetter, floordiv
 from typing import Iterable, Mapping
 
 from .motpoly import (
     FractionalPowerUnevaluable,
-    LatKey,
     MissingChi,
     MotPoly,
+    ValuesAtL,
     _fraction,
     _mul_syms,
     reduce_exp,
@@ -418,11 +419,15 @@ class RatFunc:
         return na == nb
 
     def __str__(self) -> str:
-        den = []
-        for f, m in self.denom:
-            r, n, v = f._lattice()
-            binom = _lattice_terms([((0, 0, ()), 1), ((n, -v, ()), -1)], r, TEXT)
-            den.append((sum_str(binom, TEXT), m))
+        # the monomial L^-nu T^N of each binomial 1 - L^-nu T^N, all written
+        # in one pass on the least common scale of the factors
+        lats = [f._lattice() for f, _m in self.denom]
+        R = math.lcm(*(r for r, _n, _v in lats))
+        monos = _factor_texts(
+            [n * (R // r) for r, n, _v in lats], [-v * (R // r) for r, _n, v in lats],
+            [()] * len(lats), R, TEXT,
+        )
+        den = [(sum_str(("", x), (1, -1), TEXT), m) for x, (_f, m) in zip(monos, self.denom)]
         return quotient_str(render_poly_factored(self.numer), den)
 
 
@@ -604,34 +609,70 @@ def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> T
 # rendering helpers
 
 
-def _lattice_terms(terms: Iterable[tuple[LatKey, int]], r: int, syntax: Syntax) -> list[tuple]:
-    """The (factor texts, coefficient) pair of each (key, coefficient) term
-    on the scale r, for :func:`sum_str`: the factors are the powers of L, T
-    and each symbol, in ``syntax``.  The power of each exponent of L and of
-    T is written once, on its first term, as the exponents of a long
-    polynomial repeat."""
-    power, ratio, unit, L = syntax.power, syntax.ratio, syntax.unit, syntax.L
+def _lowest_terms(xs, r: int):
+    """The numerators and the denominators of the lattice exponents x/r of
+    the column ``xs`` in lowest terms, as two iterators over one gcd map."""
+    gs = list(map(math.gcd, xs, itertools.repeat(r)))
+    return map(floordiv, xs, gs), map(floordiv, itertools.repeat(r), gs)
 
-    def pow_of(memo: dict, base: str, x: int) -> tuple[str, ...]:
-        g = math.gcd(x, r)
-        e = x // g if g == r else ratio % (x // g, r // g)
-        memo[x] = s = (base if e == 1 and not unit else power % (base, e),)
-        return s
 
-    Ls: dict[int, tuple[str, ...]] = {0: ()}
-    Ts: dict[int, tuple[str, ...]] = {0: ()}
-    out = []
-    for (tau, ell, syms), c in terms:
-        f = Ls[ell] if ell in Ls else pow_of(Ls, L, ell)
-        f += Ts[tau] if tau in Ts else pow_of(Ts, "T", tau)
+def _lattice_texts(xs, r: int, whole: str, part: str, fixed: Mapping[int, str], *columns) -> list[str]:
+    """The text of each lattice exponent x/r in the column ``xs``: the
+    :meth:`str.format` template ``part`` when its lowest terms n/d have
+    d > 1, ``whole`` when d = 1, or ``fixed[x]``, formatted with n, d and
+    the entries of the ``columns`` at x's place.  One gcd map, and one
+    format map, write every exponent."""
+    nums, dens = _lowest_terms(xs, r)
+    dens = list(dens)
+    templates = map(fixed.get, xs, map({1: whole}.get, dens, itertools.repeat(part)))
+    return list(map(str.format, templates, nums, dens, *columns))
+
+
+def _power_formats(base: str, r: int, syntax: Syntax, tail: str = "", alone: str = ""):
+    """The templates (whole, part, fixed) of :func:`_lattice_texts` for the
+    power ``base^(x/r)`` in ``syntax`` followed by ``tail``: the power 0 is
+    ``alone``, and the power 1 is ``base`` unless the syntax writes it."""
+    base = base.replace("{", "{{").replace("}", "}}")
+    power = syntax.power.replace("{", "{{").replace("}", "}}") % (base, "%s")
+    whole, part = power % "{0}" + tail, power % (syntax.ratio % ("{0}", "{1}")) + tail
+    return whole, part, {0: alone} if syntax.unit else {0: alone, r: base + tail}
+
+
+def _factor_texts(ts, ls, symss, r: int, syntax: Syntax) -> list[str]:
+    """The factors of each monomial, from the columns of its T- and
+    L-exponents on the scale r and its symbol monomial: the powers of L, T
+    and each symbol joined in ``syntax``, and "" for the monomial 1.
+
+    The text after the power of L is made once per distinct (T, symbols)
+    pair, in two forms: alone, and after a power of L.  Then one
+    :func:`_lattice_texts` pass writes each power of L and the form of its
+    tail that follows it."""
+    times, power, ratio, unit = syntax.times, syntax.power, syntax.ratio, syntax.unit
+    tails = dict.fromkeys(zip(ts, symss))
+    for pair in tails:
+        t, syms = pair
+        text = ""
+        if t:
+            g = math.gcd(t, r)
+            exp = t // g if g == r else ratio % (t // g, r // g)
+            text = "T" if exp == 1 and not unit else power % ("T", exp)
         if syms:
-            f += tuple("[%s]" % n if e == 1 else power % ("[%s]" % n, e) for n, e in syms)
-        out.append((f, c))
-    return out
+            names = ["[%s]" % n if e == 1 else power % ("[%s]" % n, e) for n, e in syms]
+            text = times.join([text, *names] if text else names)
+        tails[pair] = (text, times + text) if text else ("", "")
+    return _lattice_texts(
+        ls, r, *_power_formats(syntax.L, r, syntax, "{2[1]}", "{2[0]}"),
+        map(tails.__getitem__, zip(ts, symss)),
+    )
+
+
+def _poly_str(p: MotPoly, syntax: Syntax) -> str:
+    ts, ls, symss, cs, r = p.columns()
+    return sum_str(_factor_texts(ts, ls, symss, r, syntax), cs, syntax)
 
 
 def render_poly(p: MotPoly) -> str:
-    return sum_str(_lattice_terms(*p.lattice(), TEXT), TEXT)
+    return _poly_str(p, TEXT)
 
 
 def render_poly_factored(p: MotPoly) -> str:
@@ -641,15 +682,19 @@ def render_poly_factored(p: MotPoly) -> str:
     g = p.gcd_monomial()
     if g == (0, 0, ()):
         return "(%s)" % render_poly(p)
-    # the quotient by g, made by shifting the keys of the sorted terms
+    # the quotient by g, made by shifting the columns of the sorted terms
     tau, ell, syms = g
-    inv = tuple((n, -e) for n, e in syms)
-    terms, r = p.lattice()
-    shifted = [((t - tau, l - ell, _mul_syms(s, inv)), c) for (t, l, s), c in terms]
-    if inv:
-        shifted.sort()  # dropping symbol powers can reorder the terms
-    (head, _one), *body = _lattice_terms([(g, 1), *shifted], r, TEXT)
-    return "%s * (%s)" % (TEXT.times.join(head), sum_str(body, TEXT))
+    ts, ls, symss, cs, r = p.columns()
+    ts = list(map(int.__sub__, ts, itertools.repeat(tau)))
+    ls = list(map(int.__sub__, ls, itertools.repeat(ell)))
+    if syms:
+        # dropping symbol powers can reorder the terms
+        inv = tuple((n, -e) for n, e in syms)
+        symss = map(_mul_syms, symss, itertools.repeat(inv))
+        ts, ls, symss, cs, r = MotPoly.from_lattice(dict(zip(zip(ts, ls, symss), cs)), r).columns()
+    # g's factors come first, from the same pass
+    head, *factors = _factor_texts([tau, *ts], [ell, *ls], [syms, *symss], r, TEXT)
+    return "%s * (%s)" % (head, sum_str(factors, cs, TEXT))
 
 
 def render_zeta(z: ZetaExpr) -> str:
@@ -671,7 +716,7 @@ def render_zeta(z: ZetaExpr) -> str:
 
 
 def latex_poly(p: MotPoly) -> str:
-    return sum_str(_lattice_terms(*p.lattice(), LATEX), LATEX)
+    return _poly_str(p, LATEX)
 
 
 def latex_zeta(z: ZetaExpr) -> str:
@@ -701,45 +746,57 @@ def latex_zeta(z: ZetaExpr) -> str:
 
 def json_poly(p: MotPoly) -> str:
     """The JSON text of ``p.json_obj()``, written straight off the integer
-    keys.  Terms sorted by key come in runs with one T-exponent and one
-    symbol monomial; each run is written by one ``%`` over its term
-    template repeated, so only the L-exponent x/r (reduced by a gcd taken
-    with ``map``) and the coefficient vary.  ``syms`` goes through
-    :func:`json.dumps`, so symbol names are escaped as it escapes them, and
-    each ``%`` in that text is doubled before it joins the template."""
-    terms, r = p.lattice()
-    if not terms:
-        return "[]"
-    keys, cs = zip(*terms)
-    ts, ls, symss = zip(*keys)
-    gs = list(map(math.gcd, ls, itertools.repeat(r)))
-    dens = map(floordiv, itertools.repeat(r), gs)
-    values = tuple(itertools.chain.from_iterable(zip(dens, map(floordiv, ls, gs), cs)))
-    templates: dict = {}
-    runs = []
-    end = 0
-    for key, run in itertools.groupby(zip(ts, symss)):
-        start, end = end, end + len(list(run))
-        template = templates.get(key)
-        if template is None:
-            t, syms = key
-            num, den = reduce_exp(t, r)
-            syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
-            template = templates[key] = (
-                '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
-                % (den, num, syms_text.replace("%", "%%"))
-            )
-        runs.append(", ".join(itertools.repeat(template, end - start)) % values[3 * start : 3 * end])
-    return "[%s]" % ", ".join(runs)
+    key columns: one ``%`` over one template per term, in which only the
+    L-exponent x/r (reduced by one gcd map) and the
+    coefficient vary.  Each distinct (T, symbols) pair makes its template
+    once.  ``syms`` goes through :func:`json.dumps`, so symbol names are
+    escaped as it escapes them, and each ``%`` in that text is doubled
+    before it joins the template."""
+    ts, ls, symss, cs, r = p.columns()
+    templates = dict.fromkeys(zip(ts, symss))
+    for t, syms in list(templates):
+        num, den = reduce_exp(t, r)
+        syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
+        templates[t, syms] = (
+            '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
+            % (den, num, syms_text.replace("%", "%%"))
+        )
+    nums, dens = _lowest_terms(ls, r)
+    values = tuple(itertools.chain.from_iterable(zip(dens, nums, cs)))
+    return "[%s]" % (", ".join(map(templates.__getitem__, zip(ts, symss))) % values)
+
+
+def render_values_at_L(p: Fraction, vals: ValuesAtL) -> str:
+    """The ``--eval-L`` block: the line ``series at L = p:``, then a line
+    ``  T^e: v`` for each column of ``vals``, written from the columns."""
+    ts, values, r = vals
+    lines = _lattice_texts(ts, r, "\n  T^{0}: {2}", "\n  T^({0}/{1}): {2}", {}, map(str, values))
+    return "series at L = %s:%s" % (p, "".join(lines))
+
+
+def json_values_at_L(vals: ValuesAtL) -> str:
+    """The JSON text of the list of ``{"T": T-exponent, "value": value}``,
+    each a ``{"den", "num"}`` object, over the columns of ``vals``: one
+    ``%`` over one template repeated."""
+    ts, values, r = vals
+    nums, dens = _lowest_terms(ts, r)
+    columns = (dens, nums, map(attrgetter("denominator"), values), map(attrgetter("numerator"), values))
+    template = '{"T": {"den": %d, "num": %d}, "value": {"den": %d, "num": %d}}'
+    return "[%s]" % (
+        ", ".join(itertools.repeat(template, len(ts)))
+        % tuple(itertools.chain.from_iterable(zip(*columns)))
+    )
 
 
 def json_dump(obj: dict) -> str:
     """A top-level dict as one line of JSON, keys in sorted order.
 
-    A :class:`MotPoly` value is written by :func:`json_poly`, every other
-    value by :func:`json.dumps` with sorted keys.  The text is byte-identical
-    to ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
-    polynomial replaced by its ``json_obj()``.
+    A :class:`MotPoly` value is written by :func:`json_poly`, a
+    :class:`ValuesAtL` by :func:`json_values_at_L`, every other value by
+    :func:`json.dumps` with sorted keys.  The text is byte-identical to
+    ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
+    polynomial replaced by its ``json_obj()`` and each ``ValuesAtL`` by its
+    list of ``{"T", "value"}`` dicts.
     """
     return "{%s}" % ", ".join(
         "%s: %s"
@@ -747,6 +804,8 @@ def json_dump(obj: dict) -> str:
             json.dumps(k),
             json_poly(v)
             if isinstance(v, MotPoly)
+            else json_values_at_L(v)
+            if isinstance(v, ValuesAtL)
             else json.dumps(v, sort_keys=True, separators=(", ", ": ")),
         )
         for k, v in sorted(obj.items())

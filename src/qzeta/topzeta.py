@@ -14,15 +14,18 @@ constant term first: :func:`pmul`, :func:`padd` and the exact division
 :func:`cancel` is the one reduction rule for a quotient over a product
 of factors, used here and by ``symring.RatFunc``.  :func:`sum_str` is the
 one term walker: every polynomial printed, in L, T and class symbols by
-``symring`` or in s here, is a sum of (factor texts, coefficient) pairs
-written in one of three syntaxes, :data:`TEXT`, :data:`TEXT_S` (factors
-joined by "*", for polynomials in s) and :data:`LATEX`; and
-:func:`quotient_str` lays out every printed quotient.
+``symring`` or in s here, is a sum written from two columns, the factor
+text and the coefficient of each term, in one of three syntaxes,
+:data:`TEXT`, :data:`TEXT_S` (factors joined by "*", for polynomials in
+s) and :data:`LATEX`; and :func:`quotient_str` lays out every printed
+quotient.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -276,28 +279,36 @@ def frac_latex(x: Fraction) -> str:
 # is written out, and the separators between the factors of a term and
 # before a positive and a negative term.
 Syntax = namedtuple("Syntax", "power ratio coeff L unit times plus minus")
-TEXT = Syntax("%s^%s", "(%d/%d)", str, "L", False, " * ", " + ", " - ")
+TEXT = Syntax("%s^%s", "(%s/%s)", str, "L", False, " * ", " + ", " - ")
 TEXT_S = TEXT._replace(times="*")  # s-polynomials: 2*s^2 + 1
-LATEX = Syntax("%s^{%s}", "%d/%d", frac_latex, "\\mathbb{L}", True, "", "+", "-")
+LATEX = Syntax("%s^{%s}", "%s/%s", frac_latex, "\\mathbb{L}", True, "", "+", "-")
 
 
-def sum_str(terms: Iterable[tuple[Sequence[str], object]], syntax: Syntax) -> str:
-    """The sum of the (factor texts, coefficient) ``terms`` in ``syntax``:
-    each term's sign, then its coefficient's magnitude and factors joined,
-    the magnitude left out when it is 1 beside factors.  Zero terms are
-    skipped; the first sign is "-" or nothing, and an empty sum is "0"."""
-    times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
-    out = []
-    for factors, c in terms:
-        if c:
-            mag = -c if c < 0 else c
-            if mag != 1 or not factors:
-                factors = (coeff(mag), *factors)
-            out += minus if c < 0 else plus, times.join(factors)
-    if not out:
+def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax) -> str:
+    """The sum of the terms ``coeffs[i] * factors[i]`` in ``syntax``, from
+    the two columns: each term's factor text, already joined ("" for none),
+    and its coefficient.  A term is its sign, then its coefficient's
+    magnitude and its factors, the magnitude left out when it is 1 beside
+    factors; the text before the factors is made once per distinct
+    coefficient.  Zero terms are skipped; the first sign is "-" or
+    nothing, and an empty sum is "0"."""
+    if not all(coeffs):
+        factors = list(itertools.compress(factors, coeffs))
+        coeffs = list(itertools.compress(coeffs, coeffs))
+    if not coeffs:
         return "0"
-    out[0] = "-" if out[0] == minus else ""
-    return "".join(out)
+    times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
+    lead = {}  # the text before the factors of a term with this coefficient
+    for c in set(coeffs):
+        sign, mag = (minus, -c) if c < 0 else (plus, c)
+        lead[c] = sign if mag == 1 else sign + coeff(mag) + times
+    texts = list(map(str.__add__, map(lead.__getitem__, coeffs), factors))
+    for i in itertools.compress(range(len(texts)), map(operator.not_, factors)):
+        c = coeffs[i]
+        texts[i] = minus + coeff(-c) if c < 0 else plus + coeff(c)
+    first = texts[0]
+    texts[0] = "-" + first[len(minus):] if coeffs[0] < 0 else first[len(plus):]
+    return "".join(texts)
 
 
 def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
@@ -313,11 +324,8 @@ def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
 def _spoly(p, syntax: Syntax) -> str:
     """The dense polynomial p in s, highest power first."""
     power = syntax.power
-    return sum_str(
-        (((power % ("s", k),) if k > 1 else ("s",) if k else (), p[k])
-         for k in range(len(p) - 1, -1, -1)),
-        syntax,
-    )
+    factors = [power % ("s", k) if k > 1 else "s" if k else "" for k in range(len(p) - 1, -1, -1)]
+    return sum_str(factors, p[::-1], syntax)
 
 
 def _lin_str(f: LinFactor) -> str:

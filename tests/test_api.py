@@ -26,6 +26,9 @@ REMOVED = {
 # topzeta.sum_str, with the monomials' factors from one lattice helper.
 REMOVED["symring"] += ["_exp_str", "_pow_str", "_lattice_pow_str", "_mono_str", "_render_terms",
                        "_exp_latex"]
+# The per-term factor-tuple printer: every view writes its terms from the
+# key columns now, through one exponent-column helper.
+REMOVED["symring"] += ["_lattice_terms"]
 REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
 # The --check line is written by the one runner of the stratified commands.
 REMOVED["cli"] = ["_check"]

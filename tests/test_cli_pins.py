@@ -19,6 +19,10 @@ recorded while ``--json`` still built a dict per term and handed it to
 while group elements were objects and every subgroup was closed by a
 breadth-first search.  The last one (an odd root at ``--eval-L -1``) was
 recorded while every value at L = 1 or -1 still took a power per term.
+The four after it (the symbol tail of ``strata`` in text and LaTeX, and a
+non-unit ``--eval-L`` with fractional values in text and JSON) were
+recorded while every printer still walked the terms one tuple at a time
+and each value was a Fraction.
 Any change to rendering, term order, reduction,
 evaluation, error precedence or JSON layout shows up here.  Each run takes
 well under two seconds.
@@ -154,6 +158,28 @@ PINS = [
          "--eval-L", "-1"],
         1316,
         "4993e76386a8298e76013fd294aa9976fcf417e8438027966365c9bc4b5db8e3",
+    ),
+    (
+        ["strata", ACCENTED, "--series", "3"],
+        778,
+        "768a6b5b6b3a8d1bb6d43f593a7a58dd641169378fc47d4af82ca2b01c675d6a",
+    ),
+    (
+        ["strata", ACCENTED, "--series", "3", "--latex"],
+        765,
+        "9a3c5244d585f4d5f35249e4823f5dd77babbb4ba122c9fc630a64c41d93b2dd",
+    ),
+    (
+        ["monomial", "--group", "(2;1,1)", "--N", "1,1/2", "--nu", "1,3/2", "--series", "3",
+         "--eval-L", "16"],
+        1281,
+        "45d80d5d030db7fa8e16beb1e6e7e608fa1f2bc7ca43b84c581d57c127b62cff",
+    ),
+    (
+        ["monomial", "--group", "(2;1,1)", "--N", "1,1/2", "--nu", "1,3/2", "--series", "3",
+         "--eval-L", "16", "--json"],
+        4070,
+        "7293c692735296070f97c4541b03b0d3d8a761c2adf3d7cdf288dfaa95c9465f",
     ),
 ]
 

@@ -16,26 +16,31 @@ import json
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction as F
 from itertools import groupby
 
 import pytest
 
-from qzeta.motpoly import TooManyDigits, _digits_bound, _laurent_value
+from qzeta.motpoly import TooManyDigits, _digits_bound, _laurent_value, _mul_syms
 from qzeta.resolution import hj_resolve, hj_stratification
 from qzeta.symring import (
     FractionalPowerUnevaluable,
     MissingChi,
     MotPoly,
+    RatFunc,
     ZetaExpr,
     fac,
     json_dump,
     json_poly,
+    json_values_at_L,
     latex_poly,
     render_poly,
     render_poly_factored,
+    render_values_at_L,
     series_expand,
 )
+from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
 # ---------------------------------------------------------------------------
@@ -864,3 +869,211 @@ def test_unit_root_refusals():
     for P in (1, -1):
         assert _outcome(syms.series_at_L, P) == (MissingChi, "a")
         assert _outcome((syms - over + under).series_at_L, P) == (MissingChi, "a")
+
+
+# ---------------------------------------------------------------------------
+# the column printers against the per-term printers they replaced: every
+# term of a sum was a tuple of factor texts, and each exponent's power was
+# memoised on its first term
+
+
+_OldSyntax = namedtuple("_OldSyntax", "power ratio coeff L unit times plus minus")
+_OLD_TEXT = _OldSyntax("%s^%s", "(%d/%d)", str, "L", False, " * ", " + ", " - ")
+_OLD_LATEX = _OldSyntax("%s^{%s}", "%d/%d", frac_latex, "\\mathbb{L}", True, "", "+", "-")
+
+
+def _old_lattice_terms(terms, r, syntax):
+    power, ratio, unit, L = syntax.power, syntax.ratio, syntax.unit, syntax.L
+
+    def pow_of(memo, base, x):
+        g = math.gcd(x, r)
+        e = x // g if g == r else ratio % (x // g, r // g)
+        memo[x] = s = (base if e == 1 and not unit else power % (base, e),)
+        return s
+
+    Ls = {0: ()}
+    Ts = {0: ()}
+    out = []
+    for (tau, ell, syms), c in terms:
+        f = Ls[ell] if ell in Ls else pow_of(Ls, L, ell)
+        f += Ts[tau] if tau in Ts else pow_of(Ts, "T", tau)
+        if syms:
+            f += tuple("[%s]" % n if e == 1 else power % ("[%s]" % n, e) for n, e in syms)
+        out.append((f, c))
+    return out
+
+
+def _old_sum_str(terms, syntax):
+    times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
+    out = []
+    for factors, c in terms:
+        if c:
+            mag = -c if c < 0 else c
+            if mag != 1 or not factors:
+                factors = (coeff(mag), *factors)
+            out += minus if c < 0 else plus, times.join(factors)
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == minus else ""
+    return "".join(out)
+
+
+def _ref_gcd_monomial(p: MotPoly):
+    """The componentwise least key over the terms, one dict per term."""
+    keys = list(p._terms)
+    names = dict(keys[0][2])
+    for _t, _l, syms in keys[1:]:
+        d = dict(syms)
+        names = {n: min(e, d[n]) for n, e in names.items() if n in d}
+    return (min(k[0] for k in keys), min(k[1] for k in keys), tuple(sorted(names.items())))
+
+
+def _old_render(p: MotPoly, syntax=_OLD_TEXT) -> str:
+    return _old_sum_str(_old_lattice_terms(*p.lattice(), syntax), syntax)
+
+
+def _old_render_factored(p: MotPoly) -> str:
+    if len(p) <= 1:
+        return _old_render(p)
+    g = _ref_gcd_monomial(p)
+    if g == (0, 0, ()):
+        return "(%s)" % _old_render(p)
+    tau, ell, syms = g
+    inv = tuple((n, -e) for n, e in syms)
+    terms, r = p.lattice()
+    shifted = [((t - tau, l - ell, _mul_syms(s, inv)), c) for (t, l, s), c in terms]
+    shifted.sort()
+    (head, _one), *body = _old_lattice_terms([(g, 1), *shifted], r, _OLD_TEXT)
+    return "%s * (%s)" % (" * ".join(head), _old_sum_str(body, _OLD_TEXT))
+
+
+def _old_ratfunc_str(rf: RatFunc) -> str:
+    den = []
+    for f, m in rf.denom:
+        r, n, v = f._lattice()
+        binom = _old_lattice_terms([((0, 0, ()), 1), ((n, -v, ()), -1)], r, _OLD_TEXT)
+        den.append("(%s)%s" % (_old_sum_str(binom, _OLD_TEXT), "" if m == 1 else "^%d" % m))
+    num = _old_render_factored(rf.numer)
+    if num == "0" or not den:
+        return num
+    return "(%s) / (%s)" % (num, " * ".join(den))
+
+
+def _old_values_at_L(ser: MotPoly, P) -> tuple[str, str]:
+    """The --eval-L text block and JSON array as they were written from
+    Fractions, the values from the Fraction reference."""
+    vals = _ref_series_values(ser, P)
+    lines = ["series at L = %s:" % F(P)]
+    for t, v in vals:
+        lines.append("  T^%s: %s" % (t if t.denominator == 1 else "(%s)" % t, v))
+    array = [{"T": {"num": t.numerator, "den": t.denominator},
+              "value": {"num": v.numerator, "den": v.denominator}} for t, v in vals]
+    return "\n".join(lines), json.dumps(array, sort_keys=True, separators=(", ", ": "))
+
+
+def test_gcd_monomial_matches_reference():
+    rng = random.Random(83)
+    names = ("a", "b", "Cé0", "%")
+    for _ in range(400):
+        r = rng.choice((1, 2, 3, 6, 12))
+        shared = {n: rng.randint(1, 3) for n in rng.sample(names, rng.randint(0, 2))}
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            syms = dict(shared) if rng.random() < 0.8 else {}
+            for n in rng.sample(names, rng.randint(0, 2)):
+                syms[n] = syms.get(n, 0) + rng.choice((-2, -1, 1, 2))
+            key = (rng.randint(-3 * r, 3 * r), rng.randint(-3 * r, 3 * r),
+                   tuple(sorted((n, e) for n, e in syms.items() if e)))
+            terms[key] = rng.choice((-2, -1, 1, 3))
+        p = MotPoly.from_lattice(terms, r)
+        assert p.gcd_monomial() == _ref_gcd_monomial(p), terms
+    # a symbol shared by every term is pulled out, also with negative exponents
+    p = MotPoly.from_lattice({(1, 2, (("a", 2), ("b", -1))): 1, (0, 5, (("a", 1), ("b", -3))): 2}, 1)
+    assert p.gcd_monomial() == (0, 2, (("a", 1), ("b", -3)))
+
+
+def test_column_printers_match_the_per_term_printers():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = st.one_of(
+        st.sampled_from(_NAMES + _ODD_NAMES),
+        st.text(st.characters(categories=("Lu", "Ll", "Lo", "Nd")), min_size=1, max_size=2),
+    )
+    symmonos = st.one_of(
+        st.just(()),
+        st.dictionaries(names, st.sampled_from((-2, -1, 1, 3)), min_size=1, max_size=2).map(
+            lambda d: tuple(sorted(d.items()))
+        ),
+    )
+    coeffs = st.one_of(st.sampled_from((-1, 1, -1, 1, 2, -3)), st.integers(-(10**25), 10**25)).filter(bool)
+
+    @st.composite
+    def polys(draw):
+        r = draw(st.integers(1, 12))
+        exps = st.one_of(st.just(0), st.just(r), st.just(-r), st.integers(-4 * r, 4 * r))
+        terms = {}
+        for t, l, s, c in draw(st.lists(st.tuples(exps, exps, symmonos, coeffs), max_size=9)):
+            terms[t, l, s] = c
+        if draw(st.booleans()):
+            terms[0, 0, ()] = draw(st.sampled_from((1, -1, 5)))  # a coefficient with no factor
+        return MotPoly.from_lattice(terms, r)
+
+    factors = st.lists(
+        st.tuples(st.builds(fac, st.builds(F, st.integers(0, 6), st.integers(1, 12)),
+                            st.builds(F, st.integers(1, 9), st.integers(1, 12))),
+                  st.integers(1, 3)),
+        max_size=3,
+    ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(polys(), factors)
+    def check(p, denom):
+        assert render_poly(p) == _old_render(p)
+        assert latex_poly(p) == _old_render(p, _OLD_LATEX)
+        assert render_poly_factored(p) == _old_render_factored(p)
+        assert json_poly(p) == _json_text(p)
+        rf = RatFunc(p, denom)
+        assert str(rf) == _old_ratfunc_str(rf)
+        if p:
+            assert p.gcd_monomial() == _ref_gcd_monomial(p)
+
+    check()
+    empty = MotPoly.zero()
+    assert render_poly(empty) == latex_poly(empty) == _old_render(empty) == "0"
+    assert json_poly(empty) == "[]" and str(RatFunc(empty, ())) == "0"
+    for c in (1, -1):
+        assert render_poly(MotPoly.const(c)) == latex_poly(MotPoly.const(c)) == str(c)
+
+
+def test_values_at_L_print_as_the_fraction_values_did():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def series(draw):
+        r = draw(st.sampled_from((1, 2, 3, 4, 6, 12, 5)))
+        acc: dict = {}
+        for _ in range(draw(st.integers(0, 10))):
+            k = (draw(st.integers(-r, 4 * r)), draw(st.integers(-3 * r, 3 * r)),
+                 draw(st.sampled_from(((),) * 6 + ((("a", 1),),))))
+            c = acc.get(k, 0) + draw(st.sampled_from((-3, -1, 1, 2, 5)))
+            if c:
+                acc[k] = c
+            else:
+                acc.pop(k, None)
+        return MotPoly.from_lattice(acc, r)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(series(), st.sampled_from((F(1), F(-1), F(4), F(1, 4), F(-8))))
+    def check(ser, P):
+        got = _outcome(ser.values_at_L, P)
+        want = _outcome(_old_values_at_L, ser, P)
+        if got[0] != "value":
+            assert got == want
+            return
+        vals = got[1]
+        assert (render_values_at_L(P, vals), json_values_at_L(vals)) == want[1]
+        assert json_dump({"series_at_L": vals}) == '{"series_at_L": %s}' % want[1][1]
+        assert ser.series_at_L(P) == _ref_series_values(ser, P)
+
+    check()
