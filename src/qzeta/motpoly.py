@@ -94,6 +94,34 @@ def _rescale(terms: dict[LatKey, int], m: int) -> dict[LatKey, int]:
     return {(t * m, l * m, s): c for (t, l, s), c in terms.items()}
 
 
+def _class_quotient(terms: dict[LatKey, int], r: int, tx: int, lx: int) -> "MotPoly | None":
+    """The quotient of the terms on the scale r by 1 - x^(tx, lx), the
+    direction on that scale, or None: every term is filed under its
+    translation class along the direction, and each class is divided by a
+    running sum, exact iff its coefficients sum to zero."""
+    classes: dict[LatKey, dict[int, int]] = {}
+    for (t, l, s), c in terms.items():
+        j = t // tx if tx else l // lx
+        rep = (t - j * tx, l - j * lx, s)
+        col = classes.get(rep)
+        if col is None:
+            classes[rep] = {j: c}
+        else:
+            col[j] = c
+    out: dict[LatKey, int] = {}
+    for (t0, l0, s), col in classes.items():
+        js = sorted(col)
+        last = js[-1]
+        run = 0
+        for j in range(js[0], last):
+            run += col.get(j, 0)
+            if run:
+                out[(t0 + j * tx, l0 + j * lx, s)] = run
+        if run + col[last]:
+            return None
+    return MotPoly.from_lattice(out, r)
+
+
 class MotPoly:
     """Sparse exact polynomial in L^(1/r), T^(1/r) and class symbols.
 
@@ -607,27 +635,24 @@ class MotPoly:
             m = dx // math.gcd(r, dx)
             terms, r = _rescale(terms, m), r * m
         tx, lx = tn * (r // td), ln * (r // ld)
-        classes: dict[LatKey, dict[int, int]] = {}
-        for (t, l, s), c in terms.items():
-            j = t // tx if tx else l // lx
-            rep = (t - j * tx, l - j * lx, s)
-            col = classes.get(rep)
-            if col is None:
-                classes[rep] = {j: c}
-            else:
-                col[j] = c
-        out: dict[LatKey, int] = {}
-        for (t0, l0, s), col in classes.items():
-            js = sorted(col)
-            last = js[-1]
-            run = 0
-            for j in range(js[0], last):
-                run += col.get(j, 0)
-                if run:
-                    out[(t0 + j * tx, l0 + j * lx, s)] = run
-            if run + col[last]:
-                return None
-        return MotPoly.from_lattice(out, r)
+        return _class_quotient(terms, r, tx, lx)
+
+    def divide_L_minus_one(self) -> "MotPoly | None":
+        """Exact quotient by ``L - 1``, or None.
+
+        The class walk of :meth:`divide_one_minus` along the direction L,
+        with its quotient by ``1 - L`` negated, after the one cheap
+        rejection that direction has: L - 1 divides a polynomial only if
+        its coefficients sum to zero.  The fold takes the content
+        ``(L - 1)^k`` out of its terms' coefficients with it, so it is a
+        method of its own: the divisions by the fold's factors are the
+        only calls :meth:`divide_one_minus` counts.
+        """
+        terms, r = self._terms, self._r
+        if sum(terms.values()):
+            return None
+        q = _class_quotient(terms, r, 0, r)
+        return None if q is None else -q
 
     def mul_binomial(self, r: int, a: tuple[int, int], b: tuple[int, int]) -> "MotPoly":
         """The product with the binomial ``x^a - x^b``, whose monomials have
@@ -659,6 +684,17 @@ class MotPoly:
             else:
                 del acc[k]
         return MotPoly.from_lattice(acc, R)
+
+    def mul_monomial(self, r: int, a: tuple[int, int]) -> "MotPoly":
+        """The product with the monomial ``x^a``, ``a = (tau*r, ell*r)`` on
+        the scale r: each key shifted by ``a``, on the lcm scale."""
+        terms, rs = self._terms, self._r
+        R = math.lcm(rs, r)
+        if R != rs:
+            terms = _rescale(terms, R // rs)
+        m = R // r
+        ta, la = a[0] * m, a[1] * m
+        return MotPoly.from_lattice({(t + ta, l + la, s): c for (t, l, s), c in terms.items()}, R)
 
     # -- rendering ---------------------------------------------------------
 

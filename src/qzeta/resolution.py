@@ -92,6 +92,14 @@ def hj_resolve(d: int, a: int, b: int) -> Chain2D:
     return Chain2D(d, a, b, e, tuple(kappa), tuple(coeffs))
 
 
+# The classes, data and group that every chain's strata share; none of them
+# changes once made.
+_L_MINUS_ONE = MotPoly.L() - 1
+_UNIT = MotPoly.one()
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_TRIVIAL_2 = GroupAction.trivial(2)
+
+
 def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
     """Stratify the fibre over the singular point of 1/d(a,b).
 
@@ -110,14 +118,11 @@ def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
     for cx, cy in chain.coeffs:
         data.append((Fraction(cx * n1 + cy * n2, dD), Fraction(cx * m1 + cy * m2, dD)))
     data.append((N1, nu1))
-    triv = GroupAction.trivial(2)
-    Lm1 = MotPoly.L() - 1
-    one = MotPoly.one()
     strata = []
     for i, ((Na, nua), (Nb, nub)) in enumerate(zip(data, data[1:])):
         if i:  # the curve of the interior point a, between its two corners
-            strata.append(Stratum(Lm1, (Na, Fraction(0)), (nua, Fraction(1)), triv))
-        strata.append(Stratum(one, (Na, Nb), (nua, nub), triv))
+            strata.append(Stratum(_L_MINUS_ONE, (Na, _ZERO), (nua, _ONE), _TRIVIAL_2))
+        strata.append(Stratum(_UNIT, (Na, Nb), (nua, nub), _TRIVIAL_2))
     return Stratification(2, math.lcm(d, infer_gindex(strata)), tuple(strata))
 
 

@@ -197,7 +197,8 @@ class ZetaExpr:
     to ``_terms`` once a constructor has set it, and its coefficients
     (:class:`MotPoly`) are never changed in place either.  So the
     expression caches its fold: :func:`ze_to_ratfunc` reduces it at most
-    once and keeps the (frozen) :class:`RatFunc` in ``_rf``.
+    once and keeps the :class:`RatFunc`, which is not changed either, in
+    ``_rf``.
     """
 
     __slots__ = ("_terms", "_rf")
@@ -315,7 +316,18 @@ class ZetaExpr:
 # rational-function form
 
 
-@dataclass(frozen=True)
+# L - 1 as the binomial x^(0, 1) - x^(0, 0) on the scale 1, for
+# MotPoly.mul_binomial
+_L_MINUS_ONE_KEYS = (1, (0, 1), (0, 0))
+
+
+def _times_L_minus_one(p: MotPoly, k: int) -> MotPoly:
+    """p * (L - 1)^k."""
+    for _ in range(k):
+        p = p.mul_binomial(*_L_MINUS_ONE_KEYS)
+    return p
+
+
 class RatFunc:
     """numer / prod (1 - L^-nu T^N)^mult, with an exact-division reduction.
 
@@ -331,10 +343,54 @@ class RatFunc:
     polynomials in y; the Laurent ring over a common lattice is a UFD, so
     binomials on different rays, as well as integers, monomials and
     (L - 1) against an N > 0 factor, are coprime.
+
+    The fold keeps the numerator as ``(L - 1)^k * core``, the content
+    (L - 1)^k that every factor's numerator (L - 1) L^-nu T^N brings held
+    as the exponent k.  Each factor with N > 0 is coprime to L - 1, so it
+    divides the numerator exactly when it divides the core, and the fold
+    divides and raises to common denominators the core alone, about half
+    the size of the numerator.  A factor with N = 0, 1 - L^-nu, shares a
+    factor with L - 1: the core absorbs the content before one is tried.
+    ``numer`` is expanded on its first read, and kept; the quotient is the
+    same, term for term, as the one that divides whole numerators.  A
+    quotient is not changed after it is made.
     """
 
-    numer: MotPoly
-    denom: tuple[tuple[StdFactor, int], ...]  # sorted, multiplicities >= 1
+    __slots__ = ("_core", "_k", "_numer", "denom")
+
+    def __init__(self, numer: MotPoly, denom: tuple[tuple[StdFactor, int], ...]):
+        # denom: sorted (factor, multiplicity) pairs, multiplicities >= 1
+        self._core = self._numer = numer
+        self._k = 0
+        self.denom = denom
+
+    @classmethod
+    def _of(cls, core: MotPoly, k: int, denom) -> "RatFunc":
+        """The quotient (L - 1)^k * core / denom; a zero core keeps k = 0."""
+        out = cls.__new__(cls)
+        out._core, out.denom = core, denom
+        out._k = k if core else 0
+        out._numer = None if out._k else core
+        return out
+
+    @property
+    def numer(self) -> MotPoly:
+        """The numerator (L - 1)^k * core, expanded on the first read."""
+        numer = self._numer
+        if numer is None:
+            numer = self._numer = _times_L_minus_one(self._core, self._k)
+        return numer
+
+    def __eq__(self, other):
+        if not isinstance(other, RatFunc):
+            return NotImplemented
+        return self.denom == other.denom and self.numer == other.numer
+
+    def __hash__(self):
+        return hash((self.numer, self.denom))
+
+    def __repr__(self) -> str:
+        return "RatFunc(%s)" % self
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -350,72 +406,66 @@ class RatFunc:
     def from_term(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
         """coeff * prod Fac(N; nu), reduced; ``factors`` is sorted.
 
-        With a one-term coefficient no N > 0 factor is tried: the numerator
-        is a monomial times (L - 1)^k, which such a factor cannot divide.
+        The core is the coefficient times the monomials L^-nu T^N, and k
+        counts the factors.  When the coefficient's coefficients sum to
+        zero, L - 1 may divide it, and each L - 1 it takes out adds one
+        to k; not when a factor has N = 0, since the core takes the
+        content back before that factor is tried.  With a coefficient of
+        T-span 0 (one T-power, as in a monomial or a T-free polynomial) no
+        N > 0 factor is tried: the core has T-span 0 too, and a multiple
+        of 1 - L^-nu T^N has a T-span of at least N.
         """
-        numer = coeff
-        for f in factors:
-            numer = numer.mul_binomial(*f._numer_keys)
+        if not coeff:
+            return cls.zero()
+        core, k = coeff, len(factors)
+        if not factors or factors[0]._lat[1]:  # the factors with N = 0 come first
+            while (q := core.divide_L_minus_one()) is not None:
+                core, k = q, k + 1
+        if factors:
+            lats = [f._lat for f in factors]
+            R = math.lcm(*(r for r, _n, _v in lats))
+            tau = sum(n * (R // r) for r, n, _v in lats)
+            ell = sum(v * (R // r) for r, _n, v in lats)
+            core = core.mul_monomial(R, (tau, -ell))
         pairs = [(f, len(list(run))) for f, run in itertools.groupby(factors)]
-        skip = {f for f, _m in pairs if f._lat[1]} if len(coeff) == 1 else ()
-        return cls(*cancel(numer, pairs, _divide_factor, skip))
-
-    def _common(self, other: "RatFunc"):
-        """Both numerators over the least common denominator: (na, nb, rows)
-        with rows the (factor, multiplicity here, multiplicity there) of
-        each factor of either denominator, in sorted order."""
-        da, db = self.denom, other.denom
-        rows = []
-        i = j = 0
-        while i < len(da) and j < len(db):
-            (fa, a), (fb, b) = da[i], db[j]
-            if fa == fb:
-                rows.append((fa, a, b))
-                i += 1
-                j += 1
-            elif fa < fb:
-                rows.append((fa, a, 0))
-                i += 1
-            else:
-                rows.append((fb, 0, b))
-                j += 1
-        rows.extend((f, a, 0) for f, a in da[i:])
-        rows.extend((f, 0, b) for f, b in db[j:])
-        na, nb = self.numer, other.numer
-        for f, a, b in rows:
-            for _ in range(b - a):
-                na = na.mul_binomial(*f._binom_keys)
-            for _ in range(a - b):
-                nb = nb.mul_binomial(*f._binom_keys)
-        return na, nb, rows
+        taus = {key[0] for key in coeff._terms}
+        skip = {f for f, _m in pairs if f._lat[1]} if len(taus) == 1 else ()
+        return _reduced(core, k, pairs, skip)
 
     def add(self, other: "RatFunc") -> "RatFunc":
         """The reduced sum of two reduced quotients.
 
-        A factor f with unequal multiplicities on the two sides, and no
-        other factor of the common denominator on its ray, is not tried.
-        Say it has more on this side.  Raised to the common denominator,
-        the other numerator has f as a factor; this one is its own
-        numerator (which f does not divide, by the invariant) times
-        binomials on other rays, coprime to f, so f does not divide the
-        sum.  Nor is any factor tried when one side is zero.
+        The sides are brought to the lesser content exponent k, and their
+        cores to the least common denominator.  A factor f with unequal
+        multiplicities on the two sides, and no other factor of the common
+        denominator on its ray, is not tried.  Say it has more on this
+        side.  Raised to the common denominator, the other numerator has f
+        as a factor; this one is its own numerator (which f does not
+        divide, by the invariant) times binomials on other rays, coprime
+        to f, so f does not divide the sum.  Nor is any factor tried when
+        one side is zero.
         """
-        if not self.numer:
+        if not self._core:
             return other
-        if not other.numer:
+        if not other._core:
             return self
-        na, nb, rows = self._common(other)
+        na, nb, k = self._core, other._core, self._k
+        if k > other._k:
+            na, k = _times_L_minus_one(na, k - other._k), other._k
+        elif k < other._k:
+            nb = _times_L_minus_one(nb, other._k - k)
+        na, nb, rows = _common(na, self.denom, nb, other.denom)
         seen: dict[tuple[int, int], int] = {}
         for f, _a, _b in rows:
             seen[f._ray] = seen.get(f._ray, 0) + 1
         skip = {f for f, a, b in rows if a != b and seen[f._ray] == 1}
         pairs = [(f, max(a, b)) for f, a, b in rows]
-        return RatFunc(*cancel(na + nb, pairs, _divide_factor, skip))
+        return _reduced(na + nb, k, pairs, skip)
 
     def equivalent(self, other: "RatFunc") -> bool:
         """Equality as rational functions, for any two quotients, reduced
         or not: the numerators over the least common denominator agree."""
-        na, nb, _rows = self._common(other)
+        na, nb, _rows = _common(self.numer, self.denom, other.numer, other.denom)
         return na == nb
 
     def __str__(self) -> str:
@@ -429,6 +479,50 @@ class RatFunc:
         )
         den = [(sum_str(("", x), (1, -1), TEXT), m) for x, (_f, m) in zip(monos, self.denom)]
         return quotient_str(render_poly_factored(self.numer), den)
+
+
+def _reduced(core: MotPoly, k: int, pairs, skip) -> RatFunc:
+    """(L - 1)^k * core over the (factor, multiplicity) ``pairs``, reduced
+    by :func:`qzeta.topzeta.cancel` on the core; ``skip`` as there.  The
+    content goes into the core first when a factor with N = 0 is tried."""
+    if k:
+        for f, _m in pairs:  # the factors with N = 0 come first
+            if f._lat[1]:
+                break
+            if f not in skip:
+                core, k = _times_L_minus_one(core, k), 0
+                break
+    core, left = cancel(core, pairs, _divide_factor, skip)
+    return RatFunc._of(core, k, left)
+
+
+def _common(na: MotPoly, da, nb: MotPoly, db):
+    """The numerators na over da and nb over db raised to the least common
+    denominator: (na, nb, rows) with rows the (factor, multiplicity in da,
+    multiplicity in db) of each factor of either denominator, in sorted
+    order."""
+    rows = []
+    i = j = 0
+    while i < len(da) and j < len(db):
+        (fa, a), (fb, b) = da[i], db[j]
+        if fa == fb:
+            rows.append((fa, a, b))
+            i += 1
+            j += 1
+        elif fa < fb:
+            rows.append((fa, a, 0))
+            i += 1
+        else:
+            rows.append((fb, 0, b))
+            j += 1
+    rows.extend((f, a, 0) for f, a in da[i:])
+    rows.extend((f, 0, b) for f, b in db[j:])
+    for f, a, b in rows:
+        for _ in range(b - a):
+            na = na.mul_binomial(*f._binom_keys)
+        for _ in range(a - b):
+            nb = nb.mul_binomial(*f._binom_keys)
+    return na, nb, rows
 
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
@@ -484,7 +578,9 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
 
     Each factor expands as (L-1) * sum_{j>=1} L^(-j nu) T^(j N); a factor
     with N = 0 (and nu != 1, since Fac(0;1) never survives construction)
-    has no such expansion and is rejected.
+    has no such expansion.  When a term that the truncation keeps has one,
+    the expression is folded instead: if no factor is left, the series is
+    the reduced numerator, truncated; otherwise the expansion is refused.
 
     Each term is planned before any is expanded: a factor raises the least
     T-exponent lo by exactly N (the ring is a domain), so its sum stops at
@@ -525,9 +621,7 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
         rays: dict = {}  # ray -> (gcd of its N, sum of its N)
         for f in sorted(factors):
             if f.N == 0:
-                raise ValueError(
-                    "factor %s has no Laurent expansion in T" % (f,)
-                )
+                return _fold_series(z, M, f)
             jmax = math.floor((M - lo) / f.N)
             if jmax < 1:
                 break
@@ -557,6 +651,25 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
                 % (M, n, what, limit)
             )
     return MotPoly._sum(_expand_term(cur, steps, M) for cur, steps in plan)
+
+
+def _fold_series(z: ZetaExpr, M: Fraction, f: StdFactor) -> MotPoly:
+    """The series of ``z``, one of whose terms has the factor ``f`` with
+    N = 0, which has no expansion in T: the reduced quotient's numerator
+    truncated at T^M when the fold leaves no factor.  Otherwise the
+    expansion is refused: as a factor with no expansion, ``f``, when the
+    fold leaves one with N = 0, and naming the factors left when it leaves
+    only ones with N > 0, since ``f`` may then be gone from the quotient."""
+    rf = ze_to_ratfunc(z)
+    if not rf.denom:
+        return rf.numer.truncate_tau(M)
+    if rf.denom[0][0].N == 0:  # the factors with N = 0 come first
+        raise ValueError("factor %s has no Laurent expansion in T" % (f,))
+    left = ", ".join(str(g) if m == 1 else "%s^%d" % (g, m) for g, m in rf.denom)
+    raise ValueError(
+        "the factors with N = 0 cancel, but the reduced quotient keeps %s;"
+        " it is expanded only when no factor is left" % left
+    )
 
 
 def _expand_term(cur: MotPoly, steps, M: Fraction) -> MotPoly:

@@ -83,15 +83,8 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     D = reduce(math.lcm, (x.denominator for x in Nvec + nuvec), 1)
     kN = tuple(x.numerator * (D // x.denominator) for x in Nvec)
     knu = tuple(x.numerator * (D // x.denominator) for x in nuvec)
-    acc: dict = {}
-    for eps in g.elements():
-        key = (
-            -sum(k * e for k, e in zip(kN, eps)),
-            sum(k * e for k, e in zip(knu, eps)),
-            (),
-        )
-        acc[key] = acc.get(key, 0) + 1
-    return MotPoly.from_lattice(acc, g.d_exp * D)
+    acc = Counter((-sum(map(mul, kN, eps)), sum(map(mul, knu, eps)), ()) for eps in g.elements())
+    return MotPoly.from_lattice(dict(acc), g.d_exp * D)
 
 
 def _factors(Nvec, nuvec) -> tuple[StdFactor, ...]:
@@ -110,7 +103,8 @@ def local_monomial_zeta(
             "action %r has quasi-reflexions; reduce it or pass allow_nonsmall"
             % (g,)
         )
-    coeff = s_g_sum(g, Nvec, nuvec) * MotPoly.L(-g.n)
+    # times L^-n: each key's L-exponent shifted by -n
+    coeff = s_g_sum(g, Nvec, nuvec).mul_monomial(1, (0, -g.n))
     return ZetaExpr.of(coeff, _factors(Nvec, nuvec))
 
 
@@ -213,16 +207,16 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
     strata share divisors, so each distinct factor is built once, looked
     up by the integer numerators and denominators of its (N, nu).
     """
-    Ln = MotPoly.L(-strat.n)
+    shift = (0, -strat.n)  # L^-n on the scale 1
     terms = []
     made: dict[tuple[int, int, int, int], StdFactor] = {}
     for st in strat.strata:
-        if not allow_nonsmall and not is_small(st.group):
+        if st.group.d_exp == 1:  # the trivial group: small, and S_G is 1
+            coeff = st.klass.mul_monomial(1, shift)
+        elif not allow_nonsmall and not is_small(st.group):
             raise NotSmall("stratum group %r has quasi-reflexions" % (st.group,))
-        if st.group.d_exp == 1:  # the trivial group: S_G is the constant 1
-            coeff = st.klass * Ln
         else:
-            coeff = st.klass * s_g_sum(st.group, st.Nvec, st.nuvec) * Ln
+            coeff = (st.klass * s_g_sum(st.group, st.Nvec, st.nuvec)).mul_monomial(1, shift)
         factors = []
         for N, nu in zip(st.Nvec, st.nuvec):
             key = (N.numerator, N.denominator, nu.numerator, nu.denominator)

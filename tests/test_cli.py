@@ -44,6 +44,33 @@ def test_monomial_views(capsys):
     )
 
 
+def test_series_of_a_quotient_with_no_factor_left(capsys):
+    # The chain route of 1/7(1,3) with N = 0 has only factors Fac(0; nu),
+    # which have no expansion in T, but its fold cancels all of them: the
+    # series is the reduced polynomial, as the direct route prints it.
+    data = ["--N", "0,0", "--nu", "1,1", "--series", "3", "--eval-L", "1"]
+    hj = run(capsys, ["hj", "--d", "7", "--a", "1", "--b", "3", *data])
+    direct = run(capsys, ["monomial", "--group", "(7;1,3)", *data])
+    series = (
+        "series (T-order <= 3): L^-2 + L^(-10/7) + L^(-9/7) + L^(-8/7) + L^(-6/7)"
+        " + L^(-5/7) + L^(-4/7)\n"
+        "series at L = 1:\n"
+        "  T^0: 7\n"
+    )
+    assert hj[0] == direct[0] == 0 and hj[2] == direct[2] == ""
+    assert hj[1] == direct[1] == "L^-2 * (1 + L^(4/7) + L^(5/7) + L^(6/7) + L^(8/7) + L^(9/7) + L^(10/7))\n" + series
+    hj_json = json.loads(run(capsys, ["hj", "--d", "7", "--a", "1", "--b", "3", *data, "--json"])[1])
+    direct_json = json.loads(run(capsys, ["monomial", "--group", "(7;1,3)", *data, "--json"])[1])
+    assert hj_json["series"] == direct_json["series"] and len(hj_json["series"]) == 7
+    assert hj_json["series_at_L"] == direct_json["series_at_L"]
+    # a factor that the fold leaves is refused as before
+    for argv in (
+        ["hj", "--d", "7", "--a", "1", "--b", "3", "--N", "0,1", "--nu", "2,1", "--series", "3"],
+        ["monomial", "--group", "(1;0)", "--N", "0", "--nu", "2", "--series", "3"],
+    ):
+        assert run(capsys, argv) == (1, "", "error: factor Fac(0; 2) has no Laurent expansion in T\n")
+
+
 def test_series_at_L(capsys):
     rc, out, _ = run(
         capsys,

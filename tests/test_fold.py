@@ -53,18 +53,26 @@ def test_criterion_4_fold_pinned():
 
 # The divisions the pinned sweep may try.  The fold that tried every factor
 # of every common denominator made 9990 calls, 1097 of them exact; skipping
-# the divisions that coprimality rules out leaves 4153, with the same 1097
-# exact ones.  A change that brings futile divisions back fails here.
-FOLD_DIVISIONS = 4153
+# the divisions that coprimality rules out left 4153, and skipping every
+# N > 0 factor of a term whose coefficient has one T-power leaves 3125,
+# with the same 1097 exact ones.  A change that brings futile divisions
+# back fails here.
+FOLD_DIVISIONS = 3125
+# The terms of the numerators those divisions take, summed.  They were
+# 118323 while each numerator kept the factor (L - 1)^k that its terms'
+# factors bring; the fold divides the core without it.
+FOLD_DIVISION_TERMS = 57111
 
 
 def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):
     calls = []
+    terms = []
     divide = MotPoly.divide_one_minus
 
     def counted(self, ell_x, tau_x):
         q = divide(self, ell_x, tau_x)
         calls.append(q is not None)
+        terms.append(len(self))
         return q
 
     monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
@@ -73,6 +81,7 @@ def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):
             ze_to_ratfunc(z)
     assert len(calls) <= FOLD_DIVISIONS
     assert sum(calls) > 0
+    assert sum(terms) <= FOLD_DIVISION_TERMS
 
 
 def _assert_reduced(rf: RatFunc):

@@ -205,6 +205,24 @@ def test_series_budget_refuses_before_expanding():
         series_expand(z2, 10**9)
 
 
+def test_series_refusal_names_the_factors_left_when_N_0_ones_cancel():
+    # (1 + L^-1) * Fac(0; 2) = L^-1 (L - 1) / (1 - L^-1): the fold cancels
+    # Fac(0; 2) and keeps Fac(1; 1), which the refusal names instead
+    coeff = MotPoly.one() + MotPoly.L(-1)
+    z = ZetaExpr.of(coeff, (fac(0, 2), fac(1, 1), fac(1, 1)))
+    assert ze_to_ratfunc(z).denom == ((fac(1, 1), 2),)
+    with pytest.raises(ValueError) as exc:
+        series_expand(z, 3)
+    assert str(exc.value) == (
+        "the factors with N = 0 cancel, but the reduced quotient keeps Fac(1; 1)^2;"
+        " it is expanded only when no factor is left"
+    )
+    # while a factor with N = 0 is left, the first one met is named
+    with pytest.raises(ValueError) as exc:
+        series_expand(z + ZetaExpr.of(MotPoly.one(), (fac(0, 3),)), 3)
+    assert str(exc.value) == "factor Fac(0; 2) has no Laurent expansion in T"
+
+
 def _series_budget(monkeypatch, z, M) -> tuple[int, int]:
     """The (terms, products) that series_expand(z, M) plans, read off its
     refusals with each limit set below its measure in turn."""
@@ -847,6 +865,59 @@ def test_fold_matches_the_fold_that_tries_every_division():
             _assert_reduced(got)
             divided += sum(m for _f, m in got.denom) < sum(common.values())
     assert monomial > 200 and multi > 200 and cut > 100 and divided > 15
+
+    # Coefficients with the content (L - 1)^j and T-free sums of several
+    # terms, against the same factors (N = 0 ones among them): the fold
+    # keeps (L - 1)^k apart from its numerators, so its quotients meet and
+    # are compared across different k.
+    pulled = tfree = absorbed = mixed = 0
+    for _ in range(250):
+        got, want = RatFunc.zero(), RatFunc.zero()
+        for _ in range(rng.randint(1, 4)):
+            coeff, j = _rand_content_coeff(rng)
+            factors = tuple(sorted(_ray_fac(rng) for _ in range(rng.randint(0, 3))))
+            term, ref = RatFunc.from_term(coeff, factors), _ref_from_term(coeff, factors)
+            assert term.numer.lattice() == ref.numer.lattice() and term.denom == ref.denom
+            _assert_reduced(term)
+            has_n0 = any(f.N == 0 for f in factors)
+            pulled += not has_n0 and term._k >= len(factors) + j > len(factors)
+            absorbed += has_n0 and term._k == 0 and j > 0
+            tfree += len(coeff) > 1 and not coeff.has_T()
+            mixed += bool(got._k != term._k and got.numer and term.numer)
+            got, want = got.add(term), _ref_add(want, ref)
+            assert got.numer.lattice() == want.numer.lattice()
+            assert got.denom == want.denom and str(got) == str(want)
+            _assert_reduced(got)
+        # the same quotient held with k = 0, raised over one more factor,
+        # and moved off by a constant
+        flat = RatFunc(got.numer, got.denom)
+        f = _ray_fac(rng)
+        padded = RatFunc(
+            got.numer * f.binom_poly(),
+            tuple(sorted((Counter(dict(got.denom)) + Counter({f: 1})).items())),
+        )
+        for other in (flat, padded, RatFunc(got.numer + MotPoly.one(), got.denom)):
+            assert got.equivalent(other) == other.equivalent(got) == _ref_equivalent(got, other)
+        assert got.equivalent(flat) and got == flat
+        doubled = got.add(flat)
+        assert doubled == _ref_add(want, want) and str(doubled) == str(_ref_add(want, want))
+    assert pulled > 200 and tfree > 200 and absorbed > 80 and mixed > 150
+
+
+def _rand_content_coeff(rng: random.Random) -> tuple[MotPoly, int]:
+    """A coefficient of :func:`_rand_coeff` or a T-free sum of several
+    terms, times (L - 1)^j; and j."""
+    if rng.randrange(2):
+        coeff = _rand_coeff(rng)
+    else:
+        coeff = MotPoly.zero()
+        while len(coeff) < 2 or coeff.chi({"C0": 1}) == 0:
+            coeff = coeff + MotPoly.monomial(
+                rng.choice((-2, -1, 1, 2)), ell=F(rng.randint(-3, 3), rng.choice((1, 2))),
+                syms=rng.choice(((), (("C0", 1),))),
+            )
+    j = rng.randint(0, 2)
+    return coeff * (MotPoly.L() - 1) ** j, j
 
 
 def test_fold_is_memoised():
