@@ -16,11 +16,16 @@ the motivic zeta function and accept the shared view flags ``--euler``,
 ``--emit-strata FILE``.  Exit status: 0 on success, 1 on a domain error
 (reported on stderr) or when the reader closes stdout early (reported
 nowhere), 2 on a usage error.
+
+:func:`main` may be called many times in one process.  It builds its
+parser once, on the first call, and every call parses into a fresh
+namespace; nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -296,6 +301,7 @@ def cmd_group(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the qzeta command line on every call."""
     ap = argparse.ArgumentParser(
         prog="qzeta",
         description="Exact motivic and topological zeta functions of "
@@ -356,8 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every :func:`main` call shares.  argparse keeps no
+    state of a parse on the parser: each parse makes a fresh namespace and
+    converts string defaults again, and help is formatted when printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if getattr(args, "eval_L", None) is not None and getattr(args, "series", None) is None:
         ap.error("--eval-L needs --series")

@@ -230,19 +230,27 @@ def _cyclic_sum(d0: int, wvec, Nvec, nuvec) -> MotPoly:
     sum over t of L^( sum nu_j ((t w_j) mod d0) / d0 ) against T likewise.
 
     Deliberately independent of the group machinery: this is the display
-    transcription used by the closed-form assembly.
+    transcription used by the closed-form assembly.  The ages are summed
+    as integers on the scale d0 * D, D the common denominator of the data:
+    sum_j (N_j * D) * e_j with e_j = (t w_j) mod d0, and likewise for nu.
     """
+    Nvec = [Fraction(x) for x in Nvec]
+    nuvec = [Fraction(x) for x in nuvec]
+    D = math.lcm(*(x.denominator for x in Nvec + nuvec))
+    cols = [
+        (w, N.numerator * (D // N.denominator), nu.numerator * (D // nu.denominator))
+        for w, N, nu in zip(wvec, Nvec, nuvec, strict=True)
+    ]
     acc: dict = {}
     for t in range(d0):
-        ln = Fraction(0)
-        tn = Fraction(0)
-        for w, N, nu in zip(wvec, Nvec, nuvec, strict=True):
+        tn = ln = 0
+        for w, kN, knu in cols:
             e = (t * w) % d0
-            ln += Fraction(nu) * e
-            tn += Fraction(N) * e
-        key = (-tn / d0, ln / d0, ())
+            tn += kN * e
+            ln += knu * e
+        key = (-tn, ln, ())
         acc[key] = acc.get(key, 0) + 1
-    return MotPoly(acc)
+    return MotPoly.from_lattice(acc, d0 * D)
 
 
 def yomdin_zeta_closed(y: YomdinParams) -> ZetaExpr:

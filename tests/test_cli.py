@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import qzeta
+from qzeta import cli
 from qzeta.cli import main
 from qzeta.symring import RatFunc, ZetaExpr
 
@@ -106,6 +107,58 @@ def test_unknown_command(capsys):
         main(["frobnicate"])
     assert ei.value.code == 2
     capsys.readouterr()
+
+
+def _outcome(argv):
+    """(exit status, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_leaks_no_state(monkeypatch):
+    hj = ["hj", "--d", "7", "--a", "1", "--b", "3"]
+    seq = [
+        hj + ["--N", "2,3", "--nu", "1,2"],
+        hj,
+        ["group", "(4;1,2)"],
+        ["group", "(4;1,2)", "--json"],
+        ["hj", "--d", "x", "--a", "1", "--b", "3"],
+        ["monomial", "--group", "(1;0)", "--N", "1", "--nu", "1", "--eval-L", "3"],
+        ["frobnicate"],
+        ["hj", "--help"],
+        hj,
+    ]
+    shared = [_outcome(argv) for argv in seq]
+    # the same calls, each on a parser of its own
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(argv) for argv in seq]
+    assert shared == fresh
+    assert [rc for rc, _out, _err in shared] == [0, 0, 0, 0, 2, 2, 2, 0, 0]
+    # the default --N 1,1 is applied again after an explicit --N
+    assert shared[1] == shared[-1] != shared[0]
+    assert shared[7][1].startswith("usage: qzeta hj")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for literal in ("(2;1,1)", "(3;1,2)", "(4;1,2)", "(2;1,1)", "(5;1,4)"):
+        assert main(["group", literal]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert build() is not build()
 
 
 def test_nonsmall_is_domain_error(capsys):

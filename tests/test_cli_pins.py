@@ -241,3 +241,17 @@ ERROR_PINS = [
 def test_cli_eval_L_error_pinned(capsys, tmp_path, argv, stderr):
     assert main(_with_file(tmp_path, argv)) == 1
     assert capsys.readouterr() == ("", stderr)
+
+
+def test_pins_replayed_in_one_process(capsys, tmp_path):
+    """Every pin twice in one process, forward and then in reverse, so that
+    state one CLI call left behind would change a later call's output."""
+    cases = [(argv, 0, digest) for argv, _size, digest in PINS]
+    cases += [(argv, 1, stderr) for argv, stderr in ERROR_PINS]
+    for argv, status, want in cases + cases[::-1]:
+        assert main(_with_file(tmp_path, argv)) == status, argv
+        out, err = capsys.readouterr()
+        if status:
+            assert (out, err) == ("", want), argv
+        else:
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv

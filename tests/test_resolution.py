@@ -8,10 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from qzeta.groups import GroupAction
+from qzeta.motpoly import MotPoly
 from qzeta.resolution import (
     NotCoprime,
     TetraReduced,
     YomdinParams,
+    _cyclic_sum,
     hj_resolve,
     hj_stratification,
     tetra_stratification,
@@ -23,7 +25,7 @@ from qzeta.resolution import (
 )
 from qzeta.symring import TopZeta, euler_specialize, ze_equal
 from qzeta.tetra import TetraParams
-from qzeta.zetacore import local_monomial_zeta, stratified_zeta
+from qzeta.zetacore import local_monomial_zeta, s_g_sum, stratified_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +268,45 @@ def test_tetra_routes_agree_on_q_divisors():
         assert euler_specialize(z, chi) == tetra_top_closed(t, N, nu)
 
     check()
+
+
+def _cyclic_sum_fractions(d0, wvec, Nvec, nuvec):
+    """The S-sum of a cyclic action with one Fraction age per coordinate
+    and t: the reference that the integer ages of ``_cyclic_sum`` meet."""
+    acc: dict = {}
+    for t in range(d0):
+        ln = F(0)
+        tn = F(0)
+        for w, N, nu in zip(wvec, Nvec, nuvec, strict=True):
+            e = (t * w) % d0
+            ln += F(nu) * e
+            tn += F(N) * e
+        key = (-tn / d0, ln / d0, ())
+        acc[key] = acc.get(key, 0) + 1
+    return MotPoly(acc)
+
+
+def test_cyclic_sum_matches_the_fraction_transcription():
+    rnd = random.Random(20)
+
+    def rat():
+        return rnd.choice([0, rnd.randint(-6, 9), F(rnd.randint(-9, 9), rnd.randint(1, 6))])
+
+    with_group = 0
+    for i in range(320):
+        d0 = i % 40 + 1
+        n = rnd.randint(1, 4)
+        w = tuple(rnd.randint(-2 * d0, 2 * d0) for _ in range(n))
+        N = tuple(rat() for _ in range(n))
+        nu = tuple(rat() for _ in range(n))
+        got, want = _cyclic_sum(d0, w, N, nu), _cyclic_sum_fractions(d0, w, N, nu)
+        assert got == want and hash(got) == hash(want), (d0, w, N, nu)
+        # a third route, where t -> t * w is faithful so that the group
+        # sum counts each t once: the group machinery's own S_G
+        if math.gcd(d0, *w) == 1:
+            with_group += 1
+            assert got == s_g_sum(GroupAction.cyclic(d0, w), N, nu), (d0, w, N, nu)
+    assert with_group > 100
+    for args in ((5, (1, 2), (1,), (1, 1)), (5, (1,), (1, 2), (1,)), (1, (0, 0), (1, 1), (1,))):
+        with pytest.raises(ValueError):
+            _cyclic_sum(*args)
