@@ -105,7 +105,15 @@ def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
 
     Strata walk the chain corner-curve-corner-...: the two endpoint
     corners meet the strict transforms of the original two divisors.
-    The walk order makes the rational-function fold telescope.
+    Neighbouring strata share a divisor, so the rational-function fold,
+    which adds neighbours first, telescopes.
+
+    The data is checked once, here: with N1, N2 >= 0 and nu1, nu2 > 0,
+    each curve's data is a combination of them with positive coefficients
+    (the interior pairs, which :func:`hj_resolve` asserts positive), so
+    every stratum is valid and is made unchecked.  Other data goes through
+    the checking constructor, which refuses the first stratum with an
+    entry out of range, with its message.
     """
     N1, N2, nu1, nu2 = (Fraction(x) for x in (N1, N2, nu1, nu2))
     d = chain.d
@@ -118,12 +126,15 @@ def hj_stratification(chain: Chain2D, N1, N2, nu1, nu2) -> Stratification:
     for cx, cy in chain.coeffs:
         data.append((Fraction(cx * n1 + cy * n2, dD), Fraction(cx * m1 + cy * m2, dD)))
     data.append((N1, nu1))
+    make = Stratum._of if min(n1, n2) >= 0 and min(m1, m2) > 0 else Stratum
     strata = []
     for i, ((Na, nua), (Nb, nub)) in enumerate(zip(data, data[1:])):
         if i:  # the curve of the interior point a, between its two corners
-            strata.append(Stratum(_L_MINUS_ONE, (Na, _ZERO), (nua, _ONE), _TRIVIAL_2))
-        strata.append(Stratum(_UNIT, (Na, Nb), (nua, nub), _TRIVIAL_2))
-    return Stratification(2, math.lcm(d, infer_gindex(strata)), tuple(strata))
+            strata.append(make(_L_MINUS_ONE, (Na, _ZERO), (nua, _ONE), _TRIVIAL_2))
+        strata.append(make(_UNIT, (Na, Nb), (nua, nub), _TRIVIAL_2))
+    # the index: d and every entry's denominator (the groups are trivial)
+    r = math.lcm(d, *(x.denominator for pair in data for x in pair))
+    return Stratification._of(2, r, tuple(strata))
 
 
 # ---------------------------------------------------------------------------

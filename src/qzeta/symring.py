@@ -190,7 +190,9 @@ class ZetaExpr:
     Terms with identical factor multisets are merged; trivial factors
     Fac(0; 1) are dropped on construction.  Internal term order is the
     order of first insertion (rendering always sorts canonically); the
-    rational-function fold walks terms in insertion order, which builders
+    rational-function fold adds neighbours in that order first (a
+    balanced tree when the distinct factors lie on distinct rays, one term
+    at a time otherwise, see :func:`ze_to_ratfunc`), which builders
     exploit so that telescoping cancellations happen early.
 
     An expression cannot be changed after construction: nothing writes
@@ -449,11 +451,7 @@ class RatFunc:
             return other
         if not other._core:
             return self
-        na, nb, k = self._core, other._core, self._k
-        if k > other._k:
-            na, k = _times_L_minus_one(na, k - other._k), other._k
-        elif k < other._k:
-            nb = _times_L_minus_one(nb, other._k - k)
+        na, nb, k = _lesser_content(self, other)
         na, nb, rows = _common(na, self.denom, nb, other.denom)
         seen: dict[tuple[int, int], int] = {}
         for f, _a, _b in rows:
@@ -464,8 +462,11 @@ class RatFunc:
 
     def equivalent(self, other: "RatFunc") -> bool:
         """Equality as rational functions, for any two quotients, reduced
-        or not: the numerators over the least common denominator agree."""
-        na, nb, _rows = _common(self.numer, self.denom, other.numer, other.denom)
+        or not: brought to the lesser content exponent k, as in
+        :meth:`add`, the cores over the least common denominator agree
+        (the ring is a domain, so the common (L - 1)^k cancels)."""
+        na, nb, _k = _lesser_content(self, other)
+        na, nb, _rows = _common(na, self.denom, nb, other.denom)
         return na == nb
 
     def __str__(self) -> str:
@@ -494,6 +495,17 @@ def _reduced(core: MotPoly, k: int, pairs, skip) -> RatFunc:
                 break
     core, left = cancel(core, pairs, _divide_factor, skip)
     return RatFunc._of(core, k, left)
+
+
+def _lesser_content(a: RatFunc, b: RatFunc) -> tuple[MotPoly, MotPoly, int]:
+    """(na, nb, k) with a = (L - 1)^k * na / a.denom and b = (L - 1)^k *
+    nb / b.denom, k the lesser of the two content exponents."""
+    na, nb, k = a._core, b._core, a._k
+    if k > b._k:
+        na, k = _times_L_minus_one(na, k - b._k), b._k
+    elif k < b._k:
+        nb = _times_L_minus_one(nb, b._k - k)
+    return na, nb, k
 
 
 def _common(na: MotPoly, da, nb: MotPoly, db):
@@ -533,21 +545,41 @@ def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
 def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
     """Fold a zeta expression into a single reduced rational function.
 
-    Terms are folded in insertion order with a cancellation pass after
-    each addition; builders order their terms so that the telescoping
-    divisions fire as early as possible.  Each step returns a reduced
+    Each term is reduced on its own, and the quotients are added with a
+    cancellation pass after each addition.  Each step returns a reduced
     :class:`RatFunc` (no factor left divides its numerator), so each
     step can skip the divisions that coprimality rules out (see
     :meth:`RatFunc.add` and :meth:`RatFunc.from_term`); the result is the
-    one that trying every division gives.  The result is kept on ``z``,
-    so a later call (``--check`` after printing, say) returns the same
-    object without folding again.
+    one that trying every division gives.
+
+    When the distinct factors of ``z`` lie on pairwise distinct rays, the
+    sum is taken in a balanced tree over the insertion order: neighbours
+    are added pairwise, level by level.  Binomials on distinct rays are
+    coprime, so the reduced quotient is then unique and does not depend
+    on the order.  Builders put terms that share a factor next to each
+    other, so the telescoping cancellations still happen at the first
+    merge that holds them, on numerators of the size of a few terms, not
+    of the running sum.  When two distinct factors share a ray, which
+    factor a reduction keeps depends on the order (see
+    :func:`qzeta.topzeta.cancel`), and the terms are added one by one in
+    insertion order.  The result is kept on ``z``, so a later call
+    (``--check`` after printing, say) returns the same object without
+    folding again.
     """
     rf = z._rf
     if rf is None:
-        rf = RatFunc.zero()
-        for factors, coeff in z.iter_terms():
-            rf = rf.add(RatFunc.from_term(coeff, factors))
+        terms = z.iter_terms()
+        facs = {f for factors in z._terms for f in factors}
+        if len({f._ray for f in facs}) == len(facs):
+            level = [RatFunc.from_term(coeff, factors) for factors, coeff in terms]
+            while len(level) > 1:
+                merged = list(map(RatFunc.add, level[::2], level[1::2]))
+                level = merged + level[-1:] if len(level) % 2 else merged
+            rf = level[0] if level else RatFunc.zero()
+        else:
+            rf = RatFunc.zero()
+            for factors, coeff in terms:
+                rf = rf.add(RatFunc.from_term(coeff, factors))
         z._rf = rf
     return rf
 

@@ -154,6 +154,16 @@ class Stratum:
         if any(nu.numerator <= 0 for nu in self.nuvec):
             raise ValueError("stratum nu entries must be > 0")
 
+    @classmethod
+    def _of(cls, klass: MotPoly, Nvec: tuple[Fraction, ...], nuvec: tuple[Fraction, ...],
+            group: GroupAction) -> "Stratum":
+        """The stratum with these fields, not checked: for a builder whose
+        data is valid by construction (Fraction entries, N >= 0, nu > 0,
+        a class with no T power, as many entries as the group acts on)."""
+        out = cls.__new__(cls)
+        out.__dict__.update(klass=klass, Nvec=Nvec, nuvec=nuvec, group=group)
+        return out
+
 
 @dataclass(frozen=True)
 class Stratification:
@@ -188,6 +198,15 @@ class Stratification:
                     % (e, foreign, self.r)
                 )
 
+    @classmethod
+    def _of(cls, n: int, r: int, strata: tuple[Stratum, ...]) -> "Stratification":
+        """The stratification with these fields, not checked: for a builder
+        whose strata are valid by construction, of dimension n, with every
+        entry denominator dividing r and no group exponent foreign to r."""
+        out = cls.__new__(cls)
+        out.__dict__.update(n=n, r=r, strata=strata)
+        return out
+
 
 def infer_gindex(strata: Iterable[Stratum]) -> int:
     """Smallest convenient index: lcm over strata of the group exponent
@@ -203,9 +222,11 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
     """L^-n * sum over strata of  class * S_G(N, nu) * prod Fac(N_i; nu_i).
 
     Terms are emitted in the stratification's own order, which builders
-    choose so that the rational-function fold telescopes.  Neighbouring
-    strata share divisors, so each distinct factor is built once, looked
-    up by the integer numerators and denominators of its (N, nu).
+    choose so that the rational-function fold, which adds neighbouring
+    terms first (see :func:`qzeta.symring.ze_to_ratfunc`), telescopes.
+    Neighbouring strata share divisors, so each distinct factor is built
+    once, looked up by the integer numerators and denominators of its
+    (N, nu).
     """
     shift = (0, -strat.n)  # L^-n on the scale 1
     terms = []

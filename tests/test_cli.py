@@ -200,6 +200,21 @@ def test_hj_arity_error(capsys):
     assert err == "error: hj needs two-entry --N and --nu vectors\n"
 
 
+@pytest.mark.parametrize(
+    "data, err",
+    [
+        (["--N", "1,-1"], "error: stratum N entries must be >= 0\n"),
+        (["--nu", "0,1"], "error: stratum nu entries must be > 0\n"),
+        # the first stratum, (N2, N of the first curve) = (3, 8/7), has its N
+        # in range, so its nu = 0 is refused before the N1 = -1 of the last
+        (["--N=-1,3", "--nu=1,0"], "error: stratum nu entries must be > 0\n"),
+        (["--N=3,-1", "--nu=0,1"], "error: stratum N entries must be >= 0\n"),
+    ],
+)
+def test_hj_data_out_of_range(capsys, data, err):
+    assert run(capsys, ["hj", "--d", "7", "--a", "1", "--b", "3", *data]) == (1, "", err)
+
+
 def test_tetra_stringy(capsys):
     rc, out, _ = run(capsys, ["tetra", "--d", "3", "--q", "2", "--stringy"])
     assert rc == 0

@@ -19,10 +19,14 @@ import pytest
 
 from qzeta.groups import GroupAction
 from qzeta.resolution import hj_resolve, hj_stratification
-from qzeta.symring import MotPoly, RatFunc, StdFactor, fac, ze_to_ratfunc
+from qzeta.symring import MotPoly, RatFunc, StdFactor, ZetaExpr, fac, ze_to_ratfunc
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 
 FOLD_PIN = (509328, "c3c19380539928e5b248ecfe9ae60f2f67d8302099e1e321696dbc50e42d4ac0")
+
+
+def _hj_chain(d, a, b, N, nu):
+    return stratified_zeta(hj_stratification(hj_resolve(d, a, b), *N, *nu))
 
 
 def _criterion_4_sweep():
@@ -34,9 +38,7 @@ def _criterion_4_sweep():
         a, b = rng.choice(units), rng.choice(units)
         N = (rng.randint(0, 3), rng.randint(0, 3))
         nu = (rng.randint(1, 3), rng.randint(1, 3))
-        chain = stratified_zeta(hj_stratification(hj_resolve(d, a, b), *N, *nu))
-        direct = local_monomial_zeta(GroupAction.cyclic(d, (a, b)), N, nu)
-        yield chain, direct
+        yield _hj_chain(d, a, b, N, nu), local_monomial_zeta(GroupAction.cyclic(d, (a, b)), N, nu)
 
 
 def test_criterion_4_fold_pinned():
@@ -60,28 +62,49 @@ def test_criterion_4_fold_pinned():
 FOLD_DIVISIONS = 3125
 # The terms of the numerators those divisions take, summed.  They were
 # 118323 while each numerator kept the factor (L - 1)^k that its terms'
-# factors bring; the fold divides the core without it.
-FOLD_DIVISION_TERMS = 57111
+# factors bring, and 57111 while the terms were added one by one in
+# insertion order, each division running on the growing sum; the fold
+# divides the core without the content, and adds neighbours pairwise.
+FOLD_DIVISION_TERMS = 34306
 
 
-def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):
-    calls = []
-    terms = []
+def _divisions(monkeypatch, zs):
+    """Fold each z: for each division tried, whether it was exact, and the
+    terms of the numerator it took."""
+    exact, terms = [], []
     divide = MotPoly.divide_one_minus
 
     def counted(self, ell_x, tau_x):
         q = divide(self, ell_x, tau_x)
-        calls.append(q is not None)
+        exact.append(q is not None)
         terms.append(len(self))
         return q
 
     monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
-    for pair in _criterion_4_sweep():
-        for z in pair:
-            ze_to_ratfunc(z)
+    for z in zs:
+        ze_to_ratfunc(z)
+    return exact, terms
+
+
+def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):
+    calls, terms = _divisions(monkeypatch, (z for pair in _criterion_4_sweep() for z in pair))
     assert len(calls) <= FOLD_DIVISIONS
     assert sum(calls) > 0
     assert sum(terms) <= FOLD_DIVISION_TERMS
+
+
+# The 1/301(1, 300) chain (299 curves): its 600 divisions took 135450
+# numerator terms while the terms were added one by one, each division on
+# the running sum, quadratic in the chain length; adding neighbours
+# pairwise, they take 5500.
+HJ_301_DIVISIONS = 600
+HJ_301_DIVISION_TERMS = 5500
+
+
+def test_long_chain_fold_divides_no_more_than_recorded(monkeypatch):
+    calls, terms = _divisions(monkeypatch, [_hj_chain(301, 1, 300, (2, 3), (1, 2))])
+    assert len(calls) <= HJ_301_DIVISIONS
+    assert sum(terms) <= HJ_301_DIVISION_TERMS
 
 
 def _assert_reduced(rf: RatFunc):
@@ -280,3 +303,76 @@ def test_factor_keeps_fractions_and_its_polynomials():
     assert type(g.N) is F and type(g.nu) is F and g == StdFactor(F(3), F(2))
     assert fac(0, 1).is_trivial and not fac(0, 2).is_trivial
     assert (g == (3, 2)) is False
+
+
+# ---------------------------------------------------------------------------
+# the balanced fold against the insertion-order loop
+
+
+def _insertion_order_fold(z) -> RatFunc:
+    """The fold that adds the terms one by one, in insertion order."""
+    rf = RatFunc.zero()
+    for factors, coeff in z.iter_terms():
+        rf = rf.add(RatFunc.from_term(coeff, factors))
+    return rf
+
+
+def _rays_distinct(z) -> bool:
+    facs = {f for factors, _c in z.iter_terms() for f in factors}
+    return len({f._ray for f in facs}) == len(facs)
+
+
+def _assert_folds_agree(z):
+    got, want = ze_to_ratfunc(z), _insertion_order_fold(z)
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_balanced_fold_matches_insertion_order_on_distinct_rays():
+    hyp, st, polys, _dirs = _strategies()
+    # one factor per ray: a primitive pair (n, v), v > 0, scaled by k / r
+    rays = st.tuples(st.integers(0, 4), st.integers(1, 4)).filter(lambda x: math.gcd(*x) == 1)
+    factors = st.builds(
+        lambda ray, k, r: fac(F(ray[0] * k, r), F(ray[1] * k, r)),
+        rays, st.integers(1, 3), st.sampled_from((1, 2, 3)),
+    )
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        st.lists(factors, min_size=1, max_size=4, unique_by=lambda f: f._ray),
+        st.lists(st.tuples(polys, st.lists(st.integers(0, 3), max_size=3)), max_size=7),
+    )
+    def check(facs, terms):
+        z = ZetaExpr([(c, [facs[i % len(facs)] for i in picks]) for c, picks in terms])
+        assert _rays_distinct(z)
+        _assert_folds_agree(z)
+
+    check()
+
+
+@pytest.mark.parametrize("d", [97, 301])
+def test_balanced_fold_matches_insertion_order_on_long_chains(d):
+    z = _hj_chain(d, 1, d - 1, (2, 3), (1, 2))
+    assert _rays_distinct(z)
+    _assert_folds_agree(z)
+
+
+# 1/33(31, 26) with N = nu = (2, 2): every factor lies on the ray (1, 1), so
+# the reduced quotient depends on the order of the reductions.  In insertion
+# order the fold keeps Fac(4/11; 4/11); adding neighbours pairwise would
+# keep Fac(6/11; 6/11).
+SHARED_RAY_QUOTIENT = (
+    "(L^(-48/11) * T^(4/11) * (L^2 - 2 * L^3 + L^4 + L^(20/11) * T^(2/11)"
+    " - 2 * L^(31/11) * T^(2/11) + L^(42/11) * T^(2/11) + L^(14/11) * T^(8/11)"
+    " - 2 * L^(25/11) * T^(8/11) + L^(36/11) * T^(8/11) + L^(12/11) * T^(10/11)"
+    " - 2 * L^(23/11) * T^(10/11) + L^(34/11) * T^(10/11) + L^(6/11) * T^(16/11)"
+    " - 2 * L^(17/11) * T^(16/11) + L^(28/11) * T^(16/11) + T^2 - 2 * L * T^2"
+    " + L^2 * T^2)) / ((1 - L^(-4/11) * T^(4/11)) * (1 - L^-2 * T^2))"
+)
+
+
+def test_shared_ray_fold_keeps_insertion_order():
+    z = _hj_chain(33, 31, 26, (2, 2), (2, 2))
+    assert not _rays_distinct(z)
+    assert str(ze_to_ratfunc(z)) == SHARED_RAY_QUOTIENT
+    _assert_folds_agree(z)

@@ -25,7 +25,14 @@ from qzeta.resolution import (
 )
 from qzeta.symring import TopZeta, euler_specialize, ze_equal
 from qzeta.tetra import TetraParams
-from qzeta.zetacore import local_monomial_zeta, s_g_sum, stratified_zeta
+from qzeta.zetacore import (
+    Stratification,
+    Stratum,
+    infer_gindex,
+    local_monomial_zeta,
+    s_g_sum,
+    stratified_zeta,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +222,12 @@ def test_hj_routes_agree_on_q_divisors():
     def check(dab, N1, N2, nu1, nu2):
         d, a, b = dab
         direct = local_monomial_zeta(GroupAction.cyclic(d, (a, b)), (N1, N2), (nu1, nu2))
-        via_chain = stratified_zeta(hj_stratification(hj_resolve(d, a, b), N1, N2, nu1, nu2))
+        strat = hj_stratification(hj_resolve(d, a, b), N1, N2, nu1, nu2)
+        # the builder makes its strata unchecked; the checking constructors
+        # and the inferred index give the same stratification
+        strata = tuple(Stratum(s.klass, s.Nvec, s.nuvec, s.group) for s in strat.strata)
+        assert strat == Stratification(2, math.lcm(d, infer_gindex(strata)), strata)
+        via_chain = stratified_zeta(strat)
         assert ze_equal(via_chain, direct)
         assert euler_specialize(via_chain) == euler_specialize(direct)
 
