@@ -263,36 +263,34 @@ def cmd_tetra(args) -> int:
     )
 
 
-def cmd_group(args) -> int:
-    g = groups.parse_group_literal(args.literal)
+def _group_report(literal: str) -> dict:
+    """What ``group`` prints about the action, with no group object kept:
+    the enumerated columns are freed before the measures are written."""
+    g = groups.parse_group_literal(literal)
     reduced, m = groups.small_reduce(g)
-    # small_reduce leaves every m_i at 1 exactly when g is already small
-    small = all(x == 1 for x in m)
-    gor = zetacore.gor_measure_origin(g, reduced)
-    orb = zetacore.orb_measure_origin(g)
+    return {
+        "order": g.order,
+        "exponent": g.exponent(),
+        # small_reduce leaves every m_i at 1 exactly when g is already small
+        "small": all(x == 1 for x in m),
+        "reduced": groups.group_literal(reduced),
+        "m": list(m),
+        "gor_measure": zetacore.gor_measure_origin(g, reduced),
+        "orb_measure": zetacore.orb_measure_origin(g),
+    }
+
+
+def cmd_group(args) -> int:
+    rep = _group_report(args.literal)
     if args.json:
-        print(
-            json_dump(
-                {
-                    "order": g.order,
-                    "exponent": g.exponent(),
-                    "small": small,
-                    "reduced": groups.group_literal(reduced),
-                    "m": list(m),
-                    "gor_measure": gor,
-                    "orb_measure": orb,
-                }
-            )
-        )
+        print(json_dump(rep))
         return 0
-    print("order: %d" % g.order)
-    print("exponent: %d" % g.exponent())
-    print("small: %s" % ("yes" if small else "no"))
-    print("reduced: %s  [m = (%s)]" % (
-        groups.group_literal(reduced), ", ".join(str(x) for x in m)
-    ))
-    print("gor measure at origin: %s" % symring.render_poly_factored(gor))
-    print("orb measure at origin: %s" % symring.render_poly(orb))
+    print("order: %d" % rep["order"])
+    print("exponent: %d" % rep["exponent"])
+    print("small: %s" % ("yes" if rep["small"] else "no"))
+    print("reduced: %s  [m = (%s)]" % (rep["reduced"], ", ".join(str(x) for x in rep["m"])))
+    print("gor measure at origin: %s" % symring.render_poly_factored(rep["gor_measure"]))
+    print("orb measure at origin: %s" % symring.render_poly(rep["orb_measure"]))
     return 0
 
 

@@ -4,14 +4,17 @@ An action of type ``(d_1, ..., d_r; A)`` is generated by the diagonal
 matrices ``diag(xi_{d_j}^{a_j1}, ..., xi_{d_j}^{a_jn})`` for each row
 ``a_j`` of ``A``.  Everything is stored over the common exponent
 ``dExp = lcm(d_j)``: a group element is the vector of its character
-exponents ``eps_i`` mod dExp, a plain tuple of ints, so the generator for
-row ``j`` is ``a_j * (dExp / d_j) mod dExp``.
+exponents ``eps_i`` mod dExp, so the generator for row ``j`` is
+``a_j * (dExp / d_j) mod dExp``.  The elements are kept as n integer
+columns, one list per coordinate (:meth:`GroupAction.columns`); the sorted
+tuples of :meth:`GroupAction.elements` are made only when asked for.
 
-Every subgroup is built by one coset walk (``_span``): each generator adds
+Every subgroup is built by one coset walk (``_walk``): each generator adds
 the cosets of the span so far by its multiples, up to the first multiple
 already in it, so each element is made once whatever the presentation.
-Ages and weights are read off the vectors where they are summed, in
-``zetacore``.
+Membership is read off integer codes of the vectors (``_codes``).  Ages
+and weights are summed down the columns (``_dot``) and zero counts read
+off them (``_zero_counts``), here and in ``zetacore``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .motpoly import MAX_DIGITS
 
 # The largest order an action may have, taken exactly from its generators
 # (see _order) before anything is enumerated.  The budget is about 10 s and
-# 1 GB for one `group` command.  Measured per command, three runs each in a
-# fresh interpreter, on 2 shared vCPUs (CPython 3.11.7): "(10^5;1,3)"
-# 1.0-1.05 s and 72 MB, "(2*10^5;1,2,2,2)" 2.8-3.2 s and 210 MB with --json,
-# and, with the bound raised, "(10^6;1,3)" 7.9-8.7 s and 553 MB and the
-# non-small "(5*10^5;1,2,2,2)" 8.4-9.4 s and 454 MB.
+# 1 GB for one `group` command.  Measured per command with --json, three runs
+# each in a fresh interpreter, on 2 shared vCPUs (CPython 3.11.7):
+# "(10^5;1,3)" 0.27-0.33 s and 63 MB, the non-small "(2*10^5;1,2,2,2)"
+# 1.2-1.7 s and 161 MB, and, with the bound raised, "(10^6;1,3)" 2.4-2.7 s
+# and 404 MB and "(5*10^5;1,2,2,2)" 3.5-3.9 s and 346 MB.
 SIZE_LIMIT = 2 * 10**5
 
 __all__ = [
@@ -64,7 +67,7 @@ class NotSmall(Exception):
 class GroupAction:
     """A finite abelian diagonal action of type (d_1,...,d_r; A)."""
 
-    __slots__ = ("orders", "rows", "n", "d_exp", "_elements", "_canon")
+    __slots__ = ("orders", "rows", "n", "d_exp", "_cols", "_elements", "_canon")
 
     def __init__(
         self,
@@ -94,6 +97,7 @@ class GroupAction:
         self.rows = rows
         self.n = n
         self.d_exp = reduce(math.lcm, orders, 1)
+        self._cols = None
         self._elements = None
         self._canon = None
         order = self.order
@@ -125,16 +129,26 @@ class GroupAction:
         be a proper divisor of ``d_exp``: ``from_elements([(2,)], 4, 1)``
         is the action of type (2; 1).
         """
-        want = set(zip(*(map(mod, col, repeat(d_exp)) for col in zip(*vectors))))
-        want.add((0,) * n)
+        cols = [list(map(mod, col, repeat(d_exp))) for col in zip(*vectors)]
+        return cls._from_columns(cols or [[0]] * n, d_exp, n)
+
+    @classmethod
+    def _from_columns(cls, cols: list[list[int]], d_exp: int, n: int) -> "GroupAction":
+        """:meth:`from_elements` on the vectors held as n columns of entries
+        in [0, d_exp), in which a vector may repeat."""
+        codes = _codes(cols, d_exp)
+        want = {0, *codes}
         gens: list[tuple[int, ...]] = []
-        span = {(0,) * n}
-        # the least vector outside the span is the next one a walk in sorted
-        # order would take; the span only grows, so none is skipped
-        while (vec := min(filterfalse(span.__contains__, want), default=None)) is not None:
-            gens.append(vec)
-            span = _span(span, vec, d_exp)
-        if span != want:
+        span, have = [[0]] * n, {0}
+        # codes order as the vectors do, so the least code outside the span
+        # is the next vector a walk in sorted order would take; the span only
+        # grows, so none is skipped
+        while (code := min(filterfalse(have.__contains__, want), default=None)) is not None:
+            i = codes.index(code)
+            gens.append(tuple(col[i] for col in cols))
+            span = _walk(span, gens[-1], d_exp)
+            have = set(_codes(span, d_exp))
+        if have != want:
             raise ValueError("vector set is not closed under addition")
         orders = []
         rows = []
@@ -146,11 +160,13 @@ class GroupAction:
         if not rows:
             return cls.trivial(n)
         act = cls(orders, rows, n)
-        # on the exact exponent act.d_exp, each vector of want is divided by step
+        # on the exact exponent act.d_exp, each vector of want is divided by
+        # step; compared as sets of codes on d_exp
         step = d_exp // act.d_exp
+        cols = act.columns()
         if step > 1:
-            want = set(zip(*(map(floordiv, col, repeat(step)) for col in zip(*want))))
-        assert set(act.elements()) == want
+            cols = [list(map(mul, col, repeat(step))) for col in cols]
+        assert set(_codes(cols, d_exp)) == want
         return act
 
     # -- enumeration -------------------------------------------------------
@@ -162,17 +178,26 @@ class GroupAction:
             tuple(a * (d // order) % d for a in row) for order, row in zip(self.orders, self.rows)
         ]
 
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        """All distinct exponent vectors mod d_exp, sorted.
+    def columns(self) -> list[list[int]]:
+        """The elements as n columns: entry k of column i is coordinate i
+        of the k-th element, each element once, in the walk's order.  The
+        lists are cached and shared, so callers only read them.
 
-        The generators are folded in one at a time by ``_span``, so each
+        The generators are folded in one at a time by ``_walk``, so each
         element is built once, whatever the presentation.
         """
-        if self._elements is None:
-            span = {(0,) * self.n}
+        if self._cols is None:
+            cols = [[0]] * self.n
             for gen in self._generators():
-                span = _span(span, gen, self.d_exp)
-            self._elements = tuple(sorted(span))
+                cols = _walk(cols, gen, self.d_exp)
+            self._cols = cols
+        return self._cols
+
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """All distinct exponent vectors mod d_exp, sorted: the tuple view
+        of :meth:`columns`, made on the first call."""
+        if self._elements is None:
+            self._elements = tuple(sorted(zip(*self.columns())))
         return self._elements
 
     @property
@@ -192,11 +217,11 @@ class GroupAction:
     def canonical(self) -> tuple[int, frozenset]:
         """(exponent, exponent vectors rescaled to it) -- presentation-free."""
         if self._canon is None:
-            vecs = self.elements()
-            g = reduce(math.gcd, (math.gcd(self.d_exp, *v) for v in vecs))
+            cols = self.columns()
+            g = math.gcd(self.d_exp, *(math.gcd(*col) for col in cols))
             self._canon = (
                 self.d_exp // g,
-                frozenset(tuple(x // g for x in v) for v in vecs),
+                frozenset(zip(*(map(floordiv, col, repeat(g)) for col in cols))),
             )
         return self._canon
 
@@ -246,33 +271,70 @@ def _order(gens: list[tuple[int, ...]], d: int, n: int) -> int:
     return order
 
 
-def _span(span: set, gen: tuple[int, ...], d_exp: int) -> set:
-    """The subgroup generated by the subgroup ``span`` and ``gen``.
+def _codes(cols: list[list[int]], d: int) -> list[int]:
+    """The code (..(v_0 d + v_1) d + ..) d + v_(n-1) of each vector v with
+    entries in [0, d), made down the columns.  Distinct vectors have
+    distinct codes, which order as the vectors do.
+
+    Neighbouring runs of columns are merged pairwise, the left one scaled
+    by d to the width of the right, so a code of n entries is made by
+    log2(n) rounds of products of balanced size, not by n - 1 products on
+    an ever longer number."""
+    parts = [(col, d) for col in cols]  # (codes of a run, d^(run width))
+    while len(parts) > 1:
+        merged = [
+            (list(map(add, map(mul, a, repeat(scale_b)), b)), scale_a * scale_b)
+            for (a, scale_a), (b, scale_b) in zip(parts[::2], parts[1::2])
+        ]
+        parts = merged + parts[2 * len(merged):]
+    return parts[0][0]
+
+
+def _walk(cols: list[list[int]], gen: tuple[int, ...], d_exp: int) -> list[list[int]]:
+    """The columns of the subgroup generated by the subgroup held in
+    ``cols`` and ``gen``.
 
     It is the union of the cosets span + j*gen for j = 0, 1, ..., k - 1,
-    where k*gen is the first multiple of ``gen`` in ``span``.  Those cosets
-    are disjoint, so each element is made once.  The order o of ``gen`` is
-    k times the order of k*gen, so o <= k*|span|: making all o multiples
-    costs no more than the result.  Every vector is built a column at a
-    time by ``map``, so no Python code runs per element.
+    where k*gen is the first multiple of ``gen`` in the span, found by its
+    code.  Those cosets are disjoint, so each element is made once.  The
+    order o of ``gen`` is k times the order of k*gen, so o <= k*|span|:
+    making all o multiples costs no more than the result.  Every column is
+    built by ``map``, so no Python code runs per element.
     """
     o = d_exp // math.gcd(d_exp, *gen)
-    mult_cols = [list(map(mod, map(mul, range(o), repeat(a)), repeat(d_exp))) for a in gen]
-    if len(span) == 1:  # span is {0}: the multiples are the elements, no sums needed
-        return set(zip(*mult_cols))
-    k = next(compress(count(1), map(span.__contains__, islice(zip(*mult_cols), 1, None))), o)
-    size = len(span)
-    # column i of the cosets: span's column i, k times over, plus entry i
-    # of j*gen repeated |span| times for each j < k
-    cols = (
-        map(
+    mult_cols = [list(map(mod, range(0, a * o, a), repeat(d_exp))) if a else [0] * o for a in gen]
+    size = len(cols[0])
+    if size == 1:  # the span is {0}: the multiples are the elements, no sums needed
+        return mult_cols
+    have = set(_codes(cols, d_exp))
+    k = next(compress(count(1), map(have.__contains__, islice(_codes(mult_cols, d_exp), 1, None))), o)
+    # column i of the cosets: the span's column i, k times over, plus entry
+    # i of j*gen repeated |span| times for each j < k
+    return [
+        list(map(
             mod,
             map(add, chain.from_iterable(repeat(col, k)), chain.from_iterable(map(repeat, mcol[:k], repeat(size)))),
             repeat(d_exp),
-        )
-        for col, mcol in zip(zip(*span), mult_cols)
-    )
-    return set(zip(*cols))
+        ))
+        for col, mcol in zip(cols, mult_cols)
+    ]
+
+
+def _dot(cols: list[list[int]], ks: Iterable[int]) -> Iterable[int]:
+    """sum_i k_i * v_i for each element v, made down the columns; a column
+    with k_i = 0 is skipped, and one with k_i = 1 is added as it is."""
+    acc = None
+    for k, col in zip(ks, cols):
+        if k:
+            term = col if k == 1 else map(mul, col, repeat(k))
+            acc = term if acc is None else list(map(add, acc, term))
+    return repeat(0, len(cols[0])) if acc is None else acc
+
+
+def _zero_counts(cols: list[list[int]]) -> Iterable[int]:
+    """The number of zero entries of each element, one at a time.  ``zip``
+    reuses its tuple once ``count`` lets go of it, so no vector is kept."""
+    return map(tuple.count, zip(*cols), repeat(0))
 
 
 def is_small(g: GroupAction) -> bool:
@@ -281,7 +343,7 @@ def is_small(g: GroupAction) -> bool:
     For a diagonal action that means: no element has exactly n-1 zero
     exponents.
     """
-    return g.n - 1 not in map(tuple.count, g.elements(), repeat(0))
+    return g.n - 1 not in _zero_counts(g.columns())
 
 
 def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
@@ -296,18 +358,23 @@ def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
     cur = g
     m_total = [1] * n
     while True:
-        elems = cur.elements()
-        # a quasi-reflection is nonzero on one axis only, so coordinate i
-        # of the others adds nothing to the gcd that gives the axis order
-        refl = list(compress(elems, map(eq, map(tuple.count, elems, repeat(0)), repeat(n - 1))))
+        cols = cur.columns()
+        # the places of the quasi-reflections: a quasi-reflection is nonzero
+        # on one axis only, so coordinate i of the others adds nothing to
+        # the gcd that gives the axis order
+        refl = list(compress(count(), map(eq, _zero_counts(cols), repeat(n - 1))))
         if not refl:
             break
         d = cur.d_exp
-        m_pass = [d // math.gcd(d, *(v[i] for v in refl)) for i in range(n)]
-        cols = [list(map(mod, map(mul, col, repeat(mi)), repeat(d))) for mi, col in zip(m_pass, zip(*elems))]
+        m_pass = [d // math.gcd(d, *map(col.__getitem__, refl)) for col in cols]
+        cols = [
+            col if mi == 1 else list(map(mod, map(mul, col, repeat(mi)), repeat(d)))
+            for mi, col in zip(m_pass, cols)
+        ]
         g0 = math.gcd(d, *(math.gcd(*col) for col in cols))
-        vecs = set(zip(*(map(floordiv, col, repeat(g0)) for col in cols)))
-        cur = GroupAction.from_elements(vecs, d // g0, n)
+        if g0 > 1:
+            cols = [list(map(floordiv, col, repeat(g0))) for col in cols]
+        cur = GroupAction._from_columns(cols, d // g0, n)
         m_total = [a * b for a, b in zip(m_total, m_pass)]
     return cur, tuple(m_total)
 

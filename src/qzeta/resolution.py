@@ -196,6 +196,11 @@ def yomdin_stratification(y: YomdinParams) -> tuple[Stratification, dict[str, in
 
     Returns the stratification together with the Euler numbers of the
     two curve symbols it introduces, [C0] and [C1].
+
+    :class:`YomdinParams` has checked the parameters, and on them every
+    stratum is valid: each N is >= 0 and each nu > 0, the classes carry
+    no T power, the entries are integers and the index is the lcm of the
+    group exponents.  So the strata are made unchecked.
     """
     m, k, p, q, a = y.m, y.k, y.p, y.q, y.a
     k1, k2, m1, nu1 = y.k1, y.k2, y.m1, y.nu1
@@ -213,7 +218,7 @@ def yomdin_stratification(y: YomdinParams) -> tuple[Stratification, dict[str, in
     g14 = GroupAction.cyclic(k * p // kk, (-1, k * q // kk, p * q // kk))
 
     def st(klass, N, nu, g=triv):
-        return Stratum(klass, tuple(map(Fraction, N)), tuple(map(Fraction, nu)), g)
+        return Stratum._of(klass, tuple(map(Fraction, N)), tuple(map(Fraction, nu)), g)
 
     strata = (
         st(L * L - C0 + m, (0, 0, m), (1, 1, a + 2)),
@@ -232,7 +237,7 @@ def yomdin_stratification(y: YomdinParams) -> tuple[Stratification, dict[str, in
         st(one, (0, m1, m), (1, nu1, a + 2), g13),
         st(one, (m1, 0, m), (nu1, 1, a + 2), g14),
     )
-    strat = Stratification(3, infer_gindex(strata), strata)
+    strat = Stratification._of(3, infer_gindex(strata), strata)
     return strat, {"C0": y.chi_c0, "C1": y.chi_c1}
 
 
@@ -350,6 +355,11 @@ def tetra_stratification(
 
     Parameters with d not dividing q^3 + 1 are reduced to the small
     member G(d', q mod d') with a warning.
+
+    The data is checked once, here, with the refusals a checked stratum
+    would give: every N entry is N, a positive multiple of it or 0, and
+    every nu entry nu, a positive multiple of it or 1.  The index is
+    :func:`infer_gindex` of the strata, so the strata are made unchecked.
     """
     if not t.is_small_formula:
         reduced = t.small_member()
@@ -364,6 +374,10 @@ def tetra_stratification(
     b = t.beta
     N = Fraction(N)
     nu = Fraction(nu)
+    if N < 0:
+        raise ValueError("stratum N entries must be >= 0")
+    if nu <= 0:
+        raise ValueError("stratum nu entries must be > 0")
     NE = 3 * N / b
     nuE = 3 * nu / b
     E = MotPoly.sym("E")
@@ -374,20 +388,19 @@ def tetra_stratification(
     g_point = GroupAction(
         (d, d // b), ((0, 1, q), (q, 0, (q * q - q + 1) // b)), 3
     )
+    on_E = ((NE, _ZERO, _ZERO), (nuE, _ONE, _ONE))  # the data of the strata on E alone
     strata = [
-        Stratum(E - D - 3, (NE, 0, 0), (nuE, 1, 1), triv),
-        Stratum(D - one, (NE, 0, N), (nuE, 1, nu), g_curve),
-        Stratum(one, (NE, N, N), (nuE, nu, nu), g_point),
+        Stratum._of(E - D - 3, *on_E, triv),
+        Stratum._of(D - one, (NE, _ZERO, N), (nuE, _ONE, nu), g_curve),
+        Stratum._of(one, (NE, N, N), (nuE, nu, nu), g_point),
     ]
     for kk in range(3):
         if d % 3 != 0:
             w0 = (kk * b) % 3
         else:
             w0 = (-kk * ((q + 1) // t.alpha) * t.gamma_c) % 3
-        strata.append(
-            Stratum(one, (NE, 0, 0), (nuE, 1, 1), GroupAction.cyclic(3, (w0, 1, 2)))
-        )
-    strat = Stratification(3, infer_gindex(strata), tuple(strata))
+        strata.append(Stratum._of(one, *on_E, GroupAction.cyclic(3, (w0, 1, 2))))
+    strat = Stratification._of(3, infer_gindex(strata), tuple(strata))
     return strat, {"E": 3, "D": 1}
 
 

@@ -941,13 +941,25 @@ def json_dump(obj: dict) -> str:
     :func:`json.dumps` with sorted keys.  The text is byte-identical to
     ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
     polynomial replaced by its ``json_obj()`` and each ``ValuesAtL`` by its
-    list of ``{"T", "value"}`` dicts.
+    list of ``{"T", "value"}`` dicts.  Each distinct polynomial is written
+    once: a value ``==`` to one already written reuses its text, as the
+    Gorenstein and orbifold measures of a small action do.
     """
+    written: list[tuple[MotPoly, str]] = []
+
+    def poly_text(p: MotPoly) -> str:
+        for q, text in written:
+            if q == p:
+                return text
+        text = json_poly(p)
+        written.append((p, text))
+        return text
+
     return "{%s}" % ", ".join(
         "%s: %s"
         % (
             json.dumps(k),
-            json_poly(v)
+            poly_text(v)
             if isinstance(v, MotPoly)
             else json_values_at_L(v)
             if isinstance(v, ValuesAtL)

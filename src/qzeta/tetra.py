@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mod, mul, not_
 
-from .groups import NotSmall, SizeLimit, _span
+from .groups import NotSmall, SizeLimit, _walk
 
 # The largest group order build_tetra enumerates, checked before it starts.
 # The budget is about 10 s and 1 GB for one `tetra --stringy`, whose
@@ -134,12 +134,13 @@ def build_tetra(d: int, q: int) -> TetraGroup:
     if params.order > TETRA_SIZE_LIMIT:
         raise SizeLimit("group order %d over the limit" % params.order)
     # The diagonal part is the image of (i, j, k) -> (jq + k, i + kq, iq + j),
-    # the subgroup of (Z/d)^3 spanned by the three columns of that map.
-    diags = {(0, 0, 0)}
+    # the subgroup of (Z/d)^3 spanned by the three columns of that map,
+    # walked as three integer columns
+    cols = [[0]] * 3
     for col in ((0, 1, q), (q, 0, 1), (1, q, 0)):
-        diags = _span(diags, tuple(x % d for x in col), d)
+        cols = _walk(cols, tuple(x % d for x in col), d)
     # sorted by shift, then by diagonal: each shift takes the sorted diagonals
-    diags = sorted(diags)
+    diags = sorted(zip(*cols))
     elements = tuple(chain.from_iterable(zip(repeat(a), diags) for a in range(3)))
     assert len(elements) == params.order, (
         "enumerated %d elements, expected %d" % (len(elements), params.order)

@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 import math
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import Iterable, Sequence
 
-from .groups import GroupAction, NotSmall, is_small, small_reduce
+from .groups import GroupAction, NotSmall, _dot, _zero_counts, is_small, small_reduce
 from .motpoly import _fraction
 from .symring import MotPoly, Rat, StdFactor, ZetaExpr, fac
 
@@ -69,7 +69,9 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     """sum over gamma in G of  L^age_nu(gamma) * T^(-age_N(gamma)).
 
     With T = L^(-s) this is sum L^(age_N(gamma) s + age_nu(gamma)); ages
-    of distinct elements can coincide, in which case terms merge.
+    of distinct elements can coincide, in which case terms merge.  Both
+    ages are dot products down the group's columns, binned by one
+    ``Counter``.
     """
     Nvec = tuple(map(_fraction, Nvec))
     nuvec = tuple(map(_fraction, nuvec))
@@ -83,7 +85,8 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     D = reduce(math.lcm, (x.denominator for x in Nvec + nuvec), 1)
     kN = tuple(x.numerator * (D // x.denominator) for x in Nvec)
     knu = tuple(x.numerator * (D // x.denominator) for x in nuvec)
-    acc = Counter((-sum(map(mul, kN, eps)), sum(map(mul, knu, eps)), ()) for eps in g.elements())
+    cols = g.columns()
+    acc = Counter(zip(_dot(cols, map(neg, kN)), _dot(cols, knu), repeat(())))
     return MotPoly.from_lattice(dict(acc), g.d_exp * D)
 
 
@@ -263,20 +266,21 @@ def _measure(exps: Counter, r: int) -> MotPoly:
 def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> MotPoly:
     """Gorenstein measure of the origin: sum L^(age(gamma) - n) over the
     smallified action; ``reduced`` is ``small_reduce(g)[0]`` if the caller
-    already has it."""
+    already has it.  Each age is its column sum on the scale r."""
     if reduced is None:
         reduced, _m = small_reduce(g)
     r = reduced.d_exp
-    return _measure(Counter(map(sub, map(sum, reduced.elements()), repeat(g.n * r))), r)
+    return _measure(Counter(map(sub, _dot(reduced.columns(), repeat(1)), repeat(g.n * r))), r)
 
 
 def orb_measure_origin(g: GroupAction) -> MotPoly:
     """Orbifold measure of the origin: sum L^(-w(gamma)) over the given
-    action, where w counts zero exponents at full weight."""
+    action, where w counts zero exponents at full weight: -w is -r times
+    the zero count less the column sum, on the scale r.  On a small action
+    w(gamma) = n - age(gamma^-1), so this equals the Gorenstein measure."""
     r = g.d_exp
-    elems = g.elements()
-    zeros = map(tuple.count, elems, repeat(0))
-    return _measure(Counter(map(sub, map(mul, zeros, repeat(-r)), map(sum, elems))), r)
+    cols = g.columns()
+    return _measure(Counter(map(sub, map(mul, _zero_counts(cols), repeat(-r)), _dot(cols, repeat(1)))), r)
 
 
 # ---------------------------------------------------------------------------

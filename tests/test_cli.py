@@ -215,6 +215,28 @@ def test_hj_data_out_of_range(capsys, data, err):
     assert run(capsys, ["hj", "--d", "7", "--a", "1", "--b", "3", *data]) == (1, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["tetra", "--d", "7", "--q", "3", "--N", "-1"], "error: stratum N entries must be >= 0\n"),
+        (["tetra", "--d", "7", "--q", "3", "--nu", "0"], "error: stratum nu entries must be > 0\n"),
+        # as a checked first stratum (NE, 0, 0), (nuE, 1, 1) would: N first
+        (["tetra", "--d", "7", "--q", "3", "--N", "-1", "--nu", "-1"], "error: stratum N entries must be >= 0\n"),
+        # a non-small member is reduced first; the refusal leaves no notice
+        (["tetra", "--d", "5", "--q", "2", "--nu=-1/2"], "error: stratum nu entries must be > 0\n"),
+        (["yomdin", "--m", "3", "--k", "1", "--p", "2", "--q", "4", "--a", "1"],
+         "error: cusp pair needs 2 <= p < q coprime\n"),
+        (["yomdin", "--m", "460", "--k", "1", "--p", "449", "--q", "451", "--a", "1"],
+         "error: refusing to enumerate 202499 tuples\n"),
+    ],
+    ids=["tetra-N", "tetra-nu", "tetra-both", "tetra-reduced", "yomdin-cusp", "yomdin-size"],
+)
+def test_builder_refusals_pinned(capsys, argv, err):
+    # the yomdin and tetra builders check their input once and make their
+    # strata unchecked; the refusals keep the checked strata's lines
+    assert run(capsys, argv) == (1, "", err)
+
+
 def test_tetra_stringy(capsys):
     rc, out, _ = run(capsys, ["tetra", "--d", "3", "--q", "2", "--stringy"])
     assert rc == 0

@@ -304,6 +304,19 @@ def _sum_closure(g: GroupAction) -> tuple:
     }))
 
 
+def _loop_s_g_sum(g: GroupAction, Nvec, nuvec) -> MotPoly:
+    """S_G summed one element at a time on Fraction ages."""
+    acc: dict = {}
+    for eps in _sum_closure(g):
+        key = (
+            -sum(F(N) * e for N, e in zip(Nvec, eps)) / g.d_exp,
+            sum(F(nu) * e for nu, e in zip(nuvec, eps)) / g.d_exp,
+            (),
+        )
+        acc[key] = acc.get(key, 0) + 1
+    return MotPoly(acc)
+
+
 def _loop_measures(g: GroupAction, reduced: GroupAction) -> tuple[MotPoly, MotPoly]:
     r = reduced.d_exp
     gor: dict = {}
@@ -339,10 +352,19 @@ def test_column_kernels_match_per_element_loops():
     seen = {"nonsmall": 0, "redundant": 0}
 
     @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @hyp.given(actions())
-    def check(g):
+    @hyp.given(actions(), st.integers(0, 2**32))
+    def check(g, seed):
         elems = _sum_closure(g)
+        cols = g.columns()
+        # each element once, in n columns as long as the order
+        assert len(cols) == g.n and {len(col) for col in cols} == {g.order}
+        assert len(set(zip(*cols))) == g.order and set(zip(*cols)) == set(elems)
         assert g.elements() == elems
+        # fractional data from a seeded Random: N >= 0 and nu > 0
+        rng = random.Random(seed)
+        Nvec = [F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(g.n)]
+        nuvec = [F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(g.n)]
+        assert s_g_sum(g, Nvec, nuvec) == _loop_s_g_sum(g, Nvec, nuvec)
         assert is_small(g) == (not any(v.count(0) == g.n - 1 for v in elems))
         reduced, m = small_reduce(g)
         assert (group_literal(reduced), m) == _ref_small_reduce(g.orders, g.rows, g.n)

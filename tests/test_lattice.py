@@ -353,6 +353,45 @@ def test_json_poly_property():
     check()
 
 
+def test_json_dump_writes_each_distinct_polynomial_once(monkeypatch):
+    # json_dump writes a polynomial == to one already written with that one's
+    # text: the text stays json.dumps over json_obj(), and json_poly runs
+    # once per distinct value
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from qzeta import symring
+
+    exps = st.integers(-20, 20)
+    terms = st.dictionaries(
+        st.tuples(exps, exps, st.sampled_from(((), (("A", 1),), (("B", -2),)))),
+        st.integers(-5, 5).filter(bool),
+        min_size=1,
+        max_size=8,
+    )
+    calls = []
+    json_poly = symring.json_poly
+    monkeypatch.setattr(symring, "json_poly", lambda p: calls.append(p) or json_poly(p))
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(terms, st.sampled_from((1, 2, 6, 35)), st.integers(2, 4))
+    def check(terms, r, k):
+        p = MotPoly.from_lattice(dict(terms), r)
+        # equal to p on the scale k * r
+        p_fine = MotPoly.from_lattice({(t * k, l * k, s): c for (t, l, s), c in terms.items()}, k * r)
+        # as long as p, and unequal: one coefficient moved off its value
+        key = next(iter(terms))
+        q = MotPoly.from_lattice({**terms, key: terms[key] + (1 if terms[key] != -1 else 2)}, r)
+        zero, zero_fine = MotPoly.zero(), MotPoly.from_lattice({}, k * r)
+        assert p == p_fine and p != q and len(p) == len(q) and zero == zero_fine
+        obj = {"a": p, "b": q, "c": p_fine, "d": zero, "e": zero_fine, "f": p, "n": 3}
+        calls.clear()
+        want = {name: v.json_obj() if isinstance(v, MotPoly) else v for name, v in obj.items()}
+        assert json_dump(obj) == json.dumps(want, sort_keys=True, separators=(", ", ": "))
+        assert calls == [p, q, zero]
+
+    check()
+
+
 # Names a library caller may give a class symbol: a "%" the run template
 # must not read as a conversion, JSON's own delimiters and escapes, and a
 # character outside the Basic Multilingual Plane.

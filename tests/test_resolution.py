@@ -188,6 +188,28 @@ def test_tetra_autoreduce_warns():
     assert strat == want
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: yomdin_stratification(YomdinParams(3, 1, 2, 3, 3)),
+        lambda: yomdin_stratification(YomdinParams(9, 4, 5, 7, 2)),
+        lambda: yomdin_stratification(YomdinParams(2, 6, 2, 9, 1)),
+        lambda: tetra_stratification(TetraParams(7, 3), F(2, 3), 3),
+        lambda: tetra_stratification(TetraParams(9, 2), 0, F(1, 2)),
+    ],
+    ids=["yomdin-3", "yomdin-9", "yomdin-2", "tetra-7", "tetra-9"],
+)
+def test_unchecked_strata_pass_the_checks(build):
+    # the yomdin and tetra builders make their strata unchecked; the
+    # checking constructors accept each stratum and the whole as they are
+    strat, _chi = build()
+    checked = Stratification(
+        strat.n, strat.r, tuple(Stratum(st.klass, st.Nvec, st.nuvec, st.group) for st in strat.strata)
+    )
+    assert checked == strat
+    assert strat.r == infer_gindex(strat.strata)
+
+
 def test_tetra_top_closed_values():
     top = tetra_top_closed(TetraParams(3, 2), 1, 1)
     assert str(top) == "(8*s^2 + 16*s + 11) / ((s + 1)^3)"
