@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 __all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits", "MAX_DIGITS",
            "ValuesAtL", "reduce_exp"]
@@ -343,56 +343,6 @@ class MotPoly:
         return MotPoly.from_lattice(acc, r)
 
     __rmul__ = __mul__
-
-    def _mul_truncated(self, other: "MotPoly", bound) -> "MotPoly":
-        """``(self * other).truncate_tau(bound)``, with no product past T^bound
-        formed: the terms of ``other`` are walked in ascending T order, and
-        the walk stops at the first whose product with a term of ``self``
-        lies past the bound.  Cheapest with ``other`` the smaller factor."""
-        if not self._terms or not other._terms:
-            return MotPoly.zero()
-        a, b, r = self._common(self, other)
-        bound = _fraction(bound)
-        cut = bound.numerator * r // bound.denominator
-        small = sorted(b.items(), key=lambda kv: kv[0][0])
-        acc: dict[LatKey, int] = {}
-        get = acc.get
-        for (t1, l1, s1), c1 in a.items():
-            room = cut - t1
-            for (t2, l2, s2), c2 in small:
-                if t2 > room:
-                    break
-                k = (t1 + t2, l1 + l2, _mul_syms(s1, s2) if s1 and s2 else s1 or s2)
-                v = get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
-        return MotPoly.from_lattice(acc, r)
-
-    @staticmethod
-    def _sum(polys: "Iterable[MotPoly]") -> "MotPoly":
-        """The sum of ``polys``, each added in turn into one dict, which
-        moves onto the lcm scale when a summand is on a finer one."""
-        acc: dict[LatKey, int] = {}
-        r = 1
-        for q in polys:
-            terms, rq = q._terms, q._r
-            if not terms:
-                continue
-            R = math.lcm(r, rq)
-            if R != r:
-                acc, r = _rescale(acc, R // r), R
-            if rq != R:
-                terms = _rescale(terms, R // rq)
-            get = acc.get
-            for k, c in terms.items():
-                v = get(k, 0) + c
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
-        return MotPoly.from_lattice(acc, r)
 
     def __pow__(self, n: int) -> "MotPoly":
         if n < 0:

@@ -27,6 +27,7 @@ equality of zeta expressions is decided by exact cross-multiplication.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -34,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, floordiv
+from operator import add, attrgetter, floordiv, mul
 from typing import Iterable, Mapping
 
 from .motpoly import (
@@ -62,7 +63,12 @@ Rat = Fraction
 # 3.9*10^7 in 10.2 s at M = 2200, in 22 MB.  Neither bound of a plan passes
 # twice its coefficient length times the product of 2 * jmax over its
 # factors; with the product limit at least twice the term limit, every plan
-# within the term limit by that one measure is accepted.
+# within the term limit by that one measure is accepted.  The products are
+# those of an expansion one factor at a time, which these figures timed.
+# The expansion writes each term straight into one dict and forms no more
+# products than the plan counts, so the limits bound its work from above:
+# measured side by side, the M = 2000 command above takes 0.7 s, against
+# 3.2 s one factor at a time.
 SERIES_TERM_LIMIT = 15 * 10**5
 SERIES_PRODUCT_LIMIT = 35 * 10**6
 
@@ -337,8 +343,9 @@ class RatFunc:
     :meth:`add` returns -- keeps the invariant that no factor left in its
     denominator divides its numerator (and a zero numerator keeps no
     factor).  :meth:`add` and :meth:`from_term` rely on it to skip the
-    divisions that provably fail; a quotient built by hand with a dividing
-    factor is valid only for :meth:`equivalent`.
+    divisions that provably fail.  A quotient that may keep a dividing
+    factor -- built by hand, or by :meth:`unreduced`, which :func:`ze_equal`
+    takes for a side of one term -- is valid only for :meth:`equivalent`.
 
     The skips rest on one fact.  A binomial 1 - L^-nu T^N is 1 - y^k for
     the primitive monomial y on its ray, so it is a product of cyclotomic
@@ -423,16 +430,17 @@ class RatFunc:
         if not factors or factors[0]._lat[1]:  # the factors with N = 0 come first
             while (q := core.divide_L_minus_one()) is not None:
                 core, k = q, k + 1
-        if factors:
-            lats = [f._lat for f in factors]
-            R = math.lcm(*(r for r, _n, _v in lats))
-            tau = sum(n * (R // r) for r, n, _v in lats)
-            ell = sum(v * (R // r) for r, _n, v in lats)
-            core = core.mul_monomial(R, (tau, -ell))
-        pairs = [(f, len(list(run))) for f, run in itertools.groupby(factors)]
+        pairs = _pairs(factors)
         taus = {key[0] for key in coeff._terms}
         skip = {f for f, _m in pairs if f._lat[1]} if len(taus) == 1 else ()
-        return _reduced(core, k, pairs, skip)
+        return _reduced(_shifted(core, factors), k, pairs, skip)
+
+    @classmethod
+    def unreduced(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
+        """coeff * prod Fac(N; nu) as the quotient coeff * prod (L - 1)
+        L^-nu T^N over prod (1 - L^-nu T^N), with no division tried; valid
+        for :meth:`equivalent` only.  ``factors`` is sorted."""
+        return cls._of(_shifted(coeff, factors), len(factors), tuple(_pairs(factors)))
 
     def add(self, other: "RatFunc") -> "RatFunc":
         """The reduced sum of two reduced quotients.
@@ -480,6 +488,22 @@ class RatFunc:
         )
         den = [(sum_str(("", x), (1, -1), TEXT), m) for x, (_f, m) in zip(monos, self.denom)]
         return quotient_str(render_poly_factored(self.numer), den)
+
+
+def _shifted(p: MotPoly, factors: FacTuple) -> MotPoly:
+    """p times the monomials L^-nu T^N of the ``factors``' numerators."""
+    if not factors:
+        return p
+    lats = [f._lat for f in factors]
+    R = math.lcm(*(r for r, _n, _v in lats))
+    tau = sum(n * (R // r) for r, n, _v in lats)
+    ell = sum(v * (R // r) for r, _n, v in lats)
+    return p.mul_monomial(R, (tau, -ell))
+
+
+def _pairs(factors: FacTuple) -> list[tuple[StdFactor, int]]:
+    """The (factor, multiplicity) pairs of a sorted factor tuple."""
+    return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
 
 
 def _reduced(core: MotPoly, k: int, pairs, skip) -> RatFunc:
@@ -587,12 +611,30 @@ def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
 def ze_equal(a: ZetaExpr, b: ZetaExpr) -> bool:
     """Exact equality as rational functions.
 
-    Sound because the ambient ring (Laurent monomials with bounded-
-    denominator exponents over free symbols) is an integral domain, so
-    cross-multiplied numerators agree iff the quotients do.  Each side
-    is folded at most once over its lifetime (see :func:`ze_to_ratfunc`).
+    Two expressions with the same terms are equal, and nothing is folded:
+    the strata and the closed forms of the yomdin and tetra families
+    meet this way.  Otherwise each side becomes a quotient.  A side with
+    one term and no kept fold, such as the direct route of ``hj``, is
+    taken as its unreduced quotient (:meth:`RatFunc.unreduced`); any
+    other side is folded, at most once over its lifetime (see
+    :func:`ze_to_ratfunc`), so a fold that was printed is not made again.
+    Comparing quotients is sound because the ambient ring (Laurent
+    monomials with bounded-denominator exponents over free symbols) is an
+    integral domain, so cross-multiplied numerators agree iff the
+    quotients do, reduced or not.
     """
-    return ze_to_ratfunc(a).equivalent(ze_to_ratfunc(b))
+    if a._terms == b._terms:
+        return True
+    return _quotient(a).equivalent(_quotient(b))
+
+
+def _quotient(z: ZetaExpr) -> RatFunc:
+    """The fold of ``z``, or its unreduced quotient when it has one term
+    and no fold is kept."""
+    if z._rf is None and len(z._terms) == 1:
+        ((factors, coeff),) = z._terms.items()
+        return RatFunc.unreduced(coeff, factors)
+    return ze_to_ratfunc(z)
 
 
 def candidate_poles(z: ZetaExpr) -> set[Fraction]:
@@ -617,13 +659,13 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     Each term is planned before any is expanded: a factor raises the least
     T-exponent lo by exactly N (the ring is a domain), so its sum stops at
     jmax = floor((M - lo) / N) with lo known in advance.  Two measures are
-    bounded, each summed over the terms: the products that the steps make
-    (a step multiplies the terms kept so far by 2 * jmax), and the most
-    terms kept at once.  The terms kept after a step are at most the
-    products of that step, and at most the coefficient length times k + 1
-    times the tuples of T-exponents that the rays can reach: the factors of
-    one ray move a monomial along that ray, and the k factors (L - 1) so
-    far add an L-exponent from 0 to k.  A ray whose factors' N have gcd g
+    bounded, each summed over the terms: the products that an expansion
+    one factor at a time makes (a step multiplies the terms kept so far by
+    2 * jmax), and the most terms it keeps at once.  The terms kept after a
+    step are at most the products of that step, and at most the
+    coefficient length times k + 1 times the tuples of T-exponents that
+    the rays can reach: the factors of one ray move a monomial along that
+    ray, and the k factors (L - 1) so far add an L-exponent from 0 to k.  A ray whose factors' N have gcd g
     and sum t reaches t + g*y for y >= 0.  The tuples y are counted for
     each ray alone up to M, and, since the rays share one budget, jointly:
     for each y with sum g*y <= c = M - lo0 - sum t, the box of sides g at
@@ -633,9 +675,18 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
     products the expansion is refused.
 
-    A step multiplies with :meth:`MotPoly._mul_truncated`, which forms no
-    product past T^M, so the planned products bound the work from above;
-    each term's expansion is added into one accumulator.
+    Each planned term is then written straight into one dict, on the
+    least common scale of the coefficients and factors.  The coefficient
+    times (L - 1)^k, spread with binomial weights, is grouped into rows of
+    L-terms, one per (T-power, symbols).  The points of the term's cone,
+    the monomials prod x_i^j_i with every j_i >= 1 for x_i = L^-nu_i T^N_i,
+    are walked once (see :func:`_cone_runs`), each factor's room being the
+    cut less the coefficient's least T-exponent and the least T that the
+    other factors still add.  Each row takes the points in ascending T
+    until its room runs out, so no product past T^M is formed, and each
+    term of the row times each point is added into the dict.  Those
+    products are at most the coefficient length times k + 1 times the
+    tuples counted above, and so within both bounds.
     """
     M = Fraction(M)
     if M < 0:
@@ -657,7 +708,7 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
             jmax = math.floor((M - lo) / f.N)
             if jmax < 1:
                 break
-            steps.append((f, jmax))
+            steps.append(f)
             work += keys * 2 * jmax
             step, total = rays.get(f._ray, (0, 0))
             rays[f._ray] = (_gcd(step, f.N), total + f.N)
@@ -682,7 +733,37 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
                 "refusing to expand to T-order %s: about %d %s, over the limit %d"
                 % (M, n, what, limit)
             )
-    return MotPoly._sum(_expand_term(cur, steps, M) for cur, steps in plan)
+    R = math.lcm(*(cur.scale for cur, _f in plan), *(f._lat[0] for _c, fs in plan for f in fs))
+    cut = M.numerator * R // M.denominator
+    acc: dict = {}
+    get = acc.get
+    for cur, factors in plan:
+        m = R // cur.scale
+        k = len(factors)
+        binom = [(i * R, math.comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
+        # the coefficient times (L - 1)^k, an L-polynomial per (T, symbols)
+        rows: dict = {}
+        for (t, l, s), c in cur._terms.items():
+            row = rows.setdefault((t * m, s), {})
+            for dl, w in binom:
+                ell = l * m + dl
+                row[ell] = row.get(ell, 0) + c * w
+        runs = _cone_runs(factors, R, cut - min(t for t, _s in rows))
+        for (t0, s), row in rows.items():
+            for ts, ls, cs in runs:
+                # the run's points within this row's room, moved to its T-power
+                kept = list(map(add, ts[: bisect.bisect_right(ts, cut - t0)], itertools.repeat(t0)))
+                for l0, w in row.items():
+                    if not w:
+                        continue
+                    keys = zip(kept, map(add, ls, itertools.repeat(l0)), itertools.repeat(s))
+                    for key, x in zip(keys, map(mul, cs, itertools.repeat(w))):
+                        x += get(key, 0)
+                        if x:
+                            acc[key] = x
+                        else:
+                            del acc[key]
+    return MotPoly.from_lattice(acc, R)
 
 
 def _fold_series(z: ZetaExpr, M: Fraction, f: StdFactor) -> MotPoly:
@@ -704,17 +785,49 @@ def _fold_series(z: ZetaExpr, M: Fraction, f: StdFactor) -> MotPoly:
     )
 
 
-def _expand_term(cur: MotPoly, steps, M: Fraction) -> MotPoly:
-    """The coefficient ``cur`` times each planned factor's expansion
-    (L - 1) * sum_{1 <= j <= jmax} L^(-j nu) T^(j N), truncated at T^M."""
-    for f, jmax in steps:
-        r, n, v = f._lattice()
-        step = {}
-        for j in range(1, jmax + 1):
-            step[(j * n, r - j * v, ())] = 1
-            step[(j * n, -j * v, ())] = -1
-        cur = cur._mul_truncated(MotPoly.from_lattice(step, r), M)
-    return cur
+def _cone_runs(factors, R: int, room: int) -> list[tuple]:
+    """The monomials prod x_i^j_i, every j_i >= 1, over the ``factors``'
+    x_i = L^-nu_i T^N_i, up to the T-exponent ``room``, on the scale R:
+    runs (ts, ls, cs), each ascending in T, of the points' T- and
+    L-exponents and the number of ways each is reached.
+
+    The factor of least N comes last: a run is its points from one point
+    of the other factors' cone, made by range().  When it shares its ray
+    with another factor, runs from different points would meet, so the
+    whole cone is walked, its meeting points merged, and it is one run."""
+    lats = sorted(((n * (R // r), v * (R // r)) for r, n, v in map(attrgetter("_lat"), factors)),
+                  reverse=True)
+    # (a, b) lies on the ray of (n, v) when a * v == b * n
+    if not lats or any(a * lats[-1][1] == b * lats[-1][0] for a, b in lats[:-1]):
+        points = _cone_points(lats, room)
+        keys = sorted(points)
+        return [([t for t, _l in keys], [l for _t, l in keys], list(map(points.__getitem__, keys)))]
+    n, v = lats.pop()
+    runs = []
+    for (t, l), c in _cone_points(lats, room - n).items():
+        j = (room - t) // n
+        runs.append((range(t + n, t + (j + 1) * n, n), range(l - v, l - (j + 1) * v, -v), [c] * j))
+    return runs
+
+
+def _cone_points(lats, room: int) -> dict[tuple[int, int], int]:
+    """The cone of the lattice steps ``lats`` = [(N_i*R, nu_i*R)] up to
+    the T-exponent ``room``, as {(t, l): the number of ways it is
+    reached}, walked one factor at a time, each up to ``room`` less the
+    least T that the later factors still add."""
+    tail = sum(n for n, _v in lats)
+    points = {(0, 0): 1}
+    for n, v in lats:
+        tail -= n
+        top = room - tail
+        nxt: dict = {}
+        get = nxt.get
+        for (t, l), c in points.items():
+            j = (top - t) // n
+            for key in zip(range(t + n, t + (j + 1) * n, n), range(l - v, l - (j + 1) * v, -v)):
+                nxt[key] = get(key, 0) + c
+        points = nxt
+    return points
 
 
 def _gcd(a: Fraction, b: Fraction) -> Fraction:

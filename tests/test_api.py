@@ -29,6 +29,9 @@ REMOVED["symring"] += ["_exp_str", "_pow_str", "_lattice_pow_str", "_mono_str", 
 # The per-term factor-tuple printer: every view writes its terms from the
 # key columns now, through one exponent-column helper.
 REMOVED["symring"] += ["_lattice_terms"]
+# The expansion one factor at a time: series_expand writes every term
+# straight into one dict.
+REMOVED["symring"] += ["_expand_term"]
 REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
 # The --check line is written by the one runner of the stratified commands.
 REMOVED["cli"] = ["_check"]
@@ -64,6 +67,9 @@ def test_removed_names_are_gone():
     assert not hasattr(qzeta.cli, "_series_values")
     # the CLI values a series with MotPoly.series_at_L, not per T-column
     assert not hasattr(qzeta.motpoly.MotPoly, "split_T")
+    # the truncated product and the sum of the per-term expansions
+    assert not hasattr(qzeta.motpoly.MotPoly, "_mul_truncated")
+    assert not hasattr(qzeta.motpoly.MotPoly, "_sum")
     # members that only tests read, and helpers with a one-line replacement
     assert not hasattr(qzeta.resolution.Chain2D, "c0")
     assert not hasattr(qzeta.resolution.Chain2D, "c_end")

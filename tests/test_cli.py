@@ -16,7 +16,7 @@ import pytest
 import qzeta
 from qzeta import cli
 from qzeta.cli import main
-from qzeta.symring import RatFunc, ZetaExpr
+from qzeta.symring import MotPoly, RatFunc, ZetaExpr
 
 
 def run(capsys, argv):
@@ -192,6 +192,33 @@ def test_check_different_exits_1(capsys, monkeypatch):
     rc, out, _ = run(capsys, argv)
     assert rc == 1
     assert out.splitlines()[-1] == "cross-check vs closed-form assembly: DIFFERENT"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("yomdin_zeta_closed", ["yomdin", "--m", "5", "--k", "2", "--p", "2", "--q", "3", "--a", "1"]),
+        ("tetra_zeta_closed", ["tetra", "--d", "7", "--q", "3", "--N", "1", "--nu", "2"]),
+    ],
+)
+def test_check_different_on_a_perturbed_closed_form(capsys, monkeypatch, name, argv):
+    # The closed form with L^5 added to one coefficient: its terms are
+    # those of the strata but for one value, so ze_equal compares quotients.
+    closed = getattr(cli, name)
+
+    def perturbed(*args):
+        z = closed(*args)
+        factors, _coeff = next(iter(z.iter_terms()))
+        return z + ZetaExpr.of(MotPoly.L(5), factors)
+
+    monkeypatch.setattr(cli, name, perturbed)
+    for view in ([], ["--json"]):
+        rc, out, _ = run(capsys, argv + ["--check"] + view)
+        assert rc == 1
+        assert out.splitlines()[-1] == "cross-check vs closed-form assembly: DIFFERENT"
+    monkeypatch.undo()
+    rc, out, _ = run(capsys, argv + ["--check"])
+    assert (rc, out.splitlines()[-1]) == (0, "cross-check vs closed-form assembly: EQUAL")
 
 
 def test_hj_arity_error(capsys):
@@ -463,8 +490,9 @@ def test_rational_options_print_as_before(capsys):
 
 
 def test_check_shares_the_printed_fold(capsys, monkeypatch):
-    # --json prints no reduced quotient, so --check folds each route once;
-    # the text view prints the chain's fold and must not fold it again.
+    # --json prints no reduced quotient, so --check folds the chain (the
+    # direct route is one term, compared unreduced); the text view prints
+    # the chain's fold and must not fold it again.
     add = RatFunc.add
     calls = []
 

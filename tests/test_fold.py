@@ -19,7 +19,7 @@ import pytest
 
 from qzeta.groups import GroupAction
 from qzeta.resolution import hj_resolve, hj_stratification
-from qzeta.symring import MotPoly, RatFunc, StdFactor, ZetaExpr, fac, ze_to_ratfunc
+from qzeta.symring import MotPoly, RatFunc, StdFactor, ZetaExpr, fac, ze_equal, ze_to_ratfunc
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 
 FOLD_PIN = (509328, "c3c19380539928e5b248ecfe9ae60f2f67d8302099e1e321696dbc50e42d4ac0")
@@ -84,6 +84,19 @@ def _divisions(monkeypatch, zs):
     for z in zs:
         ze_to_ratfunc(z)
     return exact, terms
+
+
+def test_criterion_4_check_folds_only_the_chain():
+    # The direct route is one term: ze_equal compares it as its unreduced
+    # quotient and leaves it unfolded, and agrees with folding both sides.
+    folded = 0
+    for chain, direct in _criterion_4_sweep():
+        assert ze_equal(chain, direct)
+        assert direct._rf is None
+        folded += chain._rf is not None
+        assert ze_to_ratfunc(chain).equivalent(ze_to_ratfunc(direct))
+    # every chain of more than one term is folded: 197 of the 200
+    assert folded == 197
 
 
 def test_criterion_4_fold_divides_no_more_than_recorded(monkeypatch):

@@ -762,7 +762,7 @@ def test_printing_matches_fraction_reference():
 
 
 # ---------------------------------------------------------------------------
-# the series views: truncated products, the unit roots L = 1 and L = -1,
+# the series views: the expansion, the unit roots L = 1 and L = -1,
 # and the key-only sort of lattice()
 
 
@@ -790,40 +790,73 @@ def _old_series_expand(z, M) -> MotPoly:
     return total
 
 
-def _summed_lattice_poly(r: int, terms) -> MotPoly:
-    """The sum of the terms (t, l, symbols, c), keyed on the scale r itself."""
-    acc: dict = {}
-    for t, l, syms, c in terms:
-        k = (t, l, syms)
-        v = acc.get(k, 0) + c
-        if v:
-            acc[k] = v
-        else:
-            del acc[k]
-    return MotPoly.from_lattice(acc, r)
+def _reference_series(z, M) -> tuple[MotPoly, int]:
+    """series_expand(z, M) by plain products: each coefficient times, for
+    each factor, (L - 1) times its geometric sum taken far enough that no
+    product at or below T^M is missed, then truncate_tau(M).  Also the
+    scale the expansion keeps: the lcm of the scales of the products that
+    leave a term at or below T^M."""
+    M = F(M)
+    total, scales = MotPoly.zero(), []
+    for factors, coeff in z.iter_terms():
+        lo = min(coeff.min_tau(), 0)
+        prod = coeff
+        for f in factors:
+            geo = MotPoly.zero()
+            for j in range(1, math.floor((M - lo) / f.N) + 1):
+                geo = geo + MotPoly.monomial(1, ell=-j * f.nu, tau=j * f.N)
+            prod = prod * (MotPoly.L() - 1) * geo
+        prod = prod.truncate_tau(M)
+        if prod:
+            total = total + prod
+            scales.append(prod.scale)
+    return total.truncate_tau(M), math.lcm(*scales)
 
 
-def test_truncated_product_property():
+# Factors on shared rays, where the points of a cone meet: (1, 1), (2, 2)
+# and (2/3, 2/3), with N = nu; (2, 1) and (4, 2).  The rest have rays of
+# their own.
+_SERIES_FACTORS = [fac(1, 1), fac(2, 2), fac(F(2, 3), F(2, 3)), fac(2, 1), fac(4, 2), fac(1, 2),
+                   fac(F(1, 2), F(3, 2)), fac(3, 1), fac(F(5, 7), F(1, 3))]
+
+
+def test_series_expand_matches_reference_products():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    symmonos = st.sampled_from(((), (), (("a", 1),), (("a", 2), ("b", 1)), (("b", -1),)))
-    polys = st.builds(
-        _summed_lattice_poly,
-        st.sampled_from((1, 2, 3, 6, 7)),
-        st.lists(st.tuples(st.integers(-14, 21), st.integers(-9, 9), symmonos,
-                           st.sampled_from((-3, -1, 1, 2))), max_size=8),
+    symmonos = st.sampled_from(((), (), (("a", 1),), (("a", 1), ("b", 2))))
+    coeffs = st.builds(
+        lambda terms: MotPoly({(F(t, q), F(l, e), s): c for t, q, l, e, s, c in terms}),
+        st.lists(st.tuples(st.integers(-3, 6), st.sampled_from((1, 2, 3)), st.integers(-4, 4),
+                           st.sampled_from((1, 2)), symmonos, st.sampled_from((-2, -1, 1, 3))),
+                 min_size=1, max_size=4),
     )
-    bounds = st.builds(F, st.integers(-6, 24), st.sampled_from((1, 2, 3, 5, 7)))
+    exprs = st.builds(
+        lambda terms: sum((ZetaExpr.of(c, fs) for c, fs in terms), ZetaExpr.zero()),
+        st.lists(st.tuples(coeffs, st.lists(st.sampled_from(_SERIES_FACTORS), max_size=3)),
+                 min_size=1, max_size=4),
+    )
+    orders = st.builds(F, st.integers(0, 18), st.sampled_from((1, 2, 3)))
+    one, a = MotPoly.one(), MotPoly.sym("a")
 
-    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hyp.given(polys, polys, bounds)
-    def check(a, b, M):
-        assert a._mul_truncated(b, M).lattice() == (a * b).truncate_tau(M).lattice()
-        assert b._mul_truncated(a, M) == (a * b).truncate_tau(M)
-        for p in (a, b, a * b):
-            assert p.lattice() == (sorted(p._terms.items()), p.scale)
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(exprs, orders)
+    # M below every N: nothing is kept
+    @hyp.example(ZetaExpr.of(one, (fac(3, 1), fac(2, 1))), F(1))
+    # three factors on one ray, with a symbol and a T^-1 in the coefficient
+    @hyp.example(ZetaExpr.of(a + MotPoly.T(-1), (fac(1, 1), fac(2, 2), fac(F(2, 3), F(2, 3)))),
+                 F(17, 2))
+    # one ray shared by the first two factors, not by the last
+    @hyp.example(ZetaExpr.of(one + MotPoly.L(F(1, 2)), (fac(2, 1), fac(4, 2), fac(1, 1))), F(9))
+    def check(z, M):
+        got = series_expand(z, M)
+        want, scale = _reference_series(z, M)
+        assert got == want
+        assert got.scale == scale
+        assert render_poly(got) == render_poly(want)
+        assert got.lattice() == (sorted(got._terms.items()), got.scale)
 
     check()
+    assert series_expand(ZetaExpr.of(one, (fac(3, 1), fac(2, 1))), 1).lattice() == ([], 1)
 
 
 def test_series_expand_matches_product_then_truncate():

@@ -344,3 +344,26 @@ def test_cyclic_sum_matches_the_fraction_transcription():
     for args in ((5, (1, 2), (1,), (1, 1)), (5, (1,), (1, 2), (1,)), (1, (0, 0), (1, 1), (1,))):
         with pytest.raises(ValueError):
             _cyclic_sum(*args)
+
+
+def test_closed_forms_meet_the_strata_term_by_term():
+    # The closed forms assemble the same terms as the strata, so ze_equal
+    # answers from the term dicts and folds neither side.
+    rng = random.Random(23)
+    for _ in range(40):
+        p = rng.randint(2, 4)
+        q = rng.choice([x for x in range(p + 1, 9) if math.gcd(p, x) == 1])
+        y = YomdinParams(rng.randint(2, 7), rng.randint(1, 4), p, q, rng.randint(1, 4))
+        z, closed = stratified_zeta(yomdin_stratification(y)[0]), yomdin_zeta_closed(y)
+        assert ze_equal(z, closed), y
+        assert z._rf is None and closed._rf is None, y
+    for _ in range(40):
+        d = rng.randint(1, 40)
+        t = TetraParams(d, rng.choice([x for x in range(d) if math.gcd(d, x) == 1] or [0]))
+        N, nu = F(rng.randint(0, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TetraReduced)
+            strat, _chi = tetra_stratification(t, N, nu)
+        z, closed = stratified_zeta(strat), tetra_zeta_closed(t, N, nu)
+        assert ze_equal(z, closed), (t, N, nu)
+        assert z._rf is None and closed._rf is None, (t, N, nu)

@@ -26,6 +26,9 @@ from qzeta.symring import (
     ze_to_ratfunc,
 )
 from qzeta import symring
+from qzeta.groups import GroupAction
+from qzeta.resolution import YomdinParams, hj_resolve, hj_stratification, yomdin_stratification
+from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 from qzeta import topzeta
 from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
 
@@ -143,6 +146,34 @@ def test_ze_equal_positive_and_negative():
     rhs = ZetaExpr([((MotPoly.L() - 1) * geom, ()), (geom, (f,))])
     assert ze_equal(lhs, rhs)
     assert not ze_equal(lhs, ZetaExpr.of(MotPoly.one() + MotPoly.one(), (f,)))
+
+
+def _with_extra_monomial(z: ZetaExpr) -> ZetaExpr:
+    """z with L^5 added to the coefficient of its first term."""
+    factors, _coeff = next(iter(z.iter_terms()))
+    return z + ZetaExpr.of(MotPoly.L(5), factors)
+
+
+def test_ze_equal_negative_cases():
+    # one coefficient gets an extra monomial: the term dicts differ in one
+    # value, and the folds differ
+    y = YomdinParams(4, 2, 2, 3, 1)
+    z = stratified_zeta(yomdin_stratification(y)[0])
+    assert not ze_equal(z, _with_extra_monomial(z))
+    assert not ze_equal(_with_extra_monomial(z), z)
+    # two different one-term expressions, both compared unreduced
+    a, b = ZetaExpr.of(MotPoly.L(), (fac(1, 1),)), ZetaExpr.of(MotPoly.L(), (fac(1, 2),))
+    assert not ze_equal(a, b) and not ze_equal(b, a)
+    assert not ze_equal(ZetaExpr.of(MotPoly.L(), (fac(1, 1), fac(1, 1))), a)
+    assert a._rf is None and b._rf is None
+    # a side with its fold kept against an unreduced side
+    chain = stratified_zeta(hj_stratification(hj_resolve(7, 1, 3), 1, 1, 1, 1))
+    ze_to_ratfunc(chain)
+    other = local_monomial_zeta(GroupAction.cyclic(7, (1, 3)), (1, 1), (1, 2))
+    assert not ze_equal(chain, other) and not ze_equal(other, chain)
+    assert other._rf is None
+    # and the same pair with the matching direct route
+    assert ze_equal(chain, local_monomial_zeta(GroupAction.cyclic(7, (1, 3)), (1, 1), (1, 1)))
 
 
 def test_ze_to_ratfunc_single_factor():
