@@ -7,7 +7,7 @@ quotient by G they are ages, so r is the index -- and each monomial is
 stored under the integer key ``(tau*r, ell*r, symbols)``.  Outside this
 module, polynomials are built and read with Fraction exponents, except
 where a builder already holds the integer exponents (the group sums of
-``zetacore``, the factor binomials of ``symring``) and hands them over
+``zetacore``, the fold of ``symring``) and hands them over
 through :meth:`MotPoly.from_lattice`.
 """
 
@@ -90,8 +90,42 @@ def _fraction(x) -> Fraction:
 
 
 def _rescale(terms: dict[LatKey, int], m: int) -> dict[LatKey, int]:
-    """The same terms on a lattice m times finer."""
+    """The same terms on a lattice m times finer; the terms when m = 1."""
+    if m == 1:
+        return terms
     return {(t * m, l * m, s): c for (t, l, s), c in terms.items()}
+
+
+def _plus(a: dict[LatKey, int], b: dict[LatKey, int]) -> dict[LatKey, int]:
+    """The sum of two term dicts on one scale, zero sums dropped."""
+    acc = dict(a)
+    get = acc.get
+    for k, c in b.items():
+        v = get(k, 0) + c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
+
+
+def _times_binomial(terms: dict[LatKey, int], ta: int, la: int, tb: int, lb: int) -> dict[LatKey, int]:
+    """The terms times the binomial x^(ta, la) - x^(tb, lb), all on one
+    scale, made in one pass that shifts each key by both exponents: the
+    inverse of :meth:`MotPoly.divide_one_minus` when (ta, la) = (0, 0)."""
+    if ta or la:
+        acc = {(t + ta, l + la, s): c for (t, l, s), c in terms.items()}
+    else:
+        acc = dict(terms)
+    get = acc.get
+    for (t, l, s), c in terms.items():
+        k = (t + tb, l + lb, s)
+        v = get(k, 0) - c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
 
 
 def _class_quotient(terms: dict[LatKey, int], r: int, tx: int, lx: int) -> "MotPoly | None":
@@ -266,9 +300,7 @@ class MotPoly:
         if ra == rb:
             return a._terms, b._terms, ra
         r = math.lcm(ra, rb)
-        ta = a._terms if r == ra else _rescale(a._terms, r // ra)
-        tb = b._terms if r == rb else _rescale(b._terms, r // rb)
-        return ta, tb, r
+        return _rescale(a._terms, r // ra), _rescale(b._terms, r // rb), r
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -300,14 +332,7 @@ class MotPoly:
         if not self._terms:
             return other
         a, b, r = self._common(self, other)
-        acc = dict(a)
-        for k, c in b.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-        return MotPoly.from_lattice(acc, r)
+        return MotPoly.from_lattice(_plus(a, b), r)
 
     __radd__ = __add__
 
@@ -543,7 +568,7 @@ class MotPoly:
                 raise MissingChi(syms[0][0])
         raise AssertionError("every term has a value at L = %s" % p)
 
-    # -- binomials: exact division and product ----------------------------
+    # -- binomials: exact division; monomial product ---------------------
 
     def divide_one_minus(self, ell_x, tau_x) -> "MotPoly | None":
         """Exact quotient by ``1 - L^ell_x * T^tau_x``, or None.
@@ -604,44 +629,12 @@ class MotPoly:
         q = _class_quotient(terms, r, 0, r)
         return None if q is None else -q
 
-    def mul_binomial(self, r: int, a: tuple[int, int], b: tuple[int, int]) -> "MotPoly":
-        """The product with the binomial ``x^a - x^b``, whose monomials have
-        the integer keys ``a = (tau*r, ell*r)`` and ``b`` on the scale r.
-
-        The inverse of :meth:`divide_one_minus` when ``a`` is ``(0, 0)``,
-        and equal to ``self * MotPoly.from_lattice({a + ((),): 1, b + ((),):
-        -1}, r)``, on the same lcm scale, made in one pass that shifts each
-        key by ``a`` and by ``b``.
-        """
-        terms, rs = self._terms, self._r
-        if not terms:
-            return MotPoly.zero()
-        R = math.lcm(rs, r)
-        if R != rs:
-            terms = _rescale(terms, R // rs)
-        m = R // r
-        ta, la, tb, lb = a[0] * m, a[1] * m, b[0] * m, b[1] * m
-        if ta or la:
-            acc = {(t + ta, l + la, s): c for (t, l, s), c in terms.items()}
-        else:
-            acc = dict(terms)
-        get = acc.get
-        for (t, l, s), c in terms.items():
-            k = (t + tb, l + lb, s)
-            v = get(k, 0) - c
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-        return MotPoly.from_lattice(acc, R)
-
     def mul_monomial(self, r: int, a: tuple[int, int]) -> "MotPoly":
         """The product with the monomial ``x^a``, ``a = (tau*r, ell*r)`` on
         the scale r: each key shifted by ``a``, on the lcm scale."""
         terms, rs = self._terms, self._r
         R = math.lcm(rs, r)
-        if R != rs:
-            terms = _rescale(terms, R // rs)
+        terms = _rescale(terms, R // rs)
         m = R // r
         ta, la = a[0] * m, a[1] * m
         return MotPoly.from_lattice({(t + ta, l + la, s): c for (t, l, s), c in terms.items()}, R)

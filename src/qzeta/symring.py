@@ -20,9 +20,11 @@ written by :func:`qzeta.topzeta.sum_str`.
 All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
 (for a quotient by G they are ages, so r is the index), and prints them
-from those integers, while factor data and topological zetas are
-:class:`fractions.Fraction` values.  Nothing is approximated, and
-equality of zeta expressions is decided by exact cross-multiplication.
+from those integers; a factor keeps the integer triple (r, N*r, nu*r),
+and the fold and the series plan work on integers too, while
+topological zetas are :class:`fractions.Fraction` values.  Nothing is
+approximated, and equality of zeta expressions is decided by exact
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, attrgetter, floordiv, mul
 from typing import Iterable, Mapping
@@ -43,8 +44,10 @@ from .motpoly import (
     MissingChi,
     MotPoly,
     ValuesAtL,
-    _fraction,
     _mul_syms,
+    _plus,
+    _rescale,
+    _times_binomial,
     reduce_exp,
 )
 from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
@@ -94,45 +97,42 @@ __all__ = [
 
 
 @functools.total_ordering
-@dataclass(frozen=True, eq=False)
 class StdFactor:
     """The factor (L-1) L^-(N s + nu) / (1 - L^-(N s + nu)).
 
-    ``N`` and ``nu`` are Fractions.  The factor also keeps its integer
-    lattice ``(r, N*r, nu*r)``, r the least common denominator of N and nu,
-    its ray (the primitive integer pair on the line of ``(N, nu)``), and
-    the keys of its two binomials for :meth:`MotPoly.mul_binomial`, all
-    made once on construction: the fold reads them for every term and
-    every division.  Order and equality are those of the pair ``(N, nu)``,
-    decided on the lattice by cross-multiplication.
+    A point of the integer lattice: the factor holds its triple ``(r, N*r,
+    nu*r)`` in lowest terms, r the least common denominator of N and nu,
+    and its ray, the primitive pair on the line of ``(N, nu)``.  It reads
+    the numerators and denominators of ints or Fractions (anything else
+    goes through :class:`fractions.Fraction`) and makes no Fraction: the
+    direction ``(-nu, N)`` of its binomial, off which ``N`` and ``nu`` are
+    read, is made when first read and kept, as is the binomial's text once
+    printed.  Order and equality are those of the pair ``(N, nu)``, decided
+    on the triple by cross-multiplication.
     """
 
-    N: Fraction
-    nu: Fraction
+    __slots__ = ("_lat", "_hash", "_ray", "_dir", "_text")
 
-    def __post_init__(self):
-        N, nu = _fraction(self.N), _fraction(self.nu)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "nu", nu)
-        r = math.lcm(N.denominator, nu.denominator)
-        n = N.numerator * (r // N.denominator)
-        v = nu.numerator * (r // nu.denominator)
+    def __init__(self, N, nu):
+        if not isinstance(N, (int, Fraction)):
+            N = Fraction(N)
+        if not isinstance(nu, (int, Fraction)):
+            nu = Fraction(nu)
+        (a, b), (c, d) = N.as_integer_ratio(), nu.as_integer_ratio()
+        r = math.lcm(b, d)
+        n, v = a * (r // b), c * (r // d)
         if n < 0:
-            raise ValueError("factor needs N >= 0, got %s" % (N,))
+            raise ValueError("factor needs N >= 0, got %s" % (Fraction(a, b),))
         if v <= 0:
-            raise ValueError("factor needs nu > 0, got %s" % (nu,))
-        lat = (r, n, v)
-        object.__setattr__(self, "_lat", lat)
-        # The fold looks factors up in dicts several times per term.
-        object.__setattr__(self, "_hash", hash(lat))
-        # The direction (ell, tau) = (-nu, N) of the binomial 1 - L^-nu T^N.
-        object.__setattr__(self, "_direction", (-nu, N))
+            raise ValueError("factor needs nu > 0, got %s" % (Fraction(c, d),))
+        # a prime of r divides b or d to its full power, and so not the
+        # numerator scaled by r // b or r // d: the triple is in lowest terms
+        self._lat = lat = (r, n, v)
+        # the fold looks factors up in dicts several times per term
+        self._hash = hash(lat)
         g = math.gcd(n, v)
-        object.__setattr__(self, "_ray", (n // g, v // g))
-        # numer = x^(n, r - v) - x^(n, -v) and binom = x^(0, 0) - x^(n, -v)
-        # on the scale r, as MotPoly.mul_binomial takes them
-        object.__setattr__(self, "_numer_keys", (r, (n, r - v), (n, -v)))
-        object.__setattr__(self, "_binom_keys", (r, (0, 0), (n, -v)))
+        self._ray = (n // g, v // g)
+        self._dir = self._text = None
 
     def __hash__(self):
         return self._hash
@@ -153,24 +153,34 @@ class StdFactor:
         return v1 * r2 < v2 * r1
 
     @property
+    def _direction(self) -> tuple[Fraction, Fraction]:
+        """(ell, tau) = (-nu, N), the exponents of L and T in the binomial
+        1 - L^-nu T^N, as :meth:`MotPoly.divide_one_minus` takes them; made
+        on the first read and kept."""
+        direction = self._dir
+        if direction is None:
+            r, n, v = self._lat
+            direction = self._dir = (Fraction(-v, r), Fraction(n, r))
+        return direction
+
+    @property
+    def N(self) -> Fraction:
+        return self._direction[1]
+
+    @property
+    def nu(self) -> Fraction:
+        return -self._direction[0]
+
+    @property
     def is_trivial(self) -> bool:
         # Fac(0; 1) = (L-1) L^-1 / (1 - L^-1) = 1.
         return self._lat == (1, 0, 1)
 
-    def _lattice(self) -> tuple[int, int, int]:
-        """(r, N*r, nu*r) with r the least common denominator of N and nu."""
-        return self._lat
-
-    def numer_poly(self) -> MotPoly:
-        """(L - 1) * L^-nu * T^N, the numerator over 1 - L^-nu T^N."""
-        return MotPoly.one().mul_binomial(*self._numer_keys)
-
-    def binom_poly(self) -> MotPoly:
-        """1 - L^-nu T^N."""
-        return MotPoly.one().mul_binomial(*self._binom_keys)
-
     def __str__(self) -> str:
         return "Fac(%s; %s)" % (self.N, self.nu)
+
+    def __repr__(self) -> str:
+        return "StdFactor(N=%r, nu=%r)" % (self.N, self.nu)
 
 
 def fac(N, nu) -> StdFactor:
@@ -324,28 +334,23 @@ class ZetaExpr:
 # rational-function form
 
 
-# L - 1 as the binomial x^(0, 1) - x^(0, 0) on the scale 1, for
-# MotPoly.mul_binomial
-_L_MINUS_ONE_KEYS = (1, (0, 1), (0, 0))
-
-
-def _times_L_minus_one(p: MotPoly, k: int) -> MotPoly:
-    """p * (L - 1)^k."""
+def _times_L_minus_one(terms: dict, k: int, R: int) -> dict:
+    """The lattice terms on the scale R times (L - 1)^k."""
     for _ in range(k):
-        p = p.mul_binomial(*_L_MINUS_ONE_KEYS)
-    return p
+        terms = _times_binomial(terms, 0, R, 0, 0)
+    return terms
 
 
 class RatFunc:
     """numer / prod (1 - L^-nu T^N)^mult, with an exact-division reduction.
 
-    A reduced quotient -- one that :meth:`make`, :meth:`from_term` or
-    :meth:`add` returns -- keeps the invariant that no factor left in its
-    denominator divides its numerator (and a zero numerator keeps no
-    factor).  :meth:`add` and :meth:`from_term` rely on it to skip the
-    divisions that provably fail.  A quotient that may keep a dividing
-    factor -- built by hand, or by :meth:`unreduced`, which :func:`ze_equal`
-    takes for a side of one term -- is valid only for :meth:`equivalent`.
+    A reduced quotient -- one that :meth:`from_term` or
+    :func:`ze_to_ratfunc` returns -- keeps the invariant that no factor
+    left in its denominator divides its numerator (and a zero numerator
+    keeps no factor).  The fold relies on it to skip the divisions that
+    provably fail.  A quotient that may keep a dividing factor -- built by
+    hand, or by :meth:`unreduced`, which :func:`ze_equal` takes for a side
+    of one term -- is valid only for :meth:`equivalent`.
 
     The skips rest on one fact.  A binomial 1 - L^-nu T^N is 1 - y^k for
     the primitive monomial y on its ray, so it is a product of cyclotomic
@@ -353,13 +358,13 @@ class RatFunc:
     binomials on different rays, as well as integers, monomials and
     (L - 1) against an N > 0 factor, are coprime.
 
-    The fold keeps the numerator as ``(L - 1)^k * core``, the content
-    (L - 1)^k that every factor's numerator (L - 1) L^-nu T^N brings held
-    as the exponent k.  Each factor with N > 0 is coprime to L - 1, so it
-    divides the numerator exactly when it divides the core, and the fold
-    divides and raises to common denominators the core alone, about half
-    the size of the numerator.  A factor with N = 0, 1 - L^-nu, shares a
-    factor with L - 1: the core absorbs the content before one is tried.
+    The numerator is kept as ``(L - 1)^k * core``, the content (L - 1)^k
+    that every factor's numerator (L - 1) L^-nu T^N brings held as the
+    exponent k.  Each factor with N > 0 is coprime to L - 1, so it divides
+    the numerator exactly when it divides the core, and the fold divides
+    and raises to common denominators the core alone, about half the size
+    of the numerator.  A factor with N = 0, 1 - L^-nu, shares a factor
+    with L - 1: the core absorbs the content before one is tried.
     ``numer`` is expanded on its first read, and kept; the quotient is the
     same, term for term, as the one that divides whole numerators.  A
     quotient is not changed after it is made.
@@ -387,7 +392,8 @@ class RatFunc:
         """The numerator (L - 1)^k * core, expanded on the first read."""
         numer = self._numer
         if numer is None:
-            numer = self._numer = _times_L_minus_one(self._core, self._k)
+            r = self._core._r
+            numer = self._numer = MotPoly.from_lattice(_times_L_minus_one(self._core._terms, self._k, r), r)
         return numer
 
     def __eq__(self, other):
@@ -406,99 +412,75 @@ class RatFunc:
         return cls(MotPoly.zero(), ())
 
     @classmethod
-    def make(cls, numer: MotPoly, denom: Mapping[StdFactor, int]) -> "RatFunc":
-        """numer / prod f^m over denom = {f: m}, reduced by trying every
-        factor in sorted order."""
-        return cls(*cancel(numer, sorted(denom.items()), _divide_factor))
-
-    @classmethod
     def from_term(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
         """coeff * prod Fac(N; nu), reduced; ``factors`` is sorted.
 
-        The core is the coefficient times the monomials L^-nu T^N, and k
-        counts the factors.  When the coefficient's coefficients sum to
-        zero, L - 1 may divide it, and each L - 1 it takes out adds one
-        to k; not when a factor has N = 0, since the core takes the
-        content back before that factor is tried.  With a coefficient of
-        T-span 0 (one T-power, as in a monomial or a T-free polynomial) no
-        N > 0 factor is tried: the core has T-span 0 too, and a multiple
-        of 1 - L^-nu T^N has a T-span of at least N.
+        The core is the coefficient times the monomials L^-nu T^N, on the
+        least common scale of the coefficient and the factors, and k counts
+        the factors.  When the coefficient's coefficients sum to zero,
+        L - 1 may divide it, and each L - 1 it takes out adds one to k; not
+        when a factor has N = 0, since the core takes the content back
+        before that factor is tried.  With a coefficient of T-span 0 (one
+        T-power, as in a monomial or a T-free polynomial) no N > 0 factor
+        is tried: the core has T-span 0 too, and a multiple of
+        1 - L^-nu T^N has a T-span of at least N.
         """
         if not coeff:
             return cls.zero()
-        core, k = coeff, len(factors)
-        if not factors or factors[0]._lat[1]:  # the factors with N = 0 come first
-            while (q := core.divide_L_minus_one()) is not None:
-                core, k = q, k + 1
         pairs = _pairs(factors)
         taus = {key[0] for key in coeff._terms}
         skip = {f for f, _m in pairs if f._lat[1]} if len(taus) == 1 else ()
-        return _reduced(_shifted(core, factors), k, pairs, skip)
+        k = len(factors)
+        if not factors or factors[0]._lat[1]:  # the factors with N = 0 come first
+            while (q := coeff.divide_L_minus_one()) is not None:
+                coeff, k = q, k + 1
+        core, R = _lifted(coeff, factors)
+        core, k, left = _reduce(core, k, pairs, skip, R)
+        return cls._of(MotPoly.from_lattice(core, R), k, left)
 
     @classmethod
     def unreduced(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
         """coeff * prod Fac(N; nu) as the quotient coeff * prod (L - 1)
         L^-nu T^N over prod (1 - L^-nu T^N), with no division tried; valid
         for :meth:`equivalent` only.  ``factors`` is sorted."""
-        return cls._of(_shifted(coeff, factors), len(factors), tuple(_pairs(factors)))
-
-    def add(self, other: "RatFunc") -> "RatFunc":
-        """The reduced sum of two reduced quotients.
-
-        The sides are brought to the lesser content exponent k, and their
-        cores to the least common denominator.  A factor f with unequal
-        multiplicities on the two sides, and no other factor of the common
-        denominator on its ray, is not tried.  Say it has more on this
-        side.  Raised to the common denominator, the other numerator has f
-        as a factor; this one is its own numerator (which f does not
-        divide, by the invariant) times binomials on other rays, coprime
-        to f, so f does not divide the sum.  Nor is any factor tried when
-        one side is zero.
-        """
-        if not self._core:
-            return other
-        if not other._core:
-            return self
-        na, nb, k = _lesser_content(self, other)
-        na, nb, rows = _common(na, self.denom, nb, other.denom)
-        seen: dict[tuple[int, int], int] = {}
-        for f, _a, _b in rows:
-            seen[f._ray] = seen.get(f._ray, 0) + 1
-        skip = {f for f, a, b in rows if a != b and seen[f._ray] == 1}
-        pairs = [(f, max(a, b)) for f, a, b in rows]
-        return _reduced(na + nb, k, pairs, skip)
+        core, R = _lifted(coeff, factors)
+        return cls._of(MotPoly.from_lattice(core, R), len(factors), tuple(_pairs(factors)))
 
     def equivalent(self, other: "RatFunc") -> bool:
         """Equality as rational functions, for any two quotients, reduced
-        or not: brought to the lesser content exponent k, as in
-        :meth:`add`, the cores over the least common denominator agree
-        (the ring is a domain, so the common (L - 1)^k cancels)."""
-        na, nb, _k = _lesser_content(self, other)
-        na, nb, _rows = _common(na, self.denom, nb, other.denom)
+        or not: on one scale, brought to the lesser content exponent k and
+        the least common denominator as the fold brings two sums (see
+        :func:`_raised`), the cores agree (the ring is a domain, so the
+        common (L - 1)^k cancels)."""
+        R = math.lcm(self._core._r, other._core._r, *(f._lat[0] for f, _m in self.denom + other.denom))
+        na, nb, _k, _rows = _raised(*((_rescale(q._core._terms, R // q._core._r), q._k, q.denom)
+                                      for q in (self, other)), R)
         return na == nb
 
     def __str__(self) -> str:
-        # the monomial L^-nu T^N of each binomial 1 - L^-nu T^N, all written
-        # in one pass on the least common scale of the factors
-        lats = [f._lattice() for f, _m in self.denom]
-        R = math.lcm(*(r for r, _n, _v in lats))
-        monos = _factor_texts(
-            [n * (R // r) for r, n, _v in lats], [-v * (R // r) for r, _n, v in lats],
-            [()] * len(lats), R, TEXT,
-        )
-        den = [(sum_str(("", x), (1, -1), TEXT), m) for x, (_f, m) in zip(monos, self.denom)]
-        return quotient_str(render_poly_factored(self.numer), den)
+        # each factor keeps the text of its binomial; missing ones in one pass
+        lats = {f: f._lat for f, _m in self.denom if f._text is None}
+        if lats:
+            R = math.lcm(*(r for r, _n, _v in lats.values()))
+            monos = _factor_texts(
+                [n * (R // r) for r, n, _v in lats.values()], [-v * (R // r) for r, _n, v in lats.values()],
+                [()] * len(lats), R, TEXT,
+            )
+            for f, mono in zip(lats, monos):
+                f._text = sum_str(("", mono), (1, -1), TEXT)
+        return quotient_str(render_poly_factored(self.numer), [(f._text, m) for f, m in self.denom])
 
 
-def _shifted(p: MotPoly, factors: FacTuple) -> MotPoly:
-    """p times the monomials L^-nu T^N of the ``factors``' numerators."""
-    if not factors:
-        return p
-    lats = [f._lat for f in factors]
-    R = math.lcm(*(r for r, _n, _v in lats))
-    tau = sum(n * (R // r) for r, n, _v in lats)
-    ell = sum(v * (R // r) for r, _n, v in lats)
-    return p.mul_monomial(R, (tau, -ell))
+def _lifted(p: MotPoly, factors: FacTuple) -> tuple[dict, int]:
+    """(terms, R): p times the monomials L^-nu T^N of the ``factors``'
+    numerators, on R, the least common scale of p and the factors."""
+    R = math.lcm(p._r, *(f._lat[0] for f in factors))
+    m = R // p._r
+    tau = ell = 0
+    for r, n, v in map(attrgetter("_lat"), factors):
+        tau += n * (R // r)
+        ell -= v * (R // r)
+    return {(t * m + tau, l * m + ell, s): c for (t, l, s), c in p._terms.items()}, R
 
 
 def _pairs(factors: FacTuple) -> list[tuple[StdFactor, int]]:
@@ -506,59 +488,77 @@ def _pairs(factors: FacTuple) -> list[tuple[StdFactor, int]]:
     return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
 
 
-def _reduced(core: MotPoly, k: int, pairs, skip) -> RatFunc:
-    """(L - 1)^k * core over the (factor, multiplicity) ``pairs``, reduced
-    by :func:`qzeta.topzeta.cancel` on the core; ``skip`` as there.  The
-    content goes into the core first when a factor with N = 0 is tried."""
-    if k:
-        for f, _m in pairs:  # the factors with N = 0 come first
-            if f._lat[1]:
-                break
-            if f not in skip:
-                core, k = _times_L_minus_one(core, k), 0
-                break
-    core, left = cancel(core, pairs, _divide_factor, skip)
-    return RatFunc._of(core, k, left)
+# The fold holds a quotient (L - 1)^k * core / denom as the triple (core,
+# k, denom): the core a dict of lattice terms on the fold's scale R, and
+# denom sorted (factor, multiplicity) pairs.
 
 
-def _lesser_content(a: RatFunc, b: RatFunc) -> tuple[MotPoly, MotPoly, int]:
-    """(na, nb, k) with a = (L - 1)^k * na / a.denom and b = (L - 1)^k *
-    nb / b.denom, k the lesser of the two content exponents."""
-    na, nb, k = a._core, b._core, a._k
-    if k > b._k:
-        na, k = _times_L_minus_one(na, k - b._k), b._k
-    elif k < b._k:
-        nb = _times_L_minus_one(nb, b._k - k)
-    return na, nb, k
+def _reduce(core: dict, k: int, pairs, skip, R: int) -> tuple:
+    """(L - 1)^k * core over the (factor, multiplicity) ``pairs`` on the
+    scale R, reduced by :func:`qzeta.topzeta.cancel` on the core, ``skip``
+    as there, each division staying on R.  The content goes into the core
+    first when a factor with N = 0 is tried."""
+    if not core:
+        return core, 0, ()
+    left = tuple(pairs)
+    if len(skip) < len(pairs):
+        if k:
+            for f, _m in pairs:  # the factors with N = 0 come first
+                if f._lat[1]:
+                    break
+                if f not in skip:
+                    core, k = _times_L_minus_one(core, k, R), 0
+                    break
+        numer, left = cancel(MotPoly.from_lattice(core, R), pairs, _divide_factor, skip)
+        core = numer._terms
+    return core, k, left
 
 
-def _common(na: MotPoly, da, nb: MotPoly, db):
-    """The numerators na over da and nb over db raised to the least common
-    denominator: (na, nb, rows) with rows the (factor, multiplicity in da,
-    multiplicity in db) of each factor of either denominator, in sorted
-    order."""
-    rows = []
-    i = j = 0
-    while i < len(da) and j < len(db):
-        (fa, a), (fb, b) = da[i], db[j]
-        if fa == fb:
-            rows.append((fa, a, b))
-            i += 1
-            j += 1
-        elif fa < fb:
-            rows.append((fa, a, 0))
-            i += 1
-        else:
-            rows.append((fb, 0, b))
-            j += 1
-    rows.extend((f, a, 0) for f, a in da[i:])
-    rows.extend((f, 0, b) for f, b in db[j:])
-    for f, a, b in rows:
-        for _ in range(b - a):
-            na = na.mul_binomial(*f._binom_keys)
-        for _ in range(a - b):
-            nb = nb.mul_binomial(*f._binom_keys)
-    return na, nb, rows
+def _raised(a: tuple, b: tuple, R: int) -> tuple:
+    """Two quotients (core, k, denom) on the scale R over one denominator:
+    (na, nb, k, rows) with a = (L - 1)^k * na / D and b = (L - 1)^k * nb
+    / D, k the lesser content exponent and D the least common denominator,
+    and rows the (factor, multiplicity in a, multiplicity in b) of each
+    factor of D, in sorted order."""
+    (na, k, da), (nb, kb, db) = a, b
+    if k > kb:
+        na, k = _times_L_minus_one(na, k - kb, R), kb
+    elif k < kb:
+        nb = _times_L_minus_one(nb, kb - k, R)
+    ma, mb = dict(da), dict(db)
+    rows = [(f, ma.get(f, 0), mb.get(f, 0)) for f in sorted({**ma, **mb})]
+    for f, x, y in rows:
+        r, n, v = f._lat
+        n, v = n * (R // r), v * (R // r)
+        for _ in range(y - x):
+            na = _times_binomial(na, 0, 0, n, -v)
+        for _ in range(x - y):
+            nb = _times_binomial(nb, 0, 0, n, -v)
+    return na, nb, k, rows
+
+
+def _add(a: tuple, b: tuple, R: int, alone: bool) -> tuple:
+    """The reduced sum of two reduced quotients (core, k, denom) on the
+    scale R; ``alone`` says that no two distinct factors of the fold share
+    a ray.
+
+    A factor f with unequal multiplicities on the two sides, and no other
+    factor of the common denominator on its ray, is not tried.  Say it has
+    more in a.  Raised to the common denominator, b's numerator has f as a
+    factor; a's is its own numerator (which f does not divide, by the
+    invariant) times binomials on other rays, coprime to f, so f does not
+    divide the sum.  Nor is any factor tried when one side is zero.
+    """
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    na, nb, k, rows = _raised(a, b, R)
+    skip = {f for f, x, y in rows if x != y}
+    if skip and not alone:
+        seen = Counter(f._ray for f, _x, _y in rows)
+        skip = {f for f in skip if seen[f._ray] == 1}
+    return _reduce(_plus(na, nb), k, [(f, max(x, y)) for f, x, y in rows], skip, R)
 
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
@@ -569,42 +569,44 @@ def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
 def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
     """Fold a zeta expression into a single reduced rational function.
 
-    Each term is reduced on its own, and the quotients are added with a
-    cancellation pass after each addition.  Each step returns a reduced
-    :class:`RatFunc` (no factor left divides its numerator), so each
-    step can skip the divisions that coprimality rules out (see
-    :meth:`RatFunc.add` and :meth:`RatFunc.from_term`); the result is the
-    one that trying every division gives.
+    The fold runs on one lattice scale R, the lcm of every coefficient's
+    and factor's scale, fixed before the first term.  Each term is reduced
+    on its own by :meth:`RatFunc.from_term`, its coefficient put on R, and
+    the quotients are added as dicts of lattice terms on R by :func:`_add`,
+    with a cancellation pass after each addition, so no step rescales.
+    Each step's quotient is reduced, so each step can skip the divisions
+    that coprimality rules out; the result is the one that trying every
+    division gives.
 
     When the distinct factors of ``z`` lie on pairwise distinct rays, the
-    sum is taken in a balanced tree over the insertion order: neighbours
-    are added pairwise, level by level.  Binomials on distinct rays are
-    coprime, so the reduced quotient is then unique and does not depend
-    on the order.  Builders put terms that share a factor next to each
-    other, so the telescoping cancellations still happen at the first
-    merge that holds them, on numerators of the size of a few terms, not
-    of the running sum.  When two distinct factors share a ray, which
-    factor a reduction keeps depends on the order (see
-    :func:`qzeta.topzeta.cancel`), and the terms are added one by one in
-    insertion order.  The result is kept on ``z``, so a later call
-    (``--check`` after printing, say) returns the same object without
-    folding again.
+    sum is taken in a balanced tree over the insertion order, neighbours
+    pairwise, level by level: their binomials are coprime, so the reduced
+    quotient does not depend on the order.  Builders put terms that share
+    a factor next to each other, so the telescoping cancellations happen
+    at the first merge that holds them, on numerators of the size of a
+    few terms.  When two distinct factors share a ray, which factor a
+    reduction keeps depends on the order (see :func:`qzeta.topzeta.cancel`),
+    and the terms are added one by one in insertion order.  The result is
+    kept on ``z``, so a later call (``--check`` after printing, say)
+    returns the same object without folding again.
     """
     rf = z._rf
     if rf is None:
-        terms = z.iter_terms()
-        facs = {f for factors in z._terms for f in factors}
-        if len({f._ray for f in facs}) == len(facs):
-            level = [RatFunc.from_term(coeff, factors) for factors, coeff in terms]
+        terms = z._terms
+        facs = {f for factors in terms for f in factors}
+        alone = len({f._ray for f in facs}) == len(facs)
+        R = math.lcm(*(c._r for c in terms.values()), *(f._lat[0] for f in facs))
+        leaves = (RatFunc.from_term(MotPoly.from_lattice(_rescale(c._terms, R // c._r), R), factors)
+                  for factors, c in terms.items())
+        level = [(q._core._terms, q._k, q.denom) for q in leaves]
+        if alone:
             while len(level) > 1:
-                merged = list(map(RatFunc.add, level[::2], level[1::2]))
+                merged = [_add(a, b, R, True) for a, b in zip(level[::2], level[1::2])]
                 level = merged + level[-1:] if len(level) % 2 else merged
-            rf = level[0] if level else RatFunc.zero()
-        else:
-            rf = RatFunc.zero()
-            for factors, coeff in terms:
-                rf = rf.add(RatFunc.from_term(coeff, factors))
-        z._rf = rf
+        elif level:
+            level = [functools.reduce(lambda a, b: _add(a, b, R, False), level)]
+        core, k, denom = level[0] if level else ({}, 0, ())
+        rf = z._rf = RatFunc._of(MotPoly.from_lattice(core, R), k, denom)
     return rf
 
 
@@ -673,7 +675,8 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     boxes are disjoint, so over r rays there are at most
     (c + sum g)^r / (r! * prod g).  The lesser count is taken.  Over
     :data:`SERIES_TERM_LIMIT` terms or :data:`SERIES_PRODUCT_LIMIT`
-    products the expansion is refused.
+    products the expansion is refused.  The plan is made on integers, all
+    its exponents and bounds taken times one common scale S.
 
     Each planned term is then written straight into one dict, on the
     least common scale of the coefficients and factors.  The coefficient
@@ -691,35 +694,42 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     M = Fraction(M)
     if M < 0:
         raise ValueError("truncation order must be >= 0")
+    # the plan on the integer lattice of the scale S: every bound below is
+    # its rational form times S, and a floor of a ratio is the same floor
+    S = math.lcm(M.denominator, *(c.scale for c in z._terms.values()),
+                 *(f._lat[0] for factors in z._terms for f in factors))
+    top = M.numerator * (S // M.denominator)
     plan = []
     products = kept = 0
     for factors, coeff in z.iter_terms():
         cur = coeff.truncate_tau(M)
         if cur.is_zero:
             continue
-        lo = lo0 = cur.min_tau()
+        lo = lo0 = min(t for t, _l, _s in cur._terms) * (S // cur.scale)
         steps = []
         keys = most = len(cur)
         work = 0
-        rays: dict = {}  # ray -> (gcd of its N, sum of its N)
+        rays: dict = {}  # ray -> (gcd of its N*S, sum of its N*S)
         for f in sorted(factors):
-            if f.N == 0:
+            r, n, _v = f._lat
+            if not n:
                 return _fold_series(z, M, f)
-            jmax = math.floor((M - lo) / f.N)
+            n *= S // r
+            jmax = (top - lo) // n
             if jmax < 1:
                 break
             steps.append(f)
             work += keys * 2 * jmax
             step, total = rays.get(f._ray, (0, 0))
-            rays[f._ray] = (_gcd(step, f.N), total + f.N)
-            points = math.prod((M - lo0 - t) // g + 1 for g, t in rays.values())
+            rays[f._ray] = (math.gcd(step, n), total + n)
+            points = math.prod((top - lo0 - t) // g + 1 for g, t in rays.values())
             gs, ts = zip(*rays.values())
-            c = M - lo0 - sum(ts)
-            simplex = (c + sum(gs)) ** len(gs) / (math.factorial(len(gs)) * math.prod(gs))
-            points = min(points, math.floor(simplex))
+            c = top - lo0 - sum(ts)
+            simplex = (c + sum(gs)) ** len(gs) // (math.factorial(len(gs)) * math.prod(gs))
+            points = min(points, simplex)
             keys = min(keys * 2 * jmax, len(cur) * (len(steps) + 1) * points)
             most = max(most, keys)
-            lo += f.N
+            lo += n
         else:
             plan.append((cur, steps))
             products += work
@@ -828,13 +838,6 @@ def _cone_points(lats, room: int) -> dict[tuple[int, int], int]:
                 nxt[key] = get(key, 0) + c
         points = nxt
     return points
-
-
-def _gcd(a: Fraction, b: Fraction) -> Fraction:
-    """The greatest Fraction of which a and b are integer multiples."""
-    d = math.lcm(a.denominator, b.denominator)
-    n = math.gcd(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
-    return Fraction(n, d)
 
 
 # ---------------------------------------------------------------------------

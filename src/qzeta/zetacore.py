@@ -90,8 +90,17 @@ def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPol
     return MotPoly.from_lattice(dict(acc), g.d_exp * D)
 
 
-def _factors(Nvec, nuvec) -> tuple[StdFactor, ...]:
-    return tuple(fac(N, nu) for N, nu in zip(Nvec, nuvec, strict=True))
+def _factors(Nvec, nuvec, made: dict) -> list[StdFactor]:
+    """Fac(N_i; nu_i) over the int or Fraction pairs, each distinct factor
+    built once: ``made`` keeps it by the integer ratios of its (N, nu)."""
+    out = []
+    for N, nu in zip(Nvec, nuvec, strict=True):
+        key = N.as_integer_ratio() + nu.as_integer_ratio()
+        f = made.get(key)
+        if f is None:
+            f = made[key] = StdFactor(N, nu)
+        out.append(f)
+    return out
 
 
 def local_monomial_zeta(
@@ -106,9 +115,10 @@ def local_monomial_zeta(
             "action %r has quasi-reflexions; reduce it or pass allow_nonsmall"
             % (g,)
         )
+    Nvec, nuvec = tuple(map(_fraction, Nvec)), tuple(map(_fraction, nuvec))
     # times L^-n: each key's L-exponent shifted by -n
     coeff = s_g_sum(g, Nvec, nuvec).mul_monomial(1, (0, -g.n))
-    return ZetaExpr.of(coeff, _factors(Nvec, nuvec))
+    return ZetaExpr.of(coeff, _factors(Nvec, nuvec, {}))
 
 
 def affine_monomial_zeta(Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> ZetaExpr:
@@ -241,14 +251,7 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
             raise NotSmall("stratum group %r has quasi-reflexions" % (st.group,))
         else:
             coeff = (st.klass * s_g_sum(st.group, st.Nvec, st.nuvec)).mul_monomial(1, shift)
-        factors = []
-        for N, nu in zip(st.Nvec, st.nuvec):
-            key = (N.numerator, N.denominator, nu.numerator, nu.denominator)
-            f = made.get(key)
-            if f is None:
-                f = made[key] = StdFactor(N, nu)
-            factors.append(f)
-        terms.append((coeff, factors))
+        terms.append((coeff, _factors(st.Nvec, st.nuvec, made)))
     return ZetaExpr(terms)
 
 

@@ -32,6 +32,10 @@ REMOVED["symring"] += ["_lattice_terms"]
 # The expansion one factor at a time: series_expand writes every term
 # straight into one dict.
 REMOVED["symring"] += ["_expand_term"]
+# The fold's per-step helpers on whole polynomials, and the Fraction gcd of
+# the series plan: the fold adds lattice dicts on one scale, and the plan
+# is made on integers.
+REMOVED["symring"] += ["_common", "_lesser_content", "_reduced", "_shifted", "_gcd"]
 REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
 # The --check line is written by the one runner of the stratified commands.
 REMOVED["cli"] = ["_check"]
@@ -70,6 +74,14 @@ def test_removed_names_are_gone():
     # the truncated product and the sum of the per-term expansions
     assert not hasattr(qzeta.motpoly.MotPoly, "_mul_truncated")
     assert not hasattr(qzeta.motpoly.MotPoly, "_sum")
+    # a factor's polynomials, which only tests read, and the keys and
+    # Fractions it kept from construction; the sum of two quotients, and the
+    # quotient that tries every division
+    for attr in ("numer_poly", "binom_poly", "_numer_keys", "_binom_keys", "_lattice", "__dict__"):
+        assert not hasattr(qzeta.symring.StdFactor(1, 1), attr), attr
+    assert not hasattr(qzeta.symring.RatFunc, "add") and not hasattr(qzeta.symring.RatFunc, "make")
+    # the binomial product on whole polynomials: the fold's is on term dicts
+    assert not hasattr(qzeta.motpoly.MotPoly, "mul_binomial")
     # members that only tests read, and helpers with a one-line replacement
     assert not hasattr(qzeta.resolution.Chain2D, "c0")
     assert not hasattr(qzeta.resolution.Chain2D, "c_end")

@@ -22,6 +22,8 @@ from qzeta.resolution import hj_resolve, hj_stratification
 from qzeta.symring import MotPoly, RatFunc, StdFactor, ZetaExpr, fac, ze_equal, ze_to_ratfunc
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 
+from fold_reference import add, binom_keys, binom_poly, mul_binomial, numer_keys, numer_poly, ref_fold
+
 FOLD_PIN = (509328, "c3c19380539928e5b248ecfe9ae60f2f67d8302099e1e321696dbc50e42d4ac0")
 
 
@@ -253,20 +255,20 @@ def test_mul_binomial_is_the_product_and_division_inverts_it():
     def check(p, r, a, b):
         hyp.assume(a != b and b != (0, 0))
         want = p * MotPoly.from_lattice({a + ((),): 1, b + ((),): -1}, r)
-        got = p.mul_binomial(r, a, b)
+        got = mul_binomial(p, r, a, b)
         assert got == want and got.lattice() == want.lattice()
         # x^(0, 0) - x^b = 1 - L^(b_ell/r) T^(b_tau/r)
-        assert p.mul_binomial(r, (0, 0), b).divide_one_minus(F(b[1], r), F(b[0], r)) == p
+        assert mul_binomial(p, r, (0, 0), b).divide_one_minus(F(b[1], r), F(b[0], r)) == p
 
     check()
     # a factor's two binomials, on a scale finer than the polynomial's
     f = fac(F(3, 2), F(5, 4))
     p = MotPoly.sym("C") * MotPoly.L(F(1, 3)) - MotPoly.T(2)
-    assert p.mul_binomial(*f._numer_keys) == p * f.numer_poly()
-    assert p.mul_binomial(*f._binom_keys) == p * f.binom_poly()
-    assert p.mul_binomial(*f._binom_keys).scale == 12
-    assert p.mul_binomial(*f._binom_keys).divide_one_minus(*f._direction) == p
-    assert MotPoly.zero().mul_binomial(*f._binom_keys) == MotPoly.zero()
+    assert mul_binomial(p, *numer_keys(f)) == p * numer_poly(f)
+    assert mul_binomial(p, *binom_keys(f)) == p * binom_poly(f)
+    assert mul_binomial(p, *binom_keys(f)).scale == 12
+    assert mul_binomial(p, *binom_keys(f)).divide_one_minus(*f._direction) == p
+    assert mul_binomial(MotPoly.zero(), *binom_keys(f)) == MotPoly.zero()
 
 
 def test_factor_rays_are_the_primitive_pairs():
@@ -308,14 +310,72 @@ def test_factor_order_is_the_fraction_order():
 def test_factor_keeps_fractions_and_its_polynomials():
     f = StdFactor(F(9, 500), F(23, 1000))
     assert str(f) == "Fac(9/500; 23/1000)"
-    assert f._lattice() == (1000, 18, 23)
-    assert f.numer_poly().scale == f.binom_poly().scale == 1000
-    assert f.numer_poly() == (MotPoly.L() - 1) * MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
-    assert f.binom_poly() == MotPoly.one() - MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
+    assert f._lat == (1000, 18, 23)
+    assert numer_poly(f).scale == binom_poly(f).scale == 1000
+    assert numer_poly(f) == (MotPoly.L() - 1) * MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
+    assert binom_poly(f) == MotPoly.one() - MotPoly.monomial(1, ell=F(-23, 1000), tau=F(9, 500))
     g = fac(3, 2)
     assert type(g.N) is F and type(g.nu) is F and g == StdFactor(F(3), F(2))
     assert fac(0, 1).is_trivial and not fac(0, 2).is_trivial
     assert (g == (3, 2)) is False
+
+
+def test_factor_is_built_from_ints_fractions_and_strings():
+    # Fac(3/2; 5/6) on its lattice: r = 6, N*r = 9, nu*r = 5
+    want = StdFactor(F(3, 2), F(5, 6))
+    for N, nu in ((F(3, 2), F(5, 6)), ("3/2", "5/6"), (" 6/4 ", F(10, 12)), (1.5, "5/6")):
+        for f in (StdFactor(N, nu), fac(N, nu)):
+            assert f._lat == (6, 9, 5) and f == want and hash(f) == hash(want)
+            assert str(f) == "Fac(3/2; 5/6)"
+    for N, nu in ((3, 2), (F(3), F(2)), ("3", "2"), (F(6, 2), "4/2")):
+        assert fac(N, nu)._lat == (1, 3, 2) and fac(N, nu) == StdFactor(3, 2)
+
+
+def test_factor_triple_order_and_fractions_follow_the_pairs():
+    rng = random.Random(2401)
+    pairs, facs = [], []
+    for _ in range(300):
+        N = F(rng.randint(0, 40), rng.choice((1, 2, 3, 4, 6, 9, 12, 500)))
+        nu = F(rng.randint(1, 40), rng.choice((1, 2, 3, 5, 8, 12, 1000)))
+        # the same pair as a Fraction, an int where it is whole, or a string
+        args = [x if rng.randrange(3) else str(x) for x in (N, nu)]
+        args = [int(x) if isinstance(x, F) and x.denominator == 1 and rng.randrange(2) else x for x in args]
+        f = rng.choice((StdFactor, fac))(*args)
+        r, n, v = f._lat
+        assert math.gcd(r, n, v) == 1 and (F(n, r), F(v, r)) == (N, nu)
+        assert type(f.N) is F and type(f.nu) is F and (f.N, f.nu) == (N, nu)
+        g = math.gcd(n, v)
+        assert f._ray == (n // g, v // g) and f._direction == (-nu, N)
+        pairs.append((N, nu))
+        facs.append(f)
+    for _ in range(2000):
+        i, j = rng.randrange(len(facs)), rng.randrange(len(facs))
+        if rng.randrange(4) == 0:
+            j = i
+        a, b = facs[i], facs[j]
+        assert (a == b) == (pairs[i] == pairs[j]) and (a != b) == (pairs[i] != pairs[j])
+        assert (a < b) == (pairs[i] < pairs[j]) and (a >= b) == (pairs[i] >= pairs[j])
+        if a == b:
+            assert hash(a) == hash(b)
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    assert sorted(facs) == [facs[i] for i in order]
+    assert len(set(facs)) == len(set(pairs))
+
+
+def test_factor_refusals_keep_their_messages():
+    cases = [
+        ((-1, 1), "factor needs N >= 0, got -1"),
+        ((F(-1, 2), 1), "factor needs N >= 0, got -1/2"),
+        (("-3/6", 0), "factor needs N >= 0, got -1/2"),
+        ((1, 0), "factor needs nu > 0, got 0"),
+        ((F(1, 3), F(-2, 3)), "factor needs nu > 0, got -2/3"),
+        ((0, "0/5"), "factor needs nu > 0, got 0"),
+    ]
+    for args, message in cases:
+        for make in (StdFactor, fac):
+            with pytest.raises(ValueError) as exc:
+                make(*args)
+            assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +386,7 @@ def _insertion_order_fold(z) -> RatFunc:
     """The fold that adds the terms one by one, in insertion order."""
     rf = RatFunc.zero()
     for factors, coeff in z.iter_terms():
-        rf = rf.add(RatFunc.from_term(coeff, factors))
+        rf = add(rf, RatFunc.from_term(coeff, factors))
     return rf
 
 
@@ -389,3 +449,65 @@ def test_shared_ray_fold_keeps_insertion_order():
     assert not _rays_distinct(z)
     assert str(ze_to_ratfunc(z)) == SHARED_RAY_QUOTIENT
     _assert_folds_agree(z)
+
+
+# ---------------------------------------------------------------------------
+# the fold on one lattice scale against the fold on whole polynomials
+
+
+# Three factors on the ray (1, 2), three on (1, 1), two with N = 0, and
+# others alone on their rays; fractional N and nu among them.
+_FOLD_DATA = [(1, 2), (2, 4), (F(3, 2), 3), (1, 1), (2, 2), (F(1, 2), F(1, 2)), (0, 2),
+              (0, F(1, 2)), (3, 1), (F(2, 3), F(5, 4)), (F(1, 3), F(7, 3))]
+
+
+def _fold_coeff(rng: random.Random) -> MotPoly:
+    """One to three monomials with fractional exponents and class symbols."""
+    c = MotPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        c = c + MotPoly.monomial(
+            rng.choice((-2, -1, 1, 3)),
+            ell=F(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+            tau=F(rng.randint(-1, 4), rng.choice((1, 2, 5))),
+            syms=rng.choice(((), (), (("C0", 1),), (("C0", 1), ("C1", 2)))),
+        )
+    return c
+
+
+def _rewritten(z: ZetaExpr) -> ZetaExpr:
+    """z with the first factor f of each term written as Fac = (L - 1) x +
+    x Fac for x = L^-nu T^N: the same rational function in other terms."""
+    out = ZetaExpr.zero()
+    for factors, coeff in z.iter_terms():
+        if not factors:
+            out = out + ZetaExpr.of(coeff)
+            continue
+        f, rest = factors[0], factors[1:]
+        x = MotPoly.monomial(1, ell=-f.nu, tau=f.N)
+        out = out + ZetaExpr([(coeff * (MotPoly.L() - 1) * x, rest), (coeff * x, factors)])
+    return out
+
+
+def test_lattice_fold_matches_the_fold_on_whole_polynomials():
+    rng = random.Random(2402)
+    shared = n0 = zero = symbols = 0
+    for _ in range(300):
+        z = ZetaExpr(
+            (_fold_coeff(rng), [fac(*rng.choice(_FOLD_DATA)) for _ in range(rng.randint(0, 3))])
+            for _ in range(rng.randint(1, 6))
+        )
+        if rng.randrange(4) == 0:
+            z = z - _rewritten(z)
+        if rng.randrange(3) == 0:
+            z = z + _rewritten(ZetaExpr(
+                (_fold_coeff(rng), [fac(*rng.choice(_FOLD_DATA))]) for _ in range(rng.randint(1, 3))
+            ))
+        got, want = ze_to_ratfunc(z), ref_fold(z)
+        assert got.numer == want.numer and got.denom == want.denom
+        assert str(got) == str(want)
+        facs = {f for factors, _c in z.iter_terms() for f in factors}
+        shared += len({f._ray for f in facs}) < len(facs)
+        n0 += any(f.N == 0 for f in facs)
+        zero += not got.numer and not z.is_zero
+        symbols += any(syms for _t, _l, syms in got.numer._terms)
+    assert shared > 100 and n0 > 100 and zero > 30 and symbols > 100

@@ -781,7 +781,7 @@ def _old_series_expand(z, M) -> MotPoly:
             jmax = math.floor((M - lo) / f.N)
             if jmax < 1:
                 break  # every product of this term lies past T^M
-            r, n, v = f._lattice()
+            r, n, v = f._lat
             geo = MotPoly.from_lattice({(j * n, -j * v, ()): 1 for j in range(1, jmax + 1)}, r)
             cur = (cur * ((MotPoly.L() - 1) * geo)).truncate_tau(M)
             lo += f.N
@@ -1022,7 +1022,7 @@ def _old_render_factored(p: MotPoly) -> str:
 def _old_ratfunc_str(rf: RatFunc) -> str:
     den = []
     for f, m in rf.denom:
-        r, n, v = f._lattice()
+        r, n, v = f._lat
         binom = _old_lattice_terms([((0, 0, ()), 1), ((n, -v, ()), -1)], r, _OLD_TEXT)
         den.append("(%s)%s" % (_old_sum_str(binom, _OLD_TEXT), "" if m == 1 else "^%d" % m))
     num = _old_render_factored(rf.numer)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -31,6 +32,8 @@ from qzeta.resolution import YomdinParams, hj_resolve, hj_stratification, yomdin
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 from qzeta import topzeta
 from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
+
+from fold_reference import add, binom_poly, make, numer_poly
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -114,7 +117,7 @@ def test_divide_one_minus_roundtrip():
 def test_ratfunc_cancellation():
     f = fac(2, 3)
     # (1 - L^-3 T^2) / (1 - L^-3 T^2) = 1
-    rf = RatFunc.make(MotPoly.one() - MotPoly.monomial(1, ell=-3, tau=2), {f: 1})
+    rf = make(MotPoly.one() - MotPoly.monomial(1, ell=-3, tau=2), {f: 1})
     assert rf.numer == MotPoly.one()
     assert rf.denom == ()
 
@@ -123,7 +126,7 @@ def test_cancel_walks_factors_in_sorted_order():
     # x = L^-1 T: 1 - x^2 over (1 - x)(1 - x^2).  1 - x = Fac(1; 1) sorts
     # first, so the quotient is (1 + x)/(1 - x^2), not 1/(1 - x).
     f1, f2 = fac(1, 1), fac(2, 2)
-    rf = RatFunc.make(f2.binom_poly(), {f2: 1, f1: 1})
+    rf = make(binom_poly(f2), {f2: 1, f1: 1})
     assert rf.numer == MotPoly.one() + MotPoly.monomial(1, ell=-1, tau=1)
     assert rf.denom == ((f2, 1),)
 
@@ -131,11 +134,11 @@ def test_cancel_walks_factors_in_sorted_order():
 def test_ratfunc_add_and_equivalent():
     f = fac(1, 1)
     one_minus = MotPoly.one() - MotPoly.monomial(1, ell=-1, tau=1)
-    a = RatFunc.make(MotPoly.one(), {f: 1})
-    b = RatFunc.make(-MotPoly.monomial(1, ell=-1, tau=1), {f: 1})
-    s = a.add(b)
+    a = make(MotPoly.one(), {f: 1})
+    b = make(-MotPoly.monomial(1, ell=-1, tau=1), {f: 1})
+    s = add(a, b)
     assert s.numer == MotPoly.one() and s.denom == ()
-    assert RatFunc.make(one_minus, {f: 1}).equivalent(RatFunc.make(MotPoly.one(), {}))
+    assert make(one_minus, {f: 1}).equivalent(make(MotPoly.one(), {}))
 
 
 def test_ze_equal_positive_and_negative():
@@ -180,7 +183,7 @@ def test_ze_to_ratfunc_single_factor():
     f = fac(2, 1)
     rf = ze_to_ratfunc(ZetaExpr.of(MotPoly.one(), (f,)))
     assert rf.denom == ((f, 1),)
-    assert rf.numer == f.numer_poly()
+    assert rf.numer == numer_poly(f)
 
 
 def test_series_geometric():
@@ -324,6 +327,59 @@ def test_series_budget_bounds_the_work(monkeypatch):
     assert _series_budget(monkeypatch, z, 1100)[0] == 3 * 302500
 
 
+def _fraction_plan(z, M) -> tuple[int, int]:
+    """The (terms, products) of series_expand's plan, made in Fraction
+    arithmetic as the plan was before it moved onto integers."""
+    M = F(M)
+    kept = products = 0
+    for factors, coeff in z.iter_terms():
+        cur = coeff.truncate_tau(M)
+        if cur.is_zero:
+            continue
+        lo = lo0 = cur.min_tau()
+        steps, keys, work, rays = 0, len(cur), 0, {}
+        most = keys
+        for f in sorted(factors):
+            jmax = math.floor((M - lo) / f.N)
+            if jmax < 1:
+                break
+            steps += 1
+            work += keys * 2 * jmax
+            step, total = rays.get(f._ray, (F(0), F(0)))
+            d = math.lcm(step.denominator, f.N.denominator)
+            g = F(math.gcd(step.numerator * (d // step.denominator), f.N.numerator * (d // f.N.denominator)), d)
+            rays[f._ray] = (g, total + f.N)
+            points = math.prod((M - lo0 - t) // g + 1 for g, t in rays.values())
+            gs, ts = zip(*rays.values())
+            simplex = (M - lo0 - sum(ts) + sum(gs)) ** len(gs) / (math.factorial(len(gs)) * math.prod(gs))
+            points = min(points, math.floor(simplex))
+            keys = min(keys * 2 * jmax, len(cur) * (steps + 1) * points)
+            most = max(most, keys)
+            lo += f.N
+        else:
+            kept, products = kept + most, products + work
+    return kept, products
+
+
+def test_series_plan_on_integers_matches_the_fraction_plan(monkeypatch):
+    # shared rays, fractional N and nu, coefficients with fractional and
+    # negative T-exponents, fractional M
+    pool = [fac(1, 1), fac(2, 2), fac(F(2, 3), F(2, 3)), fac(2, 1), fac(4, 2), fac(1, 2),
+            fac(F(1, 2), F(3, 2)), fac(3, 1), fac(F(5, 7), F(1, 3)), fac(F(3, 4), F(9, 8))]
+    rng = random.Random(2403)
+    planned = 0
+    for _ in range(200):
+        z = ZetaExpr.zero()
+        for _ in range(rng.randint(1, 3)):
+            coeff = _rand_poly(rng, 3) + MotPoly.monomial(1, ell=rng.randint(-2, 2))
+            z = z + ZetaExpr.of(coeff, rng.sample(pool, rng.randint(1, 4)))
+        M = F(rng.randint(0, 40), rng.choice((1, 2, 3, 7)))
+        want = _fraction_plan(z, M)
+        assert _series_budget(monkeypatch, z, M) == want, (z, M)
+        planned += want[1] > 0
+    assert planned > 150
+
+
 def test_candidate_poles():
     z = ZetaExpr.of(MotPoly.one(), (fac(2, 3), fac(1, 1), fac(0, 2)))
     assert candidate_poles(z) == {F(-3, 2), F(-1)}
@@ -382,7 +438,7 @@ def test_quotient_str_layout():
     assert quotient_str("1 + s", []) == "1 + s"
     assert quotient_str("0", [("s + 1", 2)]) == "0"
     assert quotient_str("2", [("s + 1", 1), ("2*s + 3", 2)]) == "(2) / ((s + 1) * (2*s + 3)^2)"
-    rf = RatFunc.make(MotPoly.one(), Counter({fac(1, 1): 2}))
+    rf = make(MotPoly.one(), Counter({fac(1, 1): 2}))
     assert str(rf) == "(1) / ((1 - L^-1 * T)^2)"
     assert str(TopZeta([(F(1), {(F(1), F(1)): 2})])) == "(1) / ((s + 1)^2)"
 
@@ -669,7 +725,7 @@ def _ref_make(numer, denom):
 def _ref_from_term(coeff, factors):
     numer = coeff
     for f in factors:
-        numer = numer * f.numer_poly()
+        numer = numer * numer_poly(f)
     return _ref_make(numer, Counter(factors))
 
 
@@ -681,11 +737,11 @@ def _ref_add(a, b):
     na = a.numer
     for f in dmax:
         for _ in range(dmax[f] - da[f]):
-            na = na * f.binom_poly()
+            na = na * binom_poly(f)
     nb = b.numer
     for f in dmax:
         for _ in range(dmax[f] - db[f]):
-            nb = nb * f.binom_poly()
+            nb = nb * binom_poly(f)
     return _ref_make(na + nb, dmax)
 
 
@@ -694,9 +750,9 @@ def _ref_equivalent(a, b):
     na, nb = a.numer, b.numer
     for f in set(da) | set(db):
         for _ in range(max(da[f], db[f]) - da[f]):
-            na = na * f.binom_poly()
+            na = na * binom_poly(f)
         for _ in range(max(da[f], db[f]) - db[f]):
-            nb = nb * f.binom_poly()
+            nb = nb * binom_poly(f)
     return na == nb
 
 
@@ -812,20 +868,20 @@ def test_ratfunc_fold_matches_reference():
         z = _rand_zeta(rng)
         got, want = RatFunc.zero(), RatFunc.zero()
         for factors, coeff in z.iter_terms():
-            got = got.add(RatFunc.from_term(coeff, factors))
+            got = add(got, RatFunc.from_term(coeff, factors))
             want = _ref_add(want, _ref_from_term(coeff, factors))
         assert got.numer == want.numer and got.denom == want.denom
         assert str(got) == str(want)
         assert got == ze_to_ratfunc(z)
         # the sum with its negation has a zero numerator and no factor
         neg = ze_to_ratfunc(-z)
-        assert got.add(neg) == _ref_add(want, neg) == RatFunc.zero()
+        assert add(got, neg) == _ref_add(want, neg) == RatFunc.zero()
 
         # the same quotient over one more factor, another expression, and
         # a numerator that differs
         f = rng.choice(_FACS)
         padded = RatFunc(
-            got.numer * f.binom_poly(),
+            got.numer * binom_poly(f),
             tuple(sorted((Counter(dict(got.denom)) + Counter({f: 1})).items())),
         )
         assert got.equivalent(padded) and padded.equivalent(got)
@@ -865,7 +921,7 @@ def _rand_coeff(rng: random.Random) -> MotPoly:
         return mono
     if kind == 1:
         return mono + _rand_poly(rng, 3)
-    return mono * _ray_fac(rng).binom_poly()
+    return mono * binom_poly(_ray_fac(rng))
 
 
 def _assert_reduced(rf: RatFunc):
@@ -890,7 +946,7 @@ def test_fold_matches_the_fold_that_tries_every_division():
             monomial += len(coeff) == 1
             multi += len(coeff) > 1
             common = Counter(dict(got.denom)) | Counter(dict(term.denom))
-            got, want = got.add(term), _ref_add(want, ref)
+            got, want = add(got, term), _ref_add(want, ref)
             assert got.numer.lattice() == want.numer.lattice()
             assert got.denom == want.denom and str(got) == str(want)
             _assert_reduced(got)
@@ -915,7 +971,7 @@ def test_fold_matches_the_fold_that_tries_every_division():
             absorbed += has_n0 and term._k == 0 and j > 0
             tfree += len(coeff) > 1 and not coeff.has_T()
             mixed += bool(got._k != term._k and got.numer and term.numer)
-            got, want = got.add(term), _ref_add(want, ref)
+            got, want = add(got, term), _ref_add(want, ref)
             assert got.numer.lattice() == want.numer.lattice()
             assert got.denom == want.denom and str(got) == str(want)
             _assert_reduced(got)
@@ -924,13 +980,13 @@ def test_fold_matches_the_fold_that_tries_every_division():
         flat = RatFunc(got.numer, got.denom)
         f = _ray_fac(rng)
         padded = RatFunc(
-            got.numer * f.binom_poly(),
+            got.numer * binom_poly(f),
             tuple(sorted((Counter(dict(got.denom)) + Counter({f: 1})).items())),
         )
         for other in (flat, padded, RatFunc(got.numer + MotPoly.one(), got.denom)):
             assert got.equivalent(other) == other.equivalent(got) == _ref_equivalent(got, other)
         assert got.equivalent(flat) and got == flat
-        doubled = got.add(flat)
+        doubled = add(got, flat)
         assert doubled == _ref_add(want, want) and str(doubled) == str(_ref_add(want, want))
     assert pulled > 200 and tfree > 200 and absorbed > 80 and mixed > 150
 

@@ -54,9 +54,8 @@ def test_group_action_keeps_the_elements_slot():
     assert len(g.elements()) == 5 and g._elements is not None
 
 
-def test_fold_divides_through_the_traced_method(monkeypatch):
-    # symring.divide_calls and divide_useful_ratio count calls of this
-    # method; a fold that divided some other way would read 0 for both
+def _divisions(monkeypatch, z) -> list:
+    """The results of the divide_one_minus calls that folding ``z`` makes."""
     calls = []
     divide = MotPoly.divide_one_minus
 
@@ -65,6 +64,25 @@ def test_fold_divides_through_the_traced_method(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
-    ze_to_ratfunc(stratified_zeta(hj_stratification(hj_resolve(7, 1, 3), 1, 1, 1, 1)))
+    ze_to_ratfunc(z)
+    monkeypatch.undo()
+    return calls
+
+
+def test_fold_divides_through_the_traced_method(monkeypatch):
+    # symring.divide_calls and divide_useful_ratio count calls of this
+    # method; a fold that divided some other way would read 0 for both
+    calls = _divisions(monkeypatch, stratified_zeta(hj_stratification(hj_resolve(7, 1, 3), 1, 1, 1, 1)))
+    useful = [q for q in calls if q is not None]
+    assert len(calls) > len(useful) > 0
+
+
+def test_shared_ray_fold_divides_through_the_traced_method(monkeypatch):
+    # every factor of this chain lies on the ray (1, 1), so the fold adds
+    # its terms one by one in insertion order, not in a balanced tree
+    z = stratified_zeta(hj_stratification(hj_resolve(33, 31, 26), 2, 2, 2, 2))
+    facs = {f for factors, _c in z.iter_terms() for f in factors}
+    assert len({f._ray for f in facs}) == 1 < len(facs)
+    calls = _divisions(monkeypatch, z)
     useful = [q for q in calls if q is not None]
     assert len(calls) > len(useful) > 0
