@@ -265,9 +265,15 @@ def cmd_tetra(args) -> int:
 
 def _group_report(literal: str) -> dict:
     """What ``group`` prints about the action, with no group object kept:
-    the enumerated columns are freed before the measures are written."""
+    the enumerated columns are freed before the measures are written.
+
+    The orbifold measure is the age measure of the action itself (see
+    :func:`zetacore.orb_measure_origin`), and the Gorenstein measure that of
+    the reduced action; a small action is its own reduction, so its two
+    measures are one polynomial, summed once and held under both keys."""
     g = groups.parse_group_literal(literal)
     reduced, m = groups.small_reduce(g)
+    gor = zetacore.gor_measure_origin(g, reduced)
     return {
         "order": g.order,
         "exponent": g.exponent(),
@@ -275,8 +281,8 @@ def _group_report(literal: str) -> dict:
         "small": all(x == 1 for x in m),
         "reduced": groups.group_literal(reduced),
         "m": list(m),
-        "gor_measure": zetacore.gor_measure_origin(g, reduced),
-        "orb_measure": zetacore.orb_measure_origin(g),
+        "gor_measure": gor,
+        "orb_measure": gor if reduced is g else zetacore.orb_measure_origin(g),
     }
 
 

@@ -13,8 +13,9 @@ Every subgroup is built by one coset walk (``_walk``): each generator adds
 the cosets of the span so far by its multiples, up to the first multiple
 already in it, so each element is made once whatever the presentation.
 Membership is read off integer codes of the vectors (``_codes``).  Ages
-and weights are summed down the columns (``_dot``) and zero counts read
-off them (``_zero_counts``), here and in ``zetacore``.
+are summed down the columns (``_dot``), here and in ``zetacore``, and the
+quasi-reflections found by the zero count of each element
+(``_zero_counts``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .motpoly import MAX_DIGITS
 
 # The largest order an action may have, taken exactly from its generators
 # (see _order) before anything is enumerated.  The budget is about 10 s and
-# 1 GB for one `group` command.  Measured per command with --json, three runs
-# each in a fresh interpreter, on 2 shared vCPUs (CPython 3.11.7):
-# "(10^5;1,3)" 0.27-0.33 s and 63 MB, the non-small "(2*10^5;1,2,2,2)"
-# 1.2-1.7 s and 161 MB, and, with the bound raised, "(10^6;1,3)" 2.4-2.7 s
-# and 404 MB and "(5*10^5;1,2,2,2)" 3.5-3.9 s and 346 MB.
+# 1 GB for one `group` command.  Measured per command with --json, four runs
+# (two with the bound raised) each in a fresh interpreter, on 2 shared vCPUs
+# (CPython 3.11.7): "(10^5;1,3)" 0.21-0.23 s and 47 MB, the non-small
+# "(2*10^5;1,2,2,2)" 0.95-1.02 s and 161 MB, and, with the bound raised,
+# "(10^6;1,3)" 1.5 s and 291 MB and "(5*10^5;1,2,2,2)" 2.5 s and 346 MB.
 SIZE_LIMIT = 2 * 10**5
 
 __all__ = [
@@ -351,8 +352,16 @@ def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
 
     Returns ``(reduced, m)`` where coordinate i of the original space maps
     to its m_i-th power; the reduced action is small and has the same
-    quotient space.  Each pass divides by the subgroup acting on a single
-    coordinate; passes repeat until no quasi-reflection is left.
+    quotient space, and a small ``g`` is returned itself.  Each pass
+    divides by the subgroup acting on a single coordinate; passes repeat
+    until no quasi-reflection is left.
+
+    A pass maps the current action's generators only, x_i -> m_i x_i and
+    then each entry divided by g0, the gcd of d_exp and every image entry
+    (an element is a sum of generator multiples, so its entries add
+    nothing to that gcd).  The image is the subgroup those vectors span:
+    one ``_walk`` makes each of its elements once, and
+    :meth:`GroupAction._from_columns` presents it.
     """
     n = g.n
     cur = g
@@ -367,14 +376,13 @@ def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
             break
         d = cur.d_exp
         m_pass = [d // math.gcd(d, *map(col.__getitem__, refl)) for col in cols]
-        cols = [
-            col if mi == 1 else list(map(mod, map(mul, col, repeat(mi)), repeat(d)))
-            for mi, col in zip(m_pass, cols)
-        ]
-        g0 = math.gcd(d, *(math.gcd(*col) for col in cols))
-        if g0 > 1:
-            cols = [list(map(floordiv, col, repeat(g0))) for col in cols]
-        cur = GroupAction._from_columns(cols, d // g0, n)
+        gens = [tuple(mi * a % d for mi, a in zip(m_pass, gen)) for gen in cur._generators()]
+        g0 = math.gcd(d, *chain(*gens))
+        d //= g0
+        image = [[0]] * n
+        for gen in gens:
+            image = _walk(image, tuple(a // g0 for a in gen), d)
+        cur = GroupAction._from_columns(image, d, n)
         m_total = [a * b for a, b in zip(m_total, m_pass)]
     return cur, tuple(m_total)
 

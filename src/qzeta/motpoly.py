@@ -164,9 +164,8 @@ class MotPoly:
     symmono)`` with ``tau`` the T-exponent and ``ell`` the L-exponent;
     values are nonzero ints and the zero polynomial has no terms.
     Operands on different scales meet on the lcm of the two.  Fractions
-    appear only where exponents cross the boundary: the constructor, the
-    readers :meth:`terms` and :meth:`min_tau`, and the T-exponents that
-    :meth:`series_at_L` returns.
+    appear only where exponents cross the boundary: the constructor and
+    the readers :meth:`terms` and :meth:`min_tau`.
     Printing and JSON read the integer keys as columns (:meth:`columns`)
     and reduce each exponent x/r to lowest terms.
     """
@@ -424,16 +423,6 @@ class MotPoly:
             {k: c for k, c in self._terms.items() if k[0] <= cut}, self._r
         )
 
-    def coeff_of_T(self, j) -> "MotPoly":
-        """The coefficient of T^j, as a polynomial with no T part."""
-        j = _fraction(j)
-        tj, rem = divmod(j.numerator * self._r, j.denominator)
-        if rem:
-            return MotPoly.zero()
-        return MotPoly.from_lattice(
-            {(0, l, s): c for (t, l, s), c in self._terms.items() if t == tj}, self._r
-        )
-
     # -- specializations -------------------------------------------------
 
     def chi(self, chi_env: Mapping[str, int] | None = None) -> int:
@@ -452,7 +441,7 @@ class MotPoly:
     def eval_L(self, p) -> Fraction:
         """Exact value with L = p (T powers are not evaluable here).
 
-        This is the T-free case of :meth:`series_at_L`.  A polynomial with
+        This is the T-free case of :meth:`values_at_L`.  A polynomial with
         a T power fails at its first term, in canonical order, that has a T
         power or no value.
         """
@@ -461,12 +450,6 @@ class MotPoly:
             self._raise_first_failure(p, t_free=True)
         values = self.values_at_L(p).values
         return _fraction(values[0]) if values else Fraction(0)
-
-    def series_at_L(self, p) -> list[tuple[Fraction, Fraction]]:
-        """[(tau, value at L = p of the coefficient of T^tau)], ascending in
-        tau: :meth:`values_at_L` with each exponent and value a Fraction."""
-        ts, values, r = self.values_at_L(p)
-        return [(Fraction(t, r), _fraction(v)) for t, v in zip(ts, values)]
 
     def values_at_L(self, p) -> ValuesAtL:
         """The value at L = p of the coefficient of each T-power, as columns.

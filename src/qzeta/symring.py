@@ -106,12 +106,11 @@ class StdFactor:
     the numerators and denominators of ints or Fractions (anything else
     goes through :class:`fractions.Fraction`) and makes no Fraction: the
     direction ``(-nu, N)`` of its binomial, off which ``N`` and ``nu`` are
-    read, is made when first read and kept, as is the binomial's text once
-    printed.  Order and equality are those of the pair ``(N, nu)``, decided
-    on the triple by cross-multiplication.
+    read, is made when first read and kept.  Order and equality are those
+    of the pair ``(N, nu)``, decided on the triple by cross-multiplication.
     """
 
-    __slots__ = ("_lat", "_hash", "_ray", "_dir", "_text")
+    __slots__ = ("_lat", "_hash", "_ray", "_dir")
 
     def __init__(self, N, nu):
         if not isinstance(N, (int, Fraction)):
@@ -132,7 +131,7 @@ class StdFactor:
         self._hash = hash(lat)
         g = math.gcd(n, v)
         self._ray = (n // g, v // g)
-        self._dir = self._text = None
+        self._dir = None
 
     def __hash__(self):
         return self._hash
@@ -458,17 +457,26 @@ class RatFunc:
         return na == nb
 
     def __str__(self) -> str:
-        # each factor keeps the text of its binomial; missing ones in one pass
-        lats = {f: f._lat for f, _m in self.denom if f._text is None}
-        if lats:
-            R = math.lcm(*(r for r, _n, _v in lats.values()))
-            monos = _factor_texts(
-                [n * (R // r) for r, n, _v in lats.values()], [-v * (R // r) for r, _n, v in lats.values()],
-                [()] * len(lats), R, TEXT,
-            )
-            for f, mono in zip(lats, monos):
-                f._text = sum_str(("", mono), (1, -1), TEXT)
-        return quotient_str(render_poly_factored(self.numer), [(f._text, m) for f, m in self.denom])
+        return quotient_str(
+            render_poly_factored(self.numer), [(_binomial_text(f._lat), m) for f, m in self.denom]
+        )
+
+
+def _binomial_text(lat: tuple[int, int, int]) -> str:
+    """The text ``1 - L^a * T^b`` of the binomial 1 - L^-nu T^N of the
+    factor with the triple (r, N*r, nu*r), as :func:`render_poly` writes
+    it: each exponent in lowest terms, a fractional one in parentheses,
+    T^1 as ``T``, and no T for N = 0.  Here nu > 0, so L's power is never
+    0 or 1 and is always written."""
+    r, n, v = lat
+    g = math.gcd(v, r)
+    ell = "%d" % (-v // r) if g == r else "(%d/%d)" % (-v // g, r // g)
+    if not n:
+        return "1 - L^" + ell
+    g = math.gcd(n, r)
+    if g == r:
+        return "1 - L^%s * T" % ell if n == r else "1 - L^%s * T^%d" % (ell, n // r)
+    return "1 - L^%s * T^(%d/%d)" % (ell, n // g, r // g)
 
 
 def _lifted(p: MotPoly, factors: FacTuple) -> tuple[dict, int]:
@@ -1058,14 +1066,14 @@ def json_dump(obj: dict) -> str:
     ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
     polynomial replaced by its ``json_obj()`` and each ``ValuesAtL`` by its
     list of ``{"T", "value"}`` dicts.  Each distinct polynomial is written
-    once: a value ``==`` to one already written reuses its text, as the
-    Gorenstein and orbifold measures of a small action do.
+    once: a value that is, or is ``==`` to, one already written reuses its
+    text, as the Gorenstein and orbifold measures of a small action do.
     """
     written: list[tuple[MotPoly, str]] = []
 
     def poly_text(p: MotPoly) -> str:
         for q, text in written:
-            if q == p:
+            if q is p or q == p:
                 return text
         text = json_poly(p)
         written.append((p, text))

@@ -24,10 +24,10 @@ from .groups import NotSmall, SizeLimit, _walk
 # The largest group order build_tetra enumerates, checked before it starts.
 # The budget is about 10 s and 1 GB for one `tetra --stringy`, whose
 # conjugacy search costs most per element on the small members (order
-# 3 d^2).  Measured per command, three runs each in a fresh interpreter, on
-# 2 shared vCPUs (CPython 3.11.7): --d 258 --q 257 (order 199,692) 1.5-1.7 s
-# and 88 MB, and, with the bound raised, --d 400 --q 399 (order 480,000)
-# 4.5-5.2 s and 190 MB.
+# 3 d^2).  Measured per command, four runs (two with the bound raised) each
+# in a fresh interpreter, on 2 shared vCPUs (CPython 3.11.7): --d 258
+# --q 257 (order 199,692) 0.68-0.70 s and 88 MB, and, with the bound
+# raised, --d 400 --q 399 (order 480,000) 1.9-2.1 s and 189 MB.
 TETRA_SIZE_LIMIT = 2 * 10**5
 
 __all__ = [
@@ -165,15 +165,19 @@ def is_small_tetra(t: TetraGroup) -> bool:
 
 
 def conjugacy_count(t: TetraGroup) -> int:
-    """Number of conjugacy classes, by orbit search under the generators.
+    """Number of conjugacy classes, by orbit search under two generators.
 
-    Conjugation by the shift B and by the three diagonal generators (the
-    unit vectors i, j, k of the parametrisation) closes each class.  Each
-    element not yet reached opens a class, which a stack search closes
-    under h -> s h s^-1 for every generator s.  Each s permutes the finite
-    group, so a set closed under s is closed under s^-1 too.
+    G is generated by the shift B and the three diagonal generators (the
+    images of the unit vectors i, j, k of the parametrisation), and the
+    last two of those are B^-1 g B and B g B^-1 for the first one, g:
+    conjugation by B rotates a diagonal's entries.  So conjugation by B
+    and by g alone closes each class.  Each element not yet reached opens
+    a class, which a stack search closes under h -> s h s^-1 for s = B and
+    s = g.  Each s permutes the finite group, so a set closed under s is
+    closed under s^-1 too, and so under conjugation by every product of B
+    and g.  All four generators are still checked to lie in G.
 
-    The four permutations are made without a group product per element.
+    The two permutations are made without a group product per element.
     The shift-free elements form a normal subgroup A, and c(h) = s h s^-1
     is an automorphism, so on (j, e) = (j, 0) (0, e) it is
 
@@ -205,7 +209,7 @@ def conjugacy_count(t: TetraGroup) -> int:
             "generator %r not in G%r" % ((j, e), (d, q))
         )
     perms = []
-    for s in gens:
+    for s in gens[:2]:
         s_inv = t.inv(s)
         tau = [t.mul(t.mul(s, (j, (0, 0, 0))), s_inv) for j in range(3)]
         lin = [t.mul(t.mul(s, (0, e)), s_inv) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]

@@ -218,14 +218,6 @@ class TopZeta:
     def __hash__(self):
         return hash(self._canonical())
 
-    def eval_at(self, s0) -> Fraction:
-        s0 = Fraction(s0)
-        num = sum((c * s0**k for k, c in enumerate(self.numer_red)), Fraction(0))
-        den = Fraction(1)
-        for (N, nu), m in self.denom_red:
-            den *= (N * s0 + nu) ** m
-        return num / den
-
     def poles(self) -> set[Fraction]:
         return {Fraction(-nu, 1) / N for (N, nu), _m in self.denom_red if N != 0}
 

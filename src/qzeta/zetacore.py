@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 import math
-from operator import mul, neg, sub
+from operator import neg, sub
 from typing import Iterable, Sequence
 
-from .groups import GroupAction, NotSmall, _dot, _zero_counts, is_small, small_reduce
+from .groups import GroupAction, NotSmall, _dot, is_small, small_reduce
 from .motpoly import _fraction
 from .symring import MotPoly, Rat, StdFactor, ZetaExpr, fac
 
@@ -259,9 +259,12 @@ def stratified_zeta(strat: Stratification, allow_nonsmall: bool = False) -> Zeta
 # motivic measures of the origin
 
 
-def _measure(exps: Counter, r: int) -> MotPoly:
-    """sum over x of exps[x] * L^(x/r), built with its keys in ascending
+def _age_measure(g: GroupAction) -> MotPoly:
+    """sum over gamma in g of L^(age(gamma) - n), each age the column sum
+    of gamma on the scale r = d_exp; the keys are built in ascending
     order, so that the sort in lattice() finds them in one run."""
+    r = g.d_exp
+    exps = Counter(map(sub, _dot(g.columns(), repeat(1)), repeat(g.n * r)))
     xs = sorted(exps)
     return MotPoly.from_lattice(dict(zip(zip(repeat(0), xs, repeat(())), map(exps.__getitem__, xs))), r)
 
@@ -269,21 +272,19 @@ def _measure(exps: Counter, r: int) -> MotPoly:
 def gor_measure_origin(g: GroupAction, reduced: GroupAction | None = None) -> MotPoly:
     """Gorenstein measure of the origin: sum L^(age(gamma) - n) over the
     smallified action; ``reduced`` is ``small_reduce(g)[0]`` if the caller
-    already has it.  Each age is its column sum on the scale r."""
+    already has it."""
     if reduced is None:
         reduced, _m = small_reduce(g)
-    r = reduced.d_exp
-    return _measure(Counter(map(sub, _dot(reduced.columns(), repeat(1)), repeat(g.n * r))), r)
+    return _age_measure(reduced)
 
 
 def orb_measure_origin(g: GroupAction) -> MotPoly:
     """Orbifold measure of the origin: sum L^(-w(gamma)) over the given
-    action, where w counts zero exponents at full weight: -w is -r times
-    the zero count less the column sum, on the scale r.  On a small action
-    w(gamma) = n - age(gamma^-1), so this equals the Gorenstein measure."""
-    r = g.d_exp
-    cols = g.columns()
-    return _measure(Counter(map(sub, map(mul, _zero_counts(cols), repeat(-r)), _dot(cols, repeat(1)))), r)
+    action, where w(gamma) counts zero exponents at full weight.  For every
+    diagonal gamma, w(gamma) = n - age(gamma^-1), and gamma -> gamma^-1
+    permutes the group, so this is the age measure of the unreduced action:
+    on a small action, the Gorenstein measure itself."""
+    return _age_measure(g)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,14 @@ def test_removed_names_are_gone():
             assert attr not in getattr(mod, "__all__", ()) and not hasattr(mod, attr), (name, attr)
             assert attr not in qzeta.__all__ and not hasattr(qzeta, attr), attr
     assert not hasattr(qzeta.cli, "_series_values")
-    # the CLI values a series with MotPoly.series_at_L, not per T-column
+    # the CLI values a series with MotPoly.values_at_L, not per T-column
     assert not hasattr(qzeta.motpoly.MotPoly, "split_T")
+    # readers that only tests called: they live in tests/readers.py
+    for attr in ("series_at_L", "coeff_of_T"):
+        assert not hasattr(qzeta.motpoly.MotPoly, attr), attr
+    assert not hasattr(qzeta.topzeta.TopZeta, "eval_at")
+    # the evaluation the tracer wraps stays
+    assert callable(qzeta.motpoly.MotPoly.eval_L)
     # the truncated product and the sum of the per-term expansions
     assert not hasattr(qzeta.motpoly.MotPoly, "_mul_truncated")
     assert not hasattr(qzeta.motpoly.MotPoly, "_sum")

@@ -23,6 +23,12 @@ The four after it (the symbol tail of ``strata`` in text and LaTeX, and a
 non-unit ``--eval-L`` with fractional values in text and JSON) were
 recorded while every printer still walked the terms one tuple at a time
 and each value was a Fraction.
+The last two (a rank-2 ``group --json`` with one row of units and one
+reflection row, the shape of the benchmark's abelian actions, and a
+``tetra --stringy`` beyond the d <= 40 numpy sweep) were recorded while
+the orbifold measure was still summed from zero counts apart from the
+Gorenstein one, ``small_reduce`` still mapped every element, and
+``conjugacy_count`` still conjugated by all four generators.
 Any change to rendering, term order, reduction,
 evaluation, error precedence or JSON layout shows up here.  Each run takes
 well under two seconds.
@@ -180,6 +186,16 @@ PINS = [
          "--eval-L", "16", "--json"],
         4070,
         "7293c692735296070f97c4541b03b0d3d8a761c2adf3d7cdf288dfaa95c9465f",
+    ),
+    (
+        ["group", "(68,93;61,5,13,11;55,0,0,0)", "--json"],
+        422146,
+        "9ebd3bfc6b3487af88c95fa9cf703c6f527c0d7505cc8f798e420e141a821f3c",
+    ),
+    (
+        ["tetra", "--d", "57", "--q", "56", "--stringy"],
+        37,
+        "afebb6fd5e9516f8f91de39aa795c4daffe54479165b4851e8fdd4cf909054ca",
     ),
 ]
 

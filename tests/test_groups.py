@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qzeta.cli import _group_report
 from qzeta.groups import (
     SIZE_LIMIT,
     GroupAction,
@@ -18,6 +19,7 @@ from qzeta.groups import (
     small_reduce,
 )
 from qzeta.motpoly import MotPoly
+from qzeta.symring import json_dump
 from qzeta.zetacore import gor_measure_origin, orb_measure_origin, s_g_sum
 
 L = MotPoly.L
@@ -376,3 +378,50 @@ def test_column_kernels_match_per_element_loops():
 
     check()
     assert seen["nonsmall"] > 50 and seen["redundant"] > 50
+
+
+def _seeded_action(rng: random.Random, shape: str) -> GroupAction:
+    """A seeded action of rank 1-3 on 1-4 coordinates, or, for ``shape ==
+    "enum"``, the benchmark's rank-2 shape: Z/d1 x Z/d2 with d1 and d2
+    coprime, one row of units mod d1 and one reflection row, a unit mod d2
+    on one axis."""
+    n = rng.randint(1, 4)
+    if shape == "enum":
+        while True:
+            d1, d2 = rng.randint(2, 24), rng.randint(2, 12)
+            if math.gcd(d1, d2) == 1:
+                break
+        units = [a for a in range(1, d1) if math.gcd(a, d1) == 1]
+        reflection = [0] * n
+        reflection[rng.randrange(n)] = rng.choice([a for a in range(1, d2) if math.gcd(a, d2) == 1])
+        return GroupAction((d1, d2), ([rng.choice(units) for _ in range(n)], reflection), n)
+    orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+    rows = [[rng.choice((0, rng.randint(-30, 30))) for _ in range(n)] for _ in orders]
+    return GroupAction(orders, rows, n)
+
+
+def test_measures_and_reduction_on_seeded_actions():
+    """The orbifold measure is the age measure of the action itself, equal to
+    the weight sum; a report holds one object for both measures exactly
+    when the action is small, and writes the JSON the weight sum writes;
+    the reduction of each pass's generator images agrees with the
+    reference."""
+    rng = random.Random(25)
+    seen = {"small": 0, "nonsmall": 0, "enum": 0}
+    for i in range(600):
+        shape = "enum" if i % 3 == 0 else "rank"
+        g = _seeded_action(rng, shape)
+        reduced, m = small_reduce(g)
+        assert (group_literal(reduced), m) == _ref_small_reduce(g.orders, g.rows, g.n)
+        assert (reduced is g) == is_small(g)
+        gor, orb = _loop_measures(g, reduced)
+        assert orb_measure_origin(g).lattice() == orb.lattice()
+        assert gor_measure_origin(g, reduced).lattice() == gor.lattice()
+        rep = _group_report(group_literal(g))
+        assert rep["small"] == is_small(g)
+        assert (rep["gor_measure"] is rep["orb_measure"]) == rep["small"]
+        assert rep["orb_measure"].lattice() == orb.lattice()
+        assert json_dump(rep) == json_dump({**rep, "orb_measure": orb, "gor_measure": gor})
+        seen["small" if rep["small"] else "nonsmall"] += 1
+        seen["enum"] += shape == "enum" and not rep["small"]
+    assert seen["small"] > 100 and seen["nonsmall"] > 250 and seen["enum"] == 200

@@ -43,6 +43,8 @@ from qzeta.symring import (
 from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
+from readers import coeff_of_T, series_at_L
+
 # ---------------------------------------------------------------------------
 # mixed scales
 
@@ -638,16 +640,16 @@ def test_series_values_match_fraction_reference():
     for _ in range(300):
         ser = _rand_lattice_poly(rng, with_T=True)
         P = rng.choice(_P_VALUES)
-        got = _outcome(ser.series_at_L, P)
+        got = _outcome(series_at_L, ser, P)
         assert got == _outcome(_ref_series_values, ser, P), (ser, P)
         seen.add(got[0])
     # a T power is a column here, not a failure; every other outcome shows
     assert seen == {"value", FractionalPowerUnevaluable, ZeroDivisionError, MissingChi}
     ser = MotPoly.from_lattice({(4, -2, ()): 3, (0, 6, ()): 1}, 4)
-    assert ser.series_at_L(16) == [(F(0), F(64)), (F(1), F(3, 4))]
+    assert series_at_L(ser, 16) == [(F(0), F(64)), (F(1), F(3, 4))]
     # a class symbol has no value, and is named
     ser = ser + MotPoly.from_lattice({(4, 1, (("a", 1),)): -1}, 4)
-    assert _outcome(ser.series_at_L, 16) == (MissingChi, "a")
+    assert _outcome(series_at_L, ser, 16) == (MissingChi, "a")
 
 
 def test_series_values_on_one_common_root():
@@ -658,13 +660,13 @@ def test_series_values_on_one_common_root():
          (18, 9, ()): 3, (24, 0, ()): -1}, 12
     )
     for P in (2**12, F(3**12, 5**12), -(2**12), -(2**15), 2**13, 0):
-        got = _outcome(ser.series_at_L, P)
+        got = _outcome(series_at_L, ser, P)
         assert got == _outcome(_ref_series_values, ser, P), P
-        for t, v in ser.series_at_L(2**12):
-            col = ser.coeff_of_T(t)
+        for t, v in series_at_L(ser, 2**12):
+            col = coeff_of_T(ser, t)
             assert v == _ref_eval_L(col.terms(), 2**12)
-    assert ser.series_at_L(2**12)[0] == (F(0), F(2**6))
-    assert _outcome(ser.series_at_L, -(2**15)) == (
+    assert series_at_L(ser, 2**12)[0] == (F(0), F(2**6))
+    assert _outcome(series_at_L, ser, -(2**15)) == (
         FractionalPowerUnevaluable, "-32768 has no exact rational 2-th root"
     )
     # odd denominators 3, 5 and 15 all have roots of -(2^15): with the
@@ -672,17 +674,17 @@ def test_series_values_on_one_common_root():
     odd = MotPoly.from_lattice(
         {(0, 5, ()): 1, (0, -3, ()): 2, (15, 10, ()): -1, (15, 1, ()): 4, (30, -6, ()): 7}, 15
     )
-    got = odd.series_at_L(-(2**15))
+    got = series_at_L(odd, -(2**15))
     assert got == _ref_series_values(odd, -(2**15))
     x = F(-2)
     assert got == [(F(0), x**5 + 2 * x**-3), (F(1), -(x**10) + 4 * x), (F(2), 7 * x**-6)]
-    assert [odd.coeff_of_T(t).eval_L(-(2**15)) for t, _v in got] == [v for _t, v in got]
+    assert [coeff_of_T(odd, t).eval_L(-(2**15)) for t, _v in got] == [v for _t, v in got]
     # the root is of the order the exponents need, not of the scale: on
     # scale 12 with integer exponents, p = 2 has no 12-th root but needs none
     ints = MotPoly.from_lattice({(12, 24, ()): 1, (24, -12, ()): 3, (24, 0, ()): 1}, 12)
-    assert ints.series_at_L(2) == [(F(1), F(4)), (F(2), F(3, 2) + 1)]
+    assert series_at_L(ints, 2) == [(F(1), F(4)), (F(2), F(3, 2) + 1)]
     # the error names the first failing term's own order, L^(-1/5), not 15
-    assert _outcome(odd.series_at_L, 2**14) == (
+    assert _outcome(series_at_L, odd, 2**14) == (
         FractionalPowerUnevaluable, "16384 has no exact rational 5-th root"
     )
 
@@ -711,7 +713,7 @@ def test_series_values_property():
     @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hyp.given(series(), series(with_T=False), st.sampled_from(P_values))
     def check(ser, col, P):
-        assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P)
+        assert _outcome(series_at_L, ser, P) == _outcome(_ref_series_values, ser, P)
         assert _outcome(col.eval_L, P) == _outcome(_ref_eval_L, col.terms(), P)
         assert _outcome(ser.eval_L, P) == _outcome(_ref_eval_L, ser.terms(), P)
 
@@ -740,11 +742,11 @@ def test_digits_bound_covers_every_value():
     # each column is bounded on its own: 2^10000 and 2^-10000 print, though
     # the exponents of the whole series span 20000
     ser = MotPoly.from_lattice({(0, 10000, ()): 1, (1, -10000, ()): 1}, 1)
-    assert ser.series_at_L(2) == [(F(0), F(2**10000)), (F(1), F(1, 2**10000))]
+    assert series_at_L(ser, 2) == [(F(0), F(2**10000)), (F(1), F(1, 2**10000))]
     # the first column over the bound, in T order, is named
     ser = MotPoly.from_lattice({(2, 15000, ()): 1, (1, 14300, ()): 1, (0, 1, ()): 1}, 1)
     with pytest.raises(TooManyDigits, match=r"^the coefficient of T\^1 at L = 2 may have 4305 "):
-        ser.series_at_L(2)
+        series_at_L(ser, 2)
 
 
 def test_printing_matches_fraction_reference():
@@ -903,19 +905,19 @@ def test_unit_root_values_match_fraction_reference():
     ints = MotPoly.from_lattice({(4, 8, ()): 1, (4, -4, ()): 3, (8, 0, ()): -1, (8, 12, ()): 1}, 4)
     for ser in (odd, even, ints, MotPoly.zero()):
         for P in (1, -1):
-            assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P), (ser, P)
+            assert _outcome(series_at_L, ser, P) == _outcome(_ref_series_values, ser, P), (ser, P)
     # the columns of odd at -1: each term signed by (-1)^k, k its exponent on the root
-    assert odd.series_at_L(-1) == [(F(-1), F(3)), (F(0), F(-3)), (F(1), F(-5)), (F(2), F(0))]
-    assert odd.series_at_L(1) == [(F(-1), F(3)), (F(0), F(3)), (F(1), F(3)), (F(2), F(0))]
+    assert series_at_L(odd, -1) == [(F(-1), F(3)), (F(0), F(-3)), (F(1), F(-5)), (F(2), F(0))]
+    assert series_at_L(odd, 1) == [(F(-1), F(3)), (F(0), F(3)), (F(1), F(3)), (F(2), F(0))]
     # D = 12 is even: -1 has no 12-th root, and the first term that needs one is named
-    assert _outcome(even.series_at_L, -1) == (
+    assert _outcome(series_at_L, even, -1) == (
         FractionalPowerUnevaluable, "-1 has no exact rational 2-th root"
     )
     rng = random.Random(71)
     for _ in range(300):
         ser = _rand_lattice_poly(rng, with_T=True)
         P = rng.choice((1, -1))
-        assert _outcome(ser.series_at_L, P) == _outcome(_ref_series_values, ser, P), (ser, P)
+        assert _outcome(series_at_L, ser, P) == _outcome(_ref_series_values, ser, P), (ser, P)
 
 
 def test_unit_root_refusals():
@@ -924,7 +926,7 @@ def test_unit_root_refusals():
     # terms together have: the values are returned
     under = MotPoly.from_lattice({(0, 0, ()): 6 * 10**4299, (1, 1, ()): -6 * 10**4299}, 1)
     for P in (1, -1):
-        assert under.series_at_L(P) == [(F(0), F(6 * 10**4299)), (F(1), F(-6 * 10**4299) * P)]
+        assert series_at_L(under, P) == [(F(0), F(6 * 10**4299)), (F(1), F(-6 * 10**4299) * P)]
     # the first column past the limit, in T order, is named, though its
     # value is 0, a later column is larger, and the dict holds that one first
     over = MotPoly.from_lattice(
@@ -932,15 +934,15 @@ def test_unit_root_refusals():
     )
     for P in (1, -1):
         with pytest.raises(TooManyDigits, match=r"^the coefficient of T\^1 at L = %d may have 4301 " % P):
-            over.series_at_L(P)
+            series_at_L(over, P)
     # a class symbol is reported before any digit bound, and the one named
     # is the first in canonical order, not in the order of the dict
     syms = over + MotPoly.from_lattice(
         {(5, 0, (("b", 1),)): 1, (3, 1, (("z", 1),)): 1, (3, 1, (("a", 1),)): 2}, 1
     )
     for P in (1, -1):
-        assert _outcome(syms.series_at_L, P) == (MissingChi, "a")
-        assert _outcome((syms - over + under).series_at_L, P) == (MissingChi, "a")
+        assert _outcome(series_at_L, syms, P) == (MissingChi, "a")
+        assert _outcome(series_at_L, syms - over + under, P) == (MissingChi, "a")
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1148,6 @@ def test_values_at_L_print_as_the_fraction_values_did():
         vals = got[1]
         assert (render_values_at_L(P, vals), json_values_at_L(vals)) == want[1]
         assert json_dump({"series_at_L": vals}) == '{"series_at_L": %s}' % want[1][1]
-        assert ser.series_at_L(P) == _ref_series_values(ser, P)
+        assert series_at_L(ser, P) == _ref_series_values(ser, P)
 
     check()

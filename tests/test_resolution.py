@@ -34,6 +34,8 @@ from qzeta.zetacore import (
     stratified_zeta,
 )
 
+from readers import eval_at
+
 
 # ---------------------------------------------------------------------------
 # Hirzebruch-Jung chains
@@ -156,7 +158,7 @@ def test_yomdin_top_value():
     )
     assert top == want
     assert top.poles() == {F(-1), F(-5, 3), F(-35, 24)}
-    assert top.eval_at(0) == F(1, 3)
+    assert eval_at(top, 0) == F(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_tetra_top_closed_values():
     top = tetra_top_closed(TetraParams(3, 2), 1, 1)
     assert str(top) == "(8*s^2 + 16*s + 11) / ((s + 1)^3)"
     assert top.poles() == {F(-1)}
-    assert top.eval_at(0) == 11
+    assert eval_at(top, 0) == 11
     const = tetra_top_closed(TetraParams(3, 2), 0, 2)
     assert const == TopZeta([(F(35, 8), {})])
 

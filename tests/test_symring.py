@@ -31,9 +31,10 @@ from qzeta.groups import GroupAction
 from qzeta.resolution import YomdinParams, hj_resolve, hj_stratification, yomdin_stratification
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 from qzeta import topzeta
-from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
+from qzeta.topzeta import LATEX, TEXT, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
 
 from fold_reference import add, binom_poly, make, numer_poly
+from readers import eval_at
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -391,7 +392,7 @@ def test_euler_specialize_basic():
     z = ZetaExpr.of(coeff, (fac(1, 1), fac(0, 2)))
     tz = euler_specialize(z)
     assert tz == TopZeta.from_quotient([F(1)], {(F(1), F(1)): 1})
-    assert tz.eval_at(0) == 1
+    assert eval_at(tz, 0) == 1
     assert tz.poles() == {F(-1)}
 
 
@@ -1055,3 +1056,21 @@ def test_new_expressions_start_without_a_fold():
             assert r._rf is None
             fresh = ZetaExpr((coeff, facs) for facs, coeff in r.iter_terms())
             assert ze_to_ratfunc(r) == ze_to_ratfunc(fresh)
+
+
+def test_binomial_text_matches_the_column_printer():
+    """Each denominator binomial 1 - L^-nu T^N is written with one format,
+    as the column printer writes the sum 1 - L^-nu T^N: N = 0, the
+    exponents 1 and -1, whole and fractional exponents."""
+    rng = random.Random(31)
+    picks = [0, 1, 2, 7, F(1, 2), F(3, 4), F(5, 3)]
+    seen = set()
+    for _ in range(600):
+        N = rng.choice(picks + [F(rng.randint(0, 40), rng.randint(1, 12))])
+        nu = rng.choice(picks[1:] + [F(rng.randint(1, 40), rng.randint(1, 12))])
+        f = fac(N, nu)
+        r, n, v = f._lat
+        monomial = symring._factor_texts([n], [-v], [()], r, TEXT)[0]
+        assert symring._binomial_text(f._lat) == topzeta.sum_str(("", monomial), (1, -1), TEXT)
+        seen.add((n == 0, n == r, v == r, n % r == 0, v % r == 0))
+    assert len(seen) >= 8

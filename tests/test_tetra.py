@@ -233,3 +233,12 @@ def test_conjugacy_count_makes_no_product_per_element(monkeypatch):
     monkeypatch.setattr(TetraGroup, "mul", counted)
     assert conjugacy_count(t) == 323
     assert 0 < len(calls) <= CONJUGACY_MULS
+
+
+def test_conjugacy_count_is_the_closed_form_to_d60():
+    """The orbit search under B and one diagonal generator against the
+    closed form (d^2 + 8 beta)/3 on every small member with d <= 60."""
+    members = _small_members(60)
+    for d, q in members:
+        assert conjugacy_count(build_tetra(d, q)) == (d * d + 8 * TetraParams(d, q).beta) // 3, (d, q)
+    assert len(members) > 72
