@@ -49,8 +49,8 @@ from .symring import (
     ZetaExpr,
     candidate_poles,
     euler_specialize,
-    json_dump,
-    render_zeta,
+    json_dump_slices,
+    render_ratfunc_slices,
     series_expand,
     ze_equal,
     ze_to_ratfunc,
@@ -102,17 +102,28 @@ def _add_view_flags(p: argparse.ArgumentParser, with_emit: bool = False):
         p.add_argument("--emit-strata", metavar="FILE", help="write the stratification in the strata-file format")
 
 
+def _write(text: list[str]) -> None:
+    """Write the slices of ``text`` to stdout one after another.  Every view
+    is formatted in full before this is called, so a view that fails writes
+    nothing."""
+    write = sys.stdout.write
+    for piece in text:
+        write(piece)
+
+
 def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str]:
     """Render the shared zeta views, writing ``--emit-strata``; returns the
-    lines to print (the caller prints them, after adding its own)."""
+    text to print as slices, each line ended by a newline (the caller
+    writes it, after adding its own lines)."""
     obj = {}
     lines = []
     if args.json:
         obj["zeta"] = z.json_obj()
     elif args.latex:
-        lines.append(z.latex())
+        lines.append(z.latex() + "\n")
     else:
-        lines.append(str(ze_to_ratfunc(z)))
+        lines += render_ratfunc_slices(ze_to_ratfunc(z))
+        lines.append("\n")
     if args.euler:
         try:
             tz = euler_specialize(z, chi_env)
@@ -123,14 +134,14 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
         if args.json:
             obj["euler"] = tz.json_obj()
         else:
-            lines.append("euler: %s" % (tz.latex() if args.latex else str(tz)))
+            lines.append("euler: %s\n" % (tz.latex() if args.latex else str(tz)))
     if args.poles:
         ps = sorted(candidate_poles(z))
         if args.json:
             obj["poles"] = [frac_json(x) for x in ps]
         else:
             lines.append(
-                "candidate poles: %s"
+                "candidate poles: %s\n"
                 % (", ".join("s = %s" % x for x in ps) if ps else "none")
             )
     if args.series is not None:
@@ -138,9 +149,7 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
         if args.json:
             obj["series"] = ser
         else:
-            lines.append(
-                "series (T-order <= %s): %s" % (args.series, symring.render_poly(ser))
-            )
+            lines += ["series (T-order <= %s): " % args.series, *symring.render_poly_slices(ser), "\n"]
         if args.eval_L is not None:
             P = args.eval_L
             try:
@@ -154,13 +163,15 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
             if args.json:
                 obj["series_at_L"] = vals
             else:
-                lines.append(symring.render_values_at_L(P, vals))
+                lines += symring.render_values_at_L_slices(P, vals)
+                lines.append("\n")
     if stratification is not None and getattr(args, "emit_strata", None):
         text = strata.render_strata(stratification, chi_env)
         with open(args.emit_strata, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.json:
-        lines.append(json_dump(obj))
+        lines += json_dump_slices(obj)
+        lines.append("\n")
     return lines
 
 
@@ -173,23 +184,22 @@ def cmd_monomial(args) -> int:
     if args.allow_nonsmall and not groups.is_small(g):
         _notice("group is not small; quasi-reflexions contribute extra jets")
     z = zetacore.local_monomial_zeta(g, args.N, args.nu, allow_nonsmall=args.allow_nonsmall)
-    for line in _emit_zeta(args, z):
-        print(line)
+    _write(_emit_zeta(args, z))
     return 0
 
 
 def _run_stratified(args, strat, chi_env, route=None, label=None, extra=()) -> int:
     """Sum ``strat`` and print its views; under ``--check``, then the line
     comparing it with ``route()``, the second route; then the ``extra``
-    lines.  Returns the exit status."""
+    lines, each ended by a newline.  Returns the exit status."""
     z = zetacore.stratified_zeta(strat, allow_nonsmall=getattr(args, "allow_nonsmall", False))
-    lines = _emit_zeta(args, z, chi_env, strat)
+    text = _emit_zeta(args, z, chi_env, strat)
     status = 0
     if route is not None and args.check:
         status = 0 if ze_equal(z, route()) else 1
-        lines.append("cross-check vs %s: %s" % (label, "DIFFERENT" if status else "EQUAL"))
-    for line in [*lines, *extra]:
-        print(line)
+        text.append("cross-check vs %s: %s\n" % (label, "DIFFERENT" if status else "EQUAL"))
+    text.extend(extra)
+    _write(text)
     return status
 
 
@@ -227,7 +237,7 @@ def cmd_yomdin(args) -> int:
     extra = []
     if args.charpoly:
         cp = monodromy.yomdin_charpoly(y)
-        extra = ["monodromy charpoly: %s" % cp, "degree: %d" % cp.degree()]
+        extra = ["monodromy charpoly: %s\n" % cp, "degree: %d\n" % cp.degree()]
     return _run_stratified(
         args, strat, chi_env, lambda: yomdin_zeta_closed(y), "closed-form assembly", extra
     )
@@ -243,14 +253,10 @@ def cmd_tetra(args) -> int:
         st = tetra.stringy_euler_tetra(grp)
         cc = tetra.conjugacy_count(grp)
         if args.json:
-            print(json_dump({"stringy": st, "conjugacy": cc, "match": st == cc}))
-            return 0 if st == cc else 1
-        print(st)
-        if st == cc:
-            print("conjugacy classes: %d (match)" % cc)
-            return 0
-        print("conjugacy classes: %d (MISMATCH)" % cc)
-        return 1
+            _write([*json_dump_slices({"stringy": st, "conjugacy": cc, "match": st == cc}), "\n"])
+        else:
+            _write(["%s\n" % st, "conjugacy classes: %d (%s)\n" % (cc, "match" if st == cc else "MISMATCH")])
+        return 0 if st == cc else 1
     N, nu = args.N, args.nu
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -289,14 +295,19 @@ def _group_report(literal: str) -> dict:
 def cmd_group(args) -> int:
     rep = _group_report(args.literal)
     if args.json:
-        print(json_dump(rep))
+        _write([*json_dump_slices(rep), "\n"])
         return 0
-    print("order: %d" % rep["order"])
-    print("exponent: %d" % rep["exponent"])
-    print("small: %s" % ("yes" if rep["small"] else "no"))
-    print("reduced: %s  [m = (%s)]" % (rep["reduced"], ", ".join(str(x) for x in rep["m"])))
-    print("gor measure at origin: %s" % symring.render_poly_factored(rep["gor_measure"]))
-    print("orb measure at origin: %s" % symring.render_poly(rep["orb_measure"]))
+    _write([
+        "order: %d\n" % rep["order"],
+        "exponent: %d\n" % rep["exponent"],
+        "small: %s\n" % ("yes" if rep["small"] else "no"),
+        "reduced: %s  [m = (%s)]\n" % (rep["reduced"], ", ".join(str(x) for x in rep["m"])),
+        "gor measure at origin: ",
+        *symring.render_poly_factored_slices(rep["gor_measure"]),
+        "\norb measure at origin: ",
+        *symring.render_poly_slices(rep["orb_measure"]),
+        "\n",
+    ])
     return 0
 
 

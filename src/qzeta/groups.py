@@ -30,11 +30,12 @@ from .motpoly import MAX_DIGITS
 
 # The largest order an action may have, taken exactly from its generators
 # (see _order) before anything is enumerated.  The budget is about 10 s and
-# 1 GB for one `group` command.  Measured per command with --json, four runs
-# (two with the bound raised) each in a fresh interpreter, on 2 shared vCPUs
-# (CPython 3.11.7): "(10^5;1,3)" 0.21-0.23 s and 47 MB, the non-small
-# "(2*10^5;1,2,2,2)" 0.95-1.02 s and 161 MB, and, with the bound raised,
-# "(10^6;1,3)" 1.5 s and 291 MB and "(5*10^5;1,2,2,2)" 2.5 s and 346 MB.
+# 1 GB for one `group` command.  Measured per command with --json, two runs
+# (with the bound raised where needed) each in a fresh interpreter, on 2
+# shared vCPUs (CPython 3.11.7), with the measures written in slices:
+# "(10^5;1,3)" 0.18-0.20 s and 36 MB, the non-small "(2*10^5;1,2,2,2)"
+# 0.96-0.99 s and 126 MB, and, with the bound raised, "(10^6;1,3)"
+# 1.3-1.7 s and 202 MB and "(5*10^5;1,2,2,2)" 2.3-2.8 s and 288 MB.
 SIZE_LIMIT = 2 * 10**5
 
 __all__ = [

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 __all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits", "MAX_DIGITS",
            "ValuesAtL", "reduce_exp"]
@@ -166,8 +166,9 @@ class MotPoly:
     Operands on different scales meet on the lcm of the two.  Fractions
     appear only where exponents cross the boundary: the constructor and
     the readers :meth:`terms` and :meth:`min_tau`.
-    Printing and JSON read the integer keys as columns (:meth:`columns`)
-    and reduce each exponent x/r to lowest terms.
+    Printing and JSON read the integer keys as columns, a run of them at
+    a time (:meth:`column_slices`), and reduce each exponent x/r to lowest
+    terms.
     """
 
     __slots__ = ("_terms", "_r")
@@ -270,19 +271,22 @@ class MotPoly:
         keys = sorted(terms)
         return list(zip(keys, map(terms.__getitem__, keys))), self._r
 
-    def columns(self) -> tuple[list[int], list[int], list[SymMono], list[int], int]:
-        """The terms in canonical order as columns: the T-exponents, the
-        L-exponents (both integers on the lattice), the symbol monomials and
-        the coefficients; and the scale r."""
+    def column_slices(self, size: int) -> Iterator[tuple[list[int], list[int], list[SymMono], list[int]]]:
+        """The terms in canonical order as columns, ``size`` terms at a
+        time: for each run of the sorted keys, its T-exponents, its
+        L-exponents (both integers on the lattice, the scale r), its symbol
+        monomials and its coefficients.  Only the list of sorted keys spans
+        the whole polynomial."""
         terms = self._terms
         keys = sorted(terms)
-        return (
-            list(map(itemgetter(0), keys)),
-            list(map(itemgetter(1), keys)),
-            list(map(itemgetter(2), keys)),
-            list(map(terms.__getitem__, keys)),
-            self._r,
-        )
+        for i in range(0, len(keys), size):
+            run = keys[i : i + size]
+            yield (
+                list(map(itemgetter(0), run)),
+                list(map(itemgetter(1), run)),
+                list(map(itemgetter(2), run)),
+                list(map(terms.__getitem__, run)),
+            )
 
     @staticmethod
     def _coerce(x):

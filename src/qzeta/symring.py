@@ -15,8 +15,9 @@ and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
 (:class:`ZetaExpr`), their reduced rational-function form, series and
 the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`),
 and their printers, which write a polynomial a column at a time from its
-sorted keys: the exponent texts come from one helper, and each sum is
-written by :func:`qzeta.topzeta.sum_str`.
+sorted keys, :data:`SLICE_TERMS` terms at a time: the exponent texts come
+from one helper, each sum is written by :func:`qzeta.topzeta.sum_str`,
+and each printer returns a list of slices that its ``str`` form joins.
 All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
 (for a quotient by G they are ages, so r is the index), and prints them
@@ -51,7 +52,7 @@ from .motpoly import (
     reduce_exp,
 )
 from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
-from .topzeta import quotient_str, sum_str
+from .topzeta import quotient_slices, sum_str
 
 Rat = Fraction
 
@@ -59,10 +60,11 @@ Rat = Fraction
 # 10 s and 1 GB for one command, as for groups.SIZE_LIMIT.  Each term the
 # expansion can keep costs the most, as it is printed.  Measured on 2 shared
 # vCPUs (CPython 3.11), `monomial --group "(1;0)" --N 1 --nu 1 --series M`
-# took 7.5 s and 527 MB at M = 5*10^5 (10^6 terms) and 10.4 s and 835 MB at
-# M = 7.5*10^5 (1.5*10^6 terms).  A product that lands on a kept term costs
-# less: with two factors on one ray, `monomial --group "(2;1,1)" --N 1,1
-# --nu 1,1 --series M` made 3.2*10^7 products in 8.4 s at M = 2000 and
+# took 2.3 s and 193 MB at M = 5*10^5 (10^6 terms) and 3.5 s and 301 MB at
+# M = 7.5*10^5 (1.5*10^6 terms), and 255 and 394 MB with --json; the text
+# is written in slices (see SLICE_TERMS), never joined whole.  A product
+# that lands on a kept term costs less: with two factors on one ray,
+# `monomial --group "(2;1,1)" --N 1,1 --nu 1,1 --series M` made 3.2*10^7 products in 8.4 s at M = 2000 and
 # 3.9*10^7 in 10.2 s at M = 2200, in 22 MB.  Neither bound of a plan passes
 # twice its coefficient length times the product of 2 * jmax over its
 # factors; with the product limit at least twice the term limit, every plan
@@ -74,6 +76,13 @@ Rat = Fraction
 # 3.2 s one factor at a time.
 SERIES_TERM_LIMIT = 15 * 10**5
 SERIES_PRODUCT_LIMIT = 35 * 10**6
+
+# The most sorted terms, or --eval-L columns, that one slice of printed text
+# covers.  Each printer makes its text as a list of such slices, each from
+# the columns of its own run of terms, and the CLI writes them one after
+# another: so no column, text per term or values tuple as long as a big
+# series or measure is held at once, and the text is never joined whole.
+SLICE_TERMS = 512
 
 __all__ = [
     "Rat",
@@ -457,9 +466,16 @@ class RatFunc:
         return na == nb
 
     def __str__(self) -> str:
-        return quotient_str(
-            render_poly_factored(self.numer), [(_binomial_text(f._lat), m) for f, m in self.denom]
-        )
+        return "".join(render_ratfunc_slices(self))
+
+
+def render_ratfunc_slices(q: RatFunc) -> list[str]:
+    """The text of ``q`` as slices: its numerator's, with the common
+    monomial pulled out front, between the parentheses and the factors of
+    the denominator."""
+    return quotient_slices(
+        render_poly_factored_slices(q.numer), [(_binomial_text(f._lat), m) for f, m in q.denom]
+    )
 
 
 def _binomial_text(lat: tuple[int, int, int]) -> str:
@@ -935,35 +951,46 @@ def _factor_texts(ts, ls, symss, r: int, syntax: Syntax) -> list[str]:
     )
 
 
-def _poly_str(p: MotPoly, syntax: Syntax) -> str:
-    ts, ls, symss, cs, r = p.columns()
-    return sum_str(_factor_texts(ts, ls, symss, r, syntax), cs, syntax)
+def _minus(xs: list[int], d: int) -> list[int]:
+    return list(map(int.__sub__, xs, itertools.repeat(d))) if d else xs
+
+
+def _poly_slices(p: MotPoly, syntax: Syntax, tau: int = 0, ell: int = 0) -> list[str]:
+    """The text of ``p`` divided by the monomial ``T^tau L^ell`` (on p's
+    scale) in ``syntax``, one slice per :data:`SLICE_TERMS` sorted terms:
+    the division shifts the exponent columns and keeps their order.  The
+    zero polynomial is the one slice "0"."""
+    r = p.scale
+    return [
+        sum_str(_factor_texts(_minus(ts, tau), _minus(ls, ell), symss, r, syntax), cs, syntax, not i)
+        for i, (ts, ls, symss, cs) in enumerate(p.column_slices(SLICE_TERMS))
+    ] or ["0"]
+
+
+def render_poly_slices(p: MotPoly) -> list[str]:
+    return _poly_slices(p, TEXT)
 
 
 def render_poly(p: MotPoly) -> str:
-    return _poly_str(p, TEXT)
+    return "".join(render_poly_slices(p))
+
+
+def render_poly_factored_slices(p: MotPoly) -> list[str]:
+    """Render with the common monomial pulled out front: ``L^-2 * (1 + L)``."""
+    if len(p) <= 1:
+        return render_poly_slices(p)
+    tau, ell, syms = p.gcd_monomial()
+    r = p.scale
+    head = _factor_texts([tau], [ell], [syms], r, TEXT)[0]
+    if syms:
+        # dropping symbol powers can reorder the terms, so they are sorted again
+        inv = tuple((n, -e) for n, e in syms)
+        p = MotPoly.from_lattice({(t, l, _mul_syms(s, inv)): c for (t, l, s), c in p._terms.items()}, r)
+    return [head + " * (" if head else "(", *_poly_slices(p, TEXT, tau, ell), ")"]
 
 
 def render_poly_factored(p: MotPoly) -> str:
-    """Render with the common monomial pulled out front: ``L^-2 * (1 + L)``."""
-    if len(p) <= 1:
-        return render_poly(p)
-    g = p.gcd_monomial()
-    if g == (0, 0, ()):
-        return "(%s)" % render_poly(p)
-    # the quotient by g, made by shifting the columns of the sorted terms
-    tau, ell, syms = g
-    ts, ls, symss, cs, r = p.columns()
-    ts = list(map(int.__sub__, ts, itertools.repeat(tau)))
-    ls = list(map(int.__sub__, ls, itertools.repeat(ell)))
-    if syms:
-        # dropping symbol powers can reorder the terms
-        inv = tuple((n, -e) for n, e in syms)
-        symss = map(_mul_syms, symss, itertools.repeat(inv))
-        ts, ls, symss, cs, r = MotPoly.from_lattice(dict(zip(zip(ts, ls, symss), cs)), r).columns()
-    # g's factors come first, from the same pass
-    head, *factors = _factor_texts([tau, *ts], [ell, *ls], [syms, *symss], r, TEXT)
-    return "%s * (%s)" % (head, sum_str(factors, cs, TEXT))
+    return "".join(render_poly_factored_slices(p))
 
 
 def render_zeta(z: ZetaExpr) -> str:
@@ -985,7 +1012,7 @@ def render_zeta(z: ZetaExpr) -> str:
 
 
 def latex_poly(p: MotPoly) -> str:
-    return _poly_str(p, LATEX)
+    return "".join(_poly_slices(p, LATEX))
 
 
 def latex_zeta(z: ZetaExpr) -> str:
@@ -1013,81 +1040,120 @@ def latex_zeta(z: ZetaExpr) -> str:
     return " + ".join(chunks)
 
 
-def json_poly(p: MotPoly) -> str:
+def json_poly_slices(p: MotPoly) -> list[str]:
     """The JSON text of ``p.json_obj()``, written straight off the integer
-    key columns: one ``%`` over one template per term, in which only the
-    L-exponent x/r (reduced by one gcd map) and the
-    coefficient vary.  Each distinct (T, symbols) pair makes its template
+    key columns, as slices: "[", one per :data:`SLICE_TERMS` sorted terms,
+    and "]".  A slice is one ``%`` over one template per term, in which
+    only the L-exponent x/r (reduced by one gcd map) and the coefficient
+    vary.  Each distinct (T, symbols) pair of a slice makes its template
     once.  ``syms`` goes through :func:`json.dumps`, so symbol names are
     escaped as it escapes them, and each ``%`` in that text is doubled
     before it joins the template."""
-    ts, ls, symss, cs, r = p.columns()
-    templates = dict.fromkeys(zip(ts, symss))
-    for t, syms in list(templates):
-        num, den = reduce_exp(t, r)
-        syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
-        templates[t, syms] = (
-            '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
-            % (den, num, syms_text.replace("%", "%%"))
-        )
-    nums, dens = _lowest_terms(ls, r)
-    values = tuple(itertools.chain.from_iterable(zip(dens, nums, cs)))
-    return "[%s]" % (", ".join(map(templates.__getitem__, zip(ts, symss))) % values)
+    r = p.scale
+    out = ["["]
+    for i, (ts, ls, symss, cs) in enumerate(p.column_slices(SLICE_TERMS)):
+        templates = dict.fromkeys(zip(ts, symss))
+        for t, syms in list(templates):
+            num, den = reduce_exp(t, r)
+            syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
+            templates[t, syms] = (
+                '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
+                % (den, num, syms_text.replace("%", "%%"))
+            )
+        nums, dens = _lowest_terms(ls, r)
+        values = tuple(itertools.chain.from_iterable(zip(dens, nums, cs)))
+        out.append((", " * bool(i) + ", ".join(map(templates.__getitem__, zip(ts, symss)))) % values)
+    out.append("]")
+    return out
+
+
+def json_poly(p: MotPoly) -> str:
+    return "".join(json_poly_slices(p))
+
+
+def _runs(n: int) -> range:
+    """The starts of the slices of a column of length n."""
+    return range(0, n, SLICE_TERMS)
+
+
+def render_values_at_L_slices(p: Fraction, vals: ValuesAtL) -> list[str]:
+    """The ``--eval-L`` block: the line ``series at L = p:``, then a line
+    ``  T^e: v`` for each column of ``vals``, written from the columns, one
+    slice per :data:`SLICE_TERMS` of them."""
+    ts, values, r = vals
+    return ["series at L = %s:" % p] + [
+        "".join(_lattice_texts(
+            ts[i : i + SLICE_TERMS], r, "\n  T^{0}: {2}", "\n  T^({0}/{1}): {2}", {},
+            map(str, values[i : i + SLICE_TERMS]),
+        ))
+        for i in _runs(len(ts))
+    ]
 
 
 def render_values_at_L(p: Fraction, vals: ValuesAtL) -> str:
-    """The ``--eval-L`` block: the line ``series at L = p:``, then a line
-    ``  T^e: v`` for each column of ``vals``, written from the columns."""
+    return "".join(render_values_at_L_slices(p, vals))
+
+
+def json_values_at_L_slices(vals: ValuesAtL) -> list[str]:
+    """The JSON text of the list of ``{"T": T-exponent, "value": value}``,
+    each a ``{"den", "num"}`` object, over the columns of ``vals``, as
+    slices: "[", one per :data:`SLICE_TERMS` columns, and "]".  A slice is
+    one ``%`` over one template repeated."""
     ts, values, r = vals
-    lines = _lattice_texts(ts, r, "\n  T^{0}: {2}", "\n  T^({0}/{1}): {2}", {}, map(str, values))
-    return "series at L = %s:%s" % (p, "".join(lines))
+    template = '{"T": {"den": %d, "num": %d}, "value": {"den": %d, "num": %d}}'
+    out = ["["]
+    for i in _runs(len(ts)):
+        run = values[i : i + SLICE_TERMS]
+        nums, dens = _lowest_terms(ts[i : i + SLICE_TERMS], r)
+        columns = (dens, nums, map(attrgetter("denominator"), run), map(attrgetter("numerator"), run))
+        out.append(
+            (", " * bool(i) + ", ".join(itertools.repeat(template, len(run))))
+            % tuple(itertools.chain.from_iterable(zip(*columns)))
+        )
+    out.append("]")
+    return out
 
 
 def json_values_at_L(vals: ValuesAtL) -> str:
-    """The JSON text of the list of ``{"T": T-exponent, "value": value}``,
-    each a ``{"den", "num"}`` object, over the columns of ``vals``: one
-    ``%`` over one template repeated."""
-    ts, values, r = vals
-    nums, dens = _lowest_terms(ts, r)
-    columns = (dens, nums, map(attrgetter("denominator"), values), map(attrgetter("numerator"), values))
-    template = '{"T": {"den": %d, "num": %d}, "value": {"den": %d, "num": %d}}'
-    return "[%s]" % (
-        ", ".join(itertools.repeat(template, len(ts)))
-        % tuple(itertools.chain.from_iterable(zip(*columns)))
-    )
+    return "".join(json_values_at_L_slices(vals))
+
+
+def json_dump_slices(obj: dict) -> list[str]:
+    """A top-level dict as one line of JSON, keys in sorted order, as
+    slices.
+
+    A :class:`MotPoly` value is written by :func:`json_poly_slices`, a
+    :class:`ValuesAtL` by :func:`json_values_at_L_slices`, every other
+    value by :func:`json.dumps` with sorted keys.  The text is
+    byte-identical to ``json.dumps(obj, sort_keys=True, separators=(", ",
+    ": "))`` with each polynomial replaced by its ``json_obj()`` and each
+    ``ValuesAtL`` by its list of ``{"T", "value"}`` dicts.  Each distinct
+    polynomial is written once: a value that is, or is ``==`` to, one
+    already written reuses its slices, as the Gorenstein and orbifold
+    measures of a small action do.
+    """
+    written: list[tuple[MotPoly, list[str]]] = []
+
+    def poly_slices(p: MotPoly) -> list[str]:
+        for q, slices in written:
+            if q is p or q == p:
+                return slices
+        slices = json_poly_slices(p)
+        written.append((p, slices))
+        return slices
+
+    out = ["{"]
+    for i, (k, v) in enumerate(sorted(obj.items())):
+        out.append("%s%s: " % (", " * bool(i), json.dumps(k)))
+        if isinstance(v, MotPoly):
+            out += poly_slices(v)
+        elif isinstance(v, ValuesAtL):
+            out += json_values_at_L_slices(v)
+        else:
+            out.append(json.dumps(v, sort_keys=True, separators=(", ", ": ")))
+    out.append("}")
+    return out
 
 
 def json_dump(obj: dict) -> str:
-    """A top-level dict as one line of JSON, keys in sorted order.
-
-    A :class:`MotPoly` value is written by :func:`json_poly`, a
-    :class:`ValuesAtL` by :func:`json_values_at_L`, every other value by
-    :func:`json.dumps` with sorted keys.  The text is byte-identical to
-    ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` with each
-    polynomial replaced by its ``json_obj()`` and each ``ValuesAtL`` by its
-    list of ``{"T", "value"}`` dicts.  Each distinct polynomial is written
-    once: a value that is, or is ``==`` to, one already written reuses its
-    text, as the Gorenstein and orbifold measures of a small action do.
-    """
-    written: list[tuple[MotPoly, str]] = []
-
-    def poly_text(p: MotPoly) -> str:
-        for q, text in written:
-            if q is p or q == p:
-                return text
-        text = json_poly(p)
-        written.append((p, text))
-        return text
-
-    return "{%s}" % ", ".join(
-        "%s: %s"
-        % (
-            json.dumps(k),
-            poly_text(v)
-            if isinstance(v, MotPoly)
-            else json_values_at_L(v)
-            if isinstance(v, ValuesAtL)
-            else json.dumps(v, sort_keys=True, separators=(", ", ": ")),
-        )
-        for k, v in sorted(obj.items())
-    )
+    return "".join(json_dump_slices(obj))

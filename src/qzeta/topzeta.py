@@ -17,7 +17,7 @@ one term walker: every polynomial printed, in L, T and class symbols by
 ``symring`` or in s here, is a sum written from two columns, the factor
 text and the coefficient of each term, in one of three syntaxes,
 :data:`TEXT`, :data:`TEXT_S` (factors joined by "*", for polynomials in
-s) and :data:`LATEX`; and :func:`quotient_str` lays out every printed
+s) and :data:`LATEX`; and :func:`quotient_slices` lays out every printed
 quotient.
 """
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = ["LATEX", "LinFactor", "Syntax", "TEXT", "TEXT_S", "TopZeta", "cancel", "frac_json",
-           "frac_latex", "padd", "pdiv", "pmul", "quotient_str", "sum_str"]
+           "frac_latex", "padd", "pdiv", "pmul", "quotient_slices", "quotient_str", "sum_str"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
@@ -276,19 +276,21 @@ TEXT_S = TEXT._replace(times="*")  # s-polynomials: 2*s^2 + 1
 LATEX = Syntax("%s^{%s}", "%s/%s", frac_latex, "\\mathbb{L}", True, "", "+", "-")
 
 
-def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax) -> str:
+def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax, first: bool = True) -> str:
     """The sum of the terms ``coeffs[i] * factors[i]`` in ``syntax``, from
     the two columns: each term's factor text, already joined ("" for none),
     and its coefficient.  A term is its sign, then its coefficient's
     magnitude and its factors, the magnitude left out when it is 1 beside
     factors; the text before the factors is made once per distinct
     coefficient.  Zero terms are skipped; the first sign is "-" or
-    nothing, and an empty sum is "0"."""
+    nothing, and an empty sum is "0".  With ``first`` false the terms are
+    a later run of a longer sum: the first sign is written as any other,
+    and no terms write ""."""
     if not all(coeffs):
         factors = list(itertools.compress(factors, coeffs))
         coeffs = list(itertools.compress(coeffs, coeffs))
     if not coeffs:
-        return "0"
+        return "0" if first else ""
     times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
     lead = {}  # the text before the factors of a term with this coefficient
     for c in set(coeffs):
@@ -298,19 +300,28 @@ def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax) -> str:
     for i in itertools.compress(range(len(texts)), map(operator.not_, factors)):
         c = coeffs[i]
         texts[i] = minus + coeff(-c) if c < 0 else plus + coeff(c)
-    first = texts[0]
-    texts[0] = "-" + first[len(minus):] if coeffs[0] < 0 else first[len(plus):]
+    if first:
+        text = texts[0]
+        texts[0] = "-" + text[len(minus):] if coeffs[0] < 0 else text[len(plus):]
     return "".join(texts)
 
 
-def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
-    """``(num) / ((f)^m * ...)`` over the (factor text, multiplicity) pairs
-    ``den``, with no ``^1``; the numerator alone when it is "0" or ``den``
-    is empty.  :class:`TopZeta` and ``symring.RatFunc`` print through it."""
-    if num == "0" or not den:
+def quotient_slices(num: list[str], den: list[tuple[str, int]]) -> list[str]:
+    """``(num) / ((f)^m * ...)`` over the slices ``num`` of the numerator's
+    text and the (factor text, multiplicity) pairs ``den``, with no
+    ``^1``, as slices: the numerator's own, between the two around them.
+    The numerator alone when it is "0" or ``den`` is empty.
+    ``symring.RatFunc`` prints through it, and :class:`TopZeta` through
+    :func:`quotient_str`."""
+    if num == ["0"] or not den:
         return num
     parts = ("(%s)%s" % (f, "" if m == 1 else "^%d" % m) for f, m in den)
-    return "(%s) / (%s)" % (num, " * ".join(parts))
+    return ["(", *num, ") / (%s)" % " * ".join(parts)]
+
+
+def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
+    """:func:`quotient_slices` of the numerator text ``num``, joined."""
+    return "".join(quotient_slices([num], den))
 
 
 def _spoly(p, syntax: Syntax) -> str:

@@ -29,6 +29,9 @@ reflection row, the shape of the benchmark's abelian actions, and a
 the orbifold measure was still summed from zero counts apart from the
 Gorenstein one, ``small_reduce`` still mapped every element, and
 ``conjugacy_count`` still conjugated by all four generators.
+The last three (a measure of 10^4 terms as text, and a series of about
+1,100 terms as text and as JSON) were recorded while every printer still
+joined its whole text into one string.
 Any change to rendering, term order, reduction,
 evaluation, error precedence or JSON layout shows up here.  Each run takes
 well under two seconds.
@@ -37,6 +40,7 @@ well under two seconds.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
@@ -197,6 +201,22 @@ PINS = [
         37,
         "afebb6fd5e9516f8f91de39aa795c4daffe54479165b4851e8fdd4cf909054ca",
     ),
+    (
+        ["group", "(10000;1,3,7)"],
+        339474,
+        "d4e245a26917d200e303076b78b48199af0f8275276fc0c12dd6a123bc2b8724",
+    ),
+    (
+        ["monomial", "--group", "(1;0,0)", "--N", "1,2", "--nu", "1,1", "--series", "300"],
+        19302,
+        "7c6adba3658c22b8ad754d8f763e7d18f56d1b18eed407e76b1e6d560f013e44",
+    ),
+    (
+        ["monomial", "--group", "(1;0,0)", "--N", "1,2", "--nu", "1,1", "--series", "300",
+         "--json"],
+        96243,
+        "fd5d07d952436e3e36feae178a1451c954a93449b77c12d9f11a1c5252f9e5b8",
+    ),
 ]
 
 
@@ -271,3 +291,49 @@ def test_pins_replayed_in_one_process(capsys, tmp_path):
             assert (out, err) == ("", want), argv
         else:
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+
+# One stratum whose class is 9 * 10^4299, the longest integer that str()
+# writes under Python's default limit of 4300 digits.  The unreduced views
+# print it as it is.  The reduced quotient multiplies it by the -2 of
+# (L - 1)^2, and the series view too, so each needs 4301 digits and
+# fails.  A failing run writes nothing to stdout, because every view is
+# formatted in full before the first byte goes out.
+HUGE_CLASS = """\
+dimension = 2
+gindex = 1
+stratum { class = 9%s ; N = [1, 1] ; nu = [1, 1] ; group = (1; 0,0) }
+""" % ("0" * 4299)
+
+HUGE_CLASS_OK = [
+    (["--json"], 4508, "9ad1129410b2a8c436616ee8c74c97663cfb59b85ce1edc415a45c026d99dbd7"),
+    (["--latex"], 4409, "7a72821f465ccf7d9df907f5414405478354af2fe7edf07230bdecfcf62dc321"),
+]
+HUGE_CLASS_FAILING = [[], ["--series", "3", "--json"], ["--euler"], ["--poles"]]
+
+
+@pytest.fixture
+def int_digits_4300():
+    """Python's default int-to-str limit, whatever the environment set,
+    and the message str() raises beyond it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            str(10**4300)
+        yield str(info.value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("views", HUGE_CLASS_FAILING, ids=["text", "series-json", "euler", "poles"])
+def test_a_view_too_long_to_print_writes_nothing(capsys, tmp_path, int_digits_4300, views):
+    assert main(_with_file(tmp_path, ["strata", HUGE_CLASS, *views])) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % int_digits_4300)
+
+
+@pytest.mark.parametrize("views,size,digest", HUGE_CLASS_OK, ids=["json", "latex"])
+def test_the_unreduced_views_of_a_huge_class_print(capsys, tmp_path, int_digits_4300, views, size, digest):
+    assert main(_with_file(tmp_path, ["strata", HUGE_CLASS, *views])) == 0
+    out, err = capsys.readouterr()
+    assert (len(out.encode("utf-8")), hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (size, digest, "")

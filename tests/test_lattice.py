@@ -357,8 +357,8 @@ def test_json_poly_property():
 
 def test_json_dump_writes_each_distinct_polynomial_once(monkeypatch):
     # json_dump writes a polynomial == to one already written with that one's
-    # text: the text stays json.dumps over json_obj(), and json_poly runs
-    # once per distinct value
+    # slices: the text stays json.dumps over json_obj(), and json_poly_slices
+    # runs once per distinct value
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     from qzeta import symring
@@ -371,8 +371,8 @@ def test_json_dump_writes_each_distinct_polynomial_once(monkeypatch):
         max_size=8,
     )
     calls = []
-    json_poly = symring.json_poly
-    monkeypatch.setattr(symring, "json_poly", lambda p: calls.append(p) or json_poly(p))
+    json_poly_slices = symring.json_poly_slices
+    monkeypatch.setattr(symring, "json_poly_slices", lambda p: calls.append(p) or json_poly_slices(p))
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(terms, st.sampled_from((1, 2, 6, 35)), st.integers(2, 4))

@@ -217,8 +217,9 @@ def test_conjugacy_count_on_every_small_member_to_d40():
 # The TetraGroup.mul calls conjugacy_count may make on G(31, 30), order
 # 2883.  Conjugating every element by each of the four generators made
 # 8 |G| = 23,064; reading each conjugation's affine map off six
-# conjugations makes 4 * 6 * 2 = 48, whatever the order.
-CONJUGACY_MULS = 48
+# conjugations, for each of the two generators it conjugates by, makes
+# 2 * 6 * 2 = 24, whatever the order.
+CONJUGACY_MULS = 24
 
 
 def test_conjugacy_count_makes_no_product_per_element(monkeypatch):
