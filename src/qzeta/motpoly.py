@@ -271,7 +271,8 @@ class MotPoly:
         keys = sorted(terms)
         return list(zip(keys, map(terms.__getitem__, keys))), self._r
 
-    def column_slices(self, size: int) -> Iterator[tuple[list[int], list[int], list[SymMono], list[int]]]:
+    def column_slices(self, size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[SymMono, ...],
+                                                         list[int]]]:
         """The terms in canonical order as columns, ``size`` terms at a
         time: for each run of the sorted keys, its T-exponents, its
         L-exponents (both integers on the lattice, the scale r), its symbol
@@ -281,12 +282,7 @@ class MotPoly:
         keys = sorted(terms)
         for i in range(0, len(keys), size):
             run = keys[i : i + size]
-            yield (
-                list(map(itemgetter(0), run)),
-                list(map(itemgetter(1), run)),
-                list(map(itemgetter(2), run)),
-                list(map(terms.__getitem__, run)),
-            )
+            yield (*zip(*run), list(map(terms.__getitem__, run)))
 
     @staticmethod
     def _coerce(x):
@@ -318,7 +314,7 @@ class MotPoly:
         # Hash the form on the coarsest lattice, so equal polynomials hash
         # equal whatever scale they are stored at.
         terms, r = self._terms, self._r
-        g = math.gcd(r, *(k[0] for k in terms), *(k[1] for k in terms))
+        g = math.gcd(r, *map(itemgetter(0), terms), *map(itemgetter(1), terms))
         if g > 1:
             terms = {(t // g, l // g, s): c for (t, l, s), c in terms.items()}
         return hash((r // g, frozenset(terms.items())))
@@ -478,7 +474,7 @@ class MotPoly:
         """
         p = Fraction(p)
         terms, r = self._terms, self._r
-        g = math.gcd(r, *(k[1] for k in terms))
+        g = math.gcd(r, *map(itemgetter(1), terms))
         cols: dict[int, dict[int, int]] = {}
         try:
             a, b = _exact_root(p, r // g)

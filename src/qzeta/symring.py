@@ -14,9 +14,9 @@ On top of the plain polynomials (:class:`MotPoly`, see
 and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
 (:class:`ZetaExpr`), their reduced rational-function form, series and
 the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`),
-and their printers, which write a polynomial a column at a time from its
-sorted keys, :data:`SLICE_TERMS` terms at a time: the exponent texts come
-from one helper, each sum is written by :func:`qzeta.topzeta.sum_str`,
+and their printers, which write a polynomial from the columns of its
+sorted keys, :data:`SLICE_TERMS` terms at a time: one writer makes a
+``%``-template per term shape and fills a slice of terms with one ``%``,
 and each printer returns a list of slices that its ``str`` form joins.
 All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
@@ -37,7 +37,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add, attrgetter, floordiv, mul
+from operator import add, attrgetter, eq, floordiv, itemgetter, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .motpoly import (
@@ -49,10 +49,9 @@ from .motpoly import (
     _plus,
     _rescale,
     _times_binomial,
-    reduce_exp,
 )
 from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
-from .topzeta import quotient_slices, sum_str
+from .topzeta import quotient_slices
 
 Rat = Fraction
 
@@ -325,13 +324,12 @@ class ZetaExpr:
     def json_obj(self):
         out = []
         for facs, coeff in self.terms():
-            cnt = Counter(facs)
             out.append(
                 {
                     "coeff": coeff.json_obj(),
                     "factors": [
                         {"N": frac_json(f.N), "nu": frac_json(f.nu), "mult": m}
-                        for f, m in sorted(cnt.items())
+                        for f, m in _pairs(facs)
                     ],
                 }
             )
@@ -343,10 +341,19 @@ class ZetaExpr:
 
 
 def _times_L_minus_one(terms: dict, k: int, R: int) -> dict:
-    """The lattice terms on the scale R times (L - 1)^k."""
-    for _ in range(k):
-        terms = _times_binomial(terms, 0, R, 0, 0)
-    return terms
+    """The lattice terms on the scale R times (L - 1)^k: the sum over j of
+    C(k, j) (-1)^(k - j) L^j times the terms, one pass over them per j."""
+    acc = {key: (-1) ** k * c for key, c in terms.items()}
+    get = acc.get
+    for j in range(1, k + 1):
+        w, shift = math.comb(k, j) * (-1) ** (k - j), j * R
+        for (t, l, s), c in terms.items():
+            key = (t, l + shift, s)
+            if v := get(key, 0) + w * c:
+                acc[key] = v
+            else:
+                del acc[key]
+    return acc
 
 
 class RatFunc:
@@ -891,80 +898,90 @@ def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> T
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# rendering: one writer of slices, one template per term shape
 
 
-def _lowest_terms(xs, r: int):
-    """The numerators and the denominators of the lattice exponents x/r of
-    the column ``xs`` in lowest terms, as two iterators over one gcd map."""
+class _Templates(dict):
+    """The ``%``-template of each term shape, made by ``make`` when first asked."""
+
+    def __missing__(self, shape):
+        template = self[shape] = self.make(shape)
+        return template
+
+
+_SKIP_COMMA = itemgetter(slice(2, None))  # a JSON list's first item has no ", "
+
+
+def _slices(runs, make, lead=_SKIP_COMMA) -> list[str]:
+    """The slices of a printed sequence of terms, one per run of shapes and
+    columns of ``%`` arguments: ``"".join(templates) % args``, the columns
+    interleaved term by term, and each shape's template made once per call
+    by ``make``.  The very first template is replaced by ``lead`` of it,
+    which drops the separator or sign spacing the others start with."""
+    made = _Templates()
+    made.make = make
+    out = []
+    for shapes, columns in runs:
+        templates = list(map(made.__getitem__, shapes))
+        if not out:
+            templates[0] = lead(templates[0])
+        k = len(columns)
+        args = [None] * (k * len(templates))
+        for j, column in enumerate(columns):
+            args[j::k] = column
+        out.append("".join(templates) % tuple(args))
+    return out
+
+
+def _exponents(xs, r: int, fixed: Mapping[int, int] | None = None, shift: int = 0):
+    """The codes and reduced numerators of the exponents x/r of the column
+    ``xs`` less ``shift``, by one gcd and one floordiv map: with g = gcd(x, r),
+    x/r = (x//g)/(r//g), and the code is g, or ``fixed[x]`` for x in ``fixed``."""
+    if shift:
+        xs = list(map(sub, xs, itertools.repeat(shift)))
     gs = list(map(math.gcd, xs, itertools.repeat(r)))
-    return map(floordiv, xs, gs), map(floordiv, itertools.repeat(r), gs)
-
-
-def _lattice_texts(xs, r: int, whole: str, part: str, fixed: Mapping[int, str], *columns) -> list[str]:
-    """The text of each lattice exponent x/r in the column ``xs``: the
-    :meth:`str.format` template ``part`` when its lowest terms n/d have
-    d > 1, ``whole`` when d = 1, or ``fixed[x]``, formatted with n, d and
-    the entries of the ``columns`` at x's place.  One gcd map, and one
-    format map, write every exponent."""
-    nums, dens = _lowest_terms(xs, r)
-    dens = list(dens)
-    templates = map(fixed.get, xs, map({1: whole}.get, dens, itertools.repeat(part)))
-    return list(map(str.format, templates, nums, dens, *columns))
-
-
-def _power_formats(base: str, r: int, syntax: Syntax, tail: str = "", alone: str = ""):
-    """The templates (whole, part, fixed) of :func:`_lattice_texts` for the
-    power ``base^(x/r)`` in ``syntax`` followed by ``tail``: the power 0 is
-    ``alone``, and the power 1 is ``base`` unless the syntax writes it."""
-    base = base.replace("{", "{{").replace("}", "}}")
-    power = syntax.power.replace("{", "{{").replace("}", "}}") % (base, "%s")
-    whole, part = power % "{0}" + tail, power % (syntax.ratio % ("{0}", "{1}")) + tail
-    return whole, part, {0: alone} if syntax.unit else {0: alone, r: base + tail}
-
-
-def _factor_texts(ts, ls, symss, r: int, syntax: Syntax) -> list[str]:
-    """The factors of each monomial, from the columns of its T- and
-    L-exponents on the scale r and its symbol monomial: the powers of L, T
-    and each symbol joined in ``syntax``, and "" for the monomial 1.
-
-    The text after the power of L is made once per distinct (T, symbols)
-    pair, in two forms: alone, and after a power of L.  Then one
-    :func:`_lattice_texts` pass writes each power of L and the form of its
-    tail that follows it."""
-    times, power, ratio, unit = syntax.times, syntax.power, syntax.ratio, syntax.unit
-    tails = dict.fromkeys(zip(ts, symss))
-    for pair in tails:
-        t, syms = pair
-        text = ""
-        if t:
-            g = math.gcd(t, r)
-            exp = t // g if g == r else ratio % (t // g, r // g)
-            text = "T" if exp == 1 and not unit else power % ("T", exp)
-        if syms:
-            names = ["[%s]" % n if e == 1 else power % ("[%s]" % n, e) for n, e in syms]
-            text = times.join([text, *names] if text else names)
-        tails[pair] = (text, times + text) if text else ("", "")
-    return _lattice_texts(
-        ls, r, *_power_formats(syntax.L, r, syntax, "{2[1]}", "{2[0]}"),
-        map(tails.__getitem__, zip(ts, symss)),
-    )
-
-
-def _minus(xs: list[int], d: int) -> list[int]:
-    return list(map(int.__sub__, xs, itertools.repeat(d))) if d else xs
+    return gs if fixed is None else map(fixed.get, xs, gs), map(floordiv, xs, gs)
 
 
 def _poly_slices(p: MotPoly, syntax: Syntax, tau: int = 0, ell: int = 0) -> list[str]:
-    """The text of ``p`` divided by the monomial ``T^tau L^ell`` (on p's
-    scale) in ``syntax``, one slice per :data:`SLICE_TERMS` sorted terms:
-    the division shifts the exponent columns and keeps their order.  The
-    zero polynomial is the one slice "0"."""
-    r = p.scale
-    return [
-        sum_str(_factor_texts(_minus(ts, tau), _minus(ls, ell), symss, r, syntax), cs, syntax, not i)
-        for i, (ts, ls, symss, cs) in enumerate(p.column_slices(SLICE_TERMS))
-    ] or ["0"]
+    """The text of ``p`` over the monomial ``T^tau L^ell`` (on p's scale) in
+    ``syntax``, a slice per :data:`SLICE_TERMS` sorted terms ("0" for none).
+    A term's shape is (L code, T code, symbols, c < 0, |c| = 1), the codes of
+    :func:`_exponents` with the exponents 0 and 1 fixed at 0 and -1.  Its
+    template writes the sign, |c| unless it is 1 beside factors, and the powers
+    of L, T and each symbol but no power 0 and, unless the syntax writes it, no
+    power 1, from |c| and the L- and T-numerators (``%.0s`` where unwritten)."""
+    r, power, ratio, times = p.scale, syntax.power, syntax.ratio, syntax.times
+    plus, minus = syntax.plus, syntax.minus
+    fixed, zeros, ones = {0: 0, r: -1}, itertools.repeat(0), itertools.repeat(1)
+
+    def runs():
+        for ts, ls, symss, cs in p.column_slices(SLICE_TERMS):
+            lcodes, lnums = _exponents(ls, r, fixed, ell)
+            tcodes, tnums = _exponents(ts, r, fixed, tau)
+            mags = list(map(abs, cs))
+            yield zip(lcodes, tcodes, symss, map(lt, cs, zeros), map(eq, mags, ones)), (mags, lnums, tnums)
+
+    def make(shape) -> str:
+        lcode, tcode, syms, negative, unit = shape
+        factors, skipped = [], ""
+        for base, code in ((syntax.L, lcode), ("T", tcode)):
+            if not code:
+                skipped += "%.0s"
+                continue
+            exp = "%s" if code in (-1, r) else ratio % ("%s", r // code)
+            factors.append(skipped + (base + "%.0s" if code == -1 and not syntax.unit else power % (base, exp)))
+            skipped = ""
+        for n, e in syms:
+            name = ("[%s]" % n).replace("%", "%%")
+            factors.append(name if e == 1 else power % (name, e))
+        head = "%.0s" if unit and factors else "%s" + times if factors else "%s"
+        return (minus if negative else plus) + head + times.join(factors) + skipped
+
+    def lead(template: str) -> str:
+        return template[len(plus):] if template.startswith(plus) else "-" + template[len(minus):]
+
+    return _slices(runs(), make, lead) or ["0"]
 
 
 def render_poly_slices(p: MotPoly) -> list[str]:
@@ -979,14 +996,14 @@ def render_poly_factored_slices(p: MotPoly) -> list[str]:
     """Render with the common monomial pulled out front: ``L^-2 * (1 + L)``."""
     if len(p) <= 1:
         return render_poly_slices(p)
-    tau, ell, syms = p.gcd_monomial()
+    tau, ell, syms = key = p.gcd_monomial()
     r = p.scale
-    head = _factor_texts([tau], [ell], [syms], r, TEXT)[0]
+    head = "(" if key == (0, 0, ()) else _poly_slices(MotPoly.from_lattice({key: 1}, r), TEXT)[0] + " * ("
     if syms:
         # dropping symbol powers can reorder the terms, so they are sorted again
         inv = tuple((n, -e) for n, e in syms)
         p = MotPoly.from_lattice({(t, l, _mul_syms(s, inv)): c for (t, l, s), c in p._terms.items()}, r)
-    return [head + " * (" if head else "(", *_poly_slices(p, TEXT, tau, ell), ")"]
+    return [head, *_poly_slices(p, TEXT, tau, ell), ")"]
 
 
 def render_poly_factored(p: MotPoly) -> str:
@@ -999,10 +1016,7 @@ def render_zeta(z: ZetaExpr) -> str:
         return "0"
     chunks = []
     for facs, coeff in terms:
-        cnt = Counter(facs)
-        fparts = []
-        for f, m in sorted(cnt.items()):
-            fparts.append(str(f) if m == 1 else "%s^%d" % (f, m))
+        fparts = [str(f) if m == 1 else "%s^%d" % (f, m) for f, m in _pairs(facs)]
         if fparts and coeff == MotPoly.one():
             chunks.append(" * ".join(fparts))
         else:
@@ -1021,9 +1035,8 @@ def latex_zeta(z: ZetaExpr) -> str:
         return "0"
     chunks = []
     for facs, coeff in terms:
-        cnt = Counter(facs)
         fparts = []
-        for f, m in sorted(cnt.items()):
+        for f, m in _pairs(facs):
             e = frac_latex(f.nu) if f.N == 0 else _lin_latex((f.N, f.nu))
             frac = (
                 "\\frac{(\\mathbb{L}-1)\\mathbb{L}^{-(%s)}}{1-\\mathbb{L}^{-(%s)}}"
@@ -1043,51 +1056,49 @@ def latex_zeta(z: ZetaExpr) -> str:
 def json_poly_slices(p: MotPoly) -> list[str]:
     """The JSON text of ``p.json_obj()``, written straight off the integer
     key columns, as slices: "[", one per :data:`SLICE_TERMS` sorted terms,
-    and "]".  A slice is one ``%`` over one template per term, in which
-    only the L-exponent x/r (reduced by one gcd map) and the coefficient
-    vary.  Each distinct (T, symbols) pair of a slice makes its template
-    once.  ``syms`` goes through :func:`json.dumps`, so symbol names are
-    escaped as it escapes them, and each ``%`` in that text is doubled
-    before it joins the template."""
+    and "]".  A term's shape is the gcd codes of its exponents and its
+    symbols, which go through :func:`json.dumps` (so names are escaped as
+    it escapes them); its template takes the L- and T-numerators and c."""
     r = p.scale
-    out = ["["]
-    for i, (ts, ls, symss, cs) in enumerate(p.column_slices(SLICE_TERMS)):
-        templates = dict.fromkeys(zip(ts, symss))
-        for t, syms in list(templates):
-            num, den = reduce_exp(t, r)
-            syms_text = json.dumps(dict(syms), sort_keys=True) if syms else "{}"
-            templates[t, syms] = (
-                '{"L": {"den": %%d, "num": %%d}, "T": {"den": %d, "num": %d}, "c": %%d, "syms": %s}'
-                % (den, num, syms_text.replace("%", "%%"))
-            )
-        nums, dens = _lowest_terms(ls, r)
-        values = tuple(itertools.chain.from_iterable(zip(dens, nums, cs)))
-        out.append((", " * bool(i) + ", ".join(map(templates.__getitem__, zip(ts, symss)))) % values)
-    out.append("]")
-    return out
+
+    def runs():
+        for ts, ls, symss, cs in p.column_slices(SLICE_TERMS):
+            (lgs, lnums), (tgs, tnums) = _exponents(ls, r), _exponents(ts, r)
+            yield zip(lgs, tgs, symss), (lnums, tnums, cs)
+
+    def make(shape) -> str:
+        lg, tg, syms = shape
+        syms = json.dumps(dict(syms), sort_keys=True).replace("%", "%%") if syms else "{}"
+        return ', {"L": {"den": %d, "num": %%s}, "T": {"den": %d, "num": %%s}, "c": %%s, "syms": %s}' % (
+            r // lg, r // tg, syms)
+
+    return ["[", *_slices(runs(), make), "]"]
 
 
 def json_poly(p: MotPoly) -> str:
     return "".join(json_poly_slices(p))
 
 
-def _runs(n: int) -> range:
-    """The starts of the slices of a column of length n."""
-    return range(0, n, SLICE_TERMS)
+def _value_slices(vals: ValuesAtL, part: str, whole: str, lead, *getters) -> list[str]:
+    """The slices of the columns of ``vals``, :data:`SLICE_TERMS` a slice: a
+    column is ``whole`` for a whole T-exponent, else ``part`` with its reduced
+    denominator, of its numerator, then its value or each of ``getters`` of it."""
+    ts, values, r = vals
+
+    def runs():
+        for i in range(0, len(ts), SLICE_TERMS):
+            gs, nums = _exponents(ts[i : i + SLICE_TERMS], r)
+            run = values[i : i + SLICE_TERMS]
+            yield gs, (nums, *(map(get, run) for get in getters)) if getters else (nums, run)
+
+    return _slices(runs(), lambda g: whole if g == r else part % (r // g), lead)
 
 
 def render_values_at_L_slices(p: Fraction, vals: ValuesAtL) -> list[str]:
     """The ``--eval-L`` block: the line ``series at L = p:``, then a line
-    ``  T^e: v`` for each column of ``vals``, written from the columns, one
-    slice per :data:`SLICE_TERMS` of them."""
-    ts, values, r = vals
-    return ["series at L = %s:" % p] + [
-        "".join(_lattice_texts(
-            ts[i : i + SLICE_TERMS], r, "\n  T^{0}: {2}", "\n  T^({0}/{1}): {2}", {},
-            map(str, values[i : i + SLICE_TERMS]),
-        ))
-        for i in _runs(len(ts))
-    ]
+    ``  T^e: v`` for each column of ``vals``, one slice per
+    :data:`SLICE_TERMS` of them."""
+    return ["series at L = %s:" % p, *_value_slices(vals, "\n  T^(%%s/%d): %%s", "\n  T^%s: %s", str)]
 
 
 def render_values_at_L(p: Fraction, vals: ValuesAtL) -> str:
@@ -1097,21 +1108,10 @@ def render_values_at_L(p: Fraction, vals: ValuesAtL) -> str:
 def json_values_at_L_slices(vals: ValuesAtL) -> list[str]:
     """The JSON text of the list of ``{"T": T-exponent, "value": value}``,
     each a ``{"den", "num"}`` object, over the columns of ``vals``, as
-    slices: "[", one per :data:`SLICE_TERMS` columns, and "]".  A slice is
-    one ``%`` over one template repeated."""
-    ts, values, r = vals
-    template = '{"T": {"den": %d, "num": %d}, "value": {"den": %d, "num": %d}}'
-    out = ["["]
-    for i in _runs(len(ts)):
-        run = values[i : i + SLICE_TERMS]
-        nums, dens = _lowest_terms(ts[i : i + SLICE_TERMS], r)
-        columns = (dens, nums, map(attrgetter("denominator"), run), map(attrgetter("numerator"), run))
-        out.append(
-            (", " * bool(i) + ", ".join(itertools.repeat(template, len(run))))
-            % tuple(itertools.chain.from_iterable(zip(*columns)))
-        )
-    out.append("]")
-    return out
+    slices: "[", one per :data:`SLICE_TERMS` columns, and "]"."""
+    part = ', {"T": {"den": %d, "num": %%s}, "value": {"den": %%s, "num": %%s}}'
+    getters = attrgetter("denominator"), attrgetter("numerator")
+    return ["[", *_value_slices(vals, part, part % 1, _SKIP_COMMA, *getters), "]"]
 
 
 def json_values_at_L(vals: ValuesAtL) -> str:

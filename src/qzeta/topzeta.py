@@ -12,12 +12,13 @@ constant term first: :func:`pmul`, :func:`padd` and the exact division
 :func:`pdiv` serve both ``TopZeta`` (Fraction coefficients in s) and
 :meth:`qzeta.monodromy.CyclotomicProduct.expand` (integers in t).
 :func:`cancel` is the one reduction rule for a quotient over a product
-of factors, used here and by ``symring.RatFunc``.  :func:`sum_str` is the
-one term walker: every polynomial printed, in L, T and class symbols by
-``symring`` or in s here, is a sum written from two columns, the factor
-text and the coefficient of each term, in one of three syntaxes,
-:data:`TEXT`, :data:`TEXT_S` (factors joined by "*", for polynomials in
-s) and :data:`LATEX`; and :func:`quotient_slices` lays out every printed
+of factors, used here and by ``symring.RatFunc``.  :func:`sum_str` writes
+the dense polynomials in s as sums from two columns, the factor text and
+the coefficient of each term.  Three syntaxes hold the tokens in which
+printed sums differ: :data:`TEXT`, :data:`TEXT_S` (factors joined by
+"*", for polynomials in s) and :data:`LATEX`; ``symring`` writes its
+polynomials in L, T and class symbols in ``TEXT`` and ``LATEX``, with one
+template per term shape.  :func:`quotient_slices` lays out every printed
 quotient.
 """
 
@@ -276,21 +277,21 @@ TEXT_S = TEXT._replace(times="*")  # s-polynomials: 2*s^2 + 1
 LATEX = Syntax("%s^{%s}", "%s/%s", frac_latex, "\\mathbb{L}", True, "", "+", "-")
 
 
-def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax, first: bool = True) -> str:
+def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax) -> str:
     """The sum of the terms ``coeffs[i] * factors[i]`` in ``syntax``, from
     the two columns: each term's factor text, already joined ("" for none),
     and its coefficient.  A term is its sign, then its coefficient's
     magnitude and its factors, the magnitude left out when it is 1 beside
     factors; the text before the factors is made once per distinct
     coefficient.  Zero terms are skipped; the first sign is "-" or
-    nothing, and an empty sum is "0".  With ``first`` false the terms are
-    a later run of a longer sum: the first sign is written as any other,
-    and no terms write ""."""
+    nothing, and an empty sum is "0".  :class:`TopZeta` writes its dense
+    polynomials in s with it; ``symring`` writes the lattice polynomials
+    with one ``%``-template per term shape instead."""
     if not all(coeffs):
         factors = list(itertools.compress(factors, coeffs))
         coeffs = list(itertools.compress(coeffs, coeffs))
     if not coeffs:
-        return "0" if first else ""
+        return "0"
     times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
     lead = {}  # the text before the factors of a term with this coefficient
     for c in set(coeffs):
@@ -300,9 +301,8 @@ def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax, first: boo
     for i in itertools.compress(range(len(texts)), map(operator.not_, factors)):
         c = coeffs[i]
         texts[i] = minus + coeff(-c) if c < 0 else plus + coeff(c)
-    if first:
-        text = texts[0]
-        texts[0] = "-" + text[len(minus):] if coeffs[0] < 0 else text[len(plus):]
+    text = texts[0]
+    texts[0] = "-" + text[len(minus):] if coeffs[0] < 0 else text[len(plus):]
     return "".join(texts)
 
 

@@ -22,8 +22,7 @@ REMOVED = {
     "symring": ["eval_L", "ClassSymbol"],
     "resolution": ["yomdin_zeta", "yomdin_top"],
 }
-# Printers that each walked the terms of a sum: text and LaTeX now share
-# topzeta.sum_str, with the monomials' factors from one lattice helper.
+# Printers that each walked the terms of a sum, one term at a time.
 REMOVED["symring"] += ["_exp_str", "_pow_str", "_lattice_pow_str", "_mono_str", "_render_terms",
                        "_exp_latex"]
 # The per-term factor-tuple printer: every view writes its terms from the
@@ -39,6 +38,10 @@ REMOVED["symring"] += ["_common", "_lesser_content", "_reduced", "_shifted", "_g
 REMOVED["topzeta"] = ["_spoly_str", "_spoly_latex"]
 # The --check line is written by the one runner of the stratified commands.
 REMOVED["cli"] = ["_check"]
+# The str.format column helpers: every polynomial, JSON list and --eval-L
+# block is written by one slice writer, with one %-template per term shape.
+REMOVED["symring"] += ["_lowest_terms", "_lattice_texts", "_power_formats", "_factor_texts", "_runs",
+                       "_minus"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -40,6 +40,7 @@ from qzeta.symring import (
     render_values_at_L,
     series_expand,
 )
+from qzeta import symring
 from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
@@ -453,6 +454,36 @@ def test_json_poly_on_the_d1000_series():
         return min(times)
 
     assert best(json_poly) < best(_json_text)
+
+
+def test_one_template_per_shape_on_the_d1000_series(monkeypatch):
+    """Printing the anchor series makes at most one template per distinct
+    term shape, the shapes counted here from its sorted keys: in text the
+    reduced denominators of the L- and T-exponents (the powers 0 and 1 apart),
+    the symbols, the sign and whether |c| = 1; in JSON the denominators and
+    the symbols."""
+    z = stratified_zeta(hj_stratification(hj_resolve(1000, 1, 3), 3, 5, 2, 7))
+    ser = series_expand(z, 10)
+    terms, r = ser.lattice()
+
+    def den(x: int, fixed=True):
+        return x if fixed and x in (0, r) else F(x, r).denominator
+
+    text_shapes = {(den(l), den(t), s, c < 0, abs(c) == 1) for (t, l, s), c in terms}
+    json_shapes = {(den(l, False), den(t, False), s) for (t, l, s), c in terms}
+    made = []
+    missing = symring._Templates.__missing__
+
+    def counted(self, shape):
+        made.append(shape)
+        return missing(self, shape)
+
+    monkeypatch.setattr(symring._Templates, "__missing__", counted)
+    for printer, shapes in ((render_poly, text_shapes), (json_poly, json_shapes)):
+        made.clear()
+        assert printer(ser)
+        assert len(made) == len(set(made)) <= len(shapes), printer
+    assert len(text_shapes) < 40 and len(json_shapes) < 20
 
 
 # ---------------------------------------------------------------------------
@@ -1117,6 +1148,41 @@ def test_column_printers_match_the_per_term_printers():
     assert json_poly(empty) == "[]" and str(RatFunc(empty, ())) == "0"
     for c in (1, -1):
         assert render_poly(MotPoly.const(c)) == latex_poly(MotPoly.const(c)) == str(c)
+
+
+def test_printers_on_edge_shapes():
+    """The exponents whose templates differ -- 0, 1 (x = r), whole (+-r, +-2r)
+    and the fractions next to them (r +- 1) -- on scales up to 1000, with
+    unit, small and huge coefficients of both signs and symbol names that a
+    template must escape, print as the per-term references do."""
+    rng = random.Random(89)
+    names = _NAMES + _ODD_NAMES
+    valued = 0
+    for r in (1, 2, 12, 720, 1000):
+        exps = sorted({0, r, -r, 2 * r, -2 * r, r + 1, r - 1, -r + 1, -r - 1})
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                syms = ()
+                if rng.random() < 0.3:
+                    picked = rng.sample(names, rng.randint(1, 2))
+                    syms = tuple(sorted((n, rng.choice((-2, -1, 1, 3))) for n in picked))
+                key = (rng.choice(exps), rng.choice(exps), syms)
+                terms[key] = rng.choice((1, -1, 2, -2, 10**25, -(10**25)))
+            p = MotPoly.from_lattice(terms, r)
+            assert render_poly(p) == _ref_render(p) == _old_render(p)
+            assert render_poly_factored(p) == _ref_render_factored(p)
+            assert latex_poly(p) == _ref_latex(p)
+            assert json_poly(p) == _json_text(p)
+            plain = MotPoly.from_lattice({k: c for k, c in terms.items() if not k[2]}, r)
+            for P in (F(1), F(-1), F(4)):
+                got, want = _outcome(plain.values_at_L, P), _outcome(_old_values_at_L, plain, P)
+                if got[0] != "value":
+                    assert got == want
+                    continue
+                assert (render_values_at_L(P, got[1]), json_values_at_L(got[1])) == want[1]
+                valued += 1
+    assert valued > 300
 
 
 def test_values_at_L_print_as_the_fraction_values_did():

@@ -21,7 +21,6 @@ from qzeta import cli, symring
 from qzeta.groups import parse_group_literal
 from qzeta.motpoly import ValuesAtL
 from qzeta.symring import MotPoly, RatFunc, fac, series_expand
-from qzeta.topzeta import TEXT, sum_str
 from qzeta.zetacore import local_monomial_zeta
 
 SYMS = ((), (("A", 1),), (("B", -2), ("C", 1)), (("%d", 3),))
@@ -93,14 +92,6 @@ def test_each_slice_covers_at_most_the_slice_size(monkeypatch, size):
     vals = _values(random.Random(28), 30)
     assert len(symring.render_values_at_L_slices(1, vals)) == 1 + math.ceil(30 / size)
     assert len(symring.json_values_at_L_slices(vals)) == 2 + math.ceil(30 / size)
-
-
-def test_sum_str_of_a_later_run():
-    # a run after the first keeps its first sign, and an empty one is ""
-    assert sum_str(["L", ""], [-1, 2], TEXT) == "-L + 2"
-    assert sum_str(["L", ""], [-1, 2], TEXT, first=False) == " - L + 2"
-    assert sum_str(["L"], [1], TEXT, first=False) == " + L"
-    assert (sum_str([], [], TEXT), sum_str([], [], TEXT, first=False)) == ("0", "")
 
 
 # ---------------------------------------------------------------------------
