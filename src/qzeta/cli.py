@@ -149,7 +149,8 @@ def _emit_zeta(args, z: ZetaExpr, chi_env=None, stratification=None) -> list[str
         if args.json:
             obj["series"] = ser
         else:
-            lines += ["series (T-order <= %s): " % args.series, *symring.render_poly_slices(ser), "\n"]
+            poly = symring.latex_poly_slices if args.latex else symring.render_poly_slices
+            lines += ["series (T-order <= %s): " % args.series, *poly(ser), "\n"]
         if args.eval_L is not None:
             P = args.eval_L
             try:

@@ -8,7 +8,9 @@ stored under the integer key ``(tau*r, ell*r, symbols)``.  Outside this
 module, polynomials are built and read with Fraction exponents, except
 where a builder already holds the integer exponents (the group sums of
 ``zetacore``, the fold of ``symring``) and hands them over
-through :meth:`MotPoly.from_lattice`.
+through :meth:`MotPoly.from_lattice`.  The exact divisions by binomials
+take integers too: :meth:`MotPoly.divide_one_minus` reads its direction
+as an integer pair over one denominator, as the fold's factors hold it.
 """
 
 from __future__ import annotations
@@ -553,47 +555,43 @@ class MotPoly:
 
     # -- binomials: exact division; monomial product ---------------------
 
-    def divide_one_minus(self, ell_x, tau_x) -> "MotPoly | None":
-        """Exact quotient by ``1 - L^ell_x * T^tau_x``, or None.
+    def divide_one_minus(self, ell: int, tau: int, d: int = 1) -> "MotPoly | None":
+        """Exact quotient by ``1 - L^(ell/d) * T^(tau/d)``, or None.
 
-        Terms are grouped into translation classes along the direction
-        ``x = (tau_x, ell_x)``; within a class the division is the usual
-        one-variable cumulative-sum quotient, exact iff the class
-        coefficients sum to zero.  A direction off the polynomial's
-        lattice moves the quotient onto the finer common lattice.
+        The direction is the integer pair ``x = (tau, ell)`` over the
+        denominator d.  Terms are grouped into translation classes along
+        it; within a class the division is the usual one-variable
+        cumulative-sum quotient, exact iff the class coefficients sum to
+        zero.  The quotient lies on the lcm of the polynomial's scale and
+        d, so a direction off the polynomial's lattice moves it onto the
+        finer one.
 
         Most divisions the fold tries fail, so one cheap pass rejects first.
-        With the direction written as integers ``(tx, lx)`` over its own
-        common denominator, the form ``t*lx - l*tx`` is constant along the
-        direction, so each translation class lies on one level of it (and
-        on one symbol monomial).  A level's coefficient sum is the sum of
-        its classes' sums; if one is nonzero, some class sum is too, and
-        the quotient is not exact.  The pass reads the polynomial's own
-        keys, before any rescale or class is made.  Zero level sums are
-        necessary only: the classes are still walked.
+        The form ``t*ell - l*tau`` is constant along the direction, so each
+        translation class lies on one level of it (and on one symbol
+        monomial).  A level's coefficient sum is the sum of its classes'
+        sums; if one is nonzero, some class sum is too, and the quotient is
+        not exact.  The pass reads the polynomial's own keys, before any
+        rescale or class is made.  Zero level sums are necessary only: the
+        classes are still walked.
         """
-        tau_x, ell_x = _fraction(tau_x), _fraction(ell_x)
-        tn, td = tau_x.numerator, tau_x.denominator
-        ln, ld = ell_x.numerator, ell_x.denominator
-        if not tn and not ln:
+        if not tau and not ell:
             raise ValueError("division by 1 - 1 is undefined")
         if not self._terms:
             return MotPoly.zero()
         terms, r = self._terms, self._r
-        dx = math.lcm(td, ld)
-        tx, lx = tn * (dx // td), ln * (dx // ld)
         levels: dict = {}  # level, or (level, symbols) when there are symbols
         get = levels.get
         for (t, l, s), c in terms.items():
-            key = (t * lx - l * tx, s) if s else t * lx - l * tx
+            key = (t * ell - l * tau, s) if s else t * ell - l * tau
             levels[key] = get(key, 0) + c
         if any(levels.values()):
             return None
-        if r % dx:
-            m = dx // math.gcd(r, dx)
+        if r % d:
+            m = d // math.gcd(r, d)
             terms, r = _rescale(terms, m), r * m
-        tx, lx = tn * (r // td), ln * (r // ld)
-        return _class_quotient(terms, r, tx, lx)
+        m = r // d
+        return _class_quotient(terms, r, tau * m, ell * m)
 
     def divide_L_minus_one(self) -> "MotPoly | None":
         """Exact quotient by ``L - 1``, or None.

@@ -22,8 +22,9 @@ All coefficients are integers and all exponents exact rationals: a
 polynomial keeps its exponents as integers over one lattice scale r
 (for a quotient by G they are ages, so r is the index), and prints them
 from those integers; a factor keeps the integer triple (r, N*r, nu*r),
-and the fold and the series plan work on integers too, while
-topological zetas are :class:`fractions.Fraction` values.  Nothing is
+and the fold, which divides along that triple, and the series plan work
+on integers too, while topological zetas are
+:class:`fractions.Fraction` values.  Nothing is
 approximated, and equality of zeta expressions is decided by exact
 cross-multiplication.
 """
@@ -113,12 +114,14 @@ class StdFactor:
     and its ray, the primitive pair on the line of ``(N, nu)``.  It reads
     the numerators and denominators of ints or Fractions (anything else
     goes through :class:`fractions.Fraction`) and makes no Fraction: the
-    direction ``(-nu, N)`` of its binomial, off which ``N`` and ``nu`` are
-    read, is made when first read and kept.  Order and equality are those
-    of the pair ``(N, nu)``, decided on the triple by cross-multiplication.
+    fold divides by its binomial along the integer direction ``(-nu*r,
+    N*r)`` over r, and only the printers and the Euler specialization read
+    ``N`` and ``nu``, as Fractions made from the triple on each read.
+    Order and equality are those of the pair ``(N, nu)``, decided on the
+    triple by cross-multiplication.
     """
 
-    __slots__ = ("_lat", "_hash", "_ray", "_dir")
+    __slots__ = ("_lat", "_hash", "_ray")
 
     def __init__(self, N, nu):
         if not isinstance(N, (int, Fraction)):
@@ -139,7 +142,6 @@ class StdFactor:
         self._hash = hash(lat)
         g = math.gcd(n, v)
         self._ray = (n // g, v // g)
-        self._dir = None
 
     def __hash__(self):
         return self._hash
@@ -160,23 +162,14 @@ class StdFactor:
         return v1 * r2 < v2 * r1
 
     @property
-    def _direction(self) -> tuple[Fraction, Fraction]:
-        """(ell, tau) = (-nu, N), the exponents of L and T in the binomial
-        1 - L^-nu T^N, as :meth:`MotPoly.divide_one_minus` takes them; made
-        on the first read and kept."""
-        direction = self._dir
-        if direction is None:
-            r, n, v = self._lat
-            direction = self._dir = (Fraction(-v, r), Fraction(n, r))
-        return direction
-
-    @property
     def N(self) -> Fraction:
-        return self._direction[1]
+        r, n, _v = self._lat
+        return Fraction(n, r)
 
     @property
     def nu(self) -> Fraction:
-        return -self._direction[0]
+        r, _n, v = self._lat
+        return Fraction(v, r)
 
     @property
     def is_trivial(self) -> bool:
@@ -383,24 +376,20 @@ class RatFunc:
     ``numer`` is expanded on its first read, and kept; the quotient is the
     same, term for term, as the one that divides whole numerators.  A
     quotient is not changed after it is made.
+
+    The fold holds every quotient it makes as a :class:`RatFunc` whose
+    core lies on the fold's one scale R, and reads R from the core.
     """
 
     __slots__ = ("_core", "_k", "_numer", "denom")
 
-    def __init__(self, numer: MotPoly, denom: tuple[tuple[StdFactor, int], ...]):
-        # denom: sorted (factor, multiplicity) pairs, multiplicities >= 1
-        self._core = self._numer = numer
-        self._k = 0
-        self.denom = denom
-
-    @classmethod
-    def _of(cls, core: MotPoly, k: int, denom) -> "RatFunc":
-        """The quotient (L - 1)^k * core / denom; a zero core keeps k = 0."""
-        out = cls.__new__(cls)
-        out._core, out.denom = core, denom
-        out._k = k if core else 0
-        out._numer = None if out._k else core
-        return out
+    def __init__(self, core: MotPoly, denom: tuple[tuple[StdFactor, int], ...], k: int = 0):
+        """The quotient (L - 1)^k * core / denom, denom sorted (factor,
+        multiplicity) pairs with multiplicities >= 1; with k = 0 the core
+        is the numerator, and a zero core keeps k = 0."""
+        self._core, self.denom = core, denom
+        self._k = k if core else 0
+        self._numer = None if self._k else core
 
     @property
     def numer(self) -> MotPoly:
@@ -449,17 +438,14 @@ class RatFunc:
         if not factors or factors[0]._lat[1]:  # the factors with N = 0 come first
             while (q := coeff.divide_L_minus_one()) is not None:
                 coeff, k = q, k + 1
-        core, R = _lifted(coeff, factors)
-        core, k, left = _reduce(core, k, pairs, skip, R)
-        return cls._of(MotPoly.from_lattice(core, R), k, left)
+        return _reduce(_lifted(coeff, factors), k, pairs, skip)
 
     @classmethod
     def unreduced(cls, coeff: MotPoly, factors: FacTuple) -> "RatFunc":
         """coeff * prod Fac(N; nu) as the quotient coeff * prod (L - 1)
         L^-nu T^N over prod (1 - L^-nu T^N), with no division tried; valid
         for :meth:`equivalent` only.  ``factors`` is sorted."""
-        core, R = _lifted(coeff, factors)
-        return cls._of(MotPoly.from_lattice(core, R), len(factors), tuple(_pairs(factors)))
+        return cls(_lifted(coeff, factors), tuple(_pairs(factors)), len(factors))
 
     def equivalent(self, other: "RatFunc") -> bool:
         """Equality as rational functions, for any two quotients, reduced
@@ -468,8 +454,8 @@ class RatFunc:
         :func:`_raised`), the cores agree (the ring is a domain, so the
         common (L - 1)^k cancels)."""
         R = math.lcm(self._core._r, other._core._r, *(f._lat[0] for f, _m in self.denom + other.denom))
-        na, nb, _k, _rows = _raised(*((_rescale(q._core._terms, R // q._core._r), q._k, q.denom)
-                                      for q in (self, other)), R)
+        na, nb, _k, _rows = _raised(*(RatFunc(q._core.mul_monomial(R, (0, 0)), q.denom, q._k)
+                                      for q in (self, other)))
         return na == nb
 
     def __str__(self) -> str:
@@ -502,16 +488,15 @@ def _binomial_text(lat: tuple[int, int, int]) -> str:
     return "1 - L^%s * T^(%d/%d)" % (ell, n // g, r // g)
 
 
-def _lifted(p: MotPoly, factors: FacTuple) -> tuple[dict, int]:
-    """(terms, R): p times the monomials L^-nu T^N of the ``factors``'
-    numerators, on R, the least common scale of p and the factors."""
-    R = math.lcm(p._r, *(f._lat[0] for f in factors))
-    m = R // p._r
+def _lifted(p: MotPoly, factors: FacTuple) -> MotPoly:
+    """p times the monomials L^-nu T^N of the ``factors``' numerators, on
+    the least common scale of p and the factors."""
+    R = math.lcm(*(f._lat[0] for f in factors))
     tau = ell = 0
     for r, n, v in map(attrgetter("_lat"), factors):
         tau += n * (R // r)
         ell -= v * (R // r)
-    return {(t * m + tau, l * m + ell, s): c for (t, l, s), c in p._terms.items()}, R
+    return p.mul_monomial(R, (tau, ell))
 
 
 def _pairs(factors: FacTuple) -> list[tuple[StdFactor, int]]:
@@ -519,18 +504,13 @@ def _pairs(factors: FacTuple) -> list[tuple[StdFactor, int]]:
     return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
 
 
-# The fold holds a quotient (L - 1)^k * core / denom as the triple (core,
-# k, denom): the core a dict of lattice terms on the fold's scale R, and
-# denom sorted (factor, multiplicity) pairs.
-
-
-def _reduce(core: dict, k: int, pairs, skip, R: int) -> tuple:
-    """(L - 1)^k * core over the (factor, multiplicity) ``pairs`` on the
-    scale R, reduced by :func:`qzeta.topzeta.cancel` on the core, ``skip``
-    as there, each division staying on R.  The content goes into the core
+def _reduce(core: MotPoly, k: int, pairs, skip) -> RatFunc:
+    """(L - 1)^k * core over the (factor, multiplicity) ``pairs``, reduced
+    by :func:`qzeta.topzeta.cancel` on the core, ``skip`` as there, each
+    division staying on the core's scale.  The content goes into the core
     first when a factor with N = 0 is tried."""
     if not core:
-        return core, 0, ()
+        return RatFunc(core, ())
     left = tuple(pairs)
     if len(skip) < len(pairs):
         if k:
@@ -538,25 +518,26 @@ def _reduce(core: dict, k: int, pairs, skip, R: int) -> tuple:
                 if f._lat[1]:
                     break
                 if f not in skip:
-                    core, k = _times_L_minus_one(core, k, R), 0
+                    R = core._r
+                    core, k = MotPoly.from_lattice(_times_L_minus_one(core._terms, k, R), R), 0
                     break
-        numer, left = cancel(MotPoly.from_lattice(core, R), pairs, _divide_factor, skip)
-        core = numer._terms
-    return core, k, left
+        core, left = cancel(core, pairs, _divide_factor, skip)
+    return RatFunc(core, left, k)
 
 
-def _raised(a: tuple, b: tuple, R: int) -> tuple:
-    """Two quotients (core, k, denom) on the scale R over one denominator:
+def _raised(a: RatFunc, b: RatFunc) -> tuple:
+    """Two quotients whose cores lie on one scale R, over one denominator:
     (na, nb, k, rows) with a = (L - 1)^k * na / D and b = (L - 1)^k * nb
-    / D, k the lesser content exponent and D the least common denominator,
-    and rows the (factor, multiplicity in a, multiplicity in b) of each
-    factor of D, in sorted order."""
-    (na, k, da), (nb, kb, db) = a, b
+    / D, na and nb the lattice terms on R, k the lesser content exponent
+    and D the least common denominator, and rows the (factor, multiplicity
+    in a, multiplicity in b) of each factor of D, in sorted order."""
+    R = a._core._r
+    na, k, nb, kb = a._core._terms, a._k, b._core._terms, b._k
     if k > kb:
         na, k = _times_L_minus_one(na, k - kb, R), kb
     elif k < kb:
         nb = _times_L_minus_one(nb, kb - k, R)
-    ma, mb = dict(da), dict(db)
+    ma, mb = dict(a.denom), dict(b.denom)
     rows = [(f, ma.get(f, 0), mb.get(f, 0)) for f in sorted({**ma, **mb})]
     for f, x, y in rows:
         r, n, v = f._lat
@@ -568,9 +549,9 @@ def _raised(a: tuple, b: tuple, R: int) -> tuple:
     return na, nb, k, rows
 
 
-def _add(a: tuple, b: tuple, R: int, alone: bool) -> tuple:
-    """The reduced sum of two reduced quotients (core, k, denom) on the
-    scale R; ``alone`` says that no two distinct factors of the fold share
+def _add(a: RatFunc, b: RatFunc, alone: bool) -> RatFunc:
+    """The reduced sum of two reduced quotients whose cores lie on one
+    scale; ``alone`` says that no two distinct factors of the fold share
     a ray.
 
     A factor f with unequal multiplicities on the two sides, and no other
@@ -580,21 +561,23 @@ def _add(a: tuple, b: tuple, R: int, alone: bool) -> tuple:
     invariant) times binomials on other rays, coprime to f, so f does not
     divide the sum.  Nor is any factor tried when one side is zero.
     """
-    if not a[0]:
+    if not a._core:
         return b
-    if not b[0]:
+    if not b._core:
         return a
-    na, nb, k, rows = _raised(a, b, R)
+    na, nb, k, rows = _raised(a, b)
     skip = {f for f, x, y in rows if x != y}
     if skip and not alone:
         seen = Counter(f._ray for f, _x, _y in rows)
         skip = {f for f in skip if seen[f._ray] == 1}
-    return _reduce(_plus(na, nb), k, [(f, max(x, y)) for f, x, y in rows], skip, R)
+    core = MotPoly.from_lattice(_plus(na, nb), a._core._r)
+    return _reduce(core, k, [(f, max(x, y)) for f, x, y in rows], skip)
 
 
 def _divide_factor(p: MotPoly, f: StdFactor) -> MotPoly | None:
     """p / (1 - L^-nu T^N) for f = Fac(N; nu), or None."""
-    return p.divide_one_minus(*f._direction)
+    r, n, v = f._lat
+    return p.divide_one_minus(-v, n, r)
 
 
 def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
@@ -603,8 +586,10 @@ def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
     The fold runs on one lattice scale R, the lcm of every coefficient's
     and factor's scale, fixed before the first term.  Each term is reduced
     on its own by :meth:`RatFunc.from_term`, its coefficient put on R, and
-    the quotients are added as dicts of lattice terms on R by :func:`_add`,
-    with a cancellation pass after each addition, so no step rescales.
+    the quotients, each a :class:`RatFunc` whose core lies on R, are added
+    by :func:`_add`, with a cancellation pass after each addition, so no
+    step rescales.  Each division reads a factor's integer triple, so the
+    fold makes no Fraction.
     Each step's quotient is reduced, so each step can skip the divisions
     that coprimality rules out; the result is the one that trying every
     division gives.
@@ -627,17 +612,15 @@ def ze_to_ratfunc(z: ZetaExpr) -> RatFunc:
         facs = {f for factors in terms for f in factors}
         alone = len({f._ray for f in facs}) == len(facs)
         R = math.lcm(*(c._r for c in terms.values()), *(f._lat[0] for f in facs))
-        leaves = (RatFunc.from_term(MotPoly.from_lattice(_rescale(c._terms, R // c._r), R), factors)
-                  for factors, c in terms.items())
-        level = [(q._core._terms, q._k, q.denom) for q in leaves]
+        level = [RatFunc.from_term(MotPoly.from_lattice(_rescale(c._terms, R // c._r), R), factors)
+                 for factors, c in terms.items()]
         if alone:
             while len(level) > 1:
-                merged = [_add(a, b, R, True) for a, b in zip(level[::2], level[1::2])]
+                merged = [_add(a, b, True) for a, b in zip(level[::2], level[1::2])]
                 level = merged + level[-1:] if len(level) % 2 else merged
         elif level:
-            level = [functools.reduce(lambda a, b: _add(a, b, R, False), level)]
-        core, k, denom = level[0] if level else ({}, 0, ())
-        rf = z._rf = RatFunc._of(MotPoly.from_lattice(core, R), k, denom)
+            level = [functools.reduce(lambda a, b: _add(a, b, False), level)]
+        rf = z._rf = level[0] if level else RatFunc.zero()
     return rf
 
 
@@ -675,8 +658,9 @@ def candidate_poles(z: ZetaExpr) -> set[Fraction]:
     out = set()
     for facs in z._terms:
         for f in facs:
-            if f.N > 0:
-                out.add(Fraction(-f.nu, 1) / f.N)
+            _r, n, v = f._lat
+            if n:
+                out.add(Fraction(-v, n))
     return out
 
 
@@ -1025,8 +1009,12 @@ def render_zeta(z: ZetaExpr) -> str:
     return " + ".join(chunks)
 
 
+def latex_poly_slices(p: MotPoly) -> list[str]:
+    return _poly_slices(p, LATEX)
+
+
 def latex_poly(p: MotPoly) -> str:
-    return "".join(_poly_slices(p, LATEX))
+    return "".join(latex_poly_slices(p))
 
 
 def latex_zeta(z: ZetaExpr) -> str:

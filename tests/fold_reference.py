@@ -8,7 +8,10 @@
 - :func:`make`, a quotient reduced by trying every factor in sorted
   order, and :func:`add`, the reduced sum of two reduced quotients made
   by the fold's own step (``symring._add``) with both quotients held on
-  their least common scale.
+  their least common scale.  They and the reference fold divide by a
+  factor through the public :meth:`MotPoly.divide_one_minus`
+  (:func:`divide_factor`), not through the fold's own helper, and
+  :func:`direction` writes a rational direction as that method takes it.
 - A reference copy of the fold as it was written on whole polynomials:
   each term reduced by itself, each sum raised to the least common
   denominator with plain ``MotPoly`` products, every step's quotient a
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from qzeta import symring
 from qzeta.motpoly import MotPoly, _rescale, _times_binomial
@@ -69,10 +73,24 @@ def binom_poly(f) -> MotPoly:
     return MotPoly.one() - _monomial(f)
 
 
+def direction(ell, tau) -> tuple[int, int, int]:
+    """The direction (ell, tau), two rationals, as the integers (ell*d,
+    tau*d, d) over their least common denominator d, as
+    :meth:`MotPoly.divide_one_minus` takes it."""
+    ell, tau = Fraction(ell), Fraction(tau)
+    d = math.lcm(ell.denominator, tau.denominator)
+    return ell.numerator * (d // ell.denominator), tau.numerator * (d // tau.denominator), d
+
+
+def divide_factor(p: MotPoly, f) -> MotPoly | None:
+    """p / (1 - L^-nu T^N), the direction (-nu*r, N*r) over r, or None."""
+    return p.divide_one_minus(-f._lat[2], f._lat[1], f._lat[0])
+
+
 def make(numer: MotPoly, denom) -> RatFunc:
     """numer / prod f^m over denom = {f: m}, reduced by trying every
     factor in sorted order."""
-    return RatFunc(*cancel(numer, sorted(denom.items()), symring._divide_factor))
+    return RatFunc(*cancel(numer, sorted(denom.items()), divide_factor))
 
 
 def add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -80,9 +98,9 @@ def add(a: RatFunc, b: RatFunc) -> RatFunc:
     least common scale of their cores and factors; a factor is skipped
     only when no other factor of the sum lies on its ray."""
     R = math.lcm(a._core.scale, b._core.scale, *(f._lat[0] for f, _m in a.denom + b.denom))
-    sides = [(_rescale(q._core._terms, R // q._core.scale), q._k, q.denom) for q in (a, b)]
-    core, k, denom = symring._add(*sides, R, False)
-    return RatFunc._of(MotPoly.from_lattice(core, R), k, denom)
+    sides = [RatFunc(MotPoly.from_lattice(_rescale(q._core._terms, R // q._core.scale), R), q.denom, q._k)
+             for q in (a, b)]
+    return symring._add(*sides, False)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +135,8 @@ def _reduced(core: MotPoly, k: int, pairs, skip) -> RatFunc:
             if f not in skip:
                 core, k = _times_L_minus_one(core, k), 0
                 break
-    core, left = cancel(core, pairs, symring._divide_factor, skip)
-    return RatFunc._of(core, k, left)
+    core, left = cancel(core, pairs, divide_factor, skip)
+    return RatFunc(core, left, k)
 
 
 def ref_from_term(coeff: MotPoly, factors) -> RatFunc:

@@ -89,6 +89,11 @@ def test_removed_names_are_gone():
     for attr in ("numer_poly", "binom_poly", "_numer_keys", "_binom_keys", "_lattice", "__dict__"):
         assert not hasattr(qzeta.symring.StdFactor(1, 1), attr), attr
     assert not hasattr(qzeta.symring.RatFunc, "add") and not hasattr(qzeta.symring.RatFunc, "make")
+    # the second quotient constructor, and the Fraction direction a factor
+    # cached for divisions: the fold divides along the integer triple
+    assert not hasattr(qzeta.symring.RatFunc, "_of")
+    for attr in ("_direction", "_dir"):
+        assert not hasattr(qzeta.symring.StdFactor, attr) and attr not in qzeta.symring.StdFactor.__slots__, attr
     # the binomial product on whole polynomials: the fold's is on term dicts
     assert not hasattr(qzeta.motpoly.MotPoly, "mul_binomial")
     # members that only tests read, and helpers with a one-line replacement

@@ -95,6 +95,21 @@ def test_monomial_latex(capsys):
     assert out == "\\left(\\mathbb{L}^{-2}+\\mathbb{L}^{-1}\\right)\n"
 
 
+def test_latex_writes_the_series_line_in_latex(capsys):
+    # the zeta line, euler: and the series line are all LaTeX; the
+    # --eval-L lines are values, written as in text
+    argv = ["monomial", "--group", "(2;1,1)", "--N", "1,1", "--nu", "1,1", "--series", "2", "--euler"]
+    rc, out, _ = run(capsys, argv + ["--latex"])
+    assert rc == 0
+    assert out.splitlines()[2] == (
+        "series (T-order <= 2): \\mathbb{L}^{-3}T^{1}-2\\mathbb{L}^{-2}T^{1}+\\mathbb{L}^{-1}T^{1}"
+        "+3\\mathbb{L}^{-4}T^{2}-6\\mathbb{L}^{-3}T^{2}+3\\mathbb{L}^{-2}T^{2}"
+    )
+    _rc, text, _ = run(capsys, argv + ["--eval-L", "3"])
+    _rc, latex, _ = run(capsys, argv + ["--eval-L", "3", "--latex"])
+    assert latex.splitlines()[3:] == text.splitlines()[3:] == ["series at L = 3:", "  T^1: 4/27", "  T^2: 4/27"]
+
+
 def test_eval_L_requires_series(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["monomial", "--group", "(1;0)", "--N", "1", "--nu", "1", "--eval-L", "3"])

@@ -10,19 +10,22 @@ one, and while ``StdFactor`` compared its Fraction fields.
 
 from __future__ import annotations
 
+import cProfile
 import hashlib
 import math
+import pstats
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from qzeta.groups import GroupAction
-from qzeta.resolution import hj_resolve, hj_stratification
+from qzeta.resolution import YomdinParams, hj_resolve, hj_stratification, yomdin_stratification
 from qzeta.symring import MotPoly, RatFunc, StdFactor, ZetaExpr, fac, ze_equal, ze_to_ratfunc
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 
-from fold_reference import add, binom_keys, binom_poly, mul_binomial, numer_keys, numer_poly, ref_fold
+from fold_reference import (add, binom_keys, binom_poly, direction, divide_factor, mul_binomial, numer_keys,
+                            numer_poly, ref_fold)
 
 FOLD_PIN = (509328, "c3c19380539928e5b248ecfe9ae60f2f67d8302099e1e321696dbc50e42d4ac0")
 
@@ -76,8 +79,8 @@ def _divisions(monkeypatch, zs):
     exact, terms = [], []
     divide = MotPoly.divide_one_minus
 
-    def counted(self, ell_x, tau_x):
-        q = divide(self, ell_x, tau_x)
+    def counted(self, *args):
+        q = divide(self, *args)
         exact.append(q is not None)
         terms.append(len(self))
         return q
@@ -122,6 +125,37 @@ def test_long_chain_fold_divides_no_more_than_recorded(monkeypatch):
     assert sum(terms) <= HJ_301_DIVISION_TERMS
 
 
+def _fractions_made(run) -> int:
+    """The Fractions that ``run()`` makes: calls of Fraction.__new__."""
+    prof = cProfile.Profile()
+    prof.runcall(run)
+    return sum(nc for (path, _line, name), (_cc, nc, *_rest) in pstats.Stats(prof).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+
+
+def test_fold_makes_no_fraction(monkeypatch):
+    # The fold reads each factor's integer triple and divides along it, so
+    # folding makes no Fraction, and every division takes ints: over the
+    # pinned sweep, a shared-ray yomdin stratification and the long
+    # 1/1000(1, 3) chain, each expression built fresh before the count.
+    assert _fractions_made(lambda: F(1, 3)) == 1
+    zs = [z for pair in _criterion_4_sweep() for z in pair]
+    zs.append(stratified_zeta(yomdin_stratification(YomdinParams(3, 1, 2, 3, 1))[0]))
+    zs.append(_hj_chain(1000, 1, 3, (3, 5), (2, 7)))
+    assert not _rays_distinct(zs[-2]) and _rays_distinct(zs[-1])
+    args = []
+    divide = MotPoly.divide_one_minus
+
+    def counted(self, *a):
+        args.append(a)
+        return divide(self, *a)
+
+    monkeypatch.setattr(MotPoly, "divide_one_minus", counted)
+    assert _fractions_made(lambda: [ze_to_ratfunc(z) for z in zs]) == 0
+    assert len(args) > 1000 and {type(x) for a in args for x in a} == {int}
+    assert all(z._rf is not None for z in zs)
+
+
 def _assert_reduced(rf: RatFunc):
     """The invariant of a reduced quotient: no factor left in the
     denominator divides the numerator, and a zero numerator keeps none."""
@@ -129,7 +163,7 @@ def _assert_reduced(rf: RatFunc):
         assert rf.denom == ()
     for f, m in rf.denom:
         assert m >= 1
-        assert rf.numer.divide_one_minus(-f.nu, f.N) is None, (str(rf), str(f))
+        assert rf.numer.divide_one_minus(*direction(-f.nu, f.N)) is None, (str(rf), str(f))
 
 
 def test_criterion_4_folds_are_reduced():
@@ -203,7 +237,7 @@ def test_divide_exact_multiples():
     def check(q, x):
         ell_x, tau_x = x
         mono = MotPoly.monomial(1, ell=ell_x, tau=tau_x)
-        assert (q - q * mono).divide_one_minus(ell_x, tau_x) == q
+        assert (q - q * mono).divide_one_minus(*direction(ell_x, tau_x)) == q
 
     check()
 
@@ -222,7 +256,7 @@ def test_divide_agrees_with_class_walk():
         if kind == 2:
             p = p + e
         want = _class_walk(p, ell_x, tau_x)
-        got = p.divide_one_minus(ell_x, tau_x)
+        got = p.divide_one_minus(*direction(ell_x, tau_x))
         if want is None:
             assert got is None
         else:
@@ -239,10 +273,10 @@ def test_divide_rejects_where_only_the_classes_differ():
     assert _class_walk(p, 2, 0) is None
     # the same on a finer lattice, with a symbol riding along
     p = (MotPoly.one() - MotPoly.L(F(1, 3))) * MotPoly.sym("C")
-    assert p.divide_one_minus(F(2, 3), 0) is None
-    assert p.divide_one_minus(F(1, 3), 0) == MotPoly.sym("C")
+    assert p.divide_one_minus(2, 0, 3) is None
+    assert p.divide_one_minus(1, 0, 3) == MotPoly.sym("C")
     with pytest.raises(ValueError):
-        p.divide_one_minus(0, F(0))
+        p.divide_one_minus(0, 0)
 
 
 def test_mul_binomial_is_the_product_and_division_inverts_it():
@@ -258,7 +292,7 @@ def test_mul_binomial_is_the_product_and_division_inverts_it():
         got = mul_binomial(p, r, a, b)
         assert got == want and got.lattice() == want.lattice()
         # x^(0, 0) - x^b = 1 - L^(b_ell/r) T^(b_tau/r)
-        assert mul_binomial(p, r, (0, 0), b).divide_one_minus(F(b[1], r), F(b[0], r)) == p
+        assert mul_binomial(p, r, (0, 0), b).divide_one_minus(b[1], b[0], r) == p
 
     check()
     # a factor's two binomials, on a scale finer than the polynomial's
@@ -267,7 +301,7 @@ def test_mul_binomial_is_the_product_and_division_inverts_it():
     assert mul_binomial(p, *numer_keys(f)) == p * numer_poly(f)
     assert mul_binomial(p, *binom_keys(f)) == p * binom_poly(f)
     assert mul_binomial(p, *binom_keys(f)).scale == 12
-    assert mul_binomial(p, *binom_keys(f)).divide_one_minus(*f._direction) == p
+    assert divide_factor(mul_binomial(p, *binom_keys(f)), f) == p
     assert mul_binomial(MotPoly.zero(), *binom_keys(f)) == MotPoly.zero()
 
 
@@ -345,7 +379,7 @@ def test_factor_triple_order_and_fractions_follow_the_pairs():
         assert math.gcd(r, n, v) == 1 and (F(n, r), F(v, r)) == (N, nu)
         assert type(f.N) is F and type(f.nu) is F and (f.N, f.nu) == (N, nu)
         g = math.gcd(n, v)
-        assert f._ray == (n // g, v // g) and f._direction == (-nu, N)
+        assert f._ray == (n // g, v // g) and direction(-f.nu, f.N) == (-v, n, r)
         pairs.append((N, nu))
         facs.append(f)
     for _ in range(2000):

@@ -44,6 +44,7 @@ from qzeta import symring
 from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
+from fold_reference import direction
 from readers import coeff_of_T, series_at_L
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,14 @@ def test_from_lattice_reads_back_as_fractions():
 
 def test_divide_along_a_direction_off_the_lattice():
     # 1 - T has integer exponents; 1 - T^(1/3) needs the lattice (1/3)Z.
-    q = (MotPoly.one() - MotPoly.T()).divide_one_minus(0, F(1, 3))
+    q = (MotPoly.one() - MotPoly.T()).divide_one_minus(0, 1, 3)
     assert q == MotPoly.one() + MotPoly.T(F(1, 3)) + MotPoly.T(F(2, 3))
     # 1 - L^-1 T^2 by 1 - L^(-1/5) T^(2/5): a five-term geometric sum.
     x = MotPoly.monomial(1, ell=F(-1, 5), tau=F(2, 5))
-    q = (MotPoly.one() - MotPoly.monomial(1, ell=-1, tau=2)).divide_one_minus(F(-1, 5), F(2, 5))
+    q = (MotPoly.one() - MotPoly.monomial(1, ell=-1, tau=2)).divide_one_minus(-1, 2, 5)
     assert q == sum((x**k for k in range(5)), MotPoly.zero())
     # off the lattice and not divisible
-    assert (MotPoly.one() - MotPoly.T()).divide_one_minus(0, F(2, 7)) is None
+    assert (MotPoly.one() - MotPoly.T()).divide_one_minus(0, 2, 7) is None
 
 
 def test_divide_with_negative_exponents():
@@ -148,7 +149,7 @@ def test_divide_with_negative_exponents():
         if ell_x == 0 and tau_x == 0:
             continue
         x = MotPoly.monomial(1, ell=ell_x, tau=tau_x)
-        assert (q - q * x).divide_one_minus(ell_x, tau_x) == q
+        assert (q - q * x).divide_one_minus(*direction(ell_x, tau_x)) == q
     # a direction pointing down in T: 1 - L^2 T^-3
     p = MotPoly.monomial(1, ell=-2, tau=-1) * (MotPoly.one() - MotPoly.monomial(1, ell=2, tau=-3))
     assert p.divide_one_minus(2, -3) == MotPoly.monomial(1, ell=-2, tau=-1)
@@ -240,7 +241,7 @@ def test_divide_matches_fraction_reference():
         # divisible half the time, usually not otherwise
         p = _ref_mul(_ref(q), one_minus_x) if rng.random() < 0.5 else _ref(q)
         want = _ref_divide(p, ell_x, tau_x)
-        got = MotPoly(p).divide_one_minus(ell_x, tau_x)
+        got = MotPoly(p).divide_one_minus(*direction(ell_x, tau_x))
         if want is None:
             assert got is None
             misses += 1

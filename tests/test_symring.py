@@ -33,7 +33,7 @@ from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 from qzeta import topzeta
 from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
 
-from fold_reference import add, binom_poly, make, numer_poly
+from fold_reference import add, binom_poly, direction, make, numer_poly
 from readers import eval_at
 
 
@@ -109,10 +109,10 @@ def test_divide_one_minus_roundtrip():
             continue
         x = MotPoly.monomial(1, ell=ell_x, tau=tau_x)
         p = q - q * x
-        got = p.divide_one_minus(ell_x, tau_x)
+        got = p.divide_one_minus(*direction(ell_x, tau_x))
         assert got == q
     # 1 + x is not divisible by 1 - x
-    assert (MotPoly.one() + MotPoly.T()).divide_one_minus(F(0), F(1)) is None
+    assert (MotPoly.one() + MotPoly.T()).divide_one_minus(0, 1) is None
 
 
 def test_ratfunc_cancellation():
@@ -715,7 +715,7 @@ def _ref_make(numer, denom):
         return RatFunc(numer, ())
     for f in sorted(denom):
         while denom[f] > 0:
-            q = numer.divide_one_minus(-f.nu, f.N)
+            q = numer.divide_one_minus(*direction(-f.nu, f.N))
             if q is None:
                 break
             numer = q
@@ -929,7 +929,7 @@ def _assert_reduced(rf: RatFunc):
     if not rf.numer:
         assert rf.denom == ()
     for f, _m in rf.denom:
-        assert rf.numer.divide_one_minus(-f.nu, f.N) is None, (str(rf), str(f))
+        assert rf.numer.divide_one_minus(*direction(-f.nu, f.N)) is None, (str(rf), str(f))
 
 
 def test_fold_matches_the_fold_that_tries_every_division():
