@@ -15,7 +15,8 @@ and finite sums  ``sum_k  c_k * prod_i Fac(N_i; nu_i)``
 (:class:`ZetaExpr`), their reduced rational-function form, series and
 the Euler specialization to :class:`TopZeta` (see :mod:`qzeta.topzeta`),
 and their printers, which write a polynomial from the columns of its
-sorted keys, :data:`SLICE_TERMS` terms at a time: one writer makes a
+sorted keys, :data:`SLICE_TERMS` terms at a time, through the one
+writer of every printed sum, ``topzeta._slices``: it makes a
 ``%``-template per term shape and fills a slice of terms with one ``%``,
 and each printer returns a list of slices that its ``str`` form joins.
 All coefficients are integers and all exponents exact rationals: a
@@ -38,7 +39,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add, attrgetter, eq, floordiv, itemgetter, lt, mul, sub
+from operator import add, attrgetter, eq, floordiv, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .motpoly import (
@@ -52,7 +53,7 @@ from .motpoly import (
     _times_binomial,
 )
 from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
-from .topzeta import quotient_slices
+from .topzeta import _SKIP_COMMA, _sign_lead, _slices, quotient_slices
 
 Rat = Fraction
 
@@ -763,24 +764,17 @@ def series_expand(z: ZetaExpr, M) -> MotPoly:
     acc: dict = {}
     get = acc.get
     for cur, factors in plan:
-        m = R // cur.scale
-        k = len(factors)
-        binom = [(i * R, math.comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
         # the coefficient times (L - 1)^k, an L-polynomial per (T, symbols)
         rows: dict = {}
-        for (t, l, s), c in cur._terms.items():
-            row = rows.setdefault((t * m, s), {})
-            for dl, w in binom:
-                ell = l * m + dl
-                row[ell] = row.get(ell, 0) + c * w
+        terms = _times_L_minus_one(_rescale(cur._terms, R // cur.scale), len(factors), R)
+        for (t, l, s), c in terms.items():
+            rows.setdefault((t, s), {})[l] = c
         runs = _cone_runs(factors, R, cut - min(t for t, _s in rows))
         for (t0, s), row in rows.items():
             for ts, ls, cs in runs:
                 # the run's points within this row's room, moved to its T-power
                 kept = list(map(add, ts[: bisect.bisect_right(ts, cut - t0)], itertools.repeat(t0)))
                 for l0, w in row.items():
-                    if not w:
-                        continue
                     keys = zip(kept, map(add, ls, itertools.repeat(l0)), itertools.repeat(s))
                     for key, x in zip(keys, map(mul, cs, itertools.repeat(w))):
                         x += get(key, 0)
@@ -882,39 +876,7 @@ def euler_specialize(z: ZetaExpr, chi_env: Mapping[str, int] | None = None) -> T
 
 
 # ---------------------------------------------------------------------------
-# rendering: one writer of slices, one template per term shape
-
-
-class _Templates(dict):
-    """The ``%``-template of each term shape, made by ``make`` when first asked."""
-
-    def __missing__(self, shape):
-        template = self[shape] = self.make(shape)
-        return template
-
-
-_SKIP_COMMA = itemgetter(slice(2, None))  # a JSON list's first item has no ", "
-
-
-def _slices(runs, make, lead=_SKIP_COMMA) -> list[str]:
-    """The slices of a printed sequence of terms, one per run of shapes and
-    columns of ``%`` arguments: ``"".join(templates) % args``, the columns
-    interleaved term by term, and each shape's template made once per call
-    by ``make``.  The very first template is replaced by ``lead`` of it,
-    which drops the separator or sign spacing the others start with."""
-    made = _Templates()
-    made.make = make
-    out = []
-    for shapes, columns in runs:
-        templates = list(map(made.__getitem__, shapes))
-        if not out:
-            templates[0] = lead(templates[0])
-        k = len(columns)
-        args = [None] * (k * len(templates))
-        for j, column in enumerate(columns):
-            args[j::k] = column
-        out.append("".join(templates) % tuple(args))
-    return out
+# rendering: through topzeta's one writer of slices, one template per term shape
 
 
 def _exponents(xs, r: int, fixed: Mapping[int, int] | None = None, shift: int = 0):
@@ -962,10 +924,7 @@ def _poly_slices(p: MotPoly, syntax: Syntax, tau: int = 0, ell: int = 0) -> list
         head = "%.0s" if unit and factors else "%s" + times if factors else "%s"
         return (minus if negative else plus) + head + times.join(factors) + skipped
 
-    def lead(template: str) -> str:
-        return template[len(plus):] if template.startswith(plus) else "-" + template[len(minus):]
-
-    return _slices(runs(), make, lead) or ["0"]
+    return _slices(runs(), make, _sign_lead(syntax)) or ["0"]
 
 
 def render_poly_slices(p: MotPoly) -> list[str]:

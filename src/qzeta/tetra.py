@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mod, mul, not_
 
-from .groups import NotSmall, SizeLimit, _walk
+from .groups import NotSmall, SizeLimit, _codes, _walk
 
 # The largest group order build_tetra enumerates, checked before it starts.
 # The budget is about 10 s and 1 GB for one `tetra --stringy`, whose
@@ -202,10 +202,9 @@ def conjugacy_count(t: TetraGroup) -> int:
     shifts = list(map(itemgetter(0), t.elements))
     diags = list(map(itemgetter(1), t.elements))
     cols = [list(map(itemgetter(i), diags)) for i in range(3)]
-    jd = list(map(mul, shifts, repeat(d)))
-    index = dict(zip(_codes(jd, cols, d), range(len(shifts))))
+    index = dict(zip(_codes([shifts, *cols], d), range(len(shifts))))
     for j, e in gens:
-        assert next(_codes([j * d], zip(e), d)) in index, (
+        assert _codes([[j], *zip(e)], d)[0] in index, (
             "generator %r not in G%r" % ((j, e), (d, q))
         )
     perms = []
@@ -221,7 +220,7 @@ def conjugacy_count(t: TetraGroup) -> int:
                 if m[i]:
                     col = map(add, col, x if m[i] == 1 else map(mul, x, repeat(m[i])))
             images.append(map(mod, col, repeat(d)))
-        perm = list(map(index.get, _codes(jd, images, d)))
+        perm = list(map(index.get, _codes([shifts, *images], d)))
         assert None not in perm, "conjugacy orbits leave G%r" % ((d, q),)
         perms.append(perm)
     neighbours = list(zip(*perms))
@@ -239,12 +238,6 @@ def conjugacy_count(t: TetraGroup) -> int:
                     stack.append(c)
         g = assigned.find(0, g + 1)
     return count
-
-
-def _codes(jd, cols, d):
-    """The codes ((j d + u) d + v) d + w over the columns j d, u, v, w."""
-    u, v, w = cols
-    return map(add, map(mul, map(add, map(mul, map(add, jd, u), repeat(d)), v), repeat(d)), w)
 
 
 def stringy_euler_tetra(t: TetraGroup) -> int:

@@ -12,27 +12,28 @@ constant term first: :func:`pmul`, :func:`padd` and the exact division
 :func:`pdiv` serve both ``TopZeta`` (Fraction coefficients in s) and
 :meth:`qzeta.monodromy.CyclotomicProduct.expand` (integers in t).
 :func:`cancel` is the one reduction rule for a quotient over a product
-of factors, used here and by ``symring.RatFunc``.  :func:`sum_str` writes
-the dense polynomials in s as sums from two columns, the factor text and
-the coefficient of each term.  Three syntaxes hold the tokens in which
-printed sums differ: :data:`TEXT`, :data:`TEXT_S` (factors joined by
-"*", for polynomials in s) and :data:`LATEX`; ``symring`` writes its
-polynomials in L, T and class symbols in ``TEXT`` and ``LATEX``, with one
-template per term shape.  :func:`quotient_slices` lays out every printed
-quotient.
+of factors, used here and by ``symring.RatFunc``.  Every printed sum
+goes through one writer, :func:`_slices`: it makes one ``%``-template per
+term shape and fills a run of terms with one ``%`` over the argument
+columns.  ``symring`` writes its polynomials in L, T and class symbols,
+its JSON lists and ``--eval-L`` blocks with it, and :func:`_spoly` the
+dense polynomials in s.  Three syntaxes hold the tokens in which printed
+sums differ: :data:`TEXT`, :data:`TEXT_S` (factors joined by "*", for
+polynomials in s) and :data:`LATEX`.  The linear factors N s + nu and
+``symring``'s binomials keep fixed-shape texts of their own.
+:func:`quotient_slices` lays out every printed quotient.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 __all__ = ["LATEX", "LinFactor", "Syntax", "TEXT", "TEXT_S", "TopZeta", "cancel", "frac_json",
-           "frac_latex", "padd", "pdiv", "pmul", "quotient_slices", "quotient_str", "sum_str"]
+           "frac_latex", "padd", "pdiv", "pmul", "quotient_slices"]
 
 LinFactor = tuple[Fraction, Fraction]  # (N, nu) meaning N*s + nu, N > 0
 
@@ -223,9 +224,8 @@ class TopZeta:
         return {Fraction(-nu, 1) / N for (N, nu), _m in self.denom_red if N != 0}
 
     def __str__(self) -> str:
-        return quotient_str(
-            _spoly(self.numer_red, TEXT_S), [(_lin_str(f), m) for f, m in self.denom_red]
-        )
+        den = [(_lin_str(f), m) for f, m in self.denom_red]
+        return "".join(quotient_slices([_spoly(self.numer_red, TEXT_S)], den))
 
     def __repr__(self):
         return "TopZeta(%s)" % str(self)
@@ -277,33 +277,47 @@ TEXT_S = TEXT._replace(times="*")  # s-polynomials: 2*s^2 + 1
 LATEX = Syntax("%s^{%s}", "%s/%s", frac_latex, "\\mathbb{L}", True, "", "+", "-")
 
 
-def sum_str(factors: Sequence[str], coeffs: Sequence, syntax: Syntax) -> str:
-    """The sum of the terms ``coeffs[i] * factors[i]`` in ``syntax``, from
-    the two columns: each term's factor text, already joined ("" for none),
-    and its coefficient.  A term is its sign, then its coefficient's
-    magnitude and its factors, the magnitude left out when it is 1 beside
-    factors; the text before the factors is made once per distinct
-    coefficient.  Zero terms are skipped; the first sign is "-" or
-    nothing, and an empty sum is "0".  :class:`TopZeta` writes its dense
-    polynomials in s with it; ``symring`` writes the lattice polynomials
-    with one ``%``-template per term shape instead."""
-    if not all(coeffs):
-        factors = list(itertools.compress(factors, coeffs))
-        coeffs = list(itertools.compress(coeffs, coeffs))
-    if not coeffs:
-        return "0"
-    times, coeff, plus, minus = syntax.times, syntax.coeff, syntax.plus, syntax.minus
-    lead = {}  # the text before the factors of a term with this coefficient
-    for c in set(coeffs):
-        sign, mag = (minus, -c) if c < 0 else (plus, c)
-        lead[c] = sign if mag == 1 else sign + coeff(mag) + times
-    texts = list(map(str.__add__, map(lead.__getitem__, coeffs), factors))
-    for i in itertools.compress(range(len(texts)), map(operator.not_, factors)):
-        c = coeffs[i]
-        texts[i] = minus + coeff(-c) if c < 0 else plus + coeff(c)
-    text = texts[0]
-    texts[0] = "-" + text[len(minus):] if coeffs[0] < 0 else text[len(plus):]
-    return "".join(texts)
+class _Templates(dict):
+    """The ``%``-template of each term shape, made by ``make`` when first asked."""
+
+    def __missing__(self, shape):
+        template = self[shape] = self.make(shape)
+        return template
+
+
+_SKIP_COMMA = operator.itemgetter(slice(2, None))  # a JSON list's first item has no ", "
+
+
+def _slices(runs, make, lead=_SKIP_COMMA) -> list[str]:
+    """The slices of a printed sequence of terms, one per run of shapes and
+    columns of ``%`` arguments: ``"".join(templates) % args``, the columns
+    interleaved term by term, and each shape's template made once per call
+    by ``make``.  The very first template is replaced by ``lead`` of it,
+    which drops the separator or sign spacing the others start with."""
+    made = _Templates()
+    made.make = make
+    out = []
+    for shapes, columns in runs:
+        templates = list(map(made.__getitem__, shapes))
+        if not out:
+            templates[0] = lead(templates[0])
+        k = len(columns)
+        args = [None] * (k * len(templates))
+        for j, column in enumerate(columns):
+            args[j::k] = column
+        out.append("".join(templates) % tuple(args))
+    return out
+
+
+def _sign_lead(syntax: Syntax):
+    """The ``lead`` of a signed sum in ``syntax``: the first term loses the
+    spacing around its sign, and a leading "+" is dropped."""
+    plus, minus = syntax.plus, syntax.minus
+
+    def lead(template: str) -> str:
+        return template[len(plus):] if template.startswith(plus) else "-" + template[len(minus):]
+
+    return lead
 
 
 def quotient_slices(num: list[str], den: list[tuple[str, int]]) -> list[str]:
@@ -311,24 +325,32 @@ def quotient_slices(num: list[str], den: list[tuple[str, int]]) -> list[str]:
     text and the (factor text, multiplicity) pairs ``den``, with no
     ``^1``, as slices: the numerator's own, between the two around them.
     The numerator alone when it is "0" or ``den`` is empty.
-    ``symring.RatFunc`` prints through it, and :class:`TopZeta` through
-    :func:`quotient_str`."""
+    ``symring.RatFunc`` and :class:`TopZeta` print through it."""
     if num == ["0"] or not den:
         return num
     parts = ("(%s)%s" % (f, "" if m == 1 else "^%d" % m) for f, m in den)
     return ["(", *num, ") / (%s)" % " * ".join(parts)]
 
 
-def quotient_str(num: str, den: list[tuple[str, int]]) -> str:
-    """:func:`quotient_slices` of the numerator text ``num``, joined."""
-    return "".join(quotient_slices([num], den))
-
-
 def _spoly(p, syntax: Syntax) -> str:
-    """The dense polynomial p in s, highest power first."""
-    power = syntax.power
-    factors = [power % ("s", k) if k > 1 else "s" if k else "" for k in range(len(p) - 1, -1, -1)]
-    return sum_str(factors, p[::-1], syntax)
+    """The dense polynomial p in s, highest power first, through
+    :func:`_slices`: a term's shape is (power k, c < 0, |c| = 1), and its
+    template writes the sign, |c| unless it is 1 beside a power of s, and
+    s^k, from the one column of the |c| texts.  "0" for no nonzero term."""
+    ks = [k for k in range(len(p) - 1, -1, -1) if p[k]]
+    if not ks:
+        return "0"
+    cs = [p[k] for k in ks]
+    mags = list(map(abs, cs))
+
+    def make(shape) -> str:
+        k, negative, unit = shape
+        factor = syntax.power % ("s", k) if k > 1 else "s" if k else ""
+        head = "%.0s" if unit and factor else "%s" + syntax.times if factor else "%s"
+        return (syntax.minus if negative else syntax.plus) + head + factor
+
+    shapes = [(k, c < 0, m == 1) for k, c, m in zip(ks, cs, mags)]
+    return _slices([(shapes, (map(syntax.coeff, mags),))], make, _sign_lead(syntax))[0]
 
 
 def _lin_str(f: LinFactor) -> str:

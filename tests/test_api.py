@@ -42,6 +42,9 @@ REMOVED["cli"] = ["_check"]
 # block is written by one slice writer, with one %-template per term shape.
 REMOVED["symring"] += ["_lowest_terms", "_lattice_texts", "_power_formats", "_factor_texts", "_runs",
                        "_minus"]
+# The column printer of the polynomials in s and the joined quotient: every
+# printed sum goes through the one slice writer, topzeta._slices.
+REMOVED["topzeta"] += ["sum_str", "quotient_str"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -102,6 +105,13 @@ def test_removed_names_are_gone():
     assert not hasattr(qzeta.tetra.TetraGroup, "identity")
     assert not hasattr(qzeta.motpoly, "_rat")
     assert not hasattr(qzeta.zetacore, "_prime_factors")
+
+
+def test_one_writer_and_one_vector_code():
+    # symring prints through topzeta's writer, and tetra codes its elements
+    # with the vector code of groups
+    assert qzeta.symring._slices is qzeta.topzeta._slices
+    assert qzeta.tetra._codes is qzeta.groups._codes
 
 
 def test_cli_reads_no_private_symring_name():

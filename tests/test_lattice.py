@@ -40,7 +40,7 @@ from qzeta.symring import (
     render_values_at_L,
     series_expand,
 )
-from qzeta import symring
+from qzeta import symring, topzeta
 from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
@@ -473,13 +473,13 @@ def test_one_template_per_shape_on_the_d1000_series(monkeypatch):
     text_shapes = {(den(l), den(t), s, c < 0, abs(c) == 1) for (t, l, s), c in terms}
     json_shapes = {(den(l, False), den(t, False), s) for (t, l, s), c in terms}
     made = []
-    missing = symring._Templates.__missing__
+    missing = topzeta._Templates.__missing__
 
     def counted(self, shape):
         made.append(shape)
         return missing(self, shape)
 
-    monkeypatch.setattr(symring._Templates, "__missing__", counted)
+    monkeypatch.setattr(topzeta._Templates, "__missing__", counted)
     for printer, shapes in ((render_poly, text_shapes), (json_poly, json_shapes)):
         made.clear()
         assert printer(ser)

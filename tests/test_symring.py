@@ -31,7 +31,7 @@ from qzeta.groups import GroupAction
 from qzeta.resolution import YomdinParams, hj_resolve, hj_stratification, yomdin_stratification
 from qzeta.zetacore import local_monomial_zeta, stratified_zeta
 from qzeta import topzeta
-from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_str
+from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_slices
 
 from fold_reference import add, binom_poly, direction, make, numer_poly
 from readers import eval_at
@@ -436,6 +436,9 @@ def test_render_strings():
 
 
 def test_quotient_str_layout():
+    def quotient_str(num, den):
+        return "".join(quotient_slices([num], den))
+
     assert quotient_str("1 + s", []) == "1 + s"
     assert quotient_str("0", [("s + 1", 2)]) == "0"
     assert quotient_str("2", [("s + 1", 1), ("2*s + 3", 2)]) == "(2) / ((s + 1) * (2*s + 3)^2)"
@@ -551,6 +554,33 @@ def test_spoly_printers_match_reference():
     assert caught > 200
     assert str(TopZeta.from_quotient([F(-1), F(-1)], {})) == "-s - 1"
     assert TopZeta.from_quotient([F(1, 2), F(0), F(-1)], {}).latex() == "-s^{2}+\\tfrac{1}{2}"
+
+
+def test_whole_topzeta_prints_by_the_one_sum_rule():
+    """A whole quotient, numerator and denominators, prints as the reference
+    sum printers write it, each factor N s + nu (N, nu > 0) as the
+    polynomial (nu, N): the fixed-shape factor texts keep the one sum rule."""
+    rng = random.Random(53)
+    values = [F(0), F(1), F(-1), F(2), F(-3), F(3, 2), F(-5, 4)]
+    factors = 0
+    while factors < 3000:
+        coeffs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
+        denom = {}
+        for _ in range(rng.randint(1, 4)):
+            lin = (F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4)))
+            denom[lin] = rng.randint(1, 3)
+        tz = TopZeta.from_quotient(coeffs, denom)
+        text, latex = _ref_spoly_str(tz.numer_red), _ref_spoly_latex(tz.numer_red)
+        if tz.denom_red:
+            factors += len(tz.denom_red)
+            text = "(%s) / (%s)" % (text, " * ".join(
+                "(%s)%s" % (_ref_spoly_str((nu, N)), "" if m == 1 else "^%d" % m)
+                for (N, nu), m in tz.denom_red))
+            latex = "\\frac{%s}{%s}" % (latex, "".join(
+                "\\left(%s\\right)%s" % (_ref_spoly_latex((nu, N)), "" if m == 1 else "^{%d}" % m)
+                for (N, nu), m in tz.denom_red))
+        assert str(tz) == text, (coeffs, denom)
+        assert tz.latex() == latex, (coeffs, denom)
 
 
 def test_topzeta_negative_N_equality():
