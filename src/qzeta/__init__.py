@@ -18,7 +18,6 @@ from .monodromy import (
 from .resolution import (
     Chain2D,
     NotCoprime,
-    TetraReduced,
     YomdinParams,
     hj_resolve,
     hj_stratification,
@@ -98,7 +97,7 @@ __all__ = [
     "gor_measure_origin", "orb_measure_origin",
     "veys_det_713", "jet_count_oracle",
     # resolution
-    "Chain2D", "NotCoprime", "TetraReduced", "hj_resolve", "hj_stratification",
+    "Chain2D", "NotCoprime", "hj_resolve", "hj_stratification",
     "YomdinParams", "yomdin_stratification", "yomdin_zeta_closed", "yomdin_top_closed",
     "tetra_stratification", "tetra_zeta_closed", "tetra_top_closed",
     # monodromy

@@ -13,9 +13,14 @@ Zeta-producing subcommands print the reduced rational-function form of
 the motivic zeta function and accept the shared view flags ``--euler``,
 ``--poles``, ``--series M``, ``--eval-L P`` (with ``--series``),
 ``--latex``, ``--json`` and, where a stratification is built,
-``--emit-strata FILE``.  Exit status: 0 on success, 1 on a domain error
-(reported on stderr) or when the reader closes stdout early (reported
-nowhere), 2 on a usage error.
+``--emit-strata FILE``.  Exit status: 0 on success, 1 on a refusal
+(reported on stderr as an ``error:`` line) or when the reader closes
+stdout early (reported nowhere), 2 on a usage error.  A refusal is any
+``ValueError``, which every exception class of the package is, a
+``ZeroDivisionError`` at ``--eval-L 0``, or an ``OSError`` on a strata
+file.  The ``notice:`` lines (a non-small group accepted, a trihedral
+G(d, q) reduced to its small member, unrealizable Yomdin invariants) are
+decided here, from the parameters, and never in the library.
 
 :func:`main` may be called many times in one process.  It builds its
 parser once, on the first call, and every call parses into a fresh
@@ -28,14 +33,11 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 from fractions import Fraction
 
 from . import groups, monodromy, strata, symring, tetra, zetacore
 from .motpoly import TooManyDigits
 from .resolution import (
-    NotCoprime,
-    TetraReduced,
     YomdinParams,
     hj_resolve,
     hj_stratification,
@@ -56,22 +58,6 @@ from .symring import (
     ze_to_ratfunc,
 )
 from .topzeta import frac_json
-
-DOMAIN_ERRORS = (
-    ValueError,
-    ZeroDivisionError,
-    OSError,
-    NotCoprime,
-    MissingChi,
-    symring.FractionalPowerUnevaluable,
-    groups.NotSmall,
-    groups.SizeLimit,
-    tetra.BadParams,
-    zetacore.TInCoefficient,
-    zetacore.DimensionMismatch,
-    zetacore.BudgetExceeded,
-    strata.ParseError,
-)
 
 
 def _notice(msg: str):
@@ -259,12 +245,10 @@ def cmd_tetra(args) -> int:
             _write(["%s\n" % st, "conjugacy classes: %d (%s)\n" % (cc, "match" if st == cc else "MISMATCH")])
         return 0 if st == cc else 1
     N, nu = args.N, args.nu
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        strat, chi_env = tetra_stratification(t, N, nu)
-    for w in caught:
-        if issubclass(w.category, TetraReduced):
-            _notice(str(w.message))
+    strat, chi_env = tetra_stratification(t, N, nu)
+    if not t.is_small_formula:
+        small = t.small_member()
+        _notice("G(%d, %d) has quasi-reflexions; using G(%d, %d)" % (t.d, t.q, small.d, small.q))
     return _run_stratified(
         args, strat, chi_env, lambda: tetra_zeta_closed(t, N, nu), "closed-form assembly"
     )
@@ -400,7 +384,7 @@ def main(argv=None) -> int:
         # devnull, so that the flush at shutdown does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except DOMAIN_ERRORS as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

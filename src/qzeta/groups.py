@@ -58,11 +58,11 @@ def _decimal_digits(n: int) -> int:
     return k + (n >= 10**k)
 
 
-class SizeLimit(Exception):
+class SizeLimit(ValueError):
     """The requested enumeration is over the hard size bound."""
 
 
-class NotSmall(Exception):
+class NotSmall(ValueError):
     """The action has a quasi-reflection (an element fixing a hyperplane)."""
 
 

@@ -24,11 +24,11 @@ __all__ = ["MotPoly", "MissingChi", "FractionalPowerUnevaluable", "TooManyDigits
            "ValuesAtL", "reduce_exp"]
 
 
-class MissingChi(Exception):
+class MissingChi(ValueError):
     """A class symbol has no Euler characteristic assigned."""
 
 
-class FractionalPowerUnevaluable(Exception):
+class FractionalPowerUnevaluable(ValueError):
     """A rational exponent has no exact rational value at the given base."""
 
 
@@ -167,7 +167,7 @@ class MotPoly:
     values are nonzero ints and the zero polynomial has no terms.
     Operands on different scales meet on the lcm of the two.  Fractions
     appear only where exponents cross the boundary: the constructor and
-    the readers :meth:`terms` and :meth:`min_tau`.
+    the reader :meth:`terms`.
     Printing and JSON read the integer keys as columns, a run of them at
     a time (:meth:`column_slices`), and reduce each exponent x/r to lowest
     terms.
@@ -389,11 +389,6 @@ class MotPoly:
         """The lattice scale r: every exponent is an integer over r."""
         return self._r
 
-    def min_tau(self) -> Fraction | None:
-        if not self._terms:
-            return None
-        return Fraction(min(k[0] for k in self._terms), self._r)
-
     def gcd_monomial(self) -> LatKey:
         """Componentwise-minimal monomial across all terms (coefficient 1),
         keyed on this polynomial's scale; the polynomial must be nonzero.
@@ -514,6 +509,7 @@ class MotPoly:
                         )
             return ValuesAtL(ts, [_laurent_value(cols[t], a, b) for t in ts], r)
         except (FractionalPowerUnevaluable, ZeroDivisionError, MissingChi):
+            # by name, not ValueError: the TooManyDigits raised above must pass
             self._raise_first_failure(p)
 
     def _unit_root_values(self, a: int, g: int) -> ValuesAtL:

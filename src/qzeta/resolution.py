@@ -11,12 +11,11 @@ strata; tests compare the two routes exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import GroupAction
-from .symring import MotPoly, Rat, TopZeta, ZetaExpr, fac
+from .symring import MotPoly, TopZeta, ZetaExpr, fac
 from .tetra import TetraParams
 from .zetacore import Stratification, Stratum, infer_gindex
 
@@ -29,19 +28,14 @@ __all__ = [
     "yomdin_stratification",
     "yomdin_zeta_closed",
     "yomdin_top_closed",
-    "TetraReduced",
     "tetra_stratification",
     "tetra_zeta_closed",
     "tetra_top_closed",
 ]
 
 
-class NotCoprime(Exception):
+class NotCoprime(ValueError):
     """Cyclic quotient data must be coprime to the order."""
-
-
-class TetraReduced(UserWarning):
-    """Notice: trihedral parameters were reduced to the small member."""
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +348,15 @@ def tetra_stratification(
     (N, nu) on the image of the coordinate hyperplane sum.
 
     Parameters with d not dividing q^3 + 1 are reduced to the small
-    member G(d', q mod d') with a warning.
+    member G(d', q mod d'), as :func:`tetra_zeta_closed` reduces them;
+    the caller decides whether to say so.
 
     The data is checked once, here, with the refusals a checked stratum
     would give: every N entry is N, a positive multiple of it or 0, and
     every nu entry nu, a positive multiple of it or 1.  The index is
     :func:`infer_gindex` of the strata, so the strata are made unchecked.
     """
-    if not t.is_small_formula:
-        reduced = t.small_member()
-        warnings.warn(
-            "G(%d, %d) has quasi-reflexions; using G(%d, %d)"
-            % (t.d, t.q, reduced.d, reduced.q),
-            TetraReduced,
-            stacklevel=2,
-        )
-        t = reduced
+    t = t.small_member()
     d, q = t.d, t.q
     b = t.beta
     N = Fraction(N)

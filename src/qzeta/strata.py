@@ -26,10 +26,10 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import GroupAction, SizeLimit, group_literal
+from .groups import GroupAction, group_literal
 from .motpoly import MAX_DIGITS
 from .symring import MotPoly, render_poly
-from .zetacore import DimensionMismatch, Stratification, Stratum
+from .zetacore import Stratification, Stratum
 
 __all__ = [
     "ParseError",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__("line %d, column %d: %s" % (line, col, msg))
         self.line = line
@@ -230,7 +230,7 @@ class _Parser:
         self.expect("}")
         try:
             self.strata.append(Stratum(klass, tuple(Nvec), tuple(nuvec), group))
-        except (ValueError, DimensionMismatch) as exc:
+        except ValueError as exc:
             self.fail(str(exc), open_tok)
 
     def vector(self) -> list[Fraction]:
@@ -260,7 +260,7 @@ class _Parser:
         self.expect(")")
         try:
             return GroupAction(orders, rows, self.dimension)
-        except (ValueError, SizeLimit) as exc:
+        except ValueError as exc:
             self.fail(str(exc), open_tok)
 
     # -- class expressions ----------------------------------------------------

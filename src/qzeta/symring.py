@@ -55,7 +55,6 @@ from .motpoly import (
 from .topzeta import LATEX, TEXT, Syntax, TopZeta, _lin_latex, cancel, frac_json, frac_latex
 from .topzeta import _SKIP_COMMA, _sign_lead, _slices, quotient_slices
 
-Rat = Fraction
 
 # The largest bounds a series expansion may have (see series_expand): about
 # 10 s and 1 GB for one command, as for groups.SIZE_LIMIT.  Each term the
@@ -86,7 +85,6 @@ SERIES_PRODUCT_LIMIT = 35 * 10**6
 SLICE_TERMS = 512
 
 __all__ = [
-    "Rat",
     "MotPoly",
     "StdFactor",
     "ZetaExpr",

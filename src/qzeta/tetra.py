@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class BadParams(Exception):
+class BadParams(ValueError):
     """(d, q) outside the family's parameter domain."""
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .groups import GroupAction, NotSmall, _dot, is_small, small_reduce
 from .motpoly import _fraction
-from .symring import MotPoly, Rat, StdFactor, ZetaExpr, fac
+from .symring import MotPoly, StdFactor, ZetaExpr, fac
 
 JET_BUDGET = 10**8
 
@@ -49,15 +49,15 @@ __all__ = [
 ]
 
 
-class TInCoefficient(Exception):
+class TInCoefficient(ValueError):
     """A stratum class polynomial carries a T power."""
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     """Vector or group dimension disagrees with the ambient dimension."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     """The brute-force jet count would exceed the tuple budget."""
 
 
@@ -65,7 +65,7 @@ class BudgetExceeded(Exception):
 # group sums and local zetas
 
 
-def s_g_sum(g: GroupAction, Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> MotPoly:
+def s_g_sum(g: GroupAction, Nvec: Sequence[Fraction], nuvec: Sequence[Fraction]) -> MotPoly:
     """sum over gamma in G of  L^age_nu(gamma) * T^(-age_N(gamma)).
 
     With T = L^(-s) this is sum L^(age_N(gamma) s + age_nu(gamma)); ages
@@ -105,8 +105,8 @@ def _factors(Nvec, nuvec, made: dict) -> list[StdFactor]:
 
 def local_monomial_zeta(
     g: GroupAction,
-    Nvec: Sequence[Rat],
-    nuvec: Sequence[Rat],
+    Nvec: Sequence[Fraction],
+    nuvec: Sequence[Fraction],
     allow_nonsmall: bool = False,
 ) -> ZetaExpr:
     """Zeta function of the monomial pair at the origin of C^n / G."""
@@ -121,7 +121,7 @@ def local_monomial_zeta(
     return ZetaExpr.of(coeff, _factors(Nvec, nuvec, {}))
 
 
-def affine_monomial_zeta(Nvec: Sequence[Rat], nuvec: Sequence[Rat]) -> ZetaExpr:
+def affine_monomial_zeta(Nvec: Sequence[Fraction], nuvec: Sequence[Fraction]) -> ZetaExpr:
     """Zeta function of the monomial over *all* arcs of affine space.
 
     Per coordinate the arc space splits into units (measure 1 - L^-1,

@@ -2,8 +2,8 @@
 
 Nothing in the package or the benchmark calls them, so they live here and
 not on ``MotPoly`` or ``TopZeta``: the series values of a polynomial as
-Fractions, one T-coefficient, and a topological zeta function's value at
-a rational s.
+Fractions, one T-coefficient, the lowest T-exponent, and a topological
+zeta function's value at a rational s.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ def coeff_of_T(p: MotPoly, j) -> MotPoly:
     if rem:
         return MotPoly.zero()
     return MotPoly.from_lattice({(0, l, s): c for (t, l, s), c in p._terms.items() if t == tj}, p.scale)
+
+
+def min_tau(p: MotPoly) -> Fraction | None:
+    """The lowest T-exponent of p, or None for the zero polynomial."""
+    if not p._terms:
+        return None
+    return Fraction(min(k[0] for k in p._terms), p.scale)
 
 
 def eval_at(tz, s0) -> Fraction:

@@ -45,6 +45,13 @@ REMOVED["symring"] += ["_lowest_terms", "_lattice_texts", "_power_formats", "_fa
 # The column printer of the polynomials in s and the joined quotient: every
 # printed sum goes through the one slice writer, topzeta._slices.
 REMOVED["topzeta"] += ["sum_str", "quotient_str"]
+# The second name of the exponent type, and the warning a non-small G(d, q)
+# raised: the CLI decides its notice from the parameters.
+REMOVED["symring"] += ["Rat"]
+REMOVED["resolution"] += ["TetraReduced"]
+# The list of exception classes the CLI reported: every refusal is a
+# ValueError.
+REMOVED["cli"] += ["DOMAIN_ERRORS"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -78,7 +85,7 @@ def test_removed_names_are_gone():
     # the CLI values a series with MotPoly.values_at_L, not per T-column
     assert not hasattr(qzeta.motpoly.MotPoly, "split_T")
     # readers that only tests called: they live in tests/readers.py
-    for attr in ("series_at_L", "coeff_of_T"):
+    for attr in ("series_at_L", "coeff_of_T", "min_tau"):
         assert not hasattr(qzeta.motpoly.MotPoly, attr), attr
     assert not hasattr(qzeta.topzeta.TopZeta, "eval_at")
     # the evaluation the tracer wraps stays
@@ -112,6 +119,31 @@ def test_one_writer_and_one_vector_code():
     # with the vector code of groups
     assert qzeta.symring._slices is qzeta.topzeta._slices
     assert qzeta.tetra._codes is qzeta.groups._codes
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_refusal_is_a_value_error(name):
+    mod = importlib.import_module("qzeta." + name)
+    for obj in vars(mod).values():
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__:
+            assert issubclass(obj, ValueError), obj
+
+
+def test_no_module_imports_what_it_does_not_use():
+    """Every name a module imports at top level is read in it, or exported."""
+    for path in sorted(Path(qzeta.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } - {"annotations"}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module("qzeta." + path.stem), "__all__", ()))
+        assert imported <= read | exported, (path.name, sorted(imported - read - exported))
 
 
 def test_cli_reads_no_private_symring_name():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -182,6 +184,34 @@ def test_nonsmall_is_domain_error(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "quasi-reflexions" in err
+
+
+def _package_exceptions() -> list[type]:
+    """Every exception class a qzeta module defines, by name."""
+    mods = [importlib.import_module("qzeta." + m.name) for m in pkgutil.iter_modules(qzeta.__path__)]
+    return sorted(
+        {
+            obj
+            for mod in mods
+            for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__
+        },
+        key=lambda cls: cls.__name__,
+    )
+
+
+@pytest.mark.parametrize("cls", _package_exceptions(), ids=lambda cls: cls.__name__)
+def test_every_refusal_exits_1(capsys, monkeypatch, cls):
+    """A refusal of any package type, raised anywhere under a subcommand,
+    exits 1 with its message on an error line: the CLI lists no types."""
+    msg = "refused by %s" % cls.__name__
+    exc = cls(msg, 3, 4) if issubclass(cls, qzeta.strata.ParseError) else cls(msg)
+
+    def refuse(literal):
+        raise exc
+
+    monkeypatch.setattr(qzeta.groups, "parse_group_literal", refuse)
+    assert run(capsys, ["group", "(2;1)"]) == (1, "", "error: %s\n" % exc)
 
 
 def test_allow_nonsmall_notice(capsys):

@@ -45,7 +45,7 @@ from qzeta.topzeta import frac_latex
 from qzeta.zetacore import stratified_zeta
 
 from fold_reference import direction
-from readers import coeff_of_T, series_at_L
+from readers import coeff_of_T, min_tau, series_at_L
 
 # ---------------------------------------------------------------------------
 # mixed scales
@@ -810,7 +810,7 @@ def _old_series_expand(z, M) -> MotPoly:
         cur = coeff.truncate_tau(M)
         if cur.is_zero:
             continue
-        lo = cur.min_tau()
+        lo = min_tau(cur)
         for f in sorted(factors):
             jmax = math.floor((M - lo) / f.N)
             if jmax < 1:
@@ -833,7 +833,7 @@ def _reference_series(z, M) -> tuple[MotPoly, int]:
     M = F(M)
     total, scales = MotPoly.zero(), []
     for factors, coeff in z.iter_terms():
-        lo = min(coeff.min_tau(), 0)
+        lo = min(min_tau(coeff), 0)
         prod = coeff
         for f in factors:
             geo = MotPoly.zero()

@@ -34,7 +34,7 @@ from qzeta import topzeta
 from qzeta.topzeta import LATEX, TEXT_S, frac_latex, padd, pdiv, pmul, quotient_slices
 
 from fold_reference import add, binom_poly, direction, make, numer_poly
-from readers import eval_at
+from readers import eval_at, min_tau
 
 
 def _rand_poly(rng: random.Random, nterms: int = 4) -> MotPoly:
@@ -281,7 +281,7 @@ def _series_counted(z, M) -> tuple[int, int, int]:
         cur = coeff.truncate_tau(M)
         if cur.is_zero:
             continue
-        lo, most, work, bound = cur.min_tau(), len(cur), 0, len(cur)
+        lo, most, work, bound = min_tau(cur), len(cur), 0, len(cur)
         for f in sorted(factors):
             jmax = (M - lo) // f.N
             if jmax < 1:
@@ -337,7 +337,7 @@ def _fraction_plan(z, M) -> tuple[int, int]:
         cur = coeff.truncate_tau(M)
         if cur.is_zero:
             continue
-        lo = lo0 = cur.min_tau()
+        lo = lo0 = min_tau(cur)
         steps, keys, work, rays = 0, len(cur), 0, {}
         most = keys
         for f in sorted(factors):
