@@ -12,7 +12,6 @@ from .groups import (
 )
 from .monodromy import (
     CyclotomicProduct,
-    euler_phi,
     yomdin_charpoly,
 )
 from .resolution import (
@@ -101,7 +100,7 @@ __all__ = [
     "YomdinParams", "yomdin_stratification", "yomdin_zeta_closed", "yomdin_top_closed",
     "tetra_stratification", "tetra_zeta_closed", "tetra_top_closed",
     # monodromy
-    "CyclotomicProduct", "euler_phi", "yomdin_charpoly",
+    "CyclotomicProduct", "yomdin_charpoly",
     # strata files
     "ParseError", "UndeclaredSymbol", "StrataFile", "parse_strata", "render_strata",
 ]

@@ -15,7 +15,9 @@ already in it, so each element is made once whatever the presentation.
 Membership is read off integer codes of the vectors (``_codes``).  Ages
 are summed down the columns (``_dot``), here and in ``zetacore``, and the
 quasi-reflections found by the zero count of each element
-(``_zero_counts``).
+(``_zero_counts``).  ``small_reduce`` walks each quotient's image once and
+presents it by greedy generators, one walk each; their last span is the
+reduced action's columns, so no element is walked twice.
 """
 
 from __future__ import annotations
@@ -121,54 +123,36 @@ class GroupAction:
         return cls((1,), ((0,) * n,))
 
     @classmethod
-    def from_elements(
-        cls, vectors: Iterable[tuple[int, ...]], d_exp: int, n: int
-    ) -> "GroupAction":
-        """Present an explicit subgroup by a greedy generating set: in
-        sorted order, each vector not yet in the span becomes a generator.
-
-        The action is stored over the subgroup's exact exponent, which may
-        be a proper divisor of ``d_exp``: ``from_elements([(2,)], 4, 1)``
-        is the action of type (2; 1).
-        """
-        cols = [list(map(mod, col, repeat(d_exp))) for col in zip(*vectors)]
-        return cls._from_columns(cols or [[0]] * n, d_exp, n)
-
-    @classmethod
     def _from_columns(cls, cols: list[list[int]], d_exp: int, n: int) -> "GroupAction":
-        """:meth:`from_elements` on the vectors held as n columns of entries
-        in [0, d_exp), in which a vector may repeat."""
+        """Present a subgroup by a greedy generating set: in sorted order,
+        each vector not yet in the span becomes a generator.
+
+        ``cols`` holds the subgroup as n columns of entries in [0, d_exp),
+        each vector once.  It must be closed under addition, hold 0 and have
+        exponent exactly ``d_exp``, as a ``_walk`` output does when ``d_exp``
+        and all the entries of its generators have gcd 1.  The greedy vectors
+        are then the action's generators on ``d_exp`` itself, which
+        :meth:`columns` would walk in the same order from {0}; so the last
+        greedy span is kept as the action's columns, and no element is
+        walked or coded twice.
+        """
         codes = _codes(cols, d_exp)
-        want = {0, *codes}
         gens: list[tuple[int, ...]] = []
-        span, have = [[0]] * n, {0}
-        # codes order as the vectors do, so the least code outside the span
-        # is the next vector a walk in sorted order would take; the span only
-        # grows, so none is skipped
-        while (code := min(filterfalse(have.__contains__, want), default=None)) is not None:
-            i = codes.index(code)
+        span = [[0]] * n
+        # the span lies in the closed set, so it is the whole set once it is
+        # as large; codes order as the vectors do, so the least code outside
+        # the span is the next vector a walk in sorted order would take
+        while len(span[0]) < len(codes):
+            have = set(_codes(span, d_exp))
+            i = codes.index(min(filterfalse(have.__contains__, codes)))
             gens.append(tuple(col[i] for col in cols))
             span = _walk(span, gens[-1], d_exp)
-            have = set(_codes(span, d_exp))
-        if have != want:
-            raise ValueError("vector set is not closed under addition")
-        orders = []
-        rows = []
-        for vec in gens:
-            order = d_exp // math.gcd(d_exp, reduce(math.gcd, vec, 0))
-            step = d_exp // order  # divides every entry of vec
-            rows.append(tuple(v // step for v in vec))
-            orders.append(order)
-        if not rows:
-            return cls.trivial(n)
-        act = cls(orders, rows, n)
-        # on the exact exponent act.d_exp, each vector of want is divided by
-        # step; compared as sets of codes on d_exp
-        step = d_exp // act.d_exp
-        cols = act.columns()
-        if step > 1:
-            cols = [list(map(mul, col, repeat(step))) for col in cols]
-        assert set(_codes(cols, d_exp)) == want
+        orders = [d_exp // math.gcd(d_exp, *vec) for vec in gens]
+        # d_exp // order divides every entry of its vector
+        rows = [tuple(v // (d_exp // order) for v in vec) for order, vec in zip(orders, gens)]
+        act = cls(orders, rows, n) if rows else cls.trivial(n)
+        assert act.d_exp == d_exp and act.order == len(codes)
+        act._cols = span
         return act
 
     # -- enumeration -------------------------------------------------------
@@ -361,8 +345,9 @@ def small_reduce(g: GroupAction) -> tuple[GroupAction, tuple[int, ...]]:
     then each entry divided by g0, the gcd of d_exp and every image entry
     (an element is a sum of generator multiples, so its entries add
     nothing to that gcd).  The image is the subgroup those vectors span:
-    one ``_walk`` makes each of its elements once, and
-    :meth:`GroupAction._from_columns` presents it.
+    one ``_walk`` per generator makes each of its elements once, and
+    :meth:`GroupAction._from_columns` presents it by greedy generators,
+    one walk each, whose last span is the reduced action's columns.
     """
     n = g.n
     cur = g

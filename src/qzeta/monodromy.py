@@ -17,7 +17,6 @@ EXPAND_DEGREE_LIMIT = 200
 __all__ = [
     "CyclotomicProduct",
     "yomdin_charpoly",
-    "euler_phi",
 ]
 
 
@@ -85,20 +84,6 @@ class CyclotomicProduct:
         if den:
             out += " / " + (" * ".join(den) if len(den) == 1 else "(%s)" % " * ".join(den))
         return out
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
 
 
 def yomdin_charpoly(y: YomdinParams) -> CyclotomicProduct:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qzeta import groups
 from qzeta.cli import _group_report
 from qzeta.groups import (
     SIZE_LIMIT,
@@ -105,6 +106,29 @@ def test_small_reduce_fixpoint_on_small():
     assert reduced == g
 
 
+@pytest.mark.parametrize("literal", ["(101,23;1,3,7;0,5,0)", "(12,6;1,2,3;0,3,2)"])
+def test_small_reduce_walks_each_set_once(literal, monkeypatch):
+    """One pass walks its image once per image generator and its greedy
+    presentation once per generator; the last greedy span is the reduced
+    action's columns, so reading them walks nothing more."""
+    g = parse_group_literal(literal)
+    g.columns()
+    walk = groups._walk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(groups, "_walk", counted)
+    reduced, m = small_reduce(g)
+    cols = reduced.columns()
+    monkeypatch.undo()
+    assert not is_small(g) and is_small(reduced)
+    assert len(calls) == len(g.orders) + len(reduced.orders) == 3
+    assert cols == _walked_columns(reduced)
+
+
 def test_canonical_equality():
     # scaling every exponent by the overall gcd does not change the action
     assert GroupAction.cyclic(4, (2, 2)) == GroupAction.cyclic(2, (1, 1))
@@ -120,23 +144,6 @@ def test_exponent_from_generators_matches_canonical():
         rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in orders]
         g = GroupAction(orders, rows, n)
         assert g.exponent() == g.canonical()[0]
-
-
-def test_from_elements_below_the_given_exponent():
-    g = GroupAction.from_elements([(2,)], 4, 1)
-    assert g == GroupAction.cyclic(2, (1,))
-    assert (g.d_exp, g.elements(), g.exponent()) == (2, ((0,), (1,)), 2)
-    # any subgroup, handed over on a multiple of its exponent
-    rng = random.Random(4)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 2))]
-        rows = [[rng.randrange(o) for _ in range(n)] for o in orders]
-        g = GroupAction(orders, rows, n)
-        k = rng.randint(1, 4)
-        vecs = [tuple(x * k for x in v) for v in g.elements()]
-        h = GroupAction.from_elements(vecs, g.d_exp * k, n)
-        assert h == g and h.d_exp == g.exponent()
 
 
 def test_literal_roundtrip():
@@ -272,6 +279,11 @@ def _ref_small_reduce(orders, rows, n) -> tuple[str, tuple[int, ...]]:
     return lit, tuple(m_total)
 
 
+def _walked_columns(g: GroupAction) -> list[list[int]]:
+    """The columns a fresh action of the same presentation walks itself."""
+    return GroupAction(g.orders, g.rows, g.n).columns()
+
+
 def test_coset_walk_matches_reference():
     rng = random.Random(10)
     nonsmall = 0
@@ -370,6 +382,7 @@ def test_column_kernels_match_per_element_loops():
         assert is_small(g) == (not any(v.count(0) == g.n - 1 for v in elems))
         reduced, m = small_reduce(g)
         assert (group_literal(reduced), m) == _ref_small_reduce(g.orders, g.rows, g.n)
+        assert reduced.columns() == _walked_columns(reduced)
         gor, orb = _loop_measures(g, reduced)
         assert gor_measure_origin(g, reduced).lattice() == gor.lattice()
         assert orb_measure_origin(g).lattice() == orb.lattice()
@@ -413,6 +426,7 @@ def test_measures_and_reduction_on_seeded_actions():
         g = _seeded_action(rng, shape)
         reduced, m = small_reduce(g)
         assert (group_literal(reduced), m) == _ref_small_reduce(g.orders, g.rows, g.n)
+        assert reduced.columns() == _walked_columns(reduced)
         assert (reduced is g) == is_small(g)
         gor, orb = _loop_measures(g, reduced)
         assert orb_measure_origin(g).lattice() == orb.lattice()

@@ -8,7 +8,6 @@ import pytest
 from qzeta.monodromy import (
     EXPAND_DEGREE_LIMIT,
     CyclotomicProduct,
-    euler_phi,
     yomdin_charpoly,
 )
 from qzeta.resolution import YomdinParams
@@ -82,12 +81,6 @@ def test_from_dict_merges_and_validates():
     assert str(CyclotomicProduct.from_dict({})) == "1"
     with pytest.raises(ValueError):
         CyclotomicProduct.from_dict({0: 1})
-
-
-def test_euler_phi():
-    assert [euler_phi(n) for n in (1, 2, 6, 12, 97)] == [1, 1, 2, 4, 96]
-    for M in range(1, 101):
-        assert sum(euler_phi(j) for j in range(1, M + 1) if M % j == 0) == M
 
 
 # Reference copy of CyclotomicProduct.expand as it stood before it shared
